@@ -25,23 +25,28 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import mpmath as mp
-
 from .complexfn import (
     DOUBLE,
     PoleError,
     PrecisionConfig,
+    _is_mp,
+    _mp_context,
+    _nearest_int,
+    _to_ctx,
     hyp1f1,
     log_gamma,
     lower_incomplete_gamma,
 )
-from .holonomic import Poly2, RationalFn, RecurrenceParseError, _ExprParser
+from .exact import duality_form_e, duality_form_pi
+from .holonomic import Poly2, RationalFn, RecurrenceParseError
+from .holonomic import _check_coeffs, _parse_coeff_text
 
 __all__ = [
     "AGFSpec",
     "RegularityClass",
     "afe_residual",
     "classify_regularity",
+    "duality_residuals",
     "f_eval",
     "f_eval_confluent_route",
     "f_eval_gamma_route",
@@ -57,6 +62,7 @@ __all__ = [
     "growth_probe",
     "parse_agf_spec",
     "residual_grid",
+    "residual_table",
     "uniqueness_probe",
 ]
 
@@ -79,12 +85,7 @@ class AGFSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need order+1 coefficients")
-        if self.coeffs[0].is_zero() or self.coeffs[-1].is_zero():
-            raise ValueError("R_0 and R_r must not vanish identically")
+        _check_coeffs(self.order, self.coeffs)
         for c in self.coeffs:
             if c.num.degree_n() > 0 or c.den.degree_n() > 0:
                 raise ValueError("AFE coefficients must not involve n")
@@ -143,30 +144,19 @@ def gamma_spec() -> AGFSpec:
 # ---------------------------------------------------------------------------
 # pole bookkeeping
 
-def _near_int(z, tol: float = 1e-12) -> int | None:
-    if isinstance(z, (mp.mpf, mp.mpc)):
-        re, im = float(mp.re(z)), float(mp.im(z))
-    else:
-        zc = complex(z)
-        re, im = zc.real, zc.imag
-    n = round(re)
-    if abs(re - n) < tol and abs(im) < tol:
-        return n
-    return None
-
-
 def f_pole_distance(z) -> float:
     """Distance from z to the pole set {-2, -3, -4, ...} of f."""
-    zc = complex(z)
-    n = min(-2, round(zc.real))
-    return abs(zc - n)
+    return _pole_row_distance(z, -2)
 
 
 def g_pole_distance(z) -> float:
     """Distance from z to the pole set {-1, -2, -3, ...} of g."""
+    return _pole_row_distance(z, -1)
+
+
+def _pole_row_distance(z, first: int) -> float:
     zc = complex(z)
-    n = min(-1, round(zc.real))
-    return abs(zc - n)
+    return abs(zc - min(first, round(zc.real)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,43 +167,31 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
 
     The series has factorially decaying terms and no branch factors; the
     incomplete-gamma and 1F1 representations are separate routes used for
-    cross-checking, not called here.
+    cross-checking, not called here.  It stops once 1/(k+1)! falls below
+    a thousandth of the working epsilon.
     """
-    n = _near_int(z)
+    n = _nearest_int(z)
     if n is not None and n <= -2:
         raise PoleError(f"f pole at z={n}")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = mp.mpc(z) if not isinstance(z, (mp.mpf, mp.mpc)) else z
-            total = mp.mpc(0)
-            term = mp.mpf(1)
-            for k in range(cfg.series_truncation_bound):
-                total += term / (zz + 2 + k)
-                term = term / (k + 1)
-                if term < mp.mpf(10) ** (-(cfg.working_digits + 8)):
-                    break
-            return total / mp.e
-    zz = complex(z)
-    total = 0j
-    term = 1.0
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
+    tiny = ctx.eps / 1000
+    total = ctx.mpc(0)
+    term = ctx.mpf(1)
     for k in range(cfg.series_truncation_bound):
         total += term / (zz + 2 + k)
         term /= k + 1
-        if term < 1e-19:
+        if term < tiny:
             break
-    return total / math.e
+    return total / ctx.e
 
 
 def f_eval_gamma_route(z, cfg: PrecisionConfig = DOUBLE):
     """f(z) = e^(-1 - i pi z) gamma(z+2, -1), on the principal branch."""
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = mp.mpc(z) if not isinstance(z, (mp.mpf, mp.mpc)) else z
-            inc = lower_incomplete_gamma(zz + 2, -1.0, cfg)
-            return mp.exp(-1 - 1j * mp.pi * zz) * inc
-    zz = complex(z)
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
     inc = lower_incomplete_gamma(zz + 2, -1.0, cfg)
-    return cmath.exp(-1 - 1j * math.pi * zz) * inc
+    return ctx.exp(-1 - 1j * ctx.pi * zz) * inc
 
 
 def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
@@ -222,14 +200,9 @@ def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
     The representation degenerates at z = -1 (a removable 0/0 of the
     formula, not a pole of f) and shares the poles z in {-2, -3, ...}.
     """
-    n = _near_int(z)
-    if n is not None and n == -1:
+    if _nearest_int(z) == -1:
         raise PoleError("confluent representation of f degenerates at z=-1")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = mp.mpc(z) if not isinstance(z, (mp.mpf, mp.mpc)) else z
-            return hyp1f1(2, zz + 2, -1, cfg) / (zz + 1)
-    zz = complex(z)
+    zz = _to_ctx(z, cfg.ctx)
     return hyp1f1(2, zz + 2, -1, cfg) / (zz + 1)
 
 
@@ -242,25 +215,17 @@ def gamma_ratio_A(z, cfg: PrecisionConfig = DOUBLE):
     When the denominator hits a Gamma pole the ratio is exactly 0 (the
     reciprocal-gamma convention); a numerator pole raises PoleError.
     """
-    if isinstance(z, (mp.mpf, mp.mpc)):
-        zc = complex(float(mp.re(z)), float(mp.im(z)))
-    else:
-        zc = complex(z)
-    num_idx = _near_int(zc / 2 + 1)
-    den_idx = _near_int((zc + 1) / 2)
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
+    num_idx = _nearest_int(zz / 2 + 1)
+    den_idx = _nearest_int((zz + 1) / 2)
     num_pole = num_idx is not None and num_idx <= 0
     den_pole = den_idx is not None and den_idx <= 0
     if num_pole:
         raise PoleError(f"A(z) {'indeterminate' if den_pole else 'pole'} at z={z}")
     if den_pole:
-        return mp.mpc(0) if cfg.is_extended else 0j
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = mp.mpc(z) if not isinstance(z, (mp.mpf, mp.mpc)) else z
-            return mp.exp(
-                log_gamma(zz / 2 + 1, cfg) - log_gamma((zz + 1) / 2, cfg)
-            )
-    return cmath.exp(log_gamma(zc / 2 + 1, cfg) - log_gamma((zc + 1) / 2, cfg))
+        return ctx.mpc(0)
+    return ctx.exp(log_gamma(zz / 2 + 1, cfg) - log_gamma((zz + 1) / 2, cfg))
 
 
 def g_eval(z, cfg: PrecisionConfig = DOUBLE):
@@ -269,17 +234,12 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     Holomorphic at z = 0 because A(-1) = 0 by the reciprocal-gamma
     convention; no special-casing beyond that.
     """
-    n = _near_int(z)
+    n = _nearest_int(z)
     if n is not None and n <= -1:
         raise PoleError(f"g pole at z={n}")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = mp.mpc(z) if not isinstance(z, (mp.mpf, mp.mpc)) else z
-            return mp.sqrt(mp.mpf(2)) * (
-                gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg)
-            )
-    zz = complex(z)
-    return math.sqrt(2.0) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
+    return ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +268,59 @@ def grid_points(re_min: float, re_max: float, im_min: float, im_max: float,
     return points
 
 
+def residual_table(spec: AGFSpec, h, points, pole_distance=None,
+                   skip_radius: float = 1e-3) -> list[tuple]:
+    """(z, h(z), residual, relative) for each grid point z.
+
+    The residual is sum_k R_k(z) h(z+k), and ``relative`` is its size over
+    the largest term magnitude max_k |R_k(z) h(z+k)|.  h(z) is None where
+    z is within skip_radius of a pole (as measured by ``pole_distance``)
+    or h raises PoleError; residual and relative are None where any
+    shifted argument z+k is.  Each argument is evaluated once per call,
+    also when it is z+k for more than one grid point.
+    """
+    seen = {}
+
+    def h_at(w):
+        if w not in seen:
+            seen[w] = h(w)
+        return seen[w]
+
+    rows = []
+    for z in points:
+        values = []
+        for k in range(spec.order + 1):
+            if pole_distance is not None and pole_distance(z + k) < skip_radius:
+                break
+            try:
+                values.append(h_at(z + k))
+            except PoleError:
+                break
+        value = values[0] if values else None
+        if len(values) <= spec.order:
+            rows.append((z, value, None, None))
+            continue
+        terms = [spec.coeff_at(k, z) * v for k, v in enumerate(values)]
+        residual = sum(terms)
+        scale = max(abs(t) for t in terms)
+        rows.append((z, value, residual, abs(residual) / scale if scale > 0 else 0.0))
+    return rows
+
+
 def residual_grid(spec: AGFSpec, h, points, pole_distance=None,
                   skip_radius: float = 1e-3):
     """Max relative AFE residual of h over the grid, poles punctured.
 
-    The residual at z is normalized by the largest term magnitude
-    max_k |R_k(z) h(z+k)|.  Points within skip_radius of a pole of any
-    shifted argument (as measured by ``pole_distance``) are skipped.
+    See :func:`residual_table`; points next to a pole are skipped.
     Returns (max_relative_residual, rows).
     """
     worst = 0.0
     rows = []
-    for z in points:
-        if pole_distance is not None:
-            if min(pole_distance(z + k) for k in range(spec.order + 1)) < skip_radius:
-                continue
-        try:
-            terms = [spec.coeff_at(k, z) * h(z + k) for k in range(spec.order + 1)]
-        except PoleError:
-            continue
-        residual = sum(terms)
-        scale = max(abs(t) for t in terms)
-        rel = abs(residual) / scale if scale > 0 else 0.0
-        rows.append({"z": z, "residual": abs(residual), "relative": rel})
-        worst = max(worst, rel)
+    for z, _, residual, rel in residual_table(spec, h, points, pole_distance,
+                                              skip_radius):
+        if rel is not None:
+            rows.append({"z": z, "residual": abs(residual), "relative": rel})
+            worst = max(worst, rel)
     return worst, rows
 
 
@@ -394,24 +383,16 @@ def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int,
     itself runs at a working precision sized to that factorial growth.
     """
     r = spec.order
-    window = []
+    values = []
     for k in range(r):
         a1, a2 = h1(z0 + k), h2(z0 + k)
         if abs(a1 - a2) > anchor_tol * max(abs(a1), abs(a2), 1e-30):
             raise ValueError(f"anchors disagree at z={z0 + k}: {a1} vs {a2}")
-        window.append(a2)
-    use_mp = any(isinstance(v, (mp.mpf, mp.mpc)) for v in window)
-    if not use_mp:
-        return _probe_run(spec, h1, window, z0, grid_len, r)
-    # headroom for factorial error amplification along the propagation
-    dps = max(30, int(math.lgamma(grid_len + 2) / math.log(10)) + 20)
-    with mp.workdps(dps):
-        zz0 = mp.mpmathify(z0)
-        return _probe_run(spec, h1, window, zz0, grid_len, r)
-
-
-def _probe_run(spec: AGFSpec, h1, window, z0, grid_len: int, r: int) -> float:
-    values = list(window)
+        values.append(a2)
+    if any(_is_mp(v) for v in values):
+        # headroom for factorial error amplification along the propagation
+        dps = max(30, int(math.lgamma(grid_len + 2) / math.log(10)) + 20)
+        z0 = _mp_context(dps).convert(z0)
     for k in range(r, grid_len + 1):
         zk = z0 + (k - r)
         acc = None
@@ -428,117 +409,82 @@ def _probe_run(spec: AGFSpec, h1, window, z0, grid_len: int, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# arithmetic duality
+
+def duality_residuals(world: str, m_max: int,
+                      cfg: PrecisionConfig = DOUBLE) -> list[tuple]:
+    """(-1)^m h(m)/h(0) against its exact linear form, for m = 0..m_max.
+
+    World 'e' pairs h = f with a - e b (:func:`exact.duality_form_e`),
+    world 'pi' pairs h = g with p - pi q (:func:`exact.duality_form_pi`).
+    Returns one (form, residual, scale) per m: residual is
+    |(-1)^m h(m)/h(0) - form| and scale the size a + e b (p + pi q) of the
+    two terms the form combines, both as floats.
+    """
+    ctx = cfg.ctx
+    if world == "e":
+        h, const, form_at = f_eval, ctx.e, duality_form_e
+    elif world == "pi":
+        h, const, form_at = g_eval, ctx.pi, duality_form_pi
+    else:
+        raise ValueError(f"unknown world {world!r}")
+    h0 = h(0, cfg)
+    rows = []
+    for m in range(m_max + 1):
+        form = form_at(m)
+        x, y = (form.a, form.b) if world == "e" else (form.p, form.q)
+        lhs = (-1) ** m * h(m, cfg) / h0
+        residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
+        rows.append((form, float(residual), float(x) + float(const) * float(y)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # text format
 
 def parse_agf_spec(text: str) -> AGFSpec:
     """Parse an AFE description: 'coeffK: <expr in z>' lines plus one
     'z0=<point>: <value>' anchor line per normalization pair."""
-    coeff_map: dict[int, RationalFn] = {}
     anchors: list[tuple] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if ":" not in line:
-            raise RecurrenceParseError(line_no, 1, "expected 'coeffK:' or 'z0=...:'")
-        key, rest = line.split(":", 1)
-        key = key.strip()
-        col_offset = len(line) - len(rest)
-        if key.startswith("coeff"):
-            try:
-                k = int(key[5:])
-            except ValueError:
-                raise RecurrenceParseError(line_no, 1, f"bad coefficient key {key!r}")
-            if k in coeff_map:
-                raise RecurrenceParseError(line_no, 1, f"duplicate {key!r}")
-            rf = _ExprParser(rest, line_no, col_offset).parse()
-            if rf.num.degree_n() > 0 or rf.den.degree_n() > 0:
-                raise RecurrenceParseError(
-                    line_no, col_offset + 1, "AFE coefficients may involve z only"
-                )
-            coeff_map[k] = rf
-        elif key.startswith("z0="):
-            try:
-                point = float(Fraction(key[3:]))
-            except (ValueError, ZeroDivisionError):
-                try:
-                    point = float(key[3:])
-                except ValueError:
-                    raise RecurrenceParseError(
-                        line_no, 1, f"bad anchor point {key[3:]!r}"
-                    )
-            try:
-                value = complex(rest.strip().replace("i", "j"))
-            except ValueError:
-                raise RecurrenceParseError(
-                    line_no, col_offset + 1, f"bad anchor value {rest.strip()!r}"
-                )
-            anchors.append((point, value))
-        else:
+
+    def on_key(key, rest, line_no, col_offset):
+        if not key.startswith("z0="):
             raise RecurrenceParseError(line_no, 1, f"unknown key {key!r}")
-    if not coeff_map:
-        raise RecurrenceParseError(1, 1, "no coefficients given")
-    order = max(coeff_map)
-    missing = [k for k in range(order + 1) if k not in coeff_map]
-    if missing:
-        raise RecurrenceParseError(1, 1, f"missing coefficients {missing}")
-    try:
-        return AGFSpec(
-            order=order,
-            coeffs=tuple(coeff_map[k] for k in range(order + 1)),
-            anchors=tuple(anchors),
-        )
-    except ValueError as exc:
-        raise RecurrenceParseError(1, 1, str(exc))
+        try:
+            point = float(Fraction(key[3:]))
+        except (ValueError, ZeroDivisionError):
+            try:
+                point = float(key[3:])
+            except ValueError:
+                raise RecurrenceParseError(
+                    line_no, 1, f"bad anchor point {key[3:]!r}"
+                )
+        try:
+            value = complex(rest.strip().replace("i", "j"))
+        except ValueError:
+            raise RecurrenceParseError(
+                line_no, col_offset + 1, f"bad anchor value {rest.strip()!r}"
+            )
+        anchors.append((point, value))
+
+    def build(coeffs):
+        return AGFSpec(order=len(coeffs) - 1, coeffs=coeffs, anchors=tuple(anchors))
+
+    return _parse_coeff_text(text, "'z0=...:'", on_key, build, z_only=True)
 
 
 def format_agf_spec(spec: AGFSpec, digits: int = 17) -> str:
     """Inverse of parse_agf_spec for the built-in coefficient shapes."""
     lines = []
     for k in range(spec.order, -1, -1):
-        lines.append(f"coeff{k}: {_format_rational(spec.coeffs[k])}")
+        lines.append(f"coeff{k}: {spec.coeffs[k]!r}")
     for point, value in spec.anchors:
         v = complex(value)
         if v.imag == 0:
-            lines.append(f"z0={_fmt_float(point)}: {v.real:.{digits}g}")
+            lines.append(f"z0={point:g}: {v.real:.{digits}g}")
         else:
             sign = "+" if v.imag >= 0 else "-"
             lines.append(
-                f"z0={_fmt_float(point)}: {v.real:.{digits}g}{sign}{abs(v.imag):.{digits}g}i"
+                f"z0={point:g}: {v.real:.{digits}g}{sign}{abs(v.imag):.{digits}g}i"
             )
     return "\n".join(lines) + "\n"
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:g}"
-
-
-def _poly_text(p: Poly2) -> str:
-    terms = []
-    for i, row in enumerate(p.coeffs):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            n_part = "" if i == 0 else ("n" if i == 1 else f"n^{i}")
-            z_part = "" if j == 0 else ("z" if j == 1 else f"z^{j}")
-            body = "*".join(part for part in (n_part, z_part) if part)
-            if c == 1 and body:
-                terms.append(body)
-            elif c == -1 and body:
-                terms.append(f"-{body}")
-            else:
-                frac = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                terms.append(f"{frac}{'*' + body if body else ''}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f"+{t}" if not t.startswith("-") else t
-    return out
-
-
-def _format_rational(r: RationalFn) -> str:
-    num = _poly_text(r.num)
-    if r.den == Poly2.const(1):
-        return num
-    return f"({num})/({_poly_text(r.den)})"

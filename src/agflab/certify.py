@@ -191,17 +191,17 @@ class PowerSeries:
 
 def u_series(m, order: int) -> PowerSeries:
     """Generating-series coefficients of the e-world sequence, exactly."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for n, v in iter_sequence(mirror_e(Fraction(m)), n_max=max(order, 3)):
-        if n <= order:
-            coeffs[n] = v
-    return PowerSeries(coeffs, order)
+    return _mirror_series(mirror_e(Fraction(m)), order)
 
 
 def v_series(m, order: int) -> PowerSeries:
     """Generating-series coefficients of the pi-world sequence, exactly."""
+    return _mirror_series(mirror_pi(Fraction(m)), order)
+
+
+def _mirror_series(rec, order: int) -> PowerSeries:
     coeffs = [Fraction(0)] * (order + 1)
-    for n, v in iter_sequence(mirror_pi(Fraction(m)), n_max=max(order, 3)):
+    for n, v in iter_sequence(rec, n_max=max(order, 3)):
         if n <= order:
             coeffs[n] = v
     return PowerSeries(coeffs, order)

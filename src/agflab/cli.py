@@ -23,9 +23,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import agf as agf_mod
 from . import certify
@@ -47,7 +46,7 @@ from .connection import (
     slope_ratio,
     slope_ratio_numeric_check,
 )
-from .exact import duality_form_e, duality_form_pi
+from .exact import ConsistencyError, duality_form_e, duality_form_pi
 from .holonomic import (
     CoefficientPole,
     RecurrenceParseError,
@@ -109,7 +108,11 @@ def _precision(digits: int) -> PrecisionConfig:
 
 def _fmt_value(v, cfg: PrecisionConfig) -> str:
     if isinstance(v, Fraction):
-        return str(v)
+        # Decimal is exact and, unlike str(int), not capped at 4300 digits
+        num = format(Decimal(v.numerator), "f")
+        if v.denominator == 1:
+            return num
+        return f"{num}/{format(Decimal(v.denominator), 'f')}"
     return format_cnum(v, cfg)
 
 
@@ -263,41 +266,20 @@ def _suite_afe() -> list[dict]:
 
 def _suite_duality() -> list[dict]:
     checks = []
-    cfgx = extended(40)
-    with mp.workdps(50):
-        f0 = agf_mod.f_eval(0, cfgx)
+    for world in ("e", "pi"):
         worst = 0.0
         rows = []
-        for m in range(16):
-            form = duality_form_e(m)
-            lhs = (-1) ** m * agf_mod.f_eval(m, cfgx) / f0
-            rhs = form.a - mp.e * form.b
-            dev = float(abs(lhs - rhs) / (form.a + float(mp.e) * form.b))
+        for form, residual, scale in agf_mod.duality_residuals(
+                world, 15, extended(40)):
+            dev = residual / scale
             worst = max(worst, dev)
-            rows.append({"m": m, "a": form.a, "b": form.b, "scaled_residual": dev})
-        checks.append(_check("duality_e", worst <= 1e-9, worst,
-                             {"m_max": 15, "tolerance": 1e-9}, rows))
-
-        g0 = agf_mod.g_eval(0, cfgx)
-        worst = 0.0
-        rows = []
-        for m in range(16):
-            form = duality_form_pi(m)
-            lhs = (-1) ** m * agf_mod.g_eval(m, cfgx) / g0
-            rhs = mp.mpf(form.p.numerator) / form.p.denominator - mp.pi * (
-                mp.mpf(form.q.numerator) / form.q.denominator
-            )
-            scale = float(form.p) + float(mp.pi) * float(form.q)
-            dev = float(abs(lhs - rhs) / scale)
-            worst = max(worst, dev)
-            rows.append({"m": m, "p": str(form.p), "q": str(form.q),
-                         "scaled_residual": dev})
-        checks.append(_check("duality_pi", worst <= 1e-9, worst,
+            terms = ({"a": form.a, "b": form.b} if world == "e"
+                     else {"p": str(form.p), "q": str(form.q)})
+            rows.append({"m": form.m, **terms, "scaled_residual": dev})
+        checks.append(_check(f"duality_{world}", worst <= 1e-9, worst,
                              {"m_max": 15, "tolerance": 1e-9}, rows))
 
     # closed forms equal recurrences exactly (construction cross-checks)
-    from .exact import ConsistencyError
-
     ok = True
     detail = []
     try:
@@ -420,79 +402,42 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def _table_duality_e(m_max: int) -> tuple[list[str], list[list]]:
-    cfgx = extended(40)
-    rows = []
-    with mp.workdps(50):
-        f0 = agf_mod.f_eval(0, cfgx)
-        for m in range(m_max + 1):
-            form = duality_form_e(m)
-            lhs = (-1) ** m * agf_mod.f_eval(m, cfgx) / f0
-            residual = float(abs(lhs - (form.a - mp.e * form.b)))
-            rows.append([m, form.a, form.b,
-                         f"{float(form.a - math.e * form.b):.17g}",
-                         f"{residual:.3e}"])
-    return ["m", "a", "b", "form_value", "residual"], rows
+def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
+    rows = [[*form.to_record().values(), f"{form.value():.17g}", f"{residual:.3e}"]
+            for form, residual, _ in agf_mod.duality_residuals(
+                world, m_max, extended(40))]
+    header = ["m", "a", "b"] if world == "e" else ["m", "p", "q"]
+    return header + ["form_value", "residual"], rows
 
 
-def _table_duality_pi(m_max: int) -> tuple[list[str], list[list]]:
-    cfgx = extended(40)
-    rows = []
-    with mp.workdps(50):
-        g0 = agf_mod.g_eval(0, cfgx)
-        for m in range(m_max + 1):
-            form = duality_form_pi(m)
-            lhs = (-1) ** m * agf_mod.g_eval(m, cfgx) / g0
-            rhs = mp.mpf(form.p.numerator) / form.p.denominator - mp.pi * (
-                mp.mpf(form.q.numerator) / form.q.denominator
-            )
-            residual = float(abs(lhs - rhs))
-            rows.append([m, f"{form.p.numerator}/{form.p.denominator}",
-                         f"{form.q.numerator}/{form.q.denominator}",
-                         f"{float(form.p) - math.pi * float(form.q):.17g}",
-                         f"{residual:.3e}"])
-    return ["m", "p", "q", "form_value", "residual"], rows
+def _grid_columns(spec, h, pts, pole_distance) -> list[list[str]]:
+    """value re, value im and AFE residual per point; 'pole' where undefined."""
+    columns = []
+    for _, value, _, rel in agf_mod.residual_table(spec, h, pts, pole_distance):
+        if value is None:
+            columns.append(["pole", "pole", "pole"])
+        else:
+            columns.append([f"{value.real:.17g}", f"{value.imag:.17g}",
+                            "pole" if rel is None else f"{rel:.3e}"])
+    return columns
 
 
 def _table_agf_grid(grid: tuple) -> tuple[list[str], list[list]]:
     pts = agf_mod.grid_points(*grid)
-    f_spec, g_spec = agf_mod.f_spec(), agf_mod.g_spec()
-    rows = []
-    for z in pts:
-        row = [f"{z.real:g}", f"{z.imag:g}"]
-        if agf_mod.f_pole_distance(z) < 1e-3:
-            row += ["pole", "pole", "pole"]
-        else:
-            fv = agf_mod.f_eval(z)
-            if min(agf_mod.f_pole_distance(z + k) for k in (1, 2)) < 1e-3:
-                rres = "pole"
-            else:
-                terms = [f_spec.coeff_at(k, z) * agf_mod.f_eval(z + k)
-                         for k in range(3)]
-                rres = f"{abs(sum(terms)) / max(abs(t) for t in terms):.3e}"
-            row += [f"{fv.real:.17g}", f"{fv.imag:.17g}", rres]
-        if agf_mod.g_pole_distance(z) < 1e-3:
-            row += ["pole", "pole", "pole"]
-        else:
-            gv = agf_mod.g_eval(z)
-            if min(agf_mod.g_pole_distance(z + k) for k in (1, 2)) < 1e-3:
-                rres = "pole"
-            else:
-                terms = [g_spec.coeff_at(k, z) * agf_mod.g_eval(z + k)
-                         for k in range(3)]
-                rres = f"{abs(sum(terms)) / max(abs(t) for t in terms):.3e}"
-            row += [f"{gv.real:.17g}", f"{gv.imag:.17g}", rres]
-        rows.append(row)
+    f_cols = _grid_columns(agf_mod.f_spec(), agf_mod.f_eval, pts,
+                           agf_mod.f_pole_distance)
+    g_cols = _grid_columns(agf_mod.g_spec(), agf_mod.g_eval, pts,
+                           agf_mod.g_pole_distance)
+    rows = [[f"{z.real:g}", f"{z.imag:g}", *f, *g]
+            for z, f, g in zip(pts, f_cols, g_cols)]
     header = ["re", "im", "f_re", "f_im", "f_afe_residual",
               "g_re", "g_im", "g_afe_residual"]
     return header, rows
 
 
 def cmd_table(args) -> int:
-    if args.kind == "duality-e":
-        header, rows = _table_duality_e(args.m_max)
-    elif args.kind == "duality-pi":
-        header, rows = _table_duality_pi(args.m_max)
+    if args.kind in ("duality-e", "duality-pi"):
+        header, rows = _table_duality(args.kind[len("duality-"):], args.m_max)
     else:
         header, rows = _table_agf_grid(args.grid)
     if args.format == "json":
@@ -598,6 +543,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"arithmetic error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,18 +1,19 @@
 """Principal-branch complex special functions at configurable precision.
 
-Double precision (the default) evaluates Gamma through a fixed Lanczos
-approximation with reflection for Re z < 1/2; the extended mode (>= 30
-significant digits, on mpmath arithmetic) uses a Stirling series with
-exact Bernoulli correction terms and argument raising.  The lower
+Every formula is written once against the mpmath context of its
+:class:`PrecisionConfig`: ``mpmath.fp`` (Python floats and complexes) in
+double precision, a private :class:`MPContext` in the extended mode
+(>= 30 significant digits).  log-Gamma is the one exception: double
+precision keeps a fixed Lanczos approximation with reflection for
+Re z < 1/2, which is faster than ``fp.loggamma``; the extended mode uses
+the context's ``loggamma``.  Gamma is exp(log-Gamma).  The lower
 incomplete gamma and the confluent hypergeometric 1F1 are evaluated by
 their defining series with a guarded truncation rule.
 
 Poles are reported as typed :class:`PoleError`, never as infinities, so
 grid drivers can skip them deterministically.  All functions are pure;
-precision travels in an explicit :class:`PrecisionConfig`.  The default
-double mode touches no global state; the extended mode raises mpmath's
-working precision for the duration of each call, so it is not safe to
-interleave with other mpmath users across threads.
+precision travels in an explicit :class:`PrecisionConfig`, and mpmath's
+global context is never read or changed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
-import mpmath as mp
+from mpmath import fp
+from mpmath.ctx_mp import MPContext
+from mpmath.ctx_mp_python import _mpc, _mpf
 
 __all__ = [
     "ConvergenceError",
@@ -38,9 +41,6 @@ __all__ = [
     "principal_log",
     "principal_pow",
 ]
-
-_DOUBLE_EPS = 2.220446049250313e-16
-
 
 class PoleError(ArithmeticError):
     """Evaluation requested at a pole."""
@@ -74,12 +74,30 @@ class PrecisionConfig:
     @property
     def machine_eps(self) -> float:
         if self.working_digits <= 16:
-            return _DOUBLE_EPS
+            return fp.eps
         return 10.0 ** (1 - self.working_digits)
 
     @property
     def is_extended(self) -> bool:
         return self.working_digits > 16
+
+    @property
+    def ctx(self):
+        """The mpmath context the formulas run in: ``fp`` in double
+        precision, else a private context with 10 guard digits."""
+        if self.is_extended:
+            return _mp_context(self.working_digits + 10)
+        return fp
+
+
+@lru_cache(maxsize=None)
+def _mp_context(dps: int) -> MPContext:
+    """The private mpmath context at ``dps`` digits, one per digit count
+    (building one costs about a millisecond).  Shared: never change its
+    precision."""
+    ctx = MPContext()
+    ctx.dps = dps
+    return ctx
 
 
 DOUBLE = PrecisionConfig()
@@ -100,32 +118,33 @@ def extended(digits: int = 30) -> PrecisionConfig:
 # ---------------------------------------------------------------------------
 # scalar conversion helpers
 
-def _to_complex(z) -> complex:
-    if isinstance(z, Fraction):
-        return complex(z.numerator / z.denominator)
-    z = complex(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)  # normalize -0.0 onto the principal branch
-    return z
+def _is_mp(z) -> bool:
+    """True for an mpmath number of any context, the global one or a
+    private :class:`MPContext` (each context has its own mpf/mpc classes)."""
+    return isinstance(z, (_mpf, _mpc))
 
 
-def _to_mpc(z) -> mp.mpc:
-    if isinstance(z, Fraction):
-        return mp.mpc(mp.mpf(z.numerator) / z.denominator)
-    if isinstance(z, (mp.mpf, mp.mpc)):
-        return mp.mpc(z)
-    z = complex(z)
-    return mp.mpc(z.real, z.imag)
+def _to_ctx(z, ctx):
+    """z (Fraction, Python number or mpmath number of any context) as a
+    complex number of ``ctx``, rounded to its precision; a zero imaginary
+    part is +0, which keeps real arguments on the principal branch."""
+    return ctx.mpc(ctx.convert(z)) + 0
 
 
-def _nearest_nonpositive_int(z) -> int | None:
-    """Index n <= 0 with |z - n| < 1e-12, or None."""
-    re = float(mp.re(z)) if isinstance(z, (mp.mpf, mp.mpc)) else complex(z).real
-    im = float(mp.im(z)) if isinstance(z, (mp.mpf, mp.mpc)) else complex(z).imag
-    n = round(re)
-    if n <= 0 and abs(re - n) < 1e-12 and abs(im) < 1e-12:
+def _nearest_int(z) -> int | None:
+    """Integer n with |z - n| < 1e-12, or None."""
+    zc = complex(z)
+    n = round(zc.real)
+    if abs(zc.real - n) < 1e-12 and abs(zc.imag) < 1e-12:
         return n
     return None
+
+
+def _check_pole(z, where: str):
+    """PoleError "<where>=n" when z is within 1e-12 of an integer n <= 0."""
+    n = _nearest_int(z)
+    if n is not None and n <= 0:
+        raise PoleError(f"{where}={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,41 +152,26 @@ def _nearest_nonpositive_int(z) -> int | None:
 
 def principal_log(z, cfg: PrecisionConfig = DOUBLE):
     """Principal log with Im in (-pi, pi]; cut along (-inf, 0]."""
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            w = _to_mpc(z)
-            if w == 0:
-                raise ValueError("principal log undefined at 0")
-            return mp.log(w)
-    w = _to_complex(z)
+    w = _to_ctx(z, cfg.ctx)
     if w == 0:
         raise ValueError("principal log undefined at 0")
-    return cmath.log(w)
+    return cfg.ctx.log(w)
 
 
 def principal_pow(z, w, cfg: PrecisionConfig = DOUBLE):
     """z**w on the principal branch, exp(w * principal_log(z))."""
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz, ww = _to_mpc(z), _to_mpc(w)
-            if zz == 0:
-                return _pow_at_zero(ww)
-            return mp.exp(ww * mp.log(zz))
-    zz, ww = _to_complex(z), _to_complex(w)
+    ctx = cfg.ctx
+    zz, ww = _to_ctx(z, ctx), _to_ctx(w, ctx)
     if zz == 0:
-        return _pow_at_zero(ww)
-    return cmath.exp(ww * cmath.log(zz))
-
-
-def _pow_at_zero(w):
-    k = _nearest_nonpositive_int(-w)
-    if k is not None and k < 0:  # w a positive integer
-        return w * 0
-    raise ValueError("0**w undefined unless w is a positive integer")
+        n = _nearest_int(ww)
+        if n is not None and n > 0:
+            return ww * 0
+        raise ValueError("0**w undefined unless w is a positive integer")
+    return ctx.exp(ww * ctx.log(zz))
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos in double precision
+# log-Gamma: Lanczos in double precision
 
 _LANCZOS_G = 7.0
 _LANCZOS_C0 = 0.99999999999980993
@@ -184,22 +188,6 @@ _LANCZOS_P = (
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _lanczos_sum(w: complex) -> complex:
-    x = complex(_LANCZOS_C0)
-    for i, p in enumerate(_LANCZOS_P):
-        x += p / (w + i + 1)
-    return x
-
-
-def _gamma_lanczos(z: complex) -> complex:
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos(1.0 - z))
-    w = z - 1.0
-    x = _lanczos_sum(w)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
-
-
 def _lgamma_lanczos(z: complex) -> complex:
     if z.real < 0.5:
         return (
@@ -208,95 +196,32 @@ def _lgamma_lanczos(z: complex) -> complex:
             - _lgamma_lanczos(1.0 - z)
         )
     w = z - 1.0
-    x = _lanczos_sum(w)
+    x = complex(_LANCZOS_C0)
+    for i, p in enumerate(_LANCZOS_P):
+        x += p / (w + i + 1)
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Stirling series with exact Bernoulli corrections (extended mode)
-
-_BERNOULLI_CACHE: list[Fraction] = []
-
-
-def _bernoulli(n: int) -> Fraction:
-    """B_n (B_1 = -1/2 convention), exact, by the Akiyama-Tanigawa scheme."""
-    global _BERNOULLI_CACHE
-    if n >= len(_BERNOULLI_CACHE):
-        top = max(n, 2 * len(_BERNOULLI_CACHE), 16)
-        row = [Fraction(0)] * (top + 1)
-        out = []
-        for m in range(top + 1):
-            row[m] = Fraction(1, m + 1)
-            for j in range(m, 0, -1):
-                row[j - 1] = j * (row[j - 1] - row[j])
-            out.append(row[0])
-        # Akiyama-Tanigawa yields B_1 = +1/2; flip to the B_1 = -1/2 convention
-        if top >= 1:
-            out[1] = -out[1]
-        _BERNOULLI_CACHE = out
-    return _BERNOULLI_CACHE[n]
-
-
-def _lgamma_stirling(z, dps: int):
-    """log Gamma for Re z >= 0.5 via argument raising + Stirling series."""
-    threshold = max(20.0, 1.2 * dps)
-    shift = int(max(0.0, math.ceil(threshold - float(mp.re(z)))))
-    w = z + shift
-    s = (w - mp.mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
-    w2 = w * w
-    pw = w
-    tiny = mp.mpf(10) ** (-(dps + 8))
-    for j in range(1, 2 * dps + 10):
-        b = _bernoulli(2 * j)
-        term = mp.mpf(b.numerator) / b.denominator / ((2 * j) * (2 * j - 1)) / pw
-        s += term
-        if abs(term) < tiny:
-            break
-        pw *= w2
-    for i in range(shift):
-        s -= mp.log(z + i)
-    return s
-
-
-def _lgamma_mp(z, dps: int):
-    if float(mp.re(z)) < 0.5:
-        return (
-            mp.log(mp.pi)
-            - mp.log(mp.sin(mp.pi * z))
-            - _lgamma_stirling(1 - z, dps)
-        )
-    return _lgamma_stirling(z, dps)
-
-
-# ---------------------------------------------------------------------------
-# public Gamma interface
-
-def gamma(z, cfg: PrecisionConfig = DOUBLE):
-    """Euler Gamma on the principal branch; poles at 0, -1, -2, ..."""
-    n = _nearest_nonpositive_int(z)
-    if n is not None:
-        raise PoleError(f"gamma pole at z={n}")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            return mp.exp(_lgamma_mp(_to_mpc(z), cfg.working_digits))
-    return _gamma_lanczos(_to_complex(z))
-
+# public Gamma interface: Lanczos in double precision, mpmath beyond it
 
 def log_gamma(z, cfg: PrecisionConfig = DOUBLE):
     """A log of Gamma with exp(log_gamma(z)) == gamma(z) to tolerance.
 
-    The branch is continuous on Re z >= 1/2; for Re z < 1/2 the reflection
-    formula is applied, which keeps exp-consistency but may shift the
-    imaginary part by multiples of 2*pi.
+    The branch is continuous on Re z >= 1/2; for Re z < 1/2 the imaginary
+    part may differ from the continuous branch by multiples of 2*pi.
     """
-    n = _nearest_nonpositive_int(z)
-    if n is not None:
-        raise PoleError(f"gamma pole at z={n}")
+    _check_pole(z, "gamma pole at z")
+    z = _to_ctx(z, cfg.ctx)
     if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            return _lgamma_mp(_to_mpc(z), cfg.working_digits)
-    return _lgamma_lanczos(_to_complex(z))
+        return cfg.ctx.loggamma(z)
+    return _lgamma_lanczos(z)
+
+
+def gamma(z, cfg: PrecisionConfig = DOUBLE):
+    """Euler Gamma on the principal branch; poles at 0, -1, -2, ..."""
+    return cfg.ctx.exp(log_gamma(z, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -310,40 +235,21 @@ def lower_incomplete_gamma(a, x: float = -1.0, cfg: PrecisionConfig = DOUBLE):
     fixed real x.  For x < 0 the principal power x^a = exp(a(log|x| + i pi))
     is used.  Poles at a in {0, -1, -2, ...}.
     """
-    n = _nearest_nonpositive_int(a)
-    if n is not None:
-        raise PoleError(f"lower incomplete gamma pole at a={n}")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            aa = _to_mpc(a)
-            xx = mp.mpf(x)
-            if xx == 0:
-                return mp.mpc(0)
-            xa = mp.exp(aa * (mp.log(abs(xx)) + (mp.pi * 1j if xx < 0 else 0)))
-            return xa * _incgamma_tail(aa, xx, cfg, one=mp.mpf(1))
-    aa = _to_complex(a)
+    _check_pole(a, "lower incomplete gamma pole at a")
+    ctx = cfg.ctx
+    aa = _to_ctx(a, ctx)
     if x == 0:
-        return 0j
-    xa = cmath.exp(aa * (math.log(abs(x)) + (math.pi * 1j if x < 0 else 0.0)))
-    return xa * _incgamma_tail(aa, x, cfg, one=1.0)
+        return ctx.mpc(0)
+    xa = ctx.exp(aa * (ctx.log(abs(x)) + (ctx.pi * 1j if x < 0 else 0)))
+    minus_x = -ctx.mpf(x)
 
+    def pieces():  # (-x)^k / k! / (a + k)
+        term = ctx.mpf(1)
+        for k in range(1, cfg.series_truncation_bound):
+            term = term * minus_x / k
+            yield term / (aa + k)
 
-def _incgamma_tail(a, x, cfg: PrecisionConfig, one):
-    # sum_k (-x)^k / k! / (a + k)  with the 3-consecutive-small-terms rule
-    term = one
-    total = term / a
-    small = 0
-    for k in range(1, cfg.series_truncation_bound):
-        term = term * (-x) / k
-        piece = term / (a + k)
-        total += piece
-        if abs(piece) < cfg.tolerance_abs * max(abs(total), cfg.tolerance_abs):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("incomplete gamma series did not converge")
+    return xa * _series_sum(1 / aa, pieces(), cfg, "incomplete gamma series")
 
 
 def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
@@ -353,21 +259,25 @@ def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
     tolerance_abs * |partial sum| for 3 consecutive terms; b must avoid
     the nonpositive integers.
     """
-    n = _nearest_nonpositive_int(b)
-    if n is not None:
-        raise PoleError(f"hyp1f1 pole at b={n}")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            return _hyp1f1_series(_to_mpc(a), _to_mpc(b), _to_mpc(x), cfg)
-    return _hyp1f1_series(_to_complex(a), _to_complex(b), _to_complex(x), cfg)
+    _check_pole(b, "hyp1f1 pole at b")
+    a, b, x = (_to_ctx(v, cfg.ctx) for v in (a, b, x))
+    one = a / a  # of the right type
+
+    def terms():
+        term = one
+        for k in range(cfg.series_truncation_bound):
+            term = term * (a + k) / (b + k) * x / (k + 1)
+            yield term
+
+    return _series_sum(one, terms(), cfg, "1F1 series")
 
 
-def _hyp1f1_series(a, b, x, cfg: PrecisionConfig):
-    term = a / a  # one of the right type
-    total = term
+def _series_sum(first, terms, cfg: PrecisionConfig, what: str):
+    """first + sum(terms), stopped once 3 consecutive terms stay below
+    tolerance_abs * |partial sum|; ConvergenceError if terms run out."""
+    total = first
     small = 0
-    for k in range(cfg.series_truncation_bound):
-        term = term * (a + k) / (b + k) * x / (k + 1)
+    for term in terms:
         total += term
         if abs(term) < cfg.tolerance_abs * max(abs(total), cfg.tolerance_abs):
             small += 1
@@ -375,7 +285,7 @@ def _hyp1f1_series(a, b, x, cfg: PrecisionConfig):
                 return total
         else:
             small = 0
-    raise ConvergenceError("1F1 series did not converge within the bound")
+    raise ConvergenceError(f"{what} did not converge within the bound")
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +293,13 @@ def _hyp1f1_series(a, b, x, cfg: PrecisionConfig):
 def format_cnum(z, cfg: PrecisionConfig = DOUBLE) -> str:
     """Render a complex value as 're+imi' / 're-imi' at working precision."""
     d = cfg.working_digits
-    if isinstance(z, (mp.mpf, mp.mpc)):
-        re, im = float(mp.re(z)), float(mp.im(z))
-        if cfg.is_extended:
-            re_s = mp.nstr(mp.re(z), d)
-            im_s = mp.nstr(abs(mp.im(z)), d)
-            if im == 0.0:
-                return re_s
-            return f"{re_s}{'+' if im >= 0 else '-'}{im_s}i"
-    else:
-        zc = complex(z)
-        re, im = zc.real, zc.imag
-    if im == 0.0:
-        return f"{re:.{d}g}"
-    return f"{re:.{d}g}{'+' if im >= 0 else '-'}{abs(im):.{d}g}i"
+    if _is_mp(z) and cfg.is_extended:
+        re, im = z.real, z.imag
+        re_s = z.context.nstr(re, d)
+        if im == 0:
+            return re_s
+        return f"{re_s}{'+' if im >= 0 else '-'}{z.context.nstr(abs(im), d)}i"
+    zc = complex(z)
+    if zc.imag == 0.0:
+        return f"{zc.real:.{d}g}"
+    return f"{zc.real:.{d}g}{'+' if zc.imag >= 0 else '-'}{abs(zc.imag):.{d}g}i"

@@ -12,13 +12,12 @@ n!/Gamma(n+1-z).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
+from mpmath import fp
 
-from .complexfn import DOUBLE, PrecisionConfig, log_gamma
+from .complexfn import DOUBLE, PrecisionConfig, _mp_context, _to_ctx, log_gamma
 
 __all__ = [
     "CoefficientPole",
@@ -165,11 +164,7 @@ class Poly2:
         return out
 
     def eval(self, n, z):
-        row_vals = self.collapse_z(z)
-        acc = row_vals[-1]
-        for c in reversed(row_vals[:-1]):
-            acc = acc * n + c
-        return acc
+        return _horner(self.collapse_z(z), n)
 
     def __eq__(self, other):
         if not isinstance(other, Poly2):
@@ -177,16 +172,25 @@ class Poly2:
         return (self - other).is_zero()
 
     def __repr__(self):
+        """The polynomial in the text format's syntax, e.g. '-n+1/2*z'."""
         terms = []
         for i, row in enumerate(self.coeffs):
             for j, c in enumerate(row):
-                if c != 0:
-                    mono = "".join(
-                        [f"n^{i}" if i > 1 else "n" * min(i, 1),
-                         f"z^{j}" if j > 1 else "z" * min(j, 1)]
-                    )
-                    terms.append(f"{c}{'*' + mono if mono else ''}")
-        return " + ".join(terms) if terms else "0"
+                if c == 0:
+                    continue
+                n_part = "" if i == 0 else ("n" if i == 1 else f"n^{i}")
+                z_part = "" if j == 0 else ("z" if j == 1 else f"z^{j}")
+                body = "*".join(part for part in (n_part, z_part) if part)
+                if c == 1 and body:
+                    terms.append(body)
+                elif c == -1 and body:
+                    terms.append(f"-{body}")
+                else:
+                    terms.append(f"{c}{'*' + body if body else ''}")
+        if not terms:
+            return "0"
+        return "".join(t if k == 0 or t.startswith("-") else f"+{t}"
+                       for k, t in enumerate(terms))
 
 
 class RationalFn:
@@ -270,14 +274,20 @@ class PRecurrence:
     param: object = None
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need order+1 coefficients")
-        if self.coeffs[0].is_zero() or self.coeffs[-1].is_zero():
-            raise ValueError("leading and trailing coefficients must be nonzero")
+        _check_coeffs(self.order, self.coeffs)
         if len(self.initial_values) != self.order:
             raise ValueError("initial_values length must equal the order")
+
+
+def _check_coeffs(order: int, coeffs: tuple):
+    """Shape of an order-r equation, shared with the AFEs of :mod:`agf`:
+    r >= 1 and r + 1 coefficients, the first and last not identically 0."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if len(coeffs) != order + 1:
+        raise ValueError("need order+1 coefficients")
+    if coeffs[0].is_zero() or coeffs[-1].is_zero():
+        raise ValueError("first and last coefficients must not vanish identically")
 
 
 def mirror_e(mz=None) -> PRecurrence:
@@ -343,22 +353,6 @@ def gamma_recurrence(z) -> PRecurrence:
     )
 
 
-def _convert_value(v, mode):
-    if mode == "exact":
-        return Fraction(v) if not isinstance(v, Fraction) else v
-    if mode == "mp":
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / v.denominator
-        if isinstance(v, complex):
-            return mp.mpc(v.real, v.imag)
-        return mp.mpf(v) if not isinstance(v, (mp.mpf, mp.mpc)) else v
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, Fraction):
-        return v.numerator / v.denominator
-    return float(v)
-
-
 def _horner(coeff_list, n):
     acc = coeff_list[-1]
     for c in reversed(coeff_list[:-1]):
@@ -377,57 +371,33 @@ def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None
     (relative rounding compounds over that many steps) but still yield
     double-precision values.
 
-    In the extended modes the mpmath working precision stays raised while
-    the generator is live (it is restored when the generator is exhausted
-    or closed).
+    Numeric values live in an mpmath context (``fp`` for double, a
+    private context otherwise), so a live generator holds no global state.
     """
     zval = z if z is not None else rec.param
     if n_max < rec.initial_index + rec.order:
         raise ValueError("n_max must cover at least the initial window")
-    downconvert = False
-    dps = digits or 0
     if digits is not None and digits > 16:
-        mode = "mp"
+        convert = _mp_context(digits + 5).convert
     elif digits is None and (zval is None or _is_exact(zval)) and all(
         _is_exact(v) for v in rec.initial_values
     ):
-        mode = "exact"
+        convert = Fraction
     elif digits is None and n_max > 10_000:
-        mode, dps, downconvert = "mp", 30, True
+        for n, v in _iterate(rec, zval, n_max, _mp_context(30 + 5).convert):
+            v = complex(v)
+            yield n, v.real if v.imag == 0 else v
+        return
     else:
-        mode = "numeric"
-
-    if mode == "mp":
-        with mp.workdps(dps + 5):
-            if downconvert:
-                for n, v in _iterate(rec, zval, n_max, mode):
-                    yield n, _downconvert(v)
-            else:
-                yield from _iterate(rec, zval, n_max, mode)
-    else:
-        yield from _iterate(rec, zval, n_max, mode)
+        convert = fp.convert
+    yield from _iterate(rec, zval, n_max, convert)
 
 
-def _downconvert(v):
-    if isinstance(v, mp.mpc):
-        if mp.im(v) == 0:
-            return float(mp.re(v))
-        return complex(float(mp.re(v)), float(mp.im(v)))
-    return float(v)
+def _iterate(rec, zval, n_max, convert):
+    zc = None if zval is None else convert(zval)
+    collapsed = [(cf.num.collapse_z(zc), cf.den.collapse_z(zc)) for cf in rec.coeffs]
 
-
-def _iterate(rec, zval, n_max, mode):
-    zc = None if zval is None else _convert_value(zval, mode)
-    collapsed = []
-    for k, cf in enumerate(rec.coeffs):
-        try:
-            num = cf.num.collapse_z(zc)
-            den = cf.den.collapse_z(zc)
-        except ValueError as exc:
-            raise ValueError(str(exc)) from None
-        collapsed.append((num, den))
-
-    window = [_convert_value(v, mode) for v in rec.initial_values]
+    window = [convert(v) for v in rec.initial_values]
     r = rec.order
     n0 = rec.initial_index
     for i, v in enumerate(window):
@@ -492,14 +462,9 @@ def shell_wtilde(z, n: int, cfg: PrecisionConfig = DOUBLE):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cfg.is_extended:
-        with mp.workdps(cfg.working_digits + 10):
-            zz = _convert_value(z, "mp")
-            return mp.exp(
-                log_gamma(mp.mpf(n + 1), cfg) - log_gamma(n + 1 - zz, cfg)
-            )
-    zz = complex(z)
-    return cmath.exp(log_gamma(n + 1, cfg) - log_gamma(n + 1 - zz, cfg))
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
+    return ctx.exp(log_gamma(n + 1, cfg) - log_gamma(n + 1 - zz, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +577,58 @@ def _parse_init_value(tok: str, line_no: int, col: int):
         raise RecurrenceParseError(line_no, col, f"bad initial value {tok!r}")
 
 
+def _parse_coeff_text(text: str, other_keys: str, on_key, build,
+                      z_only: bool = False):
+    """Line loop shared by the recurrence and AFE text formats.
+
+    Drops '#' comments and blank lines and splits each line at its first
+    ':'.  'coeffK' lines become rational functions (in z alone when
+    ``z_only``); any other key goes to ``on_key(key, rest, line_no,
+    col_offset)``.  Returns ``build(coeffs)`` for the coefficient tuple
+    coeff0..coeffR, with a ValueError it raises turned into a
+    RecurrenceParseError.
+    """
+    coeff_map: dict[int, RationalFn] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if ":" not in line:
+            raise RecurrenceParseError(
+                line_no, 1, f"expected 'coeffK:' or {other_keys}"
+            )
+        key, rest = line.split(":", 1)
+        key = key.strip()
+        col_offset = len(line) - len(rest)
+        if not key.startswith("coeff"):
+            on_key(key, rest, line_no, col_offset)
+            continue
+        try:
+            k = int(key[5:])
+        except ValueError:
+            raise RecurrenceParseError(line_no, 1, f"bad coefficient key {key!r}")
+        if k in coeff_map:
+            raise RecurrenceParseError(line_no, 1, f"duplicate {key!r}")
+        rf = _ExprParser(rest, line_no, col_offset).parse()
+        if z_only and (rf.num.degree_n() > 0 or rf.den.degree_n() > 0):
+            raise RecurrenceParseError(
+                line_no, col_offset + 1, "AFE coefficients may involve z only"
+            )
+        coeff_map[k] = rf
+    if not coeff_map:
+        raise RecurrenceParseError(1, 1, "no coefficients given")
+    order = max(coeff_map)
+    missing = [k for k in range(order + 1) if k not in coeff_map]
+    if missing:
+        raise RecurrenceParseError(1, 1, f"missing coefficients {missing}")
+    try:
+        return build(tuple(coeff_map[k] for k in range(order + 1)))
+    except RecurrenceParseError:
+        raise
+    except ValueError as exc:
+        raise RecurrenceParseError(1, 1, str(exc))
+
+
 def parse_precurrence(text: str) -> PRecurrence:
     """Parse the one-line-per-coefficient recurrence format.
 
@@ -622,59 +639,32 @@ def parse_precurrence(text: str) -> PRecurrence:
         coeff0: -1
         init: n0=1; 0, 1
     """
-    coeff_map: dict[int, RationalFn] = {}
-    init_index = None
-    init_values = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if ":" not in line:
-            raise RecurrenceParseError(line_no, 1, "expected 'coeffK:' or 'init:'")
-        key, rest = line.split(":", 1)
-        key = key.strip()
-        col_offset = len(line) - len(rest)
-        if key.startswith("coeff"):
-            try:
-                k = int(key[5:])
-            except ValueError:
-                raise RecurrenceParseError(line_no, 1, f"bad coefficient key {key!r}")
-            if k in coeff_map:
-                raise RecurrenceParseError(line_no, 1, f"duplicate {key!r}")
-            coeff_map[k] = _ExprParser(rest, line_no, col_offset).parse()
-        elif key == "init":
-            head, _, tail = rest.partition(";")
-            head = head.strip()
-            if not head.startswith("n0="):
-                raise RecurrenceParseError(
-                    line_no, col_offset + 1, "init line must start with 'n0='"
-                )
-            try:
-                init_index = int(head[3:])
-            except ValueError:
-                raise RecurrenceParseError(
-                    line_no, col_offset + 4, f"bad initial index {head[3:]!r}"
-                )
-            toks = [t for t in tail.split(",")]
-            init_values = tuple(
-                _parse_init_value(t, line_no, col_offset + 1) for t in toks
-            )
-        else:
+    init = []
+
+    def on_key(key, rest, line_no, col_offset):
+        if key != "init":
             raise RecurrenceParseError(line_no, 1, f"unknown key {key!r}")
-    if not coeff_map:
-        raise RecurrenceParseError(1, 1, "no coefficients given")
-    if init_values is None:
-        raise RecurrenceParseError(1, 1, "missing 'init:' line")
-    order = max(coeff_map)
-    missing = [k for k in range(order + 1) if k not in coeff_map]
-    if missing:
-        raise RecurrenceParseError(1, 1, f"missing coefficients {missing}")
-    try:
-        return PRecurrence(
-            order=order,
-            coeffs=tuple(coeff_map[k] for k in range(order + 1)),
-            initial_index=init_index,
-            initial_values=init_values,
+        head, _, tail = rest.partition(";")
+        head = head.strip()
+        if not head.startswith("n0="):
+            raise RecurrenceParseError(
+                line_no, col_offset + 1, "init line must start with 'n0='"
+            )
+        try:
+            index = int(head[3:])
+        except ValueError:
+            raise RecurrenceParseError(
+                line_no, col_offset + 4, f"bad initial index {head[3:]!r}"
+            )
+        values = tuple(
+            _parse_init_value(t, line_no, col_offset + 1) for t in tail.split(",")
         )
-    except ValueError as exc:
-        raise RecurrenceParseError(1, 1, str(exc))
+        init[:] = [index, values]
+
+    def build(coeffs):
+        if not init:
+            raise RecurrenceParseError(1, 1, "missing 'init:' line")
+        return PRecurrence(order=len(coeffs) - 1, coeffs=coeffs,
+                           initial_index=init[0], initial_values=init[1])
+
+    return _parse_coeff_text(text, "'init:'", on_key, build)

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from agflab.cli import main, parse_complex_literal, parse_scalar
+from agflab.holonomic import eval_sequence, mirror_e
 
 
 def run_cli(capsys, args):
@@ -99,6 +101,31 @@ def test_agf_values(capsys):
     code, out, _ = run_cli(capsys, ["agf", "g", "1"])
     assert code == 0
     assert abs(float(out.strip()) - (math.pi - 2) / math.sqrt(2 * math.pi)) < 1e-12
+
+
+def test_seq_exact_rows_longer_than_int_str_limit(capsys):
+    code, out, _ = run_cli(capsys, ["seq", "e", "1", "2000"])
+    assert code == 0
+    n, value = out.rstrip("\n").rsplit("\n", 1)[-1].split("\t")
+    # the expected text comes from str(), with Python's cap on int-to-str
+    # conversion (3.11+) lifted for the duration
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(eval_sequence(mirror_e(1), n_max=2000)[-1].value)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert (n, value) == ("2000", want)
+
+
+def test_agf_overflow_exits_1_with_message(capsys):
+    code, out, err = run_cli(capsys, ["agf", "g", "0+800i"])
+    assert code == 1
+    assert out == ""
+    assert "OverflowError" in err
 
 
 def test_agf_pole_names_pole_set(capsys):

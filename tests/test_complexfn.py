@@ -4,6 +4,7 @@ import random
 
 import mpmath as mp
 import pytest
+from mpmath.ctx_mp import MPContext
 from scipy.integrate import quad
 
 from agflab.complexfn import (
@@ -199,3 +200,45 @@ def test_format_cnum():
     assert format_cnum(complex(1.5, -2.25)) == "1.5-2.25i"
     assert format_cnum(0.25) == "0.25"
     assert format_cnum(complex(0.1234567890123, 0)) == "0.1234567890123"
+
+
+def _oracle_sample(seed, radius, count):
+    """Seeded points with |z| <= radius, a third of them with Re z < 1/2,
+    kept 0.01 away from the poles of Gamma."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        r, t = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+        z = cmath.rect(r, t)
+        if len(points) % 3 == 0 and z.real >= 0.5:
+            z = complex(0.5 - abs(z.real), z.imag)
+        n = round(z.real)
+        if n <= 0 and abs(z - n) < 0.01:
+            continue
+        points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("radius", [10, 60])
+def test_extended_log_gamma_against_oracle(radius):
+    # gamma and exp(log_gamma) at 30 digits against a separate 60-digit
+    # context; the imaginary part of log_gamma may differ by 2 pi k
+    oracle = MPContext()
+    oracle.dps = 60
+    cfg = extended(30)
+    tol = oracle.mpf("1e-28")
+    for z in _oracle_sample(radius, radius, 40):
+        ref = oracle.gamma(oracle.mpc(z))
+        got = oracle.convert(gamma(z, cfg))
+        assert abs(got - ref) <= tol * abs(ref), z
+        via_log = oracle.exp(oracle.convert(log_gamma(z, cfg)))
+        assert abs(via_log - ref) <= tol * abs(ref), z
+
+
+def test_format_cnum_value_of_another_context():
+    other = MPContext()
+    other.dps = 40
+    cfg = extended(30)
+    assert format_cnum(other.mpf(1) / 3, cfg) == "0." + "3" * 30
+    third = other.mpc(1, -2) / 3
+    assert format_cnum(third, cfg) == "0." + "3" * 30 + "-0." + "6" * 29 + "7i"

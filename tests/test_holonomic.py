@@ -145,6 +145,18 @@ def test_extended_accumulation_kicks_in_past_1e4():
     assert abs(vals[10_368] / 10_368 - 1 / math.e) < 1e-12
 
 
+def test_live_generators_leave_mpmath_precision_alone():
+    import mpmath
+
+    low = iter_sequence(mirror_e(1), n_max=100, digits=30)
+    high = iter_sequence(mirror_e(1), n_max=100, digits=60)
+    next(low)
+    next(high)
+    low.close()
+    high.close()
+    assert mpmath.mp.dps == 15
+
+
 def test_width2_standard_form_on_exact_windows():
     # cleared form (n+m) u_{n+2} - (n+m) u_{n+1} - u_n = 0 on 100 windows
     m = 3
