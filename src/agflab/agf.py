@@ -232,14 +232,17 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     """g(z) = sqrt(2) [A(z) - A(z-1)], poles at the negative integers.
 
     Holomorphic at z = 0 because A(-1) = 0 by the reciprocal-gamma
-    convention; no special-casing beyond that.
+    convention.  Real on the real axis: there the imaginary part the
+    log-gamma route leaves (a rounded multiple of pi where a Gamma
+    argument is negative) is dropped.
     """
     n = _nearest_int(z)
     if n is not None and n <= -1:
         raise PoleError(f"g pole at z={n}")
     ctx = cfg.ctx
     zz = _to_ctx(z, ctx)
-    return ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
+    g = ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
+    return g.real if zz.imag == 0 else g
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from . import agf as agf_mod
 from . import certify
 from .complexfn import (
     DOUBLE,
+    MAX_DOUBLE_DIGITS,
     PoleError,
     PrecisionConfig,
     extended,
@@ -103,7 +104,7 @@ def parse_complex_literal(text: str) -> complex:
 
 
 def _precision(digits: int) -> PrecisionConfig:
-    return extended(digits) if digits > 15 else DOUBLE
+    return extended(digits) if digits > MAX_DOUBLE_DIGITS else DOUBLE
 
 
 def _fmt_value(v, cfg: PrecisionConfig) -> str:
@@ -149,7 +150,7 @@ def cmd_seq(args) -> int:
         with open(args.world) as fh:
             rec = parse_precurrence(fh.read())
     z = parse_scalar(args.z)
-    digits = args.digits if args.digits > 15 else None
+    digits = args.digits if cfg.is_extended else None
     points = eval_sequence(rec, z=z, n_max=n_max, digits=digits)
     if args.format == "json":
         payload = {
@@ -169,7 +170,6 @@ def cmd_seq(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    cfg = _precision(args.digits)
     z = parse_scalar(args.z)
     ecfg = ExtrapolationConfig(depth=args.depth, n_base=args.n_base)
     if args.world == "e":
@@ -187,13 +187,13 @@ def cmd_limit(args) -> int:
             "command": "limit",
             "world": args.world,
             "z": str(args.z),
-            "value": _fmt_value(value, cfg),
+            "value": _fmt_value(value, DOUBLE),
             "error_estimate": est.error_estimate,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(
-            f"{_fmt_value(value, cfg)} ± {est.error_estimate:.2e}\n", args.out
+            f"{_fmt_value(value, DOUBLE)} ± {est.error_estimate:.2e}\n", args.out
         )
     return 0
 
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--digits", type=int, default=15,
-                       help="working precision; above 15 switches to extended mode")
+                       help=f"working precision; above {MAX_DOUBLE_DIGITS} switches "
+                       "to extended mode (limit prints double precision)")
         p.add_argument("--format", default=None,
                        help="output format (text, csv, json)")
         p.add_argument("--out", default=None, help="write output to this path")

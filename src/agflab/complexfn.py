@@ -3,10 +3,10 @@
 Every formula is written once against the mpmath context of its
 :class:`PrecisionConfig`: ``mpmath.fp`` (Python floats and complexes) in
 double precision, a private :class:`MPContext` in the extended mode
-(>= 30 significant digits).  log-Gamma is the one exception: double
-precision keeps a fixed Lanczos approximation with reflection for
-Re z < 1/2, which is faster than ``fp.loggamma``; the extended mode uses
-the context's ``loggamma``.  Gamma is exp(log-Gamma).  The lower
+(more than ``MAX_DOUBLE_DIGITS`` = 15 significant digits).  log-Gamma is
+the one exception: double precision keeps a fixed Lanczos approximation
+with reflection for Re z < 1/2, which is faster than ``fp.loggamma``; the
+extended mode uses the context's ``loggamma``.  Gamma is exp(log-Gamma).  The lower
 incomplete gamma and the confluent hypergeometric 1F1 are evaluated by
 their defining series with a guarded truncation rule.
 
@@ -30,6 +30,7 @@ from mpmath.ctx_mp_python import _mpc, _mpf
 __all__ = [
     "ConvergenceError",
     "DOUBLE",
+    "MAX_DOUBLE_DIGITS",
     "PoleError",
     "PrecisionConfig",
     "extended",
@@ -41,6 +42,11 @@ __all__ = [
     "principal_log",
     "principal_pow",
 ]
+
+# The most significant digits double precision carries; a precision
+# above it selects the extended mode, here, in the CLI and in iteration.
+MAX_DOUBLE_DIGITS = 15
+
 
 class PoleError(ArithmeticError):
     """Evaluation requested at a pole."""
@@ -73,13 +79,13 @@ class PrecisionConfig:
 
     @property
     def machine_eps(self) -> float:
-        if self.working_digits <= 16:
+        if not self.is_extended:
             return fp.eps
         return 10.0 ** (1 - self.working_digits)
 
     @property
     def is_extended(self) -> bool:
-        return self.working_digits > 16
+        return self.working_digits > MAX_DOUBLE_DIGITS
 
     @property
     def ctx(self):
@@ -105,8 +111,9 @@ DOUBLE = PrecisionConfig()
 
 def extended(digits: int = 30) -> PrecisionConfig:
     """Extended-precision configuration with `digits` significant digits."""
-    if digits <= 16:
-        raise ValueError("extended mode needs more than 16 digits")
+    if digits <= MAX_DOUBLE_DIGITS:
+        raise ValueError(
+            f"extended mode needs more than {MAX_DOUBLE_DIGITS} digits")
     return PrecisionConfig(
         working_digits=digits,
         series_truncation_bound=40 * digits,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, PrecisionConfig, log_gamma
-from .holonomic import PRecurrence, iter_sequence
+from .complexfn import DOUBLE, MAX_DOUBLE_DIGITS, PrecisionConfig, log_gamma
+from .holonomic import PRecurrence, iter_numeric
 
 __all__ = [
     "AsymptoticShell",
@@ -150,10 +151,12 @@ def estimate_connection_constant(
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
     Samples the ratio at n = n_base * growth^k for k = 0..depth in one
-    forward pass; the error estimate is the last diagonal increment of
-    the tableau (heuristic, not a rigorous bound).  Raises NonConvergence
-    when the diagonal increments grow for three consecutive levels while
-    still above the rounding floor.
+    forward pass.  The error estimate is the last diagonal increment of
+    the tableau (heuristic, not a rigorous bound), floored at the rounding
+    the tableau amplifies: eps * (1 + |log Lambda(n)|) * |sample| per
+    sample, weighted by the absolute Richardson weights.  Raises
+    NonConvergence when the diagonal increments grow for three consecutive
+    levels while still above 1e-13 of the value.
     """
     targets = [cfg.n_base * cfg.n_growth**k for k in range(cfg.depth + 1)]
     n_max = targets[-1]
@@ -161,16 +164,21 @@ def estimate_connection_constant(
     # and long runs accumulate at 30 digits per the iteration policy
     digits = cfg.digits
     if digits is None:
-        digits = 30 if n_max > 10_000 else 15
+        digits = 30 if n_max > 10_000 else MAX_DOUBLE_DIGITS
     wanted = set(targets)
-    ratios = {}
-    for n, u in iter_sequence(rec, z, n_max, digits=digits):
+    samples, rounding = [], []  # in the order of targets
+    for n, u in iter_numeric(rec, z, n_max, digits=digits):
         if n in wanted:
             lam = shell_eval(shell, n, z)
-            ratios[n] = complex(u) / lam
-    samples = [ratios[n] for n in targets]
+            samples.append(complex(u) / lam)
+            rounding.append(sys.float_info.epsilon * (1 + abs(cmath.log(lam)))
+                            * abs(samples[-1]))
 
     diag = _richardson_diagonal(samples, cfg.n_growth)
+    # the weight of sample k in diag[-1] is diag[-1] of the k-th unit vector
+    units = [[float(i == k) for i in range(len(samples))] for k in range(len(samples))]
+    rounding_error = sum(abs(_richardson_diagonal(unit, cfg.n_growth)[-1]) * err
+                         for unit, err in zip(units, rounding))
     deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
     scale = max(abs(diag[-1]), 1e-300)
     floor = 1e-13 * scale
@@ -189,7 +197,8 @@ def estimate_connection_constant(
             "extrapolation diagonal far from settled "
             f"(last delta {deltas[-1]:.3g} vs value {scale:.3g})"
         )
-    return ConnectionEstimate(value=diag[-1], error_estimate=deltas[-1])
+    return ConnectionEstimate(value=diag[-1],
+                              error_estimate=max(deltas[-1], rounding_error))
 
 
 # ---------------------------------------------------------------------------

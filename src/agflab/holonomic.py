@@ -4,20 +4,32 @@ A :class:`PRecurrence` stores an order-r linear recurrence
 sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
 functions in the index n and the parameter z.  Forward iteration is
 exact (big rationals) whenever z and the initial values are rational,
-and numeric otherwise.  The two mirror recurrences, whose connection
-constants tie to e and pi, and the Gamma prototype recurrence are built
-in, together with the constructive shell sequences n!/(z)_n and
-n!/Gamma(n+1-z).
+and numeric otherwise: in double precision, or in fixed point on Python
+ints for long runs and digit counts beyond double.  The two mirror
+recurrences, whose connection constants tie to e and pi, and the Gamma
+prototype recurrence are built in, together with the constructive shell
+sequences n!/(z)_n and n!/Gamma(n+1-z).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from mpmath import fp
 
-from .complexfn import DOUBLE, PrecisionConfig, _mp_context, _to_ctx, log_gamma
+from .complexfn import (
+    DOUBLE,
+    MAX_DOUBLE_DIGITS,
+    PrecisionConfig,
+    _is_mp,
+    _mp_context,
+    _to_ctx,
+    log_gamma,
+)
 
 __all__ = [
     "CoefficientPole",
@@ -28,6 +40,7 @@ __all__ = [
     "SequencePoint",
     "eval_sequence",
     "gamma_recurrence",
+    "iter_numeric",
     "iter_sequence",
     "mirror_e",
     "mirror_pi",
@@ -363,37 +376,64 @@ def _horner(coeff_list, n):
 def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None = None):
     """Yield (n, u_n) from the initial index up to n_max by forward iteration.
 
-    Exact (Fraction) when z and the initial values are rational and no
-    explicit digit count is requested; numeric otherwise.  ``digits > 16``
-    selects extended-precision accumulation and yields mpmath values;
-    ``digits`` in 1..16 forces plain double arithmetic.  Numeric runs past
-    n = 10^4 with ``digits=None`` accumulate at 30 digits internally
-    (relative rounding compounds over that many steps) but still yield
-    double-precision values.
+    Three accumulation modes, chosen from the arguments:
 
-    Numeric values live in an mpmath context (``fp`` for double, a
-    private context otherwise), so a live generator holds no global state.
+    - exact (``Fraction``) when z and the initial values are rational and
+      no digit count is given;
+    - fixed point when ``digits`` exceeds :data:`MAX_DOUBLE_DIGITS`, and
+      for numeric data past n = 10^4 with ``digits=None`` (at 30 digits
+      then, since relative rounding compounds over that many steps);
+    - double (Python floats and complexes) otherwise, and for any
+      ``digits`` up to :data:`MAX_DOUBLE_DIGITS`.
+
+    Fixed point substitutes z exactly (a float or complex z is a dyadic
+    rational), clears every denominator, and iterates on Python ints:
+    mantissas of ``ceil(digits * log2(10)) + 64`` bits, Gaussian-integer
+    pairs for complex data, under one block exponent.  An explicit
+    ``digits`` yields values of a private mpmath context at ``digits + 5``
+    digits, the automatic mode yields floats (complexes where the
+    imaginary part is nonzero).  No mode reads or changes mpmath's global
+    state, so a live generator holds none.
     """
-    zval = z if z is not None else rec.param
-    if n_max < rec.initial_index + rec.order:
-        raise ValueError("n_max must cover at least the initial window")
-    if digits is not None and digits > 16:
-        convert = _mp_context(digits + 5).convert
+    zval = _start(rec, z, n_max)
+    if digits is not None and digits > MAX_DOUBLE_DIGITS:
+        yield from _fixed_point(rec, zval, n_max, digits, _mp_context(digits + 5))
     elif digits is None and (zval is None or _is_exact(zval)) and all(
         _is_exact(v) for v in rec.initial_values
     ):
-        convert = Fraction
-    elif digits is None and n_max > 10_000:
-        for n, v in _iterate(rec, zval, n_max, _mp_context(30 + 5).convert):
-            v = complex(v)
-            yield n, v.real if v.imag == 0 else v
-        return
+        yield from _iterate(rec, zval, n_max, Fraction)
     else:
-        convert = fp.convert
-    yield from _iterate(rec, zval, n_max, convert)
+        auto = digits is None and n_max > 10_000
+        yield from _numeric(rec, zval, n_max, 30 if auto else MAX_DOUBLE_DIGITS)
+
+
+def iter_numeric(rec: PRecurrence, z=None, n_max: int = 100,
+                 digits: int = MAX_DOUBLE_DIGITS):
+    """Yield (n, u_n) as Python floats or complexes, whatever the data.
+
+    Accumulates in double arithmetic for ``digits`` up to
+    :data:`MAX_DOUBLE_DIGITS` and in the fixed-point mode of
+    :func:`iter_sequence` above; for callers that only need numbers, such
+    as extrapolation, at no cost for building exact or mpmath values.
+    """
+    yield from _numeric(rec, _start(rec, z, n_max), n_max, digits)
+
+
+def _start(rec, z, n_max):
+    """The z to substitute, after checking that n_max covers the window."""
+    if n_max < rec.initial_index + rec.order:
+        raise ValueError("n_max must cover at least the initial window")
+    return z if z is not None else rec.param
+
+
+def _numeric(rec, zval, n_max, digits):
+    if digits > MAX_DOUBLE_DIGITS:
+        return _fixed_point(rec, zval, n_max, digits, None)
+    return _iterate(rec, zval, n_max, fp.convert)
 
 
 def _iterate(rec, zval, n_max, convert):
+    """Exact or double iteration: every value converted by ``convert``."""
     zc = None if zval is None else convert(zval)
     collapsed = [(cf.num.collapse_z(zc), cf.den.collapse_z(zc)) for cf in rec.coeffs]
 
@@ -426,6 +466,188 @@ def eval_sequence(
 ) -> list[SequencePoint]:
     """Forward iteration of a recurrence; see :func:`iter_sequence`."""
     return [SequencePoint(n, v) for n, v in iter_sequence(rec, z, n_max, digits)]
+
+
+# ---------------------------------------------------------------------------
+# fixed-point iteration on Python ints
+
+def _to_float(m: int, e: int) -> float:
+    """m * 2^e rounded to a float; +-inf beyond the double range."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:  # m * 2^e beyond the double range, or m itself
+        pass
+    if e < 0:
+        try:
+            return m / (1 << -e)
+        except OverflowError:
+            pass
+    return math.copysign(math.inf, m)
+
+
+def _mantissa(c: Fraction, e: int) -> int:
+    """floor(c / 2^e)."""
+    if e < 0:
+        return (c.numerator << -e) // c.denominator
+    return c.numerator // (c.denominator << e)
+
+
+def _shift(m: int, s: int) -> int:
+    """floor(m / 2^s), for s of either sign."""
+    return m >> s if s >= 0 else m << -s
+
+
+def _exact_parts(v) -> tuple:
+    """(Re v, Im v) as Fractions, without rounding: floats and mpmath
+    numbers are dyadic rationals."""
+    if _is_exact(v):
+        return Fraction(v), Fraction(0)
+    if _is_mp(v):
+        if not v.context.isfinite(v):
+            raise ValueError(f"cannot iterate from the value {v}")
+        return tuple(Fraction(man) * Fraction(2) ** exp
+                     for man, exp in (v.real.man_exp, v.imag.man_exp))
+    c = complex(v)
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def _gauss_poly(poly: Poly2, zparts) -> list:
+    """poly at z = zparts: its (re, im) Fraction coefficients in n."""
+    if zparts is None:
+        return [(c, Fraction(0)) for c in poly.collapse_z(None)]
+    zr, zi = zparts
+    out = []
+    for row in poly.coeffs:
+        re = im = Fraction(0)
+        for c in reversed(row):
+            re, im = re * zr - im * zi + c, re * zi + im * zr
+        out.append((re, im))
+    return out
+
+
+def _gauss_mul(p: list, q: list) -> list:
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+    return out
+
+
+def _values_from(polys: list, n0: int):
+    """Tuples (p(n) for p in polys) for n = n0, n0 + 1, ...: each p is
+    advanced by its forward differences, summed by itertools.accumulate."""
+    columns = []
+    for p in polys:
+        diffs = [_horner(p, n0 + i) for i in range(len(p))]
+        for i in range(1, len(diffs)):  # diffs[j] becomes the j-th difference
+            for j in range(len(diffs) - 1, i - 1, -1):
+                diffs[j] -= diffs[j - 1]
+        column = repeat(diffs[-1])
+        for d in reversed(diffs[:-1]):
+            column = accumulate(column, initial=d)
+        columns.append(column)
+    return zip(*columns)
+
+
+def _integer_form(rec: PRecurrence, zval):
+    """The recurrence at z with its denominators cleared.
+
+    Returns the real and imaginary integer polynomials in n of each
+    coefficient, a function building the CoefficientPole of a step n
+    where the leading one vanishes, and the initial values as (re, im)
+    Fractions.  The equation is multiplied
+    by den_r(n) * prod_k den_k(n) and one integer: every coefficient
+    becomes a polynomial, and the leading one, num_r * prod_k den_k,
+    vanishes exactly at the poles.
+    """
+    r = rec.order
+    zparts = None if zval is None else _exact_parts(zval)
+    nums = [_gauss_poly(cf.num, zparts) for cf in rec.coeffs]
+    dens = [_gauss_poly(cf.den, zparts) for cf in rec.coeffs]
+    cleared = []
+    for k, num in enumerate(nums):
+        for j, den in enumerate(dens + [dens[r]]):
+            if j != k:
+                num = _gauss_mul(num, den)
+        cleared.append(num)
+    scale = math.lcm(*(c.denominator for p in cleared for pair in p for c in pair))
+    re_polys = [[int(a * scale) for a, _ in p] for p in cleared]
+    im_polys = [[int(b * scale) for _, b in p] for p in cleared]
+
+    def pole(n):  # the first vanishing denominator, else the numerator
+        for k, den in enumerate(dens):
+            if all(_horner(part, n) == 0 for part in zip(*den)):
+                return CoefficientPole(n, f"denominator of coefficient {k}")
+        return CoefficientPole(n, "leading coefficient")
+
+    return re_polys, im_polys, pole, [_exact_parts(v) for v in rec.initial_values]
+
+
+def _fixed_point(rec, zval, n_max, digits, ctx):
+    """Fixed-point forward iteration on mantissas times 2^e; yields values
+    of ``ctx``, or floats and complexes when ``ctx`` is None."""
+    r, n0 = rec.order, rec.initial_index
+    re_polys, im_polys, pole, init = _integer_form(rec, zval)
+    # The newest mantissa is kept in [2^prec, 2^(prec+64)), renormalised
+    # in either direction when it leaves: Gamma-shell values shrink.
+    prec = math.ceil(digits * math.log2(10)) + 64
+    lo, hi = prec + 1, prec + 64  # bit lengths
+    e = max((c.numerator.bit_length() - c.denominator.bit_length()
+             for pair in init for c in pair if c), default=0) - prec - 32
+    indices = range(n0 + r, n_max + 1)
+
+    if not any(map(any, im_polys)) and not any(b for _, b in init):
+        out = _to_float if ctx is None else lambda m, e: ctx.mpf((m, e))
+        window = [_mantissa(a, e) for a, _ in init]
+        for i, m in enumerate(window):
+            yield n0 + i, out(m, e)
+        for n, vals in zip(indices, _values_from(re_polys, n0)):
+            lead = vals[r]
+            if not lead:
+                raise pole(n - r)
+            m = -sum(map(mul, vals, window)) // lead
+            b = m.bit_length()
+            if b and not lo <= b <= hi:
+                s = b - lo if b > hi else b - hi
+                window = [_shift(w, s) for w in window]
+                m, e = _shift(m, s), e + s
+            window.append(m)
+            del window[0]
+            yield n, out(m, e)
+        return
+
+    if ctx is None:
+        def out(x, y, e):
+            re, im = _to_float(x, e), _to_float(y, e)
+            return re if im == 0 else complex(re, im)
+    else:
+        def out(x, y, e):
+            return ctx.mpc((x, e), (y, e))
+    xs = [_mantissa(a, e) for a, _ in init]
+    ys = [_mantissa(b, e) for _, b in init]
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        yield n0 + i, out(x, y, e)
+    for n, vals in zip(indices, _values_from(re_polys + im_polys, n0)):
+        re, im = vals[:r + 1], vals[r + 1:]
+        c, d = re[r], im[r]
+        norm = c * c + d * d
+        if not norm:
+            raise pole(n - r)
+        sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
+        si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
+        # u = -(sr + i si) / (c + i d) = -(sr + i si)(c - i d) / norm
+        x = -(sr * c + si * d) // norm
+        y = (sr * d - si * c) // norm
+        b = max(x.bit_length(), y.bit_length())
+        if b and not lo <= b <= hi:
+            s = b - lo if b > hi else b - hi
+            xs, ys = [_shift(w, s) for w in xs], [_shift(w, s) for w in ys]
+            x, y, e = _shift(x, s), _shift(y, s), e + s
+        xs.append(x)
+        ys.append(y)
+        del xs[0], ys[0]
+        yield n, out(x, y, e)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,27 @@ def test_g_anchor_values():
     assert abs(g_eval(2) - (g_eval(0) - g_eval(1))) < 1e-13
 
 
+def test_g_real_on_the_real_axis():
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+
+    def oracle(x):  # sqrt(2) (A(x) - A(x-1)) by real Gamma values
+        a = lambda t: ctx.gamma(t / 2 + 1) * ctx.rgamma((t + 1) / 2)
+        x = ctx.mpf(x)
+        return ctx.sqrt(2) * (a(x) - a(x - 1))
+
+    for x in (-0.5, -1.5, -2.25, -3.7, -6.1, 0.5, 2.0, 7.25, complex(-0.5, 0)):
+        want = oracle(complex(x).real)
+        got = g_eval(x)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-13 * abs(want)
+        got = g_eval(x, extended(30))
+        assert got.imag == 0 and not hasattr(got, "_mpc_")
+        assert abs(got - want) <= 1e-28 * abs(want)
+
+
 def test_g_poles():
     for z in (-1, -2, -5.0):
         with pytest.raises(PoleError):

@@ -158,6 +158,28 @@ def test_limit_gamma(capsys):
     assert abs(value - 1.7724539) < 1e-6
 
 
+def test_limit_prints_double_precision_whatever_digits(capsys):
+    # the estimate is a complex double: no more digits than it carries
+    _, plain, _ = run_cli(capsys, ["limit", "e", "1"])
+    code, wide, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "30"])
+    assert code == 0 and wide == plain
+    value = wide.split(" ± ")[0]
+    assert len(value.lstrip("0.")) <= 15
+    assert abs(float(value) - (1 - 2 / math.e)) < 1e-15
+
+
+def test_digits_16_is_extended_everywhere(capsys):
+    code, out, err = run_cli(capsys, ["agf", "f", "1", "--digits", "16"])
+    assert code == 0, err
+    assert out.strip() == "0.2642411176571154"  # 1 - 2/e to 16 digits
+    code, out, err = run_cli(capsys, ["seq", "e", "1/3", "12", "--digits", "16"])
+    assert code == 0, err
+    rows = out.strip().splitlines()
+    want = eval_sequence(mirror_e(Fraction(1, 3)), n_max=12)[-1].value
+    assert rows[-1].split("\t")[0] == "12"
+    assert abs(Fraction(rows[-1].split("\t")[1]) - want) < Fraction(1, 10**14)
+
+
 def test_verify_slope_and_exit_contract(capsys):
     code, out, _ = run_cli(capsys, ["verify", "slope"])
     assert code == 0

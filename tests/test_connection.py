@@ -87,6 +87,24 @@ def test_extrapolation_mirror_constants():
     assert est.error_estimate < 1e-6
 
 
+def test_error_estimate_bounds_the_actual_error():
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+
+    def ratio_a(z):
+        return ctx.gamma(z / 2 + 1) * ctx.rgamma((z + 1) / 2)
+
+    for m in range(11):
+        f = ctx.hyp1f1(2, m + 2, -1) / (m + 1)
+        g = ctx.sqrt(2) * (ratio_a(ctx.mpf(m)) - ratio_a(ctx.mpf(m - 1)))
+        for rec, shell, want in ((mirror_e(m), F_SHELL, f), (mirror_pi(m), G_SHELL, g)):
+            est = estimate_connection_constant(rec, shell)
+            actual = abs(ctx.mpc(est.value) - want)
+            assert actual <= est.error_estimate < 1e-13, (m, shell)
+
+
 def test_extrapolation_gamma_constant():
     est = estimate_connection_constant(
         gamma_recurrence(Fraction(1, 2)), GAMMA_SHELL, z=0.5

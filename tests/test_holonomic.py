@@ -12,6 +12,7 @@ from agflab.holonomic import (
     RecurrenceParseError,
     eval_sequence,
     gamma_recurrence,
+    iter_numeric,
     iter_sequence,
     mirror_e,
     mirror_pi,
@@ -306,3 +307,104 @@ def test_parse_errors_report_position():
         parse_precurrence("coeff1: n\n")  # missing init
     with pytest.raises(RecurrenceParseError):
         parse_precurrence("coeff2: n\ncoeff0: 1\ninit: n0=1; 1, 2")  # gap
+
+
+# ---------------------------------------------------------------------------
+# fixed-point mode against an independent route
+
+def mp_oracle(rec, z, n_max: int) -> dict:
+    """u_n for n <= n_max by the recurrence in a private 60-digit mpmath
+    context, each coefficient taken from its exact rational function."""
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 60
+    zc = None if z is None else ctx.convert(z)
+    coeffs = [([ctx.convert(c) for c in cf.num.collapse_z(zc)],
+               [ctx.convert(c) for c in cf.den.collapse_z(zc)]) for cf in rec.coeffs]
+    window = [ctx.convert(v) for v in rec.initial_values]
+    out = {rec.initial_index + i: v for i, v in enumerate(window)}
+    for n in range(rec.initial_index, n_max - rec.order + 1):
+        c = [ctx.polyval(num[::-1], n) / ctx.polyval(den[::-1], n)
+             for num, den in coeffs]
+        nxt = -ctx.fsum(ck * wk for ck, wk in zip(c, window)) / c[-1]
+        window = window[1:] + [nxt]
+        out[n + rec.order] = nxt
+    return out
+
+
+USER_TEXT = """
+coeff2: (n+z)/(n+1)
+coeff1: -1
+coeff0: -1/(2*n+1)
+init: n0=1; 0.5, 1
+"""
+
+
+@pytest.mark.parametrize("rec, digits", [
+    (mirror_e(3), 30),
+    (mirror_pi(3), 30),
+    (mirror_e(3.0), None),
+    (mirror_e(Fraction(1, 3)), 30),
+    (mirror_pi(Fraction(5, 4)), 30),
+    (mirror_e(complex(2.5, 1.25)), None),
+    (mirror_pi(complex(0.25, -1.5)), None),
+    (mirror_pi(complex(0.25, -1.5)), 30),
+    (gamma_recurrence(Fraction(7, 2)), 30),   # values shrink like n^-2.5
+    (gamma_recurrence(3.5), None),
+    (gamma_recurrence(complex(3.5, 0.75)), None),
+    (gamma_recurrence(Fraction(25, 2)), 30),  # shrinks by 2^-130 to n = 2^14
+    (gamma_recurrence(complex(12.5, 0.5)), 30),
+    (parse_precurrence(USER_TEXT), None),
+    (parse_precurrence(USER_TEXT), 30),
+], ids=["e-int", "pi-int", "e-float", "e-p/q", "pi-p/q", "e-complex",
+        "pi-complex", "pi-complex-30", "gamma-p/q", "gamma-float",
+        "gamma-complex", "gamma-shrink", "gamma-shrink-complex", "user",
+        "user-30"])
+def test_fixed_point_against_60_digit_iteration(rec, digits):
+    n_max = 2**14
+    z = 0.75 if rec.param is None else None  # numeric, so digits=None is automatic
+    want = mp_oracle(rec, z if z is not None else rec.param, n_max)
+    got = dict(iter_sequence(rec, z, n_max, digits=digits))
+    assert sorted(got) == sorted(want)
+    # automatic mode: the double nearest the 164-bit value; digits=30: 1e-28
+    rtol = 1e-28 if digits else 2.0**-52
+    for n, v in got.items():
+        if digits:
+            assert type(v).__name__ in ("mpf", "mpc")
+        else:
+            assert isinstance(v, float if want[n].imag == 0 else complex)
+        assert abs(v - want[n]) <= rtol * abs(want[n]), n
+
+
+def test_fixed_point_pole_at_the_same_n():
+    with pytest.raises(CoefficientPole) as exact:
+        eval_sequence(mirror_e(-5), n_max=20)
+    for z, digits, n_max in [(-5, 30, 20), (-5.0, None, 20_000),
+                             (complex(-5, 0), None, 20_000)]:
+        with pytest.raises(CoefficientPole) as info:
+            list(iter_sequence(mirror_e(z), n_max=n_max, digits=digits))
+        assert (info.value.n, str(info.value)) == (exact.value.n, str(exact.value))
+    assert exact.value.n == 5
+    # a vanishing denominator is named as such, in every mode
+    coeffs = parse_precurrence("coeff1: 1/(n-3)\ncoeff0: -1\ninit: n0=1; 1").coeffs
+    seen = set()
+    for digits, value in [(None, 1), (30, 1), (15, 1), (None, 1.0)]:
+        with pytest.raises(CoefficientPole) as info:
+            list(iter_sequence(PRecurrence(1, coeffs, 1, (value,)), n_max=20_000,
+                               digits=digits))
+        seen.add((info.value.n, str(info.value)))
+    assert seen == {(3, "coefficient pole at n=3 (denominator of coefficient 1)")}
+
+
+def test_fixed_point_overflow_gives_inf():
+    rec = PRecurrence(1, (RationalFn.const(-2), RationalFn.const(1)), 0, (-1.0,))
+    vals = dict(iter_sequence(rec, n_max=10_001))
+    assert vals[1023] == -(2.0**1023)
+    assert vals[1024] == -math.inf and vals[10_001] == -math.inf
+
+
+def test_iter_numeric_yields_floats_for_exact_data():
+    got = [v for _, v in iter_numeric(mirror_e(1), n_max=12, digits=30)]
+    want = [float(v) for _, v in iter_sequence(mirror_e(1), n_max=12)]
+    assert got == want and all(type(v) is float for v in got)
