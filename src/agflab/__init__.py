@@ -56,6 +56,7 @@ from .holonomic import (
     CoefficientPole,
     PRecurrence,
     eval_sequence,
+    exact_series,
     gamma_recurrence,
     mirror_e,
     mirror_pi,

@@ -1,12 +1,13 @@
 """Certificates tying the recurrences to their generating-function ODEs.
 
 The D-finite vertex of each holonomic triangle is verified as an exact
-power-series identity: the series is built from the recurrence in big
-rationals, the ODE is multiplied through by x to clear the 1/x
-coefficient, and every coefficient of the residual must vanish exactly,
-with no floating tolerance.  The singular-coefficient integrals behind
-the connection constants (I_m, J_m, L_m) are evaluated by adaptive
-quadrature and chained through their recurrences as floating
+power-series identity: the series is built from the recurrence
+fraction-free, as integer numerators over one common denominator, the
+ODE is multiplied through by x to clear the 1/x coefficient, and every
+coefficient of the residual must vanish exactly: its integer numerator
+is 0, with no floating tolerance.  The singular-coefficient integrals
+behind the connection constants (I_m, J_m, L_m) are evaluated by
+adaptive quadrature and chained through their recurrences as floating
 cross-checks, and the transfer from generating-function singularities to
 coefficient growth is probed directly on the sequences.
 """
@@ -16,11 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from scipy.integrate import quad
 
 from .agf import f_eval, g_eval
-from .holonomic import CoefficientPole, iter_sequence, mirror_e, mirror_pi
+from .holonomic import (
+    exact_series,
+    gamma_recurrence,
+    iter_sequence,
+    mirror_e,
+    mirror_pi,
+)
 
 __all__ = [
     "OdeCheckResult",
@@ -47,25 +55,43 @@ __all__ = [
 class PowerSeries:
     """Truncated power series with exact rational coefficients.
 
-    ``order`` is the truncation order: coefficients of x^0 .. x^order are
-    meaningful.  ``exact=True`` marks honest polynomials (no truncation),
-    which lets products against truncated series keep the right validity
-    order.
+    The coefficients are stored as integer numerators over one positive
+    common denominator, which need not be reduced, so that sums, products
+    and derivatives run on Python ints; ``coefficients`` reads them back
+    as Fractions.  ``order`` is the truncation order: coefficients of
+    x^0 .. x^order are meaningful.  ``exact=True`` marks honest
+    polynomials (no truncation), which lets products against truncated
+    series keep the right validity order.
     """
 
-    __slots__ = ("coefficients", "order", "exact")
+    __slots__ = ("_nums", "_den", "order", "exact")
 
     def __init__(self, coefficients, order: int | None = None, exact: bool = False):
         coeffs = [Fraction(c) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs],
+                  den, order, exact)
+
+    def _set(self, nums: list, den: int, order: int | None, exact: bool):
         if order is None:
-            order = len(coeffs) - 1
+            order = len(nums) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self.coefficients = coeffs
-        self.order = order
-        self.exact = exact
+        nums = nums[: order + 1]
+        nums.extend([0] * (order + 1 - len(nums)))
+        self._nums, self._den, self.order, self.exact = nums, den, order, exact
+
+    @classmethod
+    def _from_ints(cls, nums, den: int, order: int, exact: bool = False
+                   ) -> "PowerSeries":
+        """The series sum_k nums[k]/den x^k; den must be positive."""
+        series = cls.__new__(cls)
+        series._set(nums, den, order, exact)
+        return series
+
+    @property
+    def coefficients(self) -> list[Fraction]:
+        return [Fraction(c, self._den) for c in self._nums]
 
     @staticmethod
     def poly(*coefficients) -> "PowerSeries":
@@ -89,22 +115,29 @@ class PowerSeries:
             out.append(out[-1] * (a - k + 1) / k * -1)
         return PowerSeries(out, order)
 
+    def first_nonzero(self) -> int | None:
+        return next((i for i, c in enumerate(self._nums) if c), None)
+
     def min_degree(self) -> int:
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                return i
-        return self.order + 1
+        first = self.first_nonzero()
+        return self.order + 1 if first is None else first
+
+    def _over(self, den: int, n: int) -> list[int]:
+        """The first n numerators over ``den``, a multiple of ours."""
+        k = den // self._den
+        return self._nums[:n] if k == 1 else [k * c for c in self._nums[:n]]
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         order = self._combine_order(other)
-        n = order + 1
-        a = self.coefficients[:n] + [Fraction(0)] * (n - len(self.coefficients))
-        b = other.coefficients[:n] + [Fraction(0)] * (n - len(other.coefficients))
-        return PowerSeries([x + y for x, y in zip(a, b)], order,
-                           exact=self.exact and other.exact)
+        den = math.lcm(self._den, other._den)
+        out = [x + y for x, y in zip_longest(self._over(den, order + 1),
+                                             other._over(den, order + 1),
+                                             fillvalue=0)]
+        return PowerSeries._from_ints(out, den, order, self.exact and other.exact)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coefficients], self.order, self.exact)
+        return PowerSeries._from_ints([-c for c in self._nums], self._den,
+                                      self.order, self.exact)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + (-other)
@@ -127,59 +160,57 @@ class PowerSeries:
             order = self.order + other.min_degree()
         else:
             order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coefficients):
-                if d != 0 and i + j <= order:
-                    out[i + j] += c * d
-        return PowerSeries(out, order, exact=self.exact and other.exact)
+        out = [0] * (order + 1)
+        for i, c in enumerate(self._nums[: order + 1]):
+            if c:
+                for j, d in enumerate(other._nums[: order + 1 - i]):
+                    if d:
+                        out[i + j] += c * d
+        return PowerSeries._from_ints(out, self._den * other._den, order,
+                                      self.exact and other.exact)
 
     def scale(self, c) -> "PowerSeries":
         c = Fraction(c)
-        return PowerSeries([c * x for x in self.coefficients], self.order, self.exact)
+        return PowerSeries._from_ints([c.numerator * x for x in self._nums],
+                                      self._den * c.denominator, self.order,
+                                      self.exact)
 
     def differentiate(self) -> "PowerSeries":
         if self.order == 0:
             return PowerSeries([0], 0, self.exact)
-        out = [k * self.coefficients[k] for k in range(1, self.order + 1)]
-        return PowerSeries(out, self.order - 1, self.exact)
+        out = [k * self._nums[k] for k in range(1, self.order + 1)]
+        return PowerSeries._from_ints(out, self._den, self.order - 1, self.exact)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by x^k; negative k requires the low coefficients to vanish."""
         if k >= 0:
-            return PowerSeries([Fraction(0)] * k + self.coefficients,
-                               self.order + k, self.exact)
-        if any(c != 0 for c in self.coefficients[:-k]):
+            return PowerSeries._from_ints([0] * k + self._nums, self._den,
+                                          self.order + k, self.exact)
+        if any(self._nums[:-k]):
             raise ValueError(f"series not divisible by x^{-k}")
-        return PowerSeries(self.coefficients[-k:], self.order + k, self.exact)
+        return PowerSeries._from_ints(self._nums[-k:], self._den,
+                                      self.order + k, self.exact)
 
     def divide_unit(self, den: "PowerSeries") -> "PowerSeries":
         """Divide by a series with nonzero constant term."""
-        if den.coefficients[0] == 0:
+        if not den._nums[0]:
             raise ZeroDivisionError("divisor must be a unit (nonzero constant term)")
         order = self.order if den.exact else min(self.order, den.order)
-        d0 = den.coefficients[0]
+        a, b = self.coefficients, den.coefficients
         out = []
         for j in range(order + 1):
-            acc = self.coefficients[j] if j < len(self.coefficients) else Fraction(0)
-            for i in range(1, min(j, len(den.coefficients) - 1) + 1):
-                acc -= den.coefficients[i] * out[j - i]
-            out.append(acc / d0)
+            acc = a[j] if j < len(a) else Fraction(0)
+            for i in range(1, min(j, len(b) - 1) + 1):
+                acc -= b[i] * out[j - i]
+            out.append(acc / b[0])
         return PowerSeries(out, order, exact=False)
-
-    def first_nonzero(self) -> int | None:
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                return i
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order) + 1
-        return self.coefficients[:n] == other.coefficients[:n]
+        den = math.lcm(self._den, other._den)
+        return self._over(den, n) == other._over(den, n)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coefficients[:6])
@@ -191,36 +222,26 @@ class PowerSeries:
 
 def u_series(m, order: int) -> PowerSeries:
     """Generating-series coefficients of the e-world sequence, exactly."""
-    return _mirror_series(mirror_e(Fraction(m)), order)
+    return _series(mirror_e(Fraction(m)), order)
 
 
 def v_series(m, order: int) -> PowerSeries:
     """Generating-series coefficients of the pi-world sequence, exactly."""
-    return _mirror_series(mirror_pi(Fraction(m)), order)
-
-
-def _mirror_series(rec, order: int) -> PowerSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for n, v in iter_sequence(rec, n_max=max(order, 3)):
-        if n <= order:
-            coeffs[n] = v
-    return PowerSeries(coeffs, order)
+    return _series(mirror_pi(Fraction(m)), order)
 
 
 def w_series(z, order: int) -> PowerSeries:
     """Coefficients of the Gamma-triangle series: w_1 = 1 and
-    w_{n+1} = (n+1)/(n+z) w_n (this is z * n!/(z)_n termwise)."""
+    w_{n+1} = (n+1)/(n+z) w_n, that is z * n!/(z)_n termwise, z times
+    the series of :func:`holonomic.gamma_recurrence`; w_n = n at z = 0."""
     zq = Fraction(z)
-    coeffs = [Fraction(0)] * (order + 1)
-    w = Fraction(1)
-    if order >= 1:
-        coeffs[1] = w
-    for n in range(1, order):
-        if n + zq == 0:
-            raise CoefficientPole(n, "n+z")
-        w = w * (n + 1) / (n + zq)
-        coeffs[n + 1] = w
-    return PowerSeries(coeffs, order)
+    if zq == 0:
+        return PowerSeries(range(order + 1), order)
+    return _series(gamma_recurrence(zq), order).scale(zq)
+
+
+def _series(rec, order: int) -> PowerSeries:
+    return PowerSeries._from_ints(*exact_series(rec, order), order)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ import json
 import math
 import random
 import sys
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -171,7 +173,8 @@ def cmd_seq(args) -> int:
 
 def cmd_limit(args) -> int:
     z = parse_scalar(args.z)
-    ecfg = ExtrapolationConfig(depth=args.depth, n_base=args.n_base)
+    digits = args.digits if args.digits > MAX_DOUBLE_DIGITS else None
+    ecfg = ExtrapolationConfig(depth=args.depth, n_base=args.n_base, digits=digits)
     if args.world == "e":
         est = estimate_connection_constant(mirror_e(z), F_SHELL, cfg=ecfg)
     elif args.world == "pi":
@@ -225,19 +228,18 @@ def _check(check: str, passed: bool, max_dev: float, params: dict,
     }
 
 
-def _suite_afe() -> list[dict]:
+def _suite_afe() -> Iterator[dict]:
     pts = agf_mod.grid_points(*DEFAULT_GRID)
-    checks = []
     worst_f, _ = agf_mod.residual_grid(
         agf_mod.f_spec(), agf_mod.f_eval, pts, agf_mod.f_pole_distance
     )
-    checks.append(_check("afe_residual_grid_f", worst_f <= 1e-10, worst_f,
-                         {"grid": DEFAULT_GRID, "tolerance": 1e-10}))
+    yield _check("afe_residual_grid_f", worst_f <= 1e-10, worst_f,
+                 {"grid": DEFAULT_GRID, "tolerance": 1e-10})
     worst_g, _ = agf_mod.residual_grid(
         agf_mod.g_spec(), agf_mod.g_eval, pts, agf_mod.g_pole_distance
     )
-    checks.append(_check("afe_residual_grid_g", worst_g <= 1e-10, worst_g,
-                         {"grid": DEFAULT_GRID, "tolerance": 1e-10}))
+    yield _check("afe_residual_grid_g", worst_g <= 1e-10, worst_g,
+                 {"grid": DEFAULT_GRID, "tolerance": 1e-10})
 
     worst_route = 0.0
     for z in pts:
@@ -248,8 +250,8 @@ def _suite_afe() -> list[dict]:
         c = agf_mod.f_eval_confluent_route(z)
         scale = max(abs(a), 1e-30)
         worst_route = max(worst_route, abs(a - b) / scale, abs(a - c) / scale)
-    checks.append(_check("f_three_route_agreement", worst_route <= 1e-11,
-                         worst_route, {"tolerance": 1e-11}))
+    yield _check("f_three_route_agreement", worst_route <= 1e-11,
+                 worst_route, {"tolerance": 1e-11})
 
     anchors = [
         ("f(0)", agf_mod.f_eval(0), 1 / math.e),
@@ -258,14 +260,11 @@ def _suite_afe() -> list[dict]:
         ("g(1)", agf_mod.g_eval(1), (math.pi - 2) / math.sqrt(2 * math.pi)),
     ]
     worst_anchor = max(abs(got - want) for _, got, want in anchors)
-    checks.append(_check("explicit_anchors", worst_anchor <= 1e-12, worst_anchor,
-                         {"tolerance": 1e-12},
-                         [name for name, _, _ in anchors]))
-    return checks
+    yield _check("explicit_anchors", worst_anchor <= 1e-12, worst_anchor,
+                 {"tolerance": 1e-12}, [name for name, _, _ in anchors])
 
 
-def _suite_duality() -> list[dict]:
-    checks = []
+def _suite_duality() -> Iterator[dict]:
     for world in ("e", "pi"):
         worst = 0.0
         rows = []
@@ -276,8 +275,8 @@ def _suite_duality() -> list[dict]:
             terms = ({"a": form.a, "b": form.b} if world == "e"
                      else {"p": str(form.p), "q": str(form.q)})
             rows.append({"m": form.m, **terms, "scaled_residual": dev})
-        checks.append(_check(f"duality_{world}", worst <= 1e-9, worst,
-                             {"m_max": 15, "tolerance": 1e-9}, rows))
+        yield _check(f"duality_{world}", worst <= 1e-9, worst,
+                     {"m_max": 15, "tolerance": 1e-9}, rows)
 
     # closed forms equal recurrences exactly (construction cross-checks)
     ok = True
@@ -289,31 +288,26 @@ def _suite_duality() -> list[dict]:
     except ConsistencyError as exc:
         ok = False
         detail = [str(exc)]
-    checks.append(_check("duality_closed_forms_exact", ok, 0.0 if ok else 1.0,
-                         {"m_max": 100}, detail))
-    return checks
+    yield _check("duality_closed_forms_exact", ok, 0.0 if ok else 1.0,
+                 {"m_max": 100}, detail)
 
 
-def _suite_ode() -> list[dict]:
-    checks = []
+def _suite_ode() -> Iterator[dict]:
     for m in range(9):
         res = certify.ode_series_check_e(m, 200)
-        checks.append(_check(f"ode_e_m{m}", res.passed, 0.0 if res.passed else 1.0,
-                             {"m": m, "order": 200}))
+        yield _check(f"ode_e_m{m}", res.passed, 0.0 if res.passed else 1.0,
+                     {"m": m, "order": 200})
         res = certify.ode_series_check_pi(m, 200)
-        checks.append(_check(f"ode_pi_m{m}", res.passed, 0.0 if res.passed else 1.0,
-                             {"m": m, "order": 200}))
+        yield _check(f"ode_pi_m{m}", res.passed, 0.0 if res.passed else 1.0,
+                     {"m": m, "order": 200})
         z = Fraction(2 * m + 1, 2)
         res = certify.ode_series_check_gamma(z, 200)
-        checks.append(_check(f"ode_gamma_z{z}", res.passed,
-                             0.0 if res.passed else 1.0,
-                             {"z": str(z), "order": 200}))
-    return checks
+        yield _check(f"ode_gamma_z{z}", res.passed, 0.0 if res.passed else 1.0,
+                     {"z": str(z), "order": 200})
 
 
-def _suite_slope(seed: int) -> list[dict]:
+def _suite_slope(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
-    checks = []
     worst = 0.0
     grid = []
     for alpha in (-4, -3, -2, -1, 1, 2, 3, 4):
@@ -330,34 +324,31 @@ def _suite_slope(seed: int) -> list[dict]:
             worst = max(worst, dev)
             grid.append({"alpha": alpha, "beta": str(beta), "rational": ok,
                          "deviation": dev})
-    checks.append(_check("slope_integer_rational", worst <= 1e-9, worst,
-                         {"alphas": "[-4..-1, 1..4]", "tolerance": 1e-9}, grid))
+    yield _check("slope_integer_rational", worst <= 1e-9, worst,
+                 {"alphas": "[-4..-1, 1..4]", "tolerance": 1e-9}, grid)
     nonint = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
               Fraction(5, 3)]
     all_nonrational = all(
         slope_ratio(a, 0.3).kind is SlopeKind.NON_RATIONAL for a in nonint
     )
-    checks.append(_check("slope_non_integer_rejected", all_nonrational, 0.0,
-                         {"alphas": [str(a) for a in nonint]}))
-    return checks
+    yield _check("slope_non_integer_rejected", all_nonrational, 0.0,
+                 {"alphas": [str(a) for a in nonint]})
 
 
-def _suite_growth() -> list[dict]:
-    checks = []
+def _suite_growth() -> Iterator[dict]:
     ims = [10.0, 20.0, 40.0, 80.0]
     rows = agf_mod.growth_probe(agf_mod.f_eval, 1.0, ims, kind="f")
     normalized = [r["normalized"] for r in rows]
     decreasing = all(b < a for a, b in zip(normalized, normalized[1:]))
-    checks.append(_check("growth_f_decay", decreasing and normalized[-1] < 0.05,
-                         normalized[-1], {"im": ims, "final_bound": 0.05},
-                         [f"{v:.5f}" for v in normalized]))
+    yield _check("growth_f_decay", decreasing and normalized[-1] < 0.05,
+                 normalized[-1], {"im": ims, "final_bound": 0.05},
+                 [f"{v:.5f}" for v in normalized])
     rows = agf_mod.growth_probe(agf_mod.g_eval, 1.0, ims, kind="g")
     normalized = [r["normalized"] for r in rows]
     variation = abs(normalized[-1] - normalized[-2]) / normalized[-2]
-    checks.append(_check("growth_g_bounded", variation < 0.25, variation,
-                         {"im": ims, "variation_bound": 0.25},
-                         [f"{v:.5f}" for v in normalized]))
-    return checks
+    yield _check("growth_g_bounded", variation < 0.25, variation,
+                 {"im": ims, "variation_bound": 0.25},
+                 [f"{v:.5f}" for v in normalized])
 
 
 SUITES = {
@@ -373,7 +364,13 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(SUITES[name](args.seed))
+        # a suite yields its checks as it completes them: the time since
+        # the previous one (or the suite's start) is spent on this check
+        start = time.perf_counter()
+        for check in SUITES[name](args.seed):
+            now = time.perf_counter()
+            checks.append({**check, "timing_s": now - start})
+            start = now
     all_pass = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
@@ -476,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--digits", type=int, default=15,
                        help=f"working precision; above {MAX_DOUBLE_DIGITS} switches "
-                       "to extended mode (limit prints double precision)")
+                       "to extended mode (limit accumulates at it and prints "
+                       "double precision)")
         p.add_argument("--format", default=None,
                        help="output format (text, csv, json)")
         p.add_argument("--out", default=None, help="write output to this path")

@@ -158,16 +158,22 @@ def duality_form_pi(m: int) -> LinearFormPi:
 
     Computed twice: by the recurrences p_{m+2} = p_m + p_{m+1}/(m+1),
     q_{m+2} = q_m + q_{m+1}/(m+1) from (1, 0) and (1, 1/2), and by the
-    double-factorial closed forms.  The two must agree exactly.
+    double-factorial closed forms.  The two must agree exactly.  The
+    recurrence runs on the integers P_j = (j-1)! p_j and Q_j = 2 (j-1)! q_j
+    (j >= 1), for which it reads X_{j+2} = j(j+1) X_j + X_{j+1} from
+    (P_1, P_2) = (1, 2) and (Q_1, Q_2) = (1, 1).
     """
     if m < 0:
         raise ValueError(f"duality form undefined for negative m={m}")
-    pp: list[Fraction] = [Fraction(1), Fraction(1)]
-    qq: list[Fraction] = [Fraction(0), Fraction(1, 2)]
-    for j in range(m - 1):
-        pp.append(pp[j] + pp[j + 1] / (j + 1))
-        qq.append(qq[j] + qq[j + 1] / (j + 1))
-    p_rec, q_rec = pp[m], qq[m]
+    if m == 0:
+        p_rec, q_rec = Fraction(1), Fraction(0)
+    else:
+        (p0, p1), (q0, q1) = (1, 2), (1, 1)  # (P_j, P_j+1), (Q_j, Q_j+1)
+        for j in range(1, m):
+            p0, p1 = p1, j * (j + 1) * p0 + p1
+            q0, q1 = q1, j * (j + 1) * q0 + q1
+        scale = factorial(m - 1)
+        p_rec, q_rec = Fraction(p0, scale), Fraction(q0, 2 * scale)
     p_closed, q_closed = _pq_closed(m)
     if (p_rec, q_rec) != (p_closed, q_closed):
         raise ConsistencyError(

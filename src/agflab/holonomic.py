@@ -5,10 +5,13 @@ sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
 functions in the index n and the parameter z.  Forward iteration is
 exact (big rationals) whenever z and the initial values are rational,
 and numeric otherwise: in double precision, or in fixed point on Python
-ints for long runs and digit counts beyond double.  The two mirror
-recurrences, whose connection constants tie to e and pi, and the Gamma
-prototype recurrence are built in, together with the constructive shell
-sequences n!/(z)_n and n!/Gamma(n+1-z).
+ints for long runs and digit counts beyond double.  :func:`exact_series`
+builds a whole exact series u_0..u_N fraction-free instead, as integer
+numerators over one common denominator, for callers such as the ODE
+certificates that want every term rather than reduced values.  The two
+mirror recurrences, whose connection constants tie to e and pi, and the
+Gamma prototype recurrence are built in, together with the constructive
+shell sequences n!/(z)_n and n!/Gamma(n+1-z).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "RecurrenceParseError",
     "SequencePoint",
     "eval_sequence",
+    "exact_series",
     "gamma_recurrence",
     "iter_numeric",
     "iter_sequence",
@@ -466,6 +470,47 @@ def eval_sequence(
 ) -> list[SequencePoint]:
     """Forward iteration of a recurrence; see :func:`iter_sequence`."""
     return [SequencePoint(n, v) for n, v in iter_sequence(rec, z, n_max, digits)]
+
+
+def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
+    """u_0..u_{n_max} exactly, as integer numerators over one denominator.
+
+    Terms below the initial index are 0.  z and the initial values must
+    be rational.  The iteration is fraction-free: each step solves the
+    cleared equation of :func:`_integer_form` for the newest numerator,
+    multiplies the window by the cleared leading coefficient and folds
+    that coefficient into the running denominator, with no gcd; terms
+    that have left the window are brought to the final denominator at the
+    end.  Raises :class:`CoefficientPole` at the same n as
+    :func:`iter_sequence`.  The denominator is positive but not reduced.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    zval = z if z is not None else rec.param
+    if not all(_is_exact(v) for v in (zval or 0, *rec.initial_values)):
+        raise ValueError("exact_series needs rational z and initial values")
+    r, n0 = rec.order, rec.initial_index
+    polys, _, pole, init = _integer_form(rec, zval)
+    den = math.lcm(*(a.denominator for a, _ in init))
+    window = [a.numerator * (den // a.denominator) for a, _ in init]
+    left, leads = [], []  # u_{n0+j} over the denominator before step j
+    for n, vals in zip(range(n0, n_max - r + 1), _values_from(polys, n0)):
+        lead = vals[r]
+        if not lead:
+            raise pole(n)
+        new = -sum(map(mul, vals, window))
+        if lead < 0:
+            lead, new = -lead, -new
+        left.append(window[0])
+        leads.append(lead)
+        window = [lead * w for w in window[1:]]
+        window.append(new)
+        den *= lead
+    tail = 1
+    for j in reversed(range(len(left))):
+        tail *= leads[j]
+        left[j] *= tail
+    return ([0] * n0 + left + window)[: n_max + 1], den
 
 
 # ---------------------------------------------------------------------------

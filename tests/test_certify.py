@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from agflab.agf import f_eval, g_eval
 from agflab.certify import (
@@ -21,6 +23,7 @@ from agflab.certify import (
     v_series,
     w_series,
 )
+from agflab.holonomic import CoefficientPole
 
 E = math.e
 PI = math.pi
@@ -77,6 +80,91 @@ def test_exp_and_binomial_series():
     assert em.coefficients[:4] == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
     geo2 = PowerSeries.binomial_series(-2, 5)  # (1-x)^-2 = sum (n+1) x^n
     assert geo2.coefficients == [1, 2, 3, 4, 5, 6]
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator arithmetic against a naive Fraction reference
+
+def ref_series(coeffs, order, exact):
+    """(coefficients, order, exact) of a series, one Fraction per term."""
+    coeffs = [Fraction(c) for c in coeffs][: order + 1]
+    return coeffs + [Fraction(0)] * (order + 1 - len(coeffs)), order, exact
+
+
+def ref_add(a, b, sign=1):
+    (ca, oa, ea), (cb, ob, eb) = a, b
+    order = max(oa, ob) if ea and eb else ob if ea else oa if eb else min(oa, ob)
+    ca, cb = ref_series(ca, order, 0)[0], ref_series(cb, order, 0)[0]
+    return [x + sign * y for x, y in zip(ca, cb)], order, ea and eb
+
+
+def ref_mul(a, b):
+    (ca, oa, ea), (cb, ob, eb) = a, b
+
+    def lowest(c, o):
+        return next((i for i, x in enumerate(c) if x), o + 1)
+
+    if ea and eb:
+        order = oa + ob
+    elif ea:
+        order = ob + lowest(ca, oa)
+    elif eb:
+        order = oa + lowest(cb, ob)
+    else:
+        order = min(oa, ob)
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            if i + j <= order:
+                out[i + j] += x * y
+    return out, order, ea and eb
+
+
+def view(series):
+    return series.coefficients, series.order, series.exact
+
+
+series_args = st.tuples(
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=40),
+             min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=9),
+    st.booleans(),
+)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(a=series_args, b=series_args,
+       c=st.fractions(min_value=-9, max_value=9, max_denominator=20),
+       k=st.integers(min_value=0, max_value=3))
+def test_powerseries_integer_arithmetic_matches_fraction_reference(a, b, c, k):
+    ra, rb = ref_series(*a), ref_series(*b)
+    sa, sb = PowerSeries(*a), PowerSeries(*b)
+    assert view(sa) == ra
+    assert view(sa + sb) == ref_add(ra, rb)
+    assert view(sa - sb) == ref_add(ra, rb, -1)
+    assert view(sa * sb) == ref_mul(ra, rb)
+    coeffs, order, exact = ra
+    assert view(sa.scale(c)) == ([c * x for x in coeffs], order, exact)
+    if order:
+        assert view(sa.differentiate()) == (
+            [i * coeffs[i] for i in range(1, order + 1)], order - 1, exact)
+    assert view(sa.shift(k)) == ([Fraction(0)] * k + coeffs, order + k, exact)
+    assert sa.shift(k).shift(-k) == sa
+    if k and order >= k:
+        if any(coeffs[:k]):
+            with pytest.raises(ValueError):
+                sa.shift(-k)
+        else:
+            assert view(sa.shift(-k)) == (coeffs[k:], order - k, exact)
+    n = min(order, rb[1]) + 1
+    assert (sa == sb) == (coeffs[:n] == rb[0][:n])
+    first = next((i for i, x in enumerate(coeffs) if x), None)
+    assert sa.first_nonzero() == first
+    assert sa.min_degree() == (order + 1 if first is None else first)
+    if c:  # the same values over a larger denominator
+        assert sa.scale(c).scale(1 / c) == sa
+        assert view(sa.scale(c) * sb.scale(1 / c)) == ref_mul(ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +231,28 @@ def test_w_series_first_values():
     assert s.coefficients[2] == Fraction(2, 1) / Fraction(3, 2)
 
 
+def naive_w(z: Fraction, order: int) -> list[Fraction]:
+    """Independent oracle: w_1 = 1, w_{n+1} = (n+1)/(n+z) w_n, one by one."""
+    w = [Fraction(0), Fraction(1)]
+    for n in range(1, order):
+        w.append(w[n] * (n + 1) / (n + z))
+    return w[: order + 1]
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(7, 3), Fraction(-5, 2), 5])
+def test_w_series_matches_naive_iteration(z):
+    assert w_series(z, 60).coefficients == naive_w(Fraction(z), 60)
+
+
+def test_w_series_at_zero_and_at_negative_integers():
+    assert w_series(0, 8).coefficients == list(range(9))  # w_n = n at z = 0
+    assert ode_series_check_gamma(0, 40).passed
+    with pytest.raises(CoefficientPole) as info:
+        w_series(-3, 10)
+    assert info.value.n == 3
+    assert w_series(-3, 3).coefficients == naive_w(Fraction(-3), 3)
+
+
 # ---------------------------------------------------------------------------
 # ODE certificates
 
@@ -184,6 +294,38 @@ def test_ode_certificate_mutation_detected_pi():
     res = ode_series_check_pi(0, 10, coeffs=corrupted)
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 6
+
+
+def test_ode_certificate_mutation_detected_gamma():
+    base = w_series(Fraction(1, 2), 10)
+    corrupted = PowerSeries(
+        [c + (1 if i == 6 else 0) for i, c in enumerate(base.coefficients)], 10
+    )
+    res = ode_series_check_gamma(Fraction(1, 2), 10, coeffs=corrupted)
+    assert not res.passed
+    assert res.first_failure is not None and res.first_failure <= 8
+    assert res.to_report()["check"] == "ode_certificate_gamma"
+
+
+@pytest.mark.parametrize("check, build, param", [
+    (ode_series_check_e, u_series, 0),
+    (ode_series_check_e, u_series, 2),
+    (ode_series_check_e, u_series, 5),
+    (ode_series_check_pi, v_series, 0),
+    (ode_series_check_pi, v_series, 3),
+    (ode_series_check_gamma, w_series, Fraction(1, 2)),
+    (ode_series_check_gamma, w_series, Fraction(7, 3)),
+])
+def test_every_single_coefficient_corruption_fails_nearby(check, build, param):
+    order = 40
+    base = build(param, order)
+    assert check(param, order, coeffs=base).passed
+    delta = Fraction(1, 10**30)  # far below double precision
+    for i in range(order + 1):
+        coeffs = base.coefficients
+        coeffs[i] += delta
+        res = check(param, order, coeffs=PowerSeries(coeffs, order))
+        assert not res.passed and i <= res.first_failure <= i + 2, i
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -168,6 +169,26 @@ def test_limit_prints_double_precision_whatever_digits(capsys):
     assert abs(float(value) - (1 - 2 / math.e)) < 1e-15
 
 
+def test_limit_digits_sets_the_accumulation_precision(capsys, monkeypatch):
+    import agflab.connection as connection
+
+    seen = []
+    real = connection.iter_numeric
+
+    def spy(rec, z=None, n_max=100, digits=15):
+        seen.append(digits)
+        return real(rec, z, n_max, digits)
+
+    monkeypatch.setattr(connection, "iter_numeric", spy)
+    code, out, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "40"])
+    assert code == 0 and seen == [40]
+    assert abs(float(out.split(" ± ")[0]) - (1 - 2 / math.e)) < 1e-15
+    for digits in ([], ["--digits", "15"], ["--digits", "10"]):
+        seen.clear()
+        run_cli(capsys, ["limit", "e", "1", *digits])
+        assert seen == [30]  # automatic: 30 digits for runs past n = 10^4
+
+
 def test_digits_16_is_extended_everywhere(capsys):
     code, out, err = run_cli(capsys, ["agf", "f", "1", "--digits", "16"])
     assert code == 0, err
@@ -192,9 +213,12 @@ def test_verify_slope_and_exit_contract(capsys):
 
 
 def test_verify_deterministic_at_fixed_seed(capsys):
+    def untimed(out):  # timing_s is a wall time, the one field that varies
+        return re.sub(r'\n *"timing_s": [^\n]*', "", out)
+
     code1, out1, _ = run_cli(capsys, ["verify", "slope", "--seed", "7"])
     code2, out2, _ = run_cli(capsys, ["verify", "slope", "--seed", "7"])
-    assert (code1, out1) == (code2, out2)
+    assert (code1, untimed(out1)) == (code2, untimed(out2))
 
 
 def test_verify_duality_text_format(capsys):
@@ -202,6 +226,28 @@ def test_verify_duality_text_format(capsys):
     assert code == 0
     assert "PASS duality_e" in out
     assert "PASS suite duality" in out
+
+
+def test_verify_json_checks_carry_timing(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "ode", "--format", "json"])
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 27
+    assert all(type(c["timing_s"]) is float and c["timing_s"] >= 0 for c in checks)
+    code, out, _ = run_cli(capsys, ["verify", "ode", "--format", "text"])
+    assert code == 0 and "timing" not in out and len(out.splitlines()) == 28
+
+
+def test_verify_duality_reports_a_consistency_error(capsys, monkeypatch):
+    import agflab.exact as exact
+
+    real = exact._pq_closed
+    monkeypatch.setattr(exact, "_pq_closed", lambda m: (
+        (real(m)[0] + 1, real(m)[1]) if m == 50 else real(m)))
+    code, out, err = run_cli(capsys, ["verify", "duality"])
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert code == 1 and "duality_closed_forms_exact" in err
+    assert [c["check"] for c in failed] == ["duality_closed_forms_exact"]
+    assert "mismatch at m=50" in failed[0]["details"][0]
 
 
 def test_verify_growth(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agflab.exact import (
+    ConsistencyError,
     LinearFormE,
     LinearFormPi,
     derangement,
@@ -118,6 +119,17 @@ def test_duality_form_pi_closed_forms_match_recurrence():
     # construction already cross-checks; run it over the full range anyway
     for m in range(101):
         duality_form_pi(m)
+
+
+def test_duality_form_pi_mismatch_raises(monkeypatch):
+    import agflab.exact as exact
+
+    real = exact._pq_closed
+    monkeypatch.setattr(exact, "_pq_closed",
+                        lambda m: (real(m)[0], real(m)[1] + Fraction(1, 2**60)))
+    for m in (0, 1, 7, 40):
+        with pytest.raises(ConsistencyError, match=f"mismatch at m={m}:"):
+            duality_form_pi(m)
 
 
 def test_duality_negative_m_rejected():

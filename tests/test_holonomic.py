@@ -11,6 +11,7 @@ from agflab.holonomic import (
     RationalFn,
     RecurrenceParseError,
     eval_sequence,
+    exact_series,
     gamma_recurrence,
     iter_numeric,
     iter_sequence,
@@ -408,3 +409,51 @@ def test_iter_numeric_yields_floats_for_exact_data():
     got = [v for _, v in iter_numeric(mirror_e(1), n_max=12, digits=30)]
     want = [float(v) for _, v in iter_sequence(mirror_e(1), n_max=12)]
     assert got == want and all(type(v) is float for v in got)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free exact series against the Fraction iteration
+
+@pytest.mark.parametrize("rec, z", [
+    (mirror_e(3), None),
+    (mirror_pi(0), None),
+    (mirror_e(Fraction(1, 3)), None),
+    (mirror_pi(Fraction(-7, 2)), None),
+    (gamma_recurrence(Fraction(7, 3)), None),
+    (gamma_recurrence(Fraction(-5, 2)), None),
+    (parse_precurrence(USER_TEXT), Fraction(3, 4)),  # n-dependent denominators
+], ids=["e-int", "pi-int", "e-p/q", "pi-p/q", "gamma-p/q", "gamma-negative",
+        "user"])
+def test_exact_series_matches_fraction_iteration(rec, z):
+    n_max = 120
+    nums, den = exact_series(rec, n_max, z)
+    assert all(type(c) is int for c in nums) and type(den) is int and den > 0
+    want = dict(iter_sequence(rec, z, n_max))
+    assert [Fraction(c, den) for c in nums] == [want.get(n, 0)
+                                                for n in range(n_max + 1)]
+
+
+def test_exact_series_short_and_numeric_inputs():
+    assert exact_series(mirror_e(1), 0) == ([0], 1)
+    assert exact_series(mirror_e(1), 2) == ([0, 0, 1], 1)
+    with pytest.raises(ValueError):
+        exact_series(mirror_e(0.5), 10)
+    with pytest.raises(ValueError):
+        exact_series(mirror_e(), 10)  # z missing
+    with pytest.raises(ValueError):
+        exact_series(mirror_e(1), -1)
+
+
+def test_exact_series_pole_at_the_same_n():
+    coeffs = parse_precurrence("coeff1: 1/(n-3)\ncoeff0: -1\ninit: n0=1; 1").coeffs
+    cases = [mirror_e(-5), mirror_pi(-3), gamma_recurrence(-4),
+             PRecurrence(1, coeffs, 1, (Fraction(1),))]
+    poles = []
+    for rec in cases:
+        with pytest.raises(CoefficientPole) as want:
+            list(iter_sequence(rec, n_max=20))
+        with pytest.raises(CoefficientPole) as got:
+            exact_series(rec, 20)
+        assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
+        poles.append(got.value.n)
+    assert poles == [5, 3, 4, 3]
