@@ -25,7 +25,7 @@ from .agf import f_eval, g_eval
 from .holonomic import (
     exact_series,
     gamma_recurrence,
-    iter_sequence,
+    iter_numeric,
     mirror_e,
     mirror_pi,
 )
@@ -444,7 +444,6 @@ def transfer_check(world: str, m: int, n: int) -> float:
         rec, predict = mirror_pi(m), g_eval(m).real * math.sqrt(n)
     else:
         raise ValueError("world must be 'e' or 'pi'")
-    last = None
-    for _, v in iter_sequence(rec, None, n, digits=15):
-        last = v
+    for _, last in iter_numeric(rec, None, n):
+        pass
     return abs(last / predict - 1.0)

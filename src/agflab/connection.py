@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, MAX_DOUBLE_DIGITS, PrecisionConfig, log_gamma
-from .holonomic import PRecurrence, iter_numeric
+from .complexfn import DOUBLE, PrecisionConfig, log_gamma
+from .holonomic import DEFAULT_DIGITS, PRecurrence, iter_numeric
 
 __all__ = [
     "AsymptoticShell",
@@ -111,7 +111,7 @@ class ExtrapolationConfig:
     depth: int = 6
     n_base: int = 2**10
     n_growth: int = 2
-    digits: int | None = None  # accumulation precision; None = automatic
+    digits: int | None = None  # accumulation digits; None = DEFAULT_DIGITS
 
     def __post_init__(self):
         if self.depth < 1:
@@ -160,14 +160,10 @@ def estimate_connection_constant(
     """
     targets = [cfg.n_base * cfg.n_growth**k for k in range(cfg.depth + 1)]
     n_max = targets[-1]
-    # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless,
-    # and long runs accumulate at 30 digits per the iteration policy
-    digits = cfg.digits
-    if digits is None:
-        digits = 30 if n_max > 10_000 else MAX_DOUBLE_DIGITS
     wanted = set(targets)
     samples, rounding = [], []  # in the order of targets
-    for n, u in iter_numeric(rec, z, n_max, digits=digits):
+    # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
+    for n, u in iter_numeric(rec, z, n_max, digits=cfg.digits or DEFAULT_DIGITS):
         if n in wanted:
             lam = shell_eval(shell, n, z)
             samples.append(complex(u) / lam)

@@ -2,27 +2,27 @@
 
 A :class:`PRecurrence` stores an order-r linear recurrence
 sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
-functions in the index n and the parameter z.  Forward iteration is
-exact (big rationals) whenever z and the initial values are rational,
-and numeric otherwise: in double precision, or in fixed point on Python
-ints for long runs and digit counts beyond double.  :func:`exact_series`
-builds a whole exact series u_0..u_N fraction-free instead, as integer
-numerators over one common denominator, for callers such as the ODE
-certificates that want every term rather than reduced values.  The two
-mirror recurrences, whose connection constants tie to e and pi, and the
-Gamma prototype recurrence are built in, together with the constructive
-shell sequences n!/(z)_n and n!/Gamma(n+1-z).
+functions in the index n and the parameter z.  :func:`_integer_form`
+substitutes z exactly and clears the denominators once; every engine
+steps that integer equation.  Forward iteration is exact (big
+rationals) whenever z and the initial values are rational, and in fixed
+point on Python ints otherwise, at 30 digits unless more are asked for.
+:func:`exact_series` builds a whole exact series u_0..u_N fraction-free
+instead, as integer numerators over one common denominator, for callers
+such as the ODE certificates that want every term rather than reduced
+values.  The two mirror recurrences, whose connection constants tie to e
+and pi, and the Gamma prototype recurrence are built in, together with
+the constructive shell sequences n!/(z)_n and n!/Gamma(n+1-z).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-
-from mpmath import fp
 
 from .complexfn import (
     DOUBLE,
@@ -36,6 +36,7 @@ from .complexfn import (
 
 __all__ = [
     "CoefficientPole",
+    "DEFAULT_DIGITS",
     "PRecurrence",
     "Poly2",
     "RationalFn",
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 8
+# The fixed-point precision of numeric iteration unless the caller asks
+# for more than MAX_DOUBLE_DIGITS: the doubles it yields carry no rounding
+# compounded over the steps, even past n = 10^5.
+DEFAULT_DIGITS = 30
 
 
 class CoefficientPole(ArithmeticError):
@@ -233,9 +238,6 @@ class RationalFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def depends_on_z(self) -> bool:
-        return self.num.degree_z() > 0 or self.den.degree_z() > 0
-
     def __add__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -380,47 +382,46 @@ def _horner(coeff_list, n):
 def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None = None):
     """Yield (n, u_n) from the initial index up to n_max by forward iteration.
 
-    Three accumulation modes, chosen from the arguments:
+    Two engines, both on the cleared integer equation of
+    :func:`_integer_form`:
 
     - exact (``Fraction``) when z and the initial values are rational and
-      no digit count is given;
-    - fixed point when ``digits`` exceeds :data:`MAX_DOUBLE_DIGITS`, and
-      for numeric data past n = 10^4 with ``digits=None`` (at 30 digits
-      then, since relative rounding compounds over that many steps);
-    - double (Python floats and complexes) otherwise, and for any
-      ``digits`` up to :data:`MAX_DOUBLE_DIGITS`.
+      no digit count is given: Fraction stepping over the integer
+      coefficients;
+    - fixed point for everything else, at ``digits`` above
+      :data:`MAX_DOUBLE_DIGITS` and at :data:`DEFAULT_DIGITS` otherwise.
 
     Fixed point substitutes z exactly (a float or complex z is a dyadic
-    rational), clears every denominator, and iterates on Python ints:
-    mantissas of ``ceil(digits * log2(10)) + 64`` bits, Gaussian-integer
-    pairs for complex data, under one block exponent.  An explicit
-    ``digits`` yields values of a private mpmath context at ``digits + 5``
-    digits, the automatic mode yields floats (complexes where the
-    imaginary part is nonzero).  No mode reads or changes mpmath's global
-    state, so a live generator holds none.
+    rational) and iterates on Python ints: mantissas of
+    ``ceil(digits * log2(10)) + 64`` bits, Gaussian-integer pairs for
+    complex data, under one block exponent.  An explicit ``digits`` above
+    :data:`MAX_DOUBLE_DIGITS` yields values of a private mpmath context at
+    ``digits + 5`` digits; otherwise it yields floats (complexes where the
+    imaginary part is nonzero), each the double nearest the 30-digit
+    value.  No engine reads or changes mpmath's global state, so a live
+    generator holds none.
     """
     zval = _start(rec, z, n_max)
     if digits is not None and digits > MAX_DOUBLE_DIGITS:
         yield from _fixed_point(rec, zval, n_max, digits, _mp_context(digits + 5))
-    elif digits is None and (zval is None or _is_exact(zval)) and all(
-        _is_exact(v) for v in rec.initial_values
-    ):
-        yield from _iterate(rec, zval, n_max, Fraction)
+    elif digits is None and _exact_data(rec, zval):
+        yield from _exact(rec, zval, n_max)
     else:
-        auto = digits is None and n_max > 10_000
-        yield from _numeric(rec, zval, n_max, 30 if auto else MAX_DOUBLE_DIGITS)
+        yield from _fixed_point(rec, zval, n_max, DEFAULT_DIGITS, None)
 
 
 def iter_numeric(rec: PRecurrence, z=None, n_max: int = 100,
-                 digits: int = MAX_DOUBLE_DIGITS):
+                 digits: int | None = None):
     """Yield (n, u_n) as Python floats or complexes, whatever the data.
 
-    Accumulates in double arithmetic for ``digits`` up to
-    :data:`MAX_DOUBLE_DIGITS` and in the fixed-point mode of
-    :func:`iter_sequence` above; for callers that only need numbers, such
-    as extrapolation, at no cost for building exact or mpmath values.
+    Runs the fixed-point engine of :func:`iter_sequence` at the same
+    precision: ``digits`` above :data:`MAX_DOUBLE_DIGITS`, else
+    :data:`DEFAULT_DIGITS`; for callers that only need numbers, such as
+    extrapolation, at no cost for building exact or mpmath values.
     """
-    yield from _numeric(rec, _start(rec, z, n_max), n_max, digits)
+    if digits is None or digits <= MAX_DOUBLE_DIGITS:
+        digits = DEFAULT_DIGITS
+    yield from _fixed_point(rec, _start(rec, z, n_max), n_max, digits, None)
 
 
 def _start(rec, z, n_max):
@@ -430,39 +431,25 @@ def _start(rec, z, n_max):
     return z if z is not None else rec.param
 
 
-def _numeric(rec, zval, n_max, digits):
-    if digits > MAX_DOUBLE_DIGITS:
-        return _fixed_point(rec, zval, n_max, digits, None)
-    return _iterate(rec, zval, n_max, fp.convert)
+def _exact_data(rec, zval) -> bool:
+    return all(_is_exact(v) for v in (0 if zval is None else zval, *rec.initial_values))
 
 
-def _iterate(rec, zval, n_max, convert):
-    """Exact or double iteration: every value converted by ``convert``."""
-    zc = None if zval is None else convert(zval)
-    collapsed = [(cf.num.collapse_z(zc), cf.den.collapse_z(zc)) for cf in rec.coeffs]
-
-    window = [convert(v) for v in rec.initial_values]
-    r = rec.order
-    n0 = rec.initial_index
-    for i, v in enumerate(window):
-        yield n0 + i, v
-
-    for n in range(n0, n_max - r + 1):
-        cvals = []
-        for k, (num, den) in enumerate(collapsed):
-            d = _horner(den, n)
-            if d == 0:
-                raise CoefficientPole(n, f"denominator of coefficient {k}")
-            cvals.append(_horner(num, n) / d)
-        lead = cvals[r]
-        if lead == 0:
-            raise CoefficientPole(n, "leading coefficient")
-        acc = cvals[0] * window[0]
-        for k in range(1, r):
-            acc += cvals[k] * window[k]
-        nxt = -acc / lead
-        window = window[1:] + [nxt]
-        yield n + r, nxt
+def _exact(rec, zval, n_max):
+    """Fraction stepping: u_{n+r} = -sum_k c_k(n) u_{n+k} / c_r(n) over
+    the integer coefficients c_k of the cleared equation."""
+    r, n0 = rec.order, rec.initial_index
+    polys, _, pole, init = _integer_form(rec, zval)
+    window = [a for a, _ in init]
+    yield from enumerate(window, n0)
+    for n, vals in zip(range(n0 + r, n_max + 1), _values_from(polys, n0)):
+        lead = vals[r]
+        if not lead:
+            raise pole(n - r)
+        u = -sum(map(mul, vals, window)) / lead
+        window.append(u)
+        del window[0]
+        yield n, u
 
 
 def eval_sequence(
@@ -487,7 +474,7 @@ def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     zval = z if z is not None else rec.param
-    if not all(_is_exact(v) for v in (zval or 0, *rec.initial_values)):
+    if not _exact_data(rec, zval):
         raise ValueError("exact_series needs rational z and initial values")
     r, n0 = rec.order, rec.initial_index
     polys, _, pole, init = _integer_form(rec, zval)
@@ -547,9 +534,9 @@ def _exact_parts(v) -> tuple:
     numbers are dyadic rationals."""
     if _is_exact(v):
         return Fraction(v), Fraction(0)
+    if not (v.context.isfinite(v) if _is_mp(v) else cmath.isfinite(complex(v))):
+        raise ValueError(f"cannot iterate from the value {v}")
     if _is_mp(v):
-        if not v.context.isfinite(v):
-            raise ValueError(f"cannot iterate from the value {v}")
         return tuple(Fraction(man) * Fraction(2) ** exp
                      for man, exp in (v.real.man_exp, v.imag.man_exp))
     c = complex(v)
@@ -613,7 +600,7 @@ def _integer_form(rec: PRecurrence, zval):
     cleared = []
     for k, num in enumerate(nums):
         for j, den in enumerate(dens + [dens[r]]):
-            if j != k:
+            if j != k and den != [(1, 0)]:  # every built-in has den = 1
                 num = _gauss_mul(num, den)
         cleared.append(num)
     scale = math.lcm(*(c.denominator for p in cleared for pair in p for c in pair))
@@ -699,7 +686,7 @@ def _fixed_point(rec, zval, n_max, digits, ctx):
 # constructive shells
 
 def shell_w(z, n_max: int) -> list[SequencePoint]:
-    """w_n = n!/(z)_n by the iteration w_{n+1} = (n+1)/(n+z) w_n.
+    """w_n = n!/(z)_n for n = 1..n_max, from :func:`gamma_recurrence`.
 
     Behaves like Gamma(z) n^(1-z) for large n; z = 0 and the negative
     integers -1, ..., -(n_max - 1) are excluded.
@@ -708,17 +695,10 @@ def shell_w(z, n_max: int) -> list[SequencePoint]:
         raise ValueError("n_max must be >= 1")
     if z == 0:
         raise CoefficientPole(0, "1/z initial value")
-    exact = _is_exact(z)
-    w = Fraction(1, 1) / z if exact else 1.0 / complex(z)
-    zc = z if exact else complex(z)
-    out = [SequencePoint(1, w)]
-    for n in range(1, n_max):
-        d = n + zc
-        if d == 0:
-            raise CoefficientPole(n, "n+z")
-        w = w * (n + 1) / d
-        out.append(SequencePoint(n + 1, w))
-    return out
+    rec = gamma_recurrence(z)
+    if n_max == 1:  # below the window that iteration needs
+        return [SequencePoint(1, rec.initial_values[0])]
+    return eval_sequence(rec, n_max=n_max)
 
 
 def shell_wtilde(z, n: int, cfg: PrecisionConfig = DOUBLE):

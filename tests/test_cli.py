@@ -70,6 +70,13 @@ def test_seq_pole_exit(capsys):
     assert "n=1" in err
 
 
+def test_seq_non_finite_z_exits_2(capsys):
+    for n_max in ("5", "20000"):
+        code, out, err = run_cli(capsys, ["seq", "e", "nan", n_max])
+        assert (code, out) == (2, "")
+        assert "cannot iterate from the value" in err
+
+
 def test_seq_from_file(tmp_path, capsys):
     path = tmp_path / "rec.txt"
     path.write_text(

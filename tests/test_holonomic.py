@@ -10,6 +10,7 @@ from agflab.holonomic import (
     Poly2,
     RationalFn,
     RecurrenceParseError,
+    SequencePoint,
     eval_sequence,
     exact_series,
     gamma_recurrence,
@@ -206,6 +207,15 @@ def test_shell_w_values():
         shell_w(0, 10)
 
 
+def test_shell_w_single_point():
+    # below the two-point window of the iteration, and before any pole
+    assert shell_w(-1, 1) == [SequencePoint(1, Fraction(-1))]
+    assert shell_w(Fraction(1, 2), 1) == [SequencePoint(1, Fraction(2))]
+    with pytest.raises(CoefficientPole) as info:
+        shell_w(-1, 2)
+    assert info.value.n == 1
+
+
 def test_shell_w_gamma_limit():
     z = 0.5
     pts = shell_w(z, 10**4)
@@ -378,6 +388,20 @@ def test_fixed_point_against_60_digit_iteration(rec, digits):
         assert abs(v - want[n]) <= rtol * abs(want[n]), n
 
 
+@pytest.mark.parametrize("rec, z", [
+    (mirror_e(complex(2.5, 1.25)), None),
+    (gamma_recurrence(3.5), None),
+], ids=["e-complex", "gamma-float"])
+def test_short_numeric_runs_are_correctly_rounded(rec, z):
+    n_max = 2000
+    want = mp_oracle(rec, rec.param, n_max)
+    for digits in (None, 15):
+        got = dict(iter_sequence(rec, z, n_max, digits=digits))
+        assert sorted(got) == sorted(want)
+        for n, v in got.items():
+            assert abs(v - want[n]) <= 2.0**-52 * abs(want[n]), (digits, n)
+
+
 def test_fixed_point_pole_at_the_same_n():
     with pytest.raises(CoefficientPole) as exact:
         eval_sequence(mirror_e(-5), n_max=20)
@@ -457,3 +481,61 @@ def test_exact_series_pole_at_the_same_n():
         assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
         poles.append(got.value.n)
     assert poles == [5, 3, 4, 3]
+
+
+# ---------------------------------------------------------------------------
+# both exact engines against a naive Fraction iteration
+
+def naive_iteration(rec: PRecurrence, z, n_max: int) -> dict:
+    """u_n for n <= n_max by u_{n+r} = -sum_k C_k(n) u_{n+k} / C_r(n), each
+    coefficient evaluated as a Fraction through RationalFn.eval; a
+    vanishing denominator or leading coefficient raises CoefficientPole."""
+    zval = z if z is not None else rec.param
+    r, n0 = rec.order, rec.initial_index
+    u = {n0 + i: Fraction(v) for i, v in enumerate(rec.initial_values)}
+    for n in range(n0, n_max - r + 1):
+        c = []
+        for k, cf in enumerate(rec.coeffs):
+            if cf.den.eval(n, zval) == 0:
+                raise CoefficientPole(n, f"denominator of coefficient {k}")
+            c.append(cf.eval(n, zval))
+        if c[r] == 0:
+            raise CoefficientPole(n, "leading coefficient")
+        u[n + r] = -sum(c[k] * u[n + k] for k in range(r)) / c[r]
+    return u
+
+
+POLE_TEXT = "coeff1: 1/(n-3)\ncoeff0: -1\ninit: n0=1; 1"
+
+
+@pytest.mark.parametrize("rec, z", [
+    (mirror_e(3), None),
+    (mirror_pi(0), None),
+    (mirror_e(Fraction(1, 3)), None),
+    (mirror_pi(Fraction(-7, 2)), None),
+    (gamma_recurrence(Fraction(7, 3)), None),
+    (gamma_recurrence(Fraction(-5, 2)), None),
+    (parse_precurrence(USER_TEXT), Fraction(3, 4)),  # n-dependent denominators
+    (mirror_e(-5), None),
+    (mirror_pi(-3), None),
+    (gamma_recurrence(-4), None),
+    (parse_precurrence(POLE_TEXT), None),
+], ids=["e-int", "pi-int", "e-p/q", "pi-p/q", "gamma-p/q", "gamma-negative",
+        "user", "e-pole", "pi-pole", "gamma-pole", "denominator-pole"])
+def test_exact_engines_match_naive_iteration(rec, z):
+    n_max = 120
+    try:
+        want = naive_iteration(rec, z, n_max)
+    except CoefficientPole as pole:
+        for engine in (lambda: list(iter_sequence(rec, z, n_max)),
+                       lambda: exact_series(rec, n_max, z)):
+            with pytest.raises(CoefficientPole) as got:
+                engine()
+            assert (got.value.n, str(got.value)) == (pole.n, str(pole))
+        return
+    got = list(iter_sequence(rec, z, n_max))
+    assert got == sorted(want.items())
+    assert all(type(v) is Fraction for _, v in got)
+    nums, den = exact_series(rec, n_max, z)
+    assert [Fraction(c, den) for c in nums] == [want.get(n, 0)
+                                                for n in range(n_max + 1)]
