@@ -6,10 +6,11 @@ fraction-free, as integer numerators over one common denominator, the
 ODE is multiplied through by x to clear the 1/x coefficient, and every
 coefficient of the residual must vanish exactly: its integer numerator
 is 0, with no floating tolerance.  The singular-coefficient integrals
-behind the connection constants (I_m, J_m, L_m) are evaluated by
-adaptive quadrature and chained through their recurrences as floating
-cross-checks, and the transfer from generating-function singularities to
-coefficient growth is probed directly on the sequences.
+behind the connection constants (I_m, J_m, L_m) are evaluated in double
+precision by mpmath's tanh-sinh quadrature, with an error estimate
+floored at 64 eps |value|, and chained through their recurrences as
+floating cross-checks; the transfer from generating-function
+singularities to coefficient growth is probed directly on the sequences.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from scipy.integrate import quad
+from mpmath import fp
 
 from .agf import f_eval, g_eval
 from .holonomic import (
@@ -323,17 +324,27 @@ def ode_series_check_gamma(z, order: int, coeffs: PowerSeries | None = None
 # ---------------------------------------------------------------------------
 # quadrature of the singular-coefficient integrals
 
+# The floor on the reported error, in units of eps |value|.  mpmath's
+# tanh-sinh estimate extrapolates the shrinking difference between its
+# last levels and ignores rounding: it reads as low as 1e-32, or 0 when
+# three levels agree, while rounding leaves up to 19 eps |value|
+# (measured on I_0..I_60 and L_1..L_60 against 40 digits).
+_ROUNDING_FLOOR = 64
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
-    subdivisions: int
 
 
 def _quad(f, a: float, b: float) -> QuadratureResult:
-    value, err, info = quad(f, a, b, epsabs=1e-13, epsrel=1e-13,
-                            limit=200, full_output=True)[:3]
-    return QuadratureResult(value, err, int(info["last"]))
+    """Tanh-sinh (double-exponential) quadrature of f over [a, b] in
+    double precision, which copes with the algebraic endpoint behaviour
+    of these integrands without subdivision."""
+    value, err = fp.quad(f, [a, b], error=True)
+    floor = _ROUNDING_FLOOR * fp.eps * abs(value)
+    return QuadratureResult(value, max(err, floor))
 
 
 def quad_I(m) -> QuadratureResult:
@@ -348,7 +359,7 @@ def quad_J(m: int) -> QuadratureResult:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
-        return QuadratureResult(1.0, 0.0, 0)
+        return QuadratureResult(1.0, 0.0)
     return _quad(lambda t: m * t ** (m - 1) * (1.0 - t) * math.exp(t), 0.0, 1.0)
 
 
@@ -361,7 +372,7 @@ def quad_L(m: int) -> QuadratureResult:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
-        return QuadratureResult(1.0, 0.0, 0)
+        return QuadratureResult(1.0, 0.0)
     return _quad(
         lambda s: 2.0 * m * s * s * (1.0 - s * s) ** (m - 1)
         / math.sqrt(2.0 - s * s),

@@ -24,7 +24,6 @@ import random
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -62,24 +61,6 @@ from .holonomic import (
 
 DEFAULT_SEED = 20260808
 DEFAULT_GRID = (-1.5, 5.0, -5.0, 5.0, 0.5)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved global options shared by the subcommands."""
-
-    precision: int = 15
-    output_format: str = "text"
-    n_max: int = 2**16
-    grid: tuple = DEFAULT_GRID
-
-    def __post_init__(self):
-        if self.n_max < 16:
-            raise ValueError("n_max must be >= 16")
-        if self.grid[4] <= 0:
-            raise ValueError("grid step must be positive")
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
 
 
 # ---------------------------------------------------------------------------

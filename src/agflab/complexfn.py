@@ -63,25 +63,14 @@ class PrecisionConfig:
     working_digits: int = 15
     series_truncation_bound: int = 400
     tolerance_abs: float = 1e-15
-    tolerance_rel: float = 1e-12
 
     def __post_init__(self):
         if self.working_digits < 1:
             raise ValueError("working_digits must be positive")
         if self.series_truncation_bound < 1:
             raise ValueError("series_truncation_bound must be positive")
-        if self.tolerance_abs <= 0 or self.tolerance_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.tolerance_rel < self.machine_eps:
-            raise ValueError(
-                "tolerance_rel below machine epsilon of the chosen precision"
-            )
-
-    @property
-    def machine_eps(self) -> float:
-        if not self.is_extended:
-            return fp.eps
-        return 10.0 ** (1 - self.working_digits)
+        if self.tolerance_abs <= 0:
+            raise ValueError("tolerance_abs must be positive")
 
     @property
     def is_extended(self) -> bool:
@@ -118,7 +107,6 @@ def extended(digits: int = 30) -> PrecisionConfig:
         working_digits=digits,
         series_truncation_bound=40 * digits,
         tolerance_abs=10.0 ** (-digits),
-        tolerance_rel=10.0 ** (-(digits - 3)),
     )
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from agflab.agf import f_eval, g_eval
 from agflab.certify import (
@@ -345,6 +346,25 @@ def test_quad_I_recurrence_consistency():
         assert abs(vals[m].value - (E - m * vals[m - 1].value)) <= max(
             combined_err, 1e-10
         )
+
+
+def test_quad_error_estimate_bounds_the_actual_error():
+    # tanh-sinh's own estimate reads as low as 1e-32; the reported one
+    # must still cover the true error against a 40-digit oracle
+    oracle = MPContext()
+    oracle.dps = 40
+    integrands = {
+        quad_I: lambda m, t: t**m * oracle.exp(t),
+        quad_J: lambda m, t: m * t ** (m - 1) * (1 - t) * oracle.exp(t),
+        quad_L: lambda m, t: m * t ** (m - 1) * oracle.sqrt((1 - t) / (1 + t)),
+    }
+    cases = [(quad_I, m) for m in range(61)]
+    cases += [(quad, m) for quad in (quad_J, quad_L) for m in range(1, 61)]
+    for quad, m in cases:
+        got = quad(m)
+        ref = oracle.quad(lambda t: integrands[quad](m, t), [0, 1])
+        assert abs(got.value - ref) <= got.error_estimate, (quad.__name__, m)
+        assert got.error_estimate < 1e-13 * abs(got.value), (quad.__name__, m)
 
 
 def test_quad_J_anchors():

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import agflab
 from agflab.cli import main, parse_complex_literal, parse_scalar
 from agflab.holonomic import eval_sequence, mirror_e
 
@@ -55,13 +59,26 @@ def test_seq_n_max_flag_form(capsys):
     assert code == 2 and "n_max" in err
 
 
-def test_cli_config_invariants():
-    from agflab.cli import CliConfig
+def test_grid_zero_step_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "agf-grid", "--grid=-1,1,-1,1,0"])
+    assert exc.value.code == 2
+    assert "grid step must be positive" in capsys.readouterr().err
 
-    with pytest.raises(ValueError):
-        CliConfig(n_max=5)
-    with pytest.raises(ValueError):
-        CliConfig(grid=(-1, 1, -1, 1, 0))
+
+def test_cli_import_loads_no_third_party_package_but_mpmath():
+    # mpmath is the only runtime dependency: importing the CLI, as every
+    # agf-lab process does, may add the standard library, agflab, mpmath
+    # and mpmath's optional gmpy2 backend to sys.modules, nothing else
+    src = str(Path(agflab.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import agflab.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
+            " - sys.stdlib_module_names)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert {"agflab", "mpmath"} <= set(out.split()) <= {
+        "agflab", "mpmath", "gmpy2"}, out
 
 
 def test_seq_pole_exit(capsys):

@@ -5,10 +5,8 @@ import random
 import mpmath as mp
 import pytest
 from mpmath.ctx_mp import MPContext
-from scipy.integrate import quad
 
 from agflab.complexfn import (
-    DOUBLE,
     ConvergenceError,
     PoleError,
     PrecisionConfig,
@@ -23,17 +21,16 @@ from agflab.complexfn import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+REL_TOL = 1e-12  # relative accuracy asked of double-precision Gamma
 
 
 def test_precision_config_validation():
     with pytest.raises(ValueError):
-        PrecisionConfig(tolerance_rel=1e-17)  # below double machine epsilon
-    with pytest.raises(ValueError):
         PrecisionConfig(working_digits=0)
     with pytest.raises(ValueError):
+        PrecisionConfig(tolerance_abs=0)
+    with pytest.raises(ValueError):
         extended(10)
-    cfg = extended(30)
-    assert cfg.tolerance_rel >= cfg.machine_eps
 
 
 def test_principal_log_values():
@@ -75,7 +72,7 @@ def test_gamma_poles():
 def test_gamma_accuracy_region():
     # independent reference: mpmath at high precision
     rng = random.Random(20260808)
-    bound = 10 * DOUBLE.tolerance_rel
+    bound = 10 * REL_TOL
     for _ in range(120):
         z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
         if abs(z.imag) < 0.2 and z.real < 0.5:
@@ -91,7 +88,7 @@ def test_gamma_functional_equation():
         if abs(z.imag) < 0.2 and z.real < 1.5:
             continue
         lhs = gamma(z + 1)
-        assert abs(lhs - z * gamma(z)) <= DOUBLE.tolerance_rel * abs(lhs)
+        assert abs(lhs - z * gamma(z)) <= REL_TOL * abs(lhs)
 
 
 def test_gamma_reflection():
@@ -99,7 +96,7 @@ def test_gamma_reflection():
     for _ in range(60):
         z = complex(rng.uniform(-6, 6), rng.uniform(0.3, 8))
         val = gamma(z) * gamma(1 - z) * cmath.sin(math.pi * z) / math.pi
-        assert abs(val - 1) <= 20 * DOUBLE.tolerance_rel
+        assert abs(val - 1) <= 20 * REL_TOL
 
 
 def test_log_gamma_values():
@@ -115,7 +112,7 @@ def test_log_gamma_exp_consistency():
         if abs(z.imag) < 0.2 and z.real < 0.5:
             continue
         g = gamma(z)
-        assert abs(cmath.exp(log_gamma(z)) - g) <= 50 * DOUBLE.tolerance_rel * abs(g)
+        assert abs(cmath.exp(log_gamma(z)) - g) <= 50 * REL_TOL * abs(g)
 
 
 def test_extended_mode_gamma():
@@ -146,13 +143,15 @@ def test_lower_incomplete_gamma_poles():
 
 
 def test_lower_incomplete_gamma_vs_quadrature():
-    # series route against adaptive quadrature of the defining integral
+    # series route against 40-digit quadrature of the defining integral
+    oracle = MPContext()
+    oracle.dps = 40
     rng = random.Random(3)
     for _ in range(25):
         a = rng.uniform(1, 5)
         x = rng.uniform(0.05, 3)
-        ref, _ = quad(lambda t: t ** (a - 1) * math.exp(-t), 0, x,
-                      epsabs=1e-13, epsrel=1e-13)
+        ref = float(oracle.quad(lambda t: t ** (a - 1) * oracle.exp(-t),
+                                [0, x]))
         got = lower_incomplete_gamma(a, x)
         assert abs(got - ref) < 1e-10
         assert abs(got.imag) < 1e-12
