@@ -33,11 +33,13 @@ from .complexfn import (
     _mp_context,
     _nearest_int,
     _to_ctx,
+    extended,
+    format_cnum,
     hyp1f1,
     log_gamma,
     lower_incomplete_gamma,
 )
-from .exact import duality_form_e, duality_form_pi
+from .exact import duality_forms_e, duality_forms_pi
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
 from .holonomic import _check_coeffs, _parse_coeff_text
 
@@ -271,16 +273,14 @@ def grid_points(re_min: float, re_max: float, im_min: float, im_max: float,
     return points
 
 
-def residual_table(spec: AGFSpec, h, points, pole_distance=None,
-                   skip_radius: float = 1e-3) -> list[tuple]:
+def residual_table(spec: AGFSpec, h, points, pole_distance) -> list[tuple]:
     """(z, h(z), residual, relative) for each grid point z.
 
     The residual is sum_k R_k(z) h(z+k), and ``relative`` is its size over
     the largest term magnitude max_k |R_k(z) h(z+k)|.  h(z) is None where
-    z is within skip_radius of a pole (as measured by ``pole_distance``)
-    or h raises PoleError; residual and relative are None where any
-    shifted argument z+k is.  Each argument is evaluated once per call,
-    also when it is z+k for more than one grid point.
+    ``pole_distance(z)`` is below 1e-3 or h raises PoleError; residual and
+    relative are None where any shifted argument z+k is.  Each argument is
+    evaluated once per call, also when it is z+k for more than one point.
     """
     seen = {}
 
@@ -293,7 +293,7 @@ def residual_table(spec: AGFSpec, h, points, pole_distance=None,
     for z in points:
         values = []
         for k in range(spec.order + 1):
-            if pole_distance is not None and pole_distance(z + k) < skip_radius:
+            if pole_distance(z + k) < 1e-3:
                 break
             try:
                 values.append(h_at(z + k))
@@ -310,8 +310,7 @@ def residual_table(spec: AGFSpec, h, points, pole_distance=None,
     return rows
 
 
-def residual_grid(spec: AGFSpec, h, points, pole_distance=None,
-                  skip_radius: float = 1e-3):
+def residual_grid(spec: AGFSpec, h, points, pole_distance):
     """Max relative AFE residual of h over the grid, poles punctured.
 
     See :func:`residual_table`; points next to a pole are skipped.
@@ -319,8 +318,7 @@ def residual_grid(spec: AGFSpec, h, points, pole_distance=None,
     """
     worst = 0.0
     rows = []
-    for z, _, residual, rel in residual_table(spec, h, points, pole_distance,
-                                              skip_radius):
+    for z, _, residual, rel in residual_table(spec, h, points, pole_distance):
         if rel is not None:
             rows.append({"z": z, "residual": abs(residual), "relative": rel})
             worst = max(worst, rel)
@@ -347,8 +345,7 @@ def classify_regularity(spec: AGFSpec) -> RegularityClass:
     return RegularityClass.REGULAR
 
 
-def growth_probe(h, re_anchor: float, im_values, kind: str | None = None,
-                 cfg: PrecisionConfig = DOUBLE) -> list[dict]:
+def growth_probe(h, re_anchor: float, im_values, kind=None) -> list[dict]:
     """Sample |h| along a vertical line and normalize per expected decay.
 
     kind 'f' reports |h(z)(z+2) - 1| (should decay like 1/|z|);
@@ -370,13 +367,12 @@ def growth_probe(h, re_anchor: float, im_values, kind: str | None = None,
     return rows
 
 
-def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int,
-                     anchor_tol: float = 1e-6) -> float:
+def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int) -> float:
     """Propagate h2's anchor values by the AFE and compare against h1.
 
     Returns the max relative deviation |h1 - propagated| / max(|h1|, eps)
     over z0 + k, k = 0..grid_len.  The anchor values of h1 and h2 must
-    already agree to anchor_tol (relative).
+    already agree to 1e-6 (relative).
 
     The propagation solves for h(z+r) at each step, so any anchor error
     is amplified by the AFE's dominant homogeneous solution; for the
@@ -389,7 +385,7 @@ def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int,
     values = []
     for k in range(r):
         a1, a2 = h1(z0 + k), h2(z0 + k)
-        if abs(a1 - a2) > anchor_tol * max(abs(a1), abs(a2), 1e-30):
+        if abs(a1 - a2) > 1e-6 * max(abs(a1), abs(a2), 1e-30):
             raise ValueError(f"anchors disagree at z={z0 + k}: {a1} vs {a2}")
         values.append(a2)
     if any(_is_mp(v) for v in values):
@@ -418,23 +414,22 @@ def duality_residuals(world: str, m_max: int,
                       cfg: PrecisionConfig = DOUBLE) -> list[tuple]:
     """(-1)^m h(m)/h(0) against its exact linear form, for m = 0..m_max.
 
-    World 'e' pairs h = f with a - e b (:func:`exact.duality_form_e`),
-    world 'pi' pairs h = g with p - pi q (:func:`exact.duality_form_pi`).
+    World 'e' pairs h = f with a - e b (:func:`exact.duality_forms_e`),
+    world 'pi' pairs h = g with p - pi q (:func:`exact.duality_forms_pi`).
     Returns one (form, residual, scale) per m: residual is
     |(-1)^m h(m)/h(0) - form| and scale the size a + e b (p + pi q) of the
     two terms the form combines, both as floats.
     """
     ctx = cfg.ctx
     if world == "e":
-        h, const, form_at = f_eval, ctx.e, duality_form_e
+        h, const, forms = f_eval, ctx.e, duality_forms_e
     elif world == "pi":
-        h, const, form_at = g_eval, ctx.pi, duality_form_pi
+        h, const, forms = g_eval, ctx.pi, duality_forms_pi
     else:
         raise ValueError(f"unknown world {world!r}")
     h0 = h(0, cfg)
     rows = []
-    for m in range(m_max + 1):
-        form = form_at(m)
+    for m, form in enumerate(forms(m_max)):
         x, y = (form.a, form.b) if world == "e" else (form.p, form.q)
         lhs = (-1) ** m * h(m, cfg) / h0
         residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
@@ -476,18 +471,10 @@ def parse_agf_spec(text: str) -> AGFSpec:
     return _parse_coeff_text(text, "'z0=...:'", on_key, build, z_only=True)
 
 
-def format_agf_spec(spec: AGFSpec, digits: int = 17) -> str:
-    """Inverse of parse_agf_spec for the built-in coefficient shapes."""
-    lines = []
-    for k in range(spec.order, -1, -1):
-        lines.append(f"coeff{k}: {spec.coeffs[k]!r}")
-    for point, value in spec.anchors:
-        v = complex(value)
-        if v.imag == 0:
-            lines.append(f"z0={point:g}: {v.real:.{digits}g}")
-        else:
-            sign = "+" if v.imag >= 0 else "-"
-            lines.append(
-                f"z0={point:g}: {v.real:.{digits}g}{sign}{abs(v.imag):.{digits}g}i"
-            )
+def format_agf_spec(spec: AGFSpec) -> str:
+    """Inverse of parse_agf_spec for the built-in coefficient shapes; the
+    anchor values get 17 significant digits, which round-trip a double."""
+    lines = [f"coeff{k}: {spec.coeffs[k]!r}" for k in range(spec.order, -1, -1)]
+    lines += [f"z0={point:g}: {format_cnum(complex(value), extended(17))}"
+              for point, value in spec.anchors]
     return "\n".join(lines) + "\n"

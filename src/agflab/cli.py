@@ -48,10 +48,12 @@ from .connection import (
     slope_ratio,
     slope_ratio_numeric_check,
 )
-from .exact import ConsistencyError, duality_form_e, duality_form_pi
+from .exact import ConsistencyError, duality_forms_e, duality_forms_pi
 from .holonomic import (
+    DEFAULT_DIGITS,
     CoefficientPole,
     RecurrenceParseError,
+    _exact_data,
     eval_sequence,
     gamma_recurrence,
     mirror_e,
@@ -133,7 +135,10 @@ def cmd_seq(args) -> int:
         with open(args.world) as fh:
             rec = parse_precurrence(fh.read())
     z = parse_scalar(args.z)
-    digits = args.digits if cfg.is_extended else None
+    # numeric rows come from the fixed-point engine as mpmath values,
+    # which format_cnum rounds once to the printed digits
+    digits = (args.digits if cfg.is_extended
+              else None if _exact_data(rec, z) else DEFAULT_DIGITS)
     points = eval_sequence(rec, z=z, n_max=n_max, digits=digits)
     if args.format == "json":
         payload = {
@@ -263,9 +268,8 @@ def _suite_duality() -> Iterator[dict]:
     ok = True
     detail = []
     try:
-        for m in range(101):
-            duality_form_pi(m)
-            duality_form_e(m)
+        duality_forms_pi(100)
+        duality_forms_e(100)
     except ConsistencyError as exc:
         ok = False
         detail = [str(exc)]
@@ -451,14 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--digits", type=int, default=15,
-                       help=f"working precision; above {MAX_DOUBLE_DIGITS} switches "
-                       "to extended mode (limit accumulates at it and prints "
-                       "double precision)")
-        p.add_argument("--format", default=None,
-                       help="output format (text, csv, json)")
+    def common(p, func, *formats, digits=False):  # the first format is the default
+        if digits:
+            p.add_argument("--digits", type=int, default=15,
+                           help=f"working precision; above {MAX_DOUBLE_DIGITS} "
+                           "switches to extended mode (limit accumulates at "
+                           "it and prints double precision)")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help="output format")
         p.add_argument("--out", default=None, help="write output to this path")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("seq", help="evaluate a built-in or file recurrence")
     p.add_argument("world", help="'e', 'pi', or a recurrence file path")
@@ -467,36 +474,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last index to evaluate")
     p.add_argument("--n-max", type=int, default=None, dest="n_max_flag",
                    help="last index to evaluate (alternative to the positional)")
-    common(p)
-    p.set_defaults(func=cmd_seq, format_default="text")
+    common(p, cmd_seq, "text", "csv", "json", digits=True)
 
     p = sub.add_parser("limit", help="extrapolate a connection constant")
     p.add_argument("world", choices=["e", "pi", "gamma"])
     p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--n-base", type=int, default=2**10, dest="n_base")
-    common(p)
-    p.set_defaults(func=cmd_limit, format_default="text")
+    common(p, cmd_limit, "text", "json", digits=True)
 
     p = sub.add_parser("agf", help="evaluate f or g at a complex point")
     p.add_argument("which", choices=["f", "g"])
     p.add_argument("z", help="complex literal a+bi")
-    common(p)
-    p.set_defaults(func=cmd_agf, format_default="text")
+    common(p, cmd_agf, digits=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["afe", "duality", "ode", "slope",
                                      "growth", "all"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p)
-    p.set_defaults(func=cmd_verify, format_default="json")
+    common(p, cmd_verify, "json", "text")
 
     p = sub.add_parser("table", help="emit a duality or grid table")
     p.add_argument("kind", choices=["duality-e", "duality-pi", "agf-grid"])
     p.add_argument("--m-max", type=int, default=10, dest="m_max")
     p.add_argument("--grid", type=_grid_spec, default=DEFAULT_GRID)
-    common(p)
-    p.set_defaults(func=cmd_table, format_default="csv")
+    common(p, cmd_table, "csv", "json")
 
     return parser
 
@@ -504,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
     try:
         return args.func(args)
     except RecurrenceParseError as exc:

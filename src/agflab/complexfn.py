@@ -21,11 +21,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _mpc, _mpf
+from mpmath.libmp import to_rational
 
 __all__ = [
     "ConvergenceError",
@@ -58,19 +61,21 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision and series/tolerance policy for one computation."""
+    """Working precision of one computation; the series policy follows."""
 
     working_digits: int = 15
-    series_truncation_bound: int = 400
-    tolerance_abs: float = 1e-15
 
     def __post_init__(self):
         if self.working_digits < 1:
             raise ValueError("working_digits must be positive")
-        if self.series_truncation_bound < 1:
-            raise ValueError("series_truncation_bound must be positive")
-        if self.tolerance_abs <= 0:
-            raise ValueError("tolerance_abs must be positive")
+
+    @property
+    def series_truncation_bound(self) -> int:  # most terms a series may take
+        return 40 * self.working_digits if self.is_extended else 400
+
+    @property
+    def tolerance_abs(self) -> float:  # where a series may stop
+        return 10.0 ** -self.working_digits
 
     @property
     def is_extended(self) -> bool:
@@ -98,16 +103,12 @@ def _mp_context(dps: int) -> MPContext:
 DOUBLE = PrecisionConfig()
 
 
-def extended(digits: int = 30) -> PrecisionConfig:
+def extended(digits: int) -> PrecisionConfig:
     """Extended-precision configuration with `digits` significant digits."""
     if digits <= MAX_DOUBLE_DIGITS:
         raise ValueError(
             f"extended mode needs more than {MAX_DOUBLE_DIGITS} digits")
-    return PrecisionConfig(
-        working_digits=digits,
-        series_truncation_bound=40 * digits,
-        tolerance_abs=10.0 ** (-digits),
-    )
+    return PrecisionConfig(working_digits=digits)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,11 @@ def _is_mp(z) -> bool:
     """True for an mpmath number of any context, the global one or a
     private :class:`MPContext` (each context has its own mpf/mpc classes)."""
     return isinstance(z, (_mpf, _mpc))
+
+
+def _mp_fraction(x) -> Fraction:
+    """The real mpmath number x exactly: it is a dyadic rational."""
+    return Fraction(*to_rational(x._mpf_))
 
 
 def _to_ctx(z, ctx):
@@ -222,7 +228,7 @@ def gamma(z, cfg: PrecisionConfig = DOUBLE):
 # ---------------------------------------------------------------------------
 # lower incomplete gamma and confluent hypergeometric series
 
-def lower_incomplete_gamma(a, x: float = -1.0, cfg: PrecisionConfig = DOUBLE):
+def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
     """gamma(a, x) = integral_0^x t^(a-1) e^(-t) dt, principal branch in x.
 
     Evaluated by the alternating series
@@ -270,11 +276,12 @@ def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
 def _series_sum(first, terms, cfg: PrecisionConfig, what: str):
     """first + sum(terms), stopped once 3 consecutive terms stay below
     tolerance_abs * |partial sum|; ConvergenceError if terms run out."""
+    tol = cfg.tolerance_abs
     total = first
     small = 0
     for term in terms:
         total += term
-        if abs(term) < cfg.tolerance_abs * max(abs(total), cfg.tolerance_abs):
+        if abs(term) < tol * max(abs(total), tol):
             small += 1
             if small >= 3:
                 return total
@@ -286,15 +293,26 @@ def _series_sum(first, terms, cfg: PrecisionConfig, what: str):
 # ---------------------------------------------------------------------------
 
 def format_cnum(z, cfg: PrecisionConfig = DOUBLE) -> str:
-    """Render a complex value as 're+imi' / 're-imi' at working precision."""
+    """Render a complex value as 're+imi' / 're-imi' at working precision;
+    an mpmath value is rounded once, not first to the nearest double."""
     d = cfg.working_digits
-    if _is_mp(z) and cfg.is_extended:
-        re, im = z.real, z.imag
-        re_s = z.context.nstr(re, d)
-        if im == 0:
-            return re_s
-        return f"{re_s}{'+' if im >= 0 else '-'}{z.context.nstr(abs(im), d)}i"
+    if _is_mp(z):
+        if cfg.is_extended:
+            re, im = z.real, z.imag
+            re_s = z.context.nstr(re, d)
+            if im == 0:
+                return re_s
+            return f"{re_s}{'+' if im >= 0 else '-'}{z.context.nstr(abs(im), d)}i"
+        z = complex(_round_digits(z.real, d), _round_digits(z.imag, d))
     zc = complex(z)
     if zc.imag == 0.0:
         return f"{zc.real:.{d}g}"
     return f"{zc.real:.{d}g}{'+' if zc.imag >= 0 else '-'}{abs(zc.imag):.{d}g}i"
+
+
+def _round_digits(x, d: int) -> float:
+    """x (real, mpmath) rounded to d <= 15 significant digits, as the
+    double that ``.{d}g`` prints as those digits."""
+    q = _mp_fraction(x)
+    return float(Context(prec=d).divide(Decimal(q.numerator),
+                                        Decimal(q.denominator)))

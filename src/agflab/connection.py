@@ -106,11 +106,10 @@ def shell_eval(shell: AsymptoticShell, n: int, z=None,
 
 @dataclass(frozen=True)
 class ExtrapolationConfig:
-    """Richardson extrapolation policy: samples at n_base * growth^k."""
+    """Richardson extrapolation policy: samples at n_base * 2^k."""
 
     depth: int = 6
     n_base: int = 2**10
-    n_growth: int = 2
     digits: int | None = None  # accumulation digits; None = DEFAULT_DIGITS
 
     def __post_init__(self):
@@ -118,8 +117,6 @@ class ExtrapolationConfig:
             raise ValueError("depth must be >= 1")
         if self.n_base < 16:
             raise ValueError("n_base must be >= 16")
-        if self.n_growth < 2:
-            raise ValueError("n_growth must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,13 @@ class ConnectionEstimate:
     error_estimate: float
 
 
-def _richardson_diagonal(samples, growth: int):
-    """Diagonal of the Richardson tableau for an expansion in 1/n."""
+def _richardson_diagonal(samples):
+    """Diagonal of the Richardson tableau for an expansion in 1/n, with
+    samples at doubling n."""
     row = list(samples)
     diag = [row[0]]
     for j in range(1, len(samples)):
-        factor = growth**j
+        factor = 2**j
         row = [
             (factor * row[i + 1] - row[i]) / (factor - 1)
             for i in range(len(row) - 1)
@@ -150,7 +148,7 @@ def estimate_connection_constant(
 ) -> ConnectionEstimate:
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
-    Samples the ratio at n = n_base * growth^k for k = 0..depth in one
+    Samples the ratio at n = n_base * 2^k for k = 0..depth in one
     forward pass.  The error estimate is the last diagonal increment of
     the tableau (heuristic, not a rigorous bound), floored at the rounding
     the tableau amplifies: eps * (1 + |log Lambda(n)|) * |sample| per
@@ -158,7 +156,7 @@ def estimate_connection_constant(
     NonConvergence when the diagonal increments grow for three consecutive
     levels while still above 1e-13 of the value.
     """
-    targets = [cfg.n_base * cfg.n_growth**k for k in range(cfg.depth + 1)]
+    targets = [cfg.n_base * 2**k for k in range(cfg.depth + 1)]
     n_max = targets[-1]
     wanted = set(targets)
     samples, rounding = [], []  # in the order of targets
@@ -170,10 +168,10 @@ def estimate_connection_constant(
             rounding.append(sys.float_info.epsilon * (1 + abs(cmath.log(lam)))
                             * abs(samples[-1]))
 
-    diag = _richardson_diagonal(samples, cfg.n_growth)
+    diag = _richardson_diagonal(samples)
     # the weight of sample k in diag[-1] is diag[-1] of the k-th unit vector
     units = [[float(i == k) for i in range(len(samples))] for k in range(len(samples))]
-    rounding_error = sum(abs(_richardson_diagonal(unit, cfg.n_growth)[-1]) * err
+    rounding_error = sum(abs(_richardson_diagonal(unit)[-1]) * err
                          for unit, err in zip(units, rounding))
     deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
     scale = max(abs(diag[-1]), 1e-300)
@@ -221,26 +219,6 @@ class LinearFactorForm:
             out = out / (s * z + c)
         return out
 
-    def __str__(self):
-        def fmt(fs):
-            return "".join(f"({s}z{'+' if _re(c) >= 0 else '-'}{_abs_str(c)})"
-                           for s, c in fs)
-
-        num = fmt(self.numer_factors) or "1"
-        if not self.denom_factors:
-            return num
-        return f"{num}/{fmt(self.denom_factors)}"
-
-
-def _re(c):
-    return c.real if isinstance(c, complex) else c
-
-
-def _abs_str(c):
-    if isinstance(c, complex) and c.imag != 0:
-        return str(abs(c))
-    return str(abs(_re(c)))
-
 
 @dataclass(frozen=True)
 class SlopeRatioResult:
@@ -277,14 +255,10 @@ def slope_ratio(alpha, beta) -> SlopeRatioResult:
     )
 
 
-def slope_ratio_numeric_check(
-    result: SlopeRatioResult,
-    alpha,
-    beta,
-    samples,
-    cfg: PrecisionConfig = DOUBLE,
-) -> float:
-    """Max relative deviation of the symbolic form from the Gamma ratio."""
+def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
+                              samples) -> float:
+    """Max relative deviation of the symbolic form from the Gamma ratio,
+    in double precision."""
     if result.kind is not SlopeKind.RATIONAL:
         raise ValueError("numeric check needs a rational slope result")
     a = complex(Fraction(alpha))
@@ -292,9 +266,7 @@ def slope_ratio_numeric_check(
     worst = 0.0
     for z in samples:
         zz = complex(z)
-        num = log_gamma(a * (zz + 1) + b, cfg)
-        den = log_gamma(a * zz + b, cfg)
-        ratio = cmath.exp(num - den)
+        ratio = cmath.exp(log_gamma(a * (zz + 1) + b) - log_gamma(a * zz + b))
         sym = complex(result.rational_form.eval(zz))
         worst = max(worst, abs(ratio - sym) / abs(ratio))
     return worst

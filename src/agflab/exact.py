@@ -23,6 +23,8 @@ __all__ = [
     "double_factorial",
     "duality_form_e",
     "duality_form_pi",
+    "duality_forms_e",
+    "duality_forms_pi",
     "factorial",
     "pochhammer",
 ]
@@ -90,8 +92,8 @@ class LinearFormE:
     a: int
     b: int
 
-    def value(self, e: float = math.e) -> float:
-        return self.a - e * self.b
+    def value(self) -> float:
+        return self.a - math.e * self.b
 
     def to_record(self) -> dict:
         return {"m": self.m, "a": self.a, "b": self.b}
@@ -105,8 +107,8 @@ class LinearFormPi:
     p: Fraction
     q: Fraction
 
-    def value(self, pi: float = math.pi) -> float:
-        return self.p - pi * self.q
+    def value(self) -> float:
+        return self.p - math.pi * self.q
 
     def to_record(self) -> dict:
         return {
@@ -117,67 +119,79 @@ class LinearFormPi:
 
 
 def duality_form_e(m: int) -> LinearFormE:
-    """Integer form (a_m, b_m) with a_m = (m+1)! and b_m = D_{m+1}.
-
-    Both members are also rebuilt by the recurrences
-    a_{m+1} = (m+2) a_m and b_{m+1} = (m+2) b_m + (-1)^m from (a_0, b_0)
-    = (1, 0); any mismatch with the closed forms raises ConsistencyError.
-    """
+    """The last of :func:`duality_forms_e`: a_m = (m+1)!, b_m = D_{m+1}."""
     if m < 0:
         raise ValueError(f"duality form undefined for negative m={m}")
-    a_rec, b_rec = 1, 0
-    for j in range(m):
-        a_rec, b_rec = (j + 2) * a_rec, (j + 2) * b_rec + (-1) ** j
-    a_closed = factorial(m + 1)
-    b_closed = derangement(m + 1)
-    if (a_rec, b_rec) != (a_closed, b_closed):
-        raise ConsistencyError(
-            f"e-world duality form mismatch at m={m}: "
-            f"recurrence {(a_rec, b_rec)} vs closed {(a_closed, b_closed)}"
-        )
-    return LinearFormE(m, a_closed, b_closed)
+    return duality_forms_e(m)[-1]
+
+
+def duality_forms_e(m_max: int) -> list[LinearFormE]:
+    """The integer forms (a_m, b_m) for m = 0..m_max, in one pass.
+
+    Each is built twice and the two compared (:func:`_check`): by the
+    recurrences a_{m+1} = (m+2) a_m and b_{m+1} = (m+2) b_m + (-1)^m from
+    (a_0, b_0) = (1, 0), and as (m+1)! and the derangement number D_{m+1}
+    of :func:`derangement`'s recurrence.
+    """
+    forms = []
+    a, b = 1, 0
+    d_prev, d = 1, 0  # D_m, D_{m+1}
+    for m in range(m_max + 1):
+        if m:
+            a, b = (m + 1) * a, (m + 1) * b + (-1) ** (m - 1)
+            d_prev, d = d, m * (d + d_prev)
+        forms.append(LinearFormE(m, *_check("e", m, (a, b), (factorial(m + 1), d))))
+    return forms
+
+
+def _check(world: str, m: int, rec: tuple, closed: tuple) -> tuple:
+    """closed, if it equals rec; else ConsistencyError."""
+    if rec != closed:
+        raise ConsistencyError(f"{world}-world duality form mismatch at m={m}: "
+                               f"recurrence {rec} vs closed {closed}")
+    return closed
 
 
 def _pq_closed(m: int) -> tuple[Fraction, Fraction]:
-    # Double-factorial closed forms; (p_0, q_0) = (1, 0) sits outside them.
+    # The double-factorial closed forms through (2k-1)!!/(2k)!! =
+    # C(2k, k)/4^k; (p_0, q_0) = (1, 0) sits outside them.
     if m == 0:
         return Fraction(1), Fraction(0)
-    if m % 2 == 0:
-        k = m // 2
-        p = Fraction(double_factorial(2 * k), double_factorial(2 * k - 1))
-        q = Fraction(double_factorial(2 * k - 1), 2 * double_factorial(2 * k - 2))
-    else:
-        k = (m - 1) // 2
-        p = Fraction(double_factorial(2 * k), double_factorial(2 * k - 1))
-        q = Fraction(double_factorial(2 * k + 1), 2 * double_factorial(2 * k))
-    return p, q
+    k, odd = divmod(m, 2)
+    c, four_k = math.comb(2 * k, k), 4**k
+    q = Fraction((2 * k + 1) * c, 2 * four_k) if odd else Fraction(k * c, four_k)
+    return Fraction(four_k, c), q
 
 
 def duality_form_pi(m: int) -> LinearFormPi:
-    """Rational form (p_m, q_m) of the sign-normalized pi-world sequence.
-
-    Computed twice: by the recurrences p_{m+2} = p_m + p_{m+1}/(m+1),
-    q_{m+2} = q_m + q_{m+1}/(m+1) from (1, 0) and (1, 1/2), and by the
-    double-factorial closed forms.  The two must agree exactly.  The
-    recurrence runs on the integers P_j = (j-1)! p_j and Q_j = 2 (j-1)! q_j
-    (j >= 1), for which it reads X_{j+2} = j(j+1) X_j + X_{j+1} from
-    (P_1, P_2) = (1, 2) and (Q_1, Q_2) = (1, 1).
-    """
+    """The last of :func:`duality_forms_pi`."""
     if m < 0:
         raise ValueError(f"duality form undefined for negative m={m}")
-    if m == 0:
-        p_rec, q_rec = Fraction(1), Fraction(0)
-    else:
-        (p0, p1), (q0, q1) = (1, 2), (1, 1)  # (P_j, P_j+1), (Q_j, Q_j+1)
-        for j in range(1, m):
+    return duality_forms_pi(m)[-1]
+
+
+def duality_forms_pi(m_max: int) -> list[LinearFormPi]:
+    """The rational forms (p_m, q_m) of the sign-normalized pi-world
+    sequence for m = 0..m_max, in one pass.
+
+    Each is built twice and the two compared (:func:`_check`): by the
+    recurrences p_{m+2} = p_m + p_{m+1}/(m+1), q_{m+2} = q_m + q_{m+1}/(m+1)
+    from (1, 0) and (1, 1/2), and by the double-factorial closed forms
+    p_{2k} = p_{2k+1} = (2k)!!/(2k-1)!!, q_{2k} = (2k-1)!!/(2 (2k-2)!!),
+    q_{2k+1} = (2k+1)!!/(2 (2k)!!).  The recurrence runs on the integers
+    P_j = (j-1)! p_j and Q_j = 2 (j-1)! q_j (j >= 1): X_{j+2} = j(j+1) X_j
+    + X_{j+1} from (P_1, P_2) = (1, 2) and (Q_1, Q_2) = (1, 1).
+    """
+    forms = []
+    (p0, p1), (q0, q1) = (1, 2), (1, 1)  # (P_m, P_m+1), (Q_m, Q_m+1)
+    scale = 1  # (m-1)!
+    for m in range(m_max + 1):
+        if m > 1:
+            j = m - 1
             p0, p1 = p1, j * (j + 1) * p0 + p1
             q0, q1 = q1, j * (j + 1) * q0 + q1
-        scale = factorial(m - 1)
-        p_rec, q_rec = Fraction(p0, scale), Fraction(q0, 2 * scale)
-    p_closed, q_closed = _pq_closed(m)
-    if (p_rec, q_rec) != (p_closed, q_closed):
-        raise ConsistencyError(
-            f"pi-world duality form mismatch at m={m}: "
-            f"recurrence {(p_rec, q_rec)} vs closed {(p_closed, q_closed)}"
-        )
-    return LinearFormPi(m, p_closed, q_closed)
+            scale *= j
+        rec = (Fraction(p0, scale), Fraction(q0, 2 * scale)) if m else (
+            Fraction(1), Fraction(0))
+        forms.append(LinearFormPi(m, *_check("pi", m, rec, _pq_closed(m))))
+    return forms

@@ -30,6 +30,7 @@ from .complexfn import (
     PrecisionConfig,
     _is_mp,
     _mp_context,
+    _mp_fraction,
     _to_ctx,
     log_gamma,
 )
@@ -86,27 +87,29 @@ def _is_exact(v) -> bool:
 # ---------------------------------------------------------------------------
 # bivariate polynomials and rational functions
 
+def _rational(c):
+    c = Fraction(c)  # exactly; an int where it is integral
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly2:
     """Dense polynomial in (n, z) with exact rational coefficients.
 
-    coeffs[i][j] is the coefficient of n^i z^j; degrees above
-    MAX_DEGREE are rejected (the built-ins never exceed degree 1).
+    coeffs[i][j] is the coefficient of n^i z^j, an int where integral (no
+    Fraction arithmetic at float arguments); degrees above MAX_DEGREE are
+    rejected (the built-ins never exceed degree 1).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        rows = [[Fraction(c) for c in row] for row in coeffs]
-        if not rows:
-            rows = [[Fraction(0)]]
+        rows = [[_rational(c) for c in row] for row in coeffs] or [[0]]
         width = max(len(r) for r in rows)
-        for r in rows:
-            r.extend([Fraction(0)] * (width - len(r)))
-        self.coeffs = rows
+        self.coeffs = [r + [0] * (width - len(r)) for r in rows]
 
     @staticmethod
     def const(c) -> "Poly2":
-        return Poly2([[Fraction(c)]])
+        return Poly2([[c]])
 
     @staticmethod
     def var(name: str) -> "Poly2":
@@ -137,7 +140,7 @@ class Poly2:
     def __add__(self, other: "Poly2") -> "Poly2":
         ni = max(len(self.coeffs), len(other.coeffs))
         nj = max(len(self.coeffs[0]), len(other.coeffs[0]))
-        out = [[Fraction(0)] * nj for _ in range(ni)]
+        out = [[0] * nj for _ in range(ni)]
         for src in (self.coeffs, other.coeffs):
             for i, row in enumerate(src):
                 for j, c in enumerate(row):
@@ -153,7 +156,7 @@ class Poly2:
     def __mul__(self, other: "Poly2") -> "Poly2":
         ni = len(self.coeffs) + len(other.coeffs) - 1
         nj = len(self.coeffs[0]) + len(other.coeffs[0]) - 1
-        out = [[Fraction(0)] * nj for _ in range(ni)]
+        out = [[0] * nj for _ in range(ni)]
         for i, row in enumerate(self.coeffs):
             for j, c in enumerate(row):
                 if c == 0:
@@ -258,10 +261,13 @@ class RationalFn:
         return RationalFn(self.num * other.den, self.den * other.num)
 
     def eval(self, n, z):
+        """The value at (n, z); a Fraction when n and z are exact."""
         den = self.den.eval(n, z)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanished at (n={n}, z={z})")
-        return self.num.eval(n, z) / den
+        num = self.num.eval(n, z)
+        exact = _is_exact(num) and _is_exact(den)
+        return Fraction(num) / den if exact else num / den
 
     def __repr__(self):
         if self.den == Poly2.const(1):
@@ -537,8 +543,7 @@ def _exact_parts(v) -> tuple:
     if not (v.context.isfinite(v) if _is_mp(v) else cmath.isfinite(complex(v))):
         raise ValueError(f"cannot iterate from the value {v}")
     if _is_mp(v):
-        return tuple(Fraction(man) * Fraction(2) ** exp
-                     for man, exp in (v.real.man_exp, v.imag.man_exp))
+        return _mp_fraction(v.real), _mp_fraction(v.imag)
     c = complex(v)
     return Fraction(c.real), Fraction(c.imag)
 

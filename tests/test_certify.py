@@ -358,13 +358,17 @@ def test_quad_error_estimate_bounds_the_actual_error():
         quad_J: lambda m, t: m * t ** (m - 1) * (1 - t) * oracle.exp(t),
         quad_L: lambda m, t: m * t ** (m - 1) * oracle.sqrt((1 - t) / (1 + t)),
     }
-    cases = [(quad_I, m) for m in range(61)]
-    cases += [(quad, m) for quad in (quad_J, quad_L) for m in range(1, 61)]
+    # past m = 60 the rounding of the abscissas, raised to the m-th power,
+    # grows with m: 169 eps |value| for I_800
+    large = [100, 200, 400, 800]
+    cases = [(quad_I, m) for m in [*range(61), *large]]
+    cases += [(quad, m) for quad in (quad_J, quad_L) for m in [*range(1, 61), *large]]
     for quad, m in cases:
         got = quad(m)
         ref = oracle.quad(lambda t: integrands[quad](m, t), [0, 1])
         assert abs(got.value - ref) <= got.error_estimate, (quad.__name__, m)
-        assert got.error_estimate < 1e-13 * abs(got.value), (quad.__name__, m)
+        tight = 1e-13 if m <= 60 else 1e-12
+        assert got.error_estimate < tight * abs(got.value), (quad.__name__, m)
 
 
 def test_quad_J_anchors():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import agflab
-from agflab.cli import main, parse_complex_literal, parse_scalar
+from agflab.cli import build_parser, main, parse_complex_literal, parse_scalar
 from agflab.holonomic import eval_sequence, mirror_e
 
 
@@ -64,6 +64,62 @@ def test_grid_zero_step_exits_2(capsys):
         main(["table", "agf-grid", "--grid=-1,1,-1,1,0"])
     assert exc.value.code == 2
     assert "grid step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--digits", "30"],
+    ["table", "agf-grid", "--digits", "30"],
+    ["agf", "f", "1", "--format", "json"],
+    ["limit", "e", "0", "--format", "xml"],
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+class _Recorder:
+    """Parsed arguments that note each attribute a command reads."""
+
+    def __init__(self, args):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def test_every_flag_of_a_command_is_read(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    cheap = {
+        "seq": [["seq", "e", "1/2", "--n-max", "4"]],
+        "limit": [["limit", "e", "1", "--n-base", "64", "--depth", "3"]],
+        "agf": [["agf", "f", "1"]],
+        "verify": [["verify", "slope"]],
+        "table": [["table", "duality-e", "--m-max", "2"],
+                  ["table", "agf-grid", "--grid=0,0.5,0,0.5,0.5"]],
+    }
+    assert set(cheap) == set(commands)
+    for name, argvs in cheap.items():
+        read = set()
+        for argv in argvs:
+            args = _Recorder(parser.parse_args(argv))
+            assert args.func(args) == 0
+            read |= args.read
+        defined = {a.dest for a in commands[name]._actions} - {"help"}
+        assert defined <= read, (name, defined - read)
+    capsys.readouterr()
+
+
+def test_seq_rounds_the_fixed_point_value_once(capsys):
+    # row 150 is 3.6198783376537051196...-0.7573800379137684...i; the
+    # nearest double of its real part would print 3.6198783376537
+    code, out, _ = run_cli(capsys, ["seq", "pi", "2.5+1.25i", "300"])
+    n, value = out.splitlines()[149].split("\t")
+    assert (code, n) == (0, "150")
+    assert value.split("-")[0] == "3.61987833765371"
 
 
 def test_cli_import_loads_no_third_party_package_but_mpmath():

@@ -7,6 +7,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from agflab.complexfn import (
+    DOUBLE,
     ConvergenceError,
     PoleError,
     PrecisionConfig,
@@ -28,9 +29,13 @@ def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(working_digits=0)
     with pytest.raises(ValueError):
-        PrecisionConfig(tolerance_abs=0)
-    with pytest.raises(ValueError):
         extended(10)
+
+
+def test_precision_policy_follows_the_digits():
+    assert (DOUBLE.series_truncation_bound, DOUBLE.tolerance_abs) == (400, 1e-15)
+    assert (extended(30).series_truncation_bound, extended(30).tolerance_abs) \
+        == (1200, 1e-30)
 
 
 def test_principal_log_values():
@@ -189,9 +194,9 @@ def test_hyp1f1_kummer_transformation():
 
 
 def test_series_bound_reported():
-    tight = PrecisionConfig(series_truncation_bound=3)
+    # the terms of 1F1(2; 3; 500) grow until k = 500, past the 400-term bound
     with pytest.raises(ConvergenceError):
-        hyp1f1(2, 3, 10.0, tight)
+        hyp1f1(2, 3, 500.0, DOUBLE)
 
 
 def test_format_cnum():
@@ -199,6 +204,17 @@ def test_format_cnum():
     assert format_cnum(complex(1.5, -2.25)) == "1.5-2.25i"
     assert format_cnum(0.25) == "0.25"
     assert format_cnum(complex(0.1234567890123, 0)) == "0.1234567890123"
+
+
+def test_format_cnum_rounds_an_mpmath_value_once():
+    # 3.61987833765370512 rounds up at 15 digits; its nearest double lies
+    # below 3.619878337653705 and would round down to 3.6198783376537
+    ctx = MPContext()
+    ctx.dps = 35
+    x = ctx.mpf("3.6198783376537051196")
+    assert f"{float(x):.15g}" == "3.6198783376537"
+    assert format_cnum(x) == "3.61987833765371"
+    assert format_cnum(ctx.mpc(-x, x)) == "-3.61987833765371+3.61987833765371i"
 
 
 def _oracle_sample(seed, radius, count):

@@ -13,6 +13,8 @@ from agflab.exact import (
     double_factorial,
     duality_form_e,
     duality_form_pi,
+    duality_forms_e,
+    duality_forms_pi,
     factorial,
     pochhammer,
 )
@@ -125,11 +127,18 @@ def test_duality_form_pi_mismatch_raises(monkeypatch):
     import agflab.exact as exact
 
     real = exact._pq_closed
-    monkeypatch.setattr(exact, "_pq_closed",
-                        lambda m: (real(m)[0], real(m)[1] + Fraction(1, 2**60)))
-    for m in (0, 1, 7, 40):
-        with pytest.raises(ConsistencyError, match=f"mismatch at m={m}:"):
-            duality_form_pi(m)
+    for bad in (0, 1, 7, 40):
+        monkeypatch.setattr(exact, "_pq_closed", lambda m: (
+            real(m)[0], real(m)[1] + Fraction(1, 2**60) * (m == bad)))
+        if bad:
+            duality_form_pi(bad - 1)  # the forms are checked up to their m
+        with pytest.raises(ConsistencyError, match=f"mismatch at m={bad}:"):
+            duality_form_pi(bad)
+
+
+def test_duality_forms_in_one_pass_match_each_form():
+    assert duality_forms_e(30) == [duality_form_e(m) for m in range(31)]
+    assert duality_forms_pi(30) == [duality_form_pi(m) for m in range(31)]
 
 
 def test_duality_negative_m_rejected():

@@ -54,6 +54,14 @@ def test_poly2_basics():
     assert p.eval(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 4) - Fraction(1, 9)
 
 
+def test_poly2_keeps_integral_coefficients_as_int():
+    p = Poly2([[Fraction(4, 2), Fraction(1, 2)], [-3]])
+    assert p.coeffs == [[2, Fraction(1, 2)], [-3, 0]]
+    assert [type(c) for c in p.coeffs[0] + p.coeffs[1]] == [int, Fraction, int, int]
+    # integer coefficients still give an exact quotient
+    assert RationalFn(Poly2.const(1), Poly2.const(3)).eval(0, None) == Fraction(1, 3)
+
+
 def test_poly2_complex_eval():
     n, z = Poly2.var("n"), Poly2.var("z")
     p = n + z
@@ -133,6 +141,16 @@ def test_z_override_and_complex_parameter():
     # one manual step: u_3 = u_2 + u_1/(1+z) = 1
     assert abs(pts[2].value - 1) < 1e-15
     assert isinstance(pts[-1].value, complex)
+
+
+def test_mpmath_parameter_keeps_its_sign():
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 35
+    for z in (complex(-1.5, 0.25), complex(0.5, -0.75)):
+        got = eval_sequence(mirror_e(), z=ctx.mpc(z), n_max=8)
+        assert got == eval_sequence(mirror_e(), z=z, n_max=8)
 
 
 def test_mirror_limit_e_at_ten_thousand():
