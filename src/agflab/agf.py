@@ -179,12 +179,12 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     zz = _to_ctx(z, ctx)
     tiny = ctx.eps / 1000
     total = ctx.mpc(0)
-    term = ctx.mpf(1)
-    for k in range(cfg.series_truncation_bound):
+    term = ctx.mpf(1)  # 1/k!
+    k = 0
+    while term >= tiny:
         total += term / (zz + 2 + k)
-        term /= k + 1
-        if term < tiny:
-            break
+        k += 1
+        term /= k
     return total / ctx.e
 
 

@@ -256,17 +256,6 @@ class OdeCheckResult:
     passed: bool
     first_failure: int | None
 
-    def to_report(self) -> dict:
-        return {
-            "check": self.check,
-            "params": {"param": str(self.param), "order": self.order},
-            "pass": self.passed,
-            "max_deviation": 0.0 if self.passed else 1.0,
-            "details": []
-            if self.passed
-            else [f"first nonzero residual coefficient at x^{self.first_failure}"],
-        }
-
 
 def _residual_result(check: str, param, order: int, residual: PowerSeries
                      ) -> OdeCheckResult:

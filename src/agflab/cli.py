@@ -279,16 +279,21 @@ def _suite_duality() -> Iterator[dict]:
 
 def _suite_ode() -> Iterator[dict]:
     for m in range(9):
-        res = certify.ode_series_check_e(m, 200)
-        yield _check(f"ode_e_m{m}", res.passed, 0.0 if res.passed else 1.0,
-                     {"m": m, "order": 200})
-        res = certify.ode_series_check_pi(m, 200)
-        yield _check(f"ode_pi_m{m}", res.passed, 0.0 if res.passed else 1.0,
-                     {"m": m, "order": 200})
+        yield _ode_check(f"ode_e_m{m}", certify.ode_series_check_e(m, 200),
+                         {"m": m, "order": 200})
+        yield _ode_check(f"ode_pi_m{m}", certify.ode_series_check_pi(m, 200),
+                         {"m": m, "order": 200})
         z = Fraction(2 * m + 1, 2)
-        res = certify.ode_series_check_gamma(z, 200)
-        yield _check(f"ode_gamma_z{z}", res.passed, 0.0 if res.passed else 1.0,
-                     {"z": str(z), "order": 200})
+        yield _ode_check(f"ode_gamma_z{z}", certify.ode_series_check_gamma(z, 200),
+                         {"z": str(z), "order": 200})
+
+
+def _ode_check(name: str, res, params: dict) -> dict:
+    """The record of one ODE certificate; a failure names the first
+    nonzero residual coefficient."""
+    details = None if res.passed else [
+        f"first nonzero residual coefficient at x^{res.first_failure}"]
+    return _check(name, res.passed, 0.0 if res.passed else 1.0, params, details)
 
 
 def _suite_slope(seed: int) -> Iterator[dict]:

@@ -6,9 +6,9 @@ double precision, a private :class:`MPContext` in the extended mode
 (more than ``MAX_DOUBLE_DIGITS`` = 15 significant digits).  log-Gamma is
 the one exception: double precision keeps a fixed Lanczos approximation
 with reflection for Re z < 1/2, which is faster than ``fp.loggamma``; the
-extended mode uses the context's ``loggamma``.  Gamma is exp(log-Gamma).  The lower
-incomplete gamma and the confluent hypergeometric 1F1 are evaluated by
-their defining series with a guarded truncation rule.
+extended mode uses the context's ``loggamma``.  Gamma is exp(log-Gamma).
+The confluent hypergeometric 1F1 is the context's ``hyp1f1``, and the
+lower incomplete gamma is written through it.
 
 Poles are reported as typed :class:`PoleError`, never as infinities, so
 grid drivers can skip them deterministically.  All functions are pure;
@@ -28,7 +28,7 @@ from functools import lru_cache
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _mpc, _mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import NoConvergence, to_rational
 
 __all__ = [
     "ConvergenceError",
@@ -56,26 +56,18 @@ class PoleError(ArithmeticError):
 
 
 class ConvergenceError(ArithmeticError):
-    """A series failed to satisfy its truncation rule within the bound."""
+    """mpmath could not evaluate a series to the working precision."""
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision of one computation; the series policy follows."""
+    """Working precision of one computation."""
 
     working_digits: int = 15
 
     def __post_init__(self):
         if self.working_digits < 1:
             raise ValueError("working_digits must be positive")
-
-    @property
-    def series_truncation_bound(self) -> int:  # most terms a series may take
-        return 40 * self.working_digits if self.is_extended else 400
-
-    @property
-    def tolerance_abs(self) -> float:  # where a series may stop
-        return 10.0 ** -self.working_digits
 
     @property
     def is_extended(self) -> bool:
@@ -191,17 +183,22 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 def _lgamma_lanczos(z: complex) -> complex:
     if z.real < 0.5:
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(math.pi * z))
-            - _lgamma_lanczos(1.0 - z)
-        )
+        return math.log(math.pi) - _log_sin_pi(z) - _lgamma_lanczos(1.0 - z)
     w = z - 1.0
     x = complex(_LANCZOS_C0)
     for i, p in enumerate(_LANCZOS_P):
         x += p / (w + i + 1)
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """log sin(pi z) modulo 2 pi i, with no overflow at large |Im z|:
+    sin(pi z) = e^(-i pi z) (i/2) (1 - e^(2 i pi z)), and |e^(2 i pi z)| <= 1
+    for Im z >= 0; below the axis, the conjugate of the value at conj(z)."""
+    if z.imag < 0:
+        return _log_sin_pi(z.conjugate()).conjugate()
+    return -1j * math.pi * z + cmath.log(0.5j * (1 - cmath.exp(2j * math.pi * z)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +223,24 @@ def gamma(z, cfg: PrecisionConfig = DOUBLE):
 
 
 # ---------------------------------------------------------------------------
-# lower incomplete gamma and confluent hypergeometric series
+# confluent hypergeometric 1F1 and the lower incomplete gamma
+
+def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
+    """Confluent hypergeometric 1F1(a; b; x), mpmath's in the precision's
+    context; b must avoid the nonpositive integers."""
+    _check_pole(b, "hyp1f1 pole at b")
+    ctx = cfg.ctx
+    try:
+        return ctx.hyp1f1(*map(ctx.convert, (a, b, x)))
+    except NoConvergence as exc:
+        raise ConvergenceError(f"1F1({a}; {b}; {x}) did not converge") from exc
+
 
 def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
     """gamma(a, x) = integral_0^x t^(a-1) e^(-t) dt, principal branch in x.
 
-    Evaluated by the alternating series
-    sum_k (-1)^k x^(a+k) / (k! (a+k)), which converges factorially for any
-    fixed real x.  For x < 0 the principal power x^a = exp(a(log|x| + i pi))
-    is used.  Poles at a in {0, -1, -2, ...}.
+    Evaluated as x^a / a * 1F1(a; a+1; -x).  For x < 0 the principal power
+    x^a = exp(a(log|x| + i pi)) is used.  Poles at a in {0, -1, -2, ...}.
     """
     _check_pole(a, "lower incomplete gamma pole at a")
     ctx = cfg.ctx
@@ -242,52 +248,7 @@ def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
     if x == 0:
         return ctx.mpc(0)
     xa = ctx.exp(aa * (ctx.log(abs(x)) + (ctx.pi * 1j if x < 0 else 0)))
-    minus_x = -ctx.mpf(x)
-
-    def pieces():  # (-x)^k / k! / (a + k)
-        term = ctx.mpf(1)
-        for k in range(1, cfg.series_truncation_bound):
-            term = term * minus_x / k
-            yield term / (aa + k)
-
-    return xa * _series_sum(1 / aa, pieces(), cfg, "incomplete gamma series")
-
-
-def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
-    """Confluent hypergeometric 1F1(a; b; x) by its defining series.
-
-    Truncates once the term magnitude stays below
-    tolerance_abs * |partial sum| for 3 consecutive terms; b must avoid
-    the nonpositive integers.
-    """
-    _check_pole(b, "hyp1f1 pole at b")
-    a, b, x = (_to_ctx(v, cfg.ctx) for v in (a, b, x))
-    one = a / a  # of the right type
-
-    def terms():
-        term = one
-        for k in range(cfg.series_truncation_bound):
-            term = term * (a + k) / (b + k) * x / (k + 1)
-            yield term
-
-    return _series_sum(one, terms(), cfg, "1F1 series")
-
-
-def _series_sum(first, terms, cfg: PrecisionConfig, what: str):
-    """first + sum(terms), stopped once 3 consecutive terms stay below
-    tolerance_abs * |partial sum|; ConvergenceError if terms run out."""
-    tol = cfg.tolerance_abs
-    total = first
-    small = 0
-    for term in terms:
-        total += term
-        if abs(term) < tol * max(abs(total), tol):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(f"{what} did not converge within the bound")
+    return xa / aa * hyp1f1(aa, aa + 1, -x, cfg)
 
 
 # ---------------------------------------------------------------------------

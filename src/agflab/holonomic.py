@@ -17,10 +17,13 @@ the constructive shell sequences n!/(z)_n and n!/Gamma(n+1-z).
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -722,99 +725,77 @@ def shell_wtilde(z, n: int, cfg: PrecisionConfig = DOUBLE):
 # ---------------------------------------------------------------------------
 # text format: "coeffK: <expr in n, z>" lines plus "init: n0=<int>; v, v, ..."
 
-class _ExprParser:
-    def __init__(self, text: str, line_no: int, col_offset: int = 0):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-        self.col_offset = col_offset
+_BINARY = {ast.Add: RationalFn.__add__, ast.Sub: RationalFn.__sub__,
+           ast.Mult: RationalFn.__mul__, ast.Div: RationalFn.__truediv__}
 
-    def error(self, msg: str):
-        raise RecurrenceParseError(self.line_no, self.col_offset + self.pos + 1, msg)
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _parse_expr(text: str, line_no: int, col_offset: int) -> RationalFn:
+    """The rational function in n and z that ``text``, the part of line
+    ``line_no`` after its first ``col_offset`` characters, spells.
 
-    def parse(self) -> RationalFn:
-        v = self.expr()
-        if self.peek():
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return v
+    Python's parser reads it with '^' rewritten to '**' and the leading
+    zeros of integers blanked; :func:`_walk` keeps + - * /, signs, '^' with
+    an integer up to MAX_DEGREE, parentheses, n, z and integers.
+    """
+    bad = re.search(r"\*\*|[^\t -~]", text)
+    if bad:
+        raise RecurrenceParseError(line_no, col_offset + bad.start() + 1,
+                                   f"unexpected {bad[0]!r}")
+    src = re.sub(r"(?<![\w.])0+(?=[0-9])", lambda m: " " * len(m[0]), text)
+    # the text index of each character of the rewritten src, and of its end
+    where = [i for i, c in enumerate(src) for _ in range(2 if c == "^" else 1)]
+    where.append(len(src))
+    src = src.replace("^", "**")
+    indent = len(src) - len(src.lstrip(" \t"))
+    src, where = src[indent:], where[indent:]
 
-    def expr(self) -> RationalFn:
-        v = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif c == "-":
-                self.pos += 1
-                v = v - self.term()
-            else:
-                return v
+    def error(col: int, msg: str) -> RecurrenceParseError:
+        col = col_offset + where[min(col, len(src))] + 1
+        return RecurrenceParseError(line_no, col, msg)
 
-    def term(self) -> RationalFn:
-        v = self.unary()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                v = v * self.unary()
-            elif c == "/":
-                self.pos += 1
-                v = v / self.unary()
-            else:
-                return v
+    try:
+        # the newline makes an error at the end point past it, not at 0
+        return _walk(ast.parse(src + "\n", mode="eval").body, src, error)
+    except SyntaxError as exc:
+        raise error(max((exc.offset or 1) - 1, 0), exc.msg) from None
+    except RecurrenceParseError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:  # the degree cap, 1/0
+        raise error(0, str(exc)) from None
+    except (RecursionError, MemoryError):
+        raise error(0, "expression nested too deeply") from None
 
-    def unary(self) -> RationalFn:
-        c = self.peek()
-        if c == "-":
-            self.pos += 1
-            return -self.unary()
-        if c == "+":
-            self.pos += 1
-            return self.unary()
-        return self.power()
 
-    def power(self) -> RationalFn:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            if not self.peek().isdigit():
-                self.error("exponent must be a nonnegative integer")
-            e = self._integer()
-            if e > MAX_DEGREE:
-                self.error(f"exponent above {MAX_DEGREE} not supported")
-            out = RationalFn.const(1)
-            for _ in range(e):
-                out = out * base
-            return out
-        return base
+def _walk(node, src: str, error) -> RationalFn:
+    """The RationalFn of one node of the parsed expression."""
+    op = type(getattr(node, "op", None))
+    if isinstance(node, ast.BinOp) and op in _BINARY:
+        return _BINARY[op](_walk(node.left, src, error),
+                           _walk(node.right, src, error))
+    if isinstance(node, ast.BinOp) and op is ast.Pow:
+        at = node.right.col_offset  # '^' must be followed by the digits
+        e = _integer(node.right, src)
+        if e is None or not src[:at].rstrip().endswith("**"):
+            raise error(at, "exponent must be a nonnegative integer")
+        if e > MAX_DEGREE:
+            raise error(at, f"exponent above {MAX_DEGREE} not supported")
+        base = _walk(node.left, src, error)
+        return reduce(mul, repeat(base, e), RationalFn.const(1))
+    if isinstance(node, ast.UnaryOp) and op in (ast.UAdd, ast.USub):
+        value = _walk(node.operand, src, error)
+        return -value if op is ast.USub else value
+    if isinstance(node, ast.Name) and node.id in ("n", "z"):
+        return RationalFn.var(node.id)
+    if (value := _integer(node, src)) is not None:
+        return RationalFn.const(value)
+    raise error(node.col_offset,
+                "expected a number, 'n', 'z', '(' or one of + - * / ^")
 
-    def atom(self) -> RationalFn:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            v = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return v
-        if c in ("n", "z"):
-            self.pos += 1
-            return RationalFn.var(c)
-        if c.isdigit():
-            return RationalFn.const(self._integer())
-        self.error("expected a number, 'n', 'z', or '('")
 
-    def _integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
+def _integer(node, src: str) -> int | None:
+    """The value of a literal written as decimal digits alone, else None."""
+    digits = src[node.col_offset:node.end_col_offset]
+    return int(digits) if isinstance(node, ast.Constant) and digits.isdigit() else None
 
 
 def _parse_init_value(tok: str, line_no: int, col: int):
@@ -861,7 +842,7 @@ def _parse_coeff_text(text: str, other_keys: str, on_key, build,
             raise RecurrenceParseError(line_no, 1, f"bad coefficient key {key!r}")
         if k in coeff_map:
             raise RecurrenceParseError(line_no, 1, f"duplicate {key!r}")
-        rf = _ExprParser(rest, line_no, col_offset).parse()
+        rf = _parse_expr(rest, line_no, col_offset)
         if z_only and (rf.num.degree_n() > 0 or rf.den.degree_n() > 0):
             raise RecurrenceParseError(
                 line_no, col_offset + 1, "AFE coefficients may involve z only"

@@ -90,6 +90,22 @@ def test_g_real_on_the_real_axis():
         assert abs(got - want) <= 1e-28 * abs(want)
 
 
+def test_g_far_up_the_imaginary_axis():
+    # A(z-1) takes Gamma(z/2) through the reflection branch, where
+    # sin(pi z/2) overflows a double at |Im z| = 800
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+
+    def a(t):
+        return ctx.gamma(t / 2 + 1) / ctx.gamma((t + 1) / 2)
+
+    for z in (800j, -800j):
+        want = ctx.sqrt(2) * (a(ctx.mpc(z)) - a(ctx.mpc(z) - 1))
+        assert abs(g_eval(z) - want) <= 1e-9 * abs(want)
+
+
 def test_g_poles():
     for z in (-1, -2, -5.0):
         with pytest.raises(PoleError):

@@ -283,8 +283,7 @@ def test_ode_certificate_mutation_detected():
     res = ode_series_check_e(1, 10, coeffs=corrupted)
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 7
-    report = res.to_report()
-    assert report["pass"] is False and report["check"] == "ode_certificate_e"
+    assert res.check == "ode_certificate_e"
 
 
 def test_ode_certificate_mutation_detected_pi():
@@ -305,7 +304,7 @@ def test_ode_certificate_mutation_detected_gamma():
     res = ode_series_check_gamma(Fraction(1, 2), 10, coeffs=corrupted)
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 8
-    assert res.to_report()["check"] == "ode_certificate_gamma"
+    assert res.check == "ode_certificate_gamma"
 
 
 @pytest.mark.parametrize("check, build, param", [

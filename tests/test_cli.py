@@ -168,6 +168,18 @@ def test_seq_file_parse_error(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "n" + ")" * 3000,  # past the parser's nesting limit
+    "*".join(["n"] * 200_000),  # a flat chain too deep for the syntax tree
+])
+def test_seq_file_deep_expression_is_a_parse_error(tmp_path, capsys, expr):
+    path = tmp_path / "deep.txt"
+    path.write_text(f"coeff1: {expr}\ncoeff0: 1\ninit: n0=1; 1\n")
+    code, _, err = run_cli(capsys, ["seq", str(path), "0", "5"])
+    assert code == 2
+    assert "parse error" in err
+
+
 def test_seq_json_format(capsys):
     code, out, _ = run_cli(capsys, ["seq", "e", "0", "4", "--format", "json"])
     assert code == 0
@@ -202,11 +214,12 @@ def test_seq_exact_rows_longer_than_int_str_limit(capsys):
     assert (n, value) == ("2000", want)
 
 
-def test_agf_overflow_exits_1_with_message(capsys):
+def test_agf_g_far_up_the_imaginary_axis(capsys):
+    # sin(pi z/2) of the reflection branch once overflowed here
     code, out, err = run_cli(capsys, ["agf", "g", "0+800i"])
-    assert code == 1
-    assert out == ""
-    assert "OverflowError" in err
+    assert code == 0 and err == ""
+    want = 0.0125000030517637581 * (1 - 1j)  # mpmath at 40 digits
+    assert abs(parse_complex_literal(out.strip()) - want) <= 1e-9 * abs(want)
 
 
 def test_agf_pole_names_pole_set(capsys):
@@ -418,6 +431,28 @@ def test_verify_nonzero_exit_names_first_failure(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["pass"] is False
     assert "forced_red" in err
+
+
+def test_verify_ode_names_the_first_nonzero_residual(capsys, monkeypatch):
+    import agflab.certify as certify
+
+    check = certify.ode_series_check_e
+
+    def corrupted_at_m3(m, order):
+        coeffs = certify.u_series(m, order).coefficients
+        if m == 3:
+            coeffs[5] += 1
+        return check(m, order, coeffs=certify.PowerSeries(coeffs, order))
+
+    monkeypatch.setattr(certify, "ode_series_check_e", corrupted_at_m3)
+    code, out, _ = run_cli(capsys, ["verify", "ode"])
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    failed = checks.pop("ode_e_m3")
+    assert not failed["pass"]
+    (detail,) = failed["details"]
+    assert re.fullmatch(r"first nonzero residual coefficient at x\^[5-7]", detail)
+    assert all(c["pass"] and c["details"] == [] for c in checks.values())
 
 
 def test_table_unwritable_path(capsys, tmp_path):

@@ -338,6 +338,56 @@ def test_parse_errors_report_position():
         parse_precurrence("coeff2: n\ncoeff0: 1\ninit: n0=1; 1, 2")  # gap
 
 
+# Every coefficient text the tests parse, and the built-in AFEs as
+# format_agf_spec writes them, with the repr of the coefficient it gives.
+PARSED_COEFFICIENTS = [
+    ("n+z", "z+n"),
+    ("-(n+z)", "-z-n"),
+    ("-1", "-1"),
+    ("(n+2)*(n+z)^2/3", "(2*z^2+4*n*z+n*z^2+2*n^2+2*n^2*z+n^3)/(3)"),
+    ("-n^2+1/2", "(1-2*n^2)/(2)"),
+    ("(n+z)/(n+1)", "(z+n)/(1+n)"),
+    ("-1/(2*n+1)", "(-1)/(1+2*n)"),
+    ("1/(n-3)", "(1)/(-3+n)"),
+    ("n", "n"),
+    ("1", "1"),
+    ("z", "z"),
+    ("n+1", "1+n"),
+    ("2+z", "2+z"),
+    ("-2-z", "-2-z"),
+    ("(1)/(1+z)", "(1)/(1+z)"),
+    ("\t007 * n ^ 02 - -+z", "z+7*n^2"),  # tabs, leading zeros, signs
+    ("2^3*n^0", "8"),
+]
+
+
+@pytest.mark.parametrize("expr, want", PARSED_COEFFICIENTS)
+def test_parsed_coefficient_repr(expr, want):
+    rec = parse_precurrence(f"coeff1: {expr}\ncoeff0: 1\ninit: n0=1; 1")
+    assert repr(rec.coeffs[1]) == want
+
+
+@pytest.mark.parametrize("expr", [
+    "1.5", "0x10", "1_000", "n**2", "f(n)", "n.real", "n^z", "n^-1",
+    "2^3^2", "n^9", "n^(2)", "\u00b2", "", "1/0", "n^4*n^5", "n if z else 1",
+])
+def test_parse_rejects_outside_the_grammar(expr):
+    with pytest.raises(RecurrenceParseError) as info:
+        parse_precurrence(f"coeff1: {expr}\ncoeff0: 1\ninit: n0=1; 1")
+    assert info.value.line == 1 and info.value.col >= 8
+
+
+def test_parse_error_column_is_in_the_original_text():
+    # each '^' is two characters in the text Python parses; the unclosed
+    # '(' is the 17th character of the line, '%' the 14th
+    with pytest.raises(RecurrenceParseError) as info:
+        parse_precurrence("coeff1: n^2+z^2+(z\ncoeff0: 1\ninit: n0=1; 1")
+    assert info.value.col == 17
+    with pytest.raises(RecurrenceParseError) as info:
+        parse_precurrence("coeff1: n^2 +% z\ncoeff0: 1\ninit: n0=1; 1")
+    assert info.value.col == 14
+
+
 # ---------------------------------------------------------------------------
 # fixed-point mode against an independent route
 
