@@ -178,6 +178,12 @@ def cmd_limit(args) -> int:
             "z": str(args.z),
             "value": _fmt_value(value, DOUBLE),
             "error_estimate": est.error_estimate,
+            "engine": est.engine,
+            "digits": est.digits,
+            "n": list(est.n),
+            "increments": list(est.increments),
+            "rounding_floor": est.rounding_floor,
+            "timing_s": est.timing_s,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .complexfn import DOUBLE, PrecisionConfig, log_gamma
-from .holonomic import DEFAULT_DIGITS, PRecurrence, iter_numeric
+from .holonomic import PRecurrence, numeric_digits, values_at
 
 __all__ = [
     "AsymptoticShell",
@@ -110,7 +111,7 @@ class ExtrapolationConfig:
 
     depth: int = 6
     n_base: int = 2**10
-    digits: int | None = None  # accumulation digits; None = DEFAULT_DIGITS
+    digits: int | None = None  # accumulation digits; see numeric_digits
 
     def __post_init__(self):
         if self.depth < 1:
@@ -121,8 +122,19 @@ class ExtrapolationConfig:
 
 @dataclass(frozen=True)
 class ConnectionEstimate:
+    """The extrapolated constant and how it was reached: the engine that
+    accumulated u_n (the fixed-point one) at ``digits``, the sampled ``n``,
+    the increments |diag[i+1] - diag[i]| of the tableau diagonal, the
+    rounding floor of the error estimate, and the seconds it all took."""
+
     value: complex
     error_estimate: float
+    engine: str
+    digits: int
+    n: tuple
+    increments: tuple
+    rounding_floor: float
+    timing_s: float
 
 
 def _richardson_diagonal(samples):
@@ -148,25 +160,25 @@ def estimate_connection_constant(
 ) -> ConnectionEstimate:
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
-    Samples the ratio at n = n_base * 2^k for k = 0..depth in one
-    forward pass.  The error estimate is the last diagonal increment of
-    the tableau (heuristic, not a rigorous bound), floored at the rounding
-    the tableau amplifies: eps * (1 + |log Lambda(n)|) * |sample| per
-    sample, weighted by the absolute Richardson weights.  Raises
-    NonConvergence when the diagonal increments grow for three consecutive
-    levels while still above 1e-13 of the value.
+    Samples the ratio at n = n_base * 2^k for k = 0..depth, which one
+    :func:`values_at` run reaches in blocks of steps.  The error estimate
+    is the last diagonal increment of the tableau (heuristic, not a
+    rigorous bound), floored at the rounding the tableau amplifies:
+    eps * (1 + |log Lambda(n)|) * |sample| per sample, weighted by the
+    absolute Richardson weights.  Raises NonConvergence when the diagonal
+    increments grow for three consecutive levels while still above 1e-13
+    of the value.
     """
+    start = time.perf_counter()
     targets = [cfg.n_base * 2**k for k in range(cfg.depth + 1)]
-    n_max = targets[-1]
-    wanted = set(targets)
+    digits = numeric_digits(cfg.digits)
     samples, rounding = [], []  # in the order of targets
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
-    for n, u in iter_numeric(rec, z, n_max, digits=cfg.digits or DEFAULT_DIGITS):
-        if n in wanted:
-            lam = shell_eval(shell, n, z)
-            samples.append(complex(u) / lam)
-            rounding.append(sys.float_info.epsilon * (1 + abs(cmath.log(lam)))
-                            * abs(samples[-1]))
+    for n, u in zip(targets, values_at(rec, z, targets, digits)):
+        lam = shell_eval(shell, n, z)
+        samples.append(complex(u) / lam)
+        rounding.append(sys.float_info.epsilon * (1 + abs(cmath.log(lam)))
+                        * abs(samples[-1]))
 
     diag = _richardson_diagonal(samples)
     # the weight of sample k in diag[-1] is diag[-1] of the k-th unit vector
@@ -191,8 +203,10 @@ def estimate_connection_constant(
             "extrapolation diagonal far from settled "
             f"(last delta {deltas[-1]:.3g} vs value {scale:.3g})"
         )
-    return ConnectionEstimate(value=diag[-1],
-                              error_estimate=max(deltas[-1], rounding_error))
+    return ConnectionEstimate(
+        value=diag[-1], error_estimate=max(deltas[-1], rounding_error),
+        engine="fixed", digits=digits, n=tuple(targets), increments=tuple(deltas),
+        rounding_floor=rounding_error, timing_s=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

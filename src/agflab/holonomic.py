@@ -6,13 +6,15 @@ functions in the index n and the parameter z.  :func:`_integer_form`
 substitutes z exactly and clears the denominators once; every engine
 steps that integer equation.  Forward iteration is exact (big
 rationals) whenever z and the initial values are rational, and in fixed
-point on Python ints otherwise, at 30 digits unless more are asked for.
-:func:`exact_series` builds a whole exact series u_0..u_N fraction-free
-instead, as integer numerators over one common denominator, for callers
-such as the ODE certificates that want every term rather than reduced
-values.  The two mirror recurrences, whose connection constants tie to e
-and pi, and the Gamma prototype recurrence are built in, together with
-the constructive shell sequences n!/(z)_n and n!/Gamma(n+1-z).
+point on Python ints otherwise, at 30 digits unless more are asked for;
+:func:`values_at` takes the fixed-point engine to a few wanted indices
+in blocks of steps.  :func:`exact_series` builds a whole exact series
+u_0..u_N fraction-free instead, as integer numerators over one common
+denominator, for callers such as the ODE certificates that want every
+term rather than reduced values.  The two mirror recurrences, whose
+connection constants tie to e and pi, and the Gamma prototype recurrence
+are built in, together with the constructive shell sequences n!/(z)_n
+and n!/Gamma(n+1-z).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 
 from .complexfn import (
@@ -53,9 +55,11 @@ __all__ = [
     "iter_sequence",
     "mirror_e",
     "mirror_pi",
+    "numeric_digits",
     "parse_precurrence",
     "shell_w",
     "shell_wtilde",
+    "values_at",
 ]
 
 MAX_DEGREE = 8
@@ -419,18 +423,24 @@ def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None
         yield from _fixed_point(rec, zval, n_max, DEFAULT_DIGITS, None)
 
 
+def numeric_digits(digits: int | None) -> int:
+    """The digits the fixed-point engine runs at for a requested ``digits``:
+    that many above :data:`MAX_DOUBLE_DIGITS`, else :data:`DEFAULT_DIGITS`."""
+    if digits is not None and digits > MAX_DOUBLE_DIGITS:
+        return digits
+    return DEFAULT_DIGITS
+
+
 def iter_numeric(rec: PRecurrence, z=None, n_max: int = 100,
                  digits: int | None = None):
     """Yield (n, u_n) as Python floats or complexes, whatever the data.
 
-    Runs the fixed-point engine of :func:`iter_sequence` at the same
-    precision: ``digits`` above :data:`MAX_DOUBLE_DIGITS`, else
-    :data:`DEFAULT_DIGITS`; for callers that only need numbers, such as
-    extrapolation, at no cost for building exact or mpmath values.
+    Runs the fixed-point engine of :func:`iter_sequence` at
+    :func:`numeric_digits` ``(digits)``; for callers that only need
+    numbers, at no cost for building exact or mpmath values.
     """
-    if digits is None or digits <= MAX_DOUBLE_DIGITS:
-        digits = DEFAULT_DIGITS
-    yield from _fixed_point(rec, _start(rec, z, n_max), n_max, digits, None)
+    yield from _fixed_point(rec, _start(rec, z, n_max), n_max,
+                            numeric_digits(digits), None)
 
 
 def _start(rec, z, n_max):
@@ -574,12 +584,13 @@ def _gauss_mul(p: list, q: list) -> list:
     return out
 
 
-def _values_from(polys: list, n0: int):
-    """Tuples (p(n) for p in polys) for n = n0, n0 + 1, ...: each p is
+def _stepping(values):
+    """Tuples (v(j) for v in values) for j = 0, 1, ...: each v, given by its
+    values at j = 0..deg, is the polynomial of degree deg through them,
     advanced by its forward differences, summed by itertools.accumulate."""
     columns = []
-    for p in polys:
-        diffs = [_horner(p, n0 + i) for i in range(len(p))]
+    for diffs in values:
+        diffs = list(diffs)
         for i in range(1, len(diffs)):  # diffs[j] becomes the j-th difference
             for j in range(len(diffs) - 1, i - 1, -1):
                 diffs[j] -= diffs[j - 1]
@@ -588,6 +599,11 @@ def _values_from(polys: list, n0: int):
             column = accumulate(column, initial=d)
         columns.append(column)
     return zip(*columns)
+
+
+def _values_from(polys: list, n0: int):
+    """Tuples (p(n) for p in polys) for n = n0, n0 + 1, ..."""
+    return _stepping([_horner(p, n0 + i) for i in range(len(p))] for p in polys)
 
 
 def _integer_form(rec: PRecurrence, zval):
@@ -625,69 +641,218 @@ def _integer_form(rec: PRecurrence, zval):
 
 
 def _fixed_point(rec, zval, n_max, digits, ctx):
-    """Fixed-point forward iteration on mantissas times 2^e; yields values
-    of ``ctx``, or floats and complexes when ``ctx`` is None."""
-    r, n0 = rec.order, rec.initial_index
-    re_polys, im_polys, pole, init = _integer_form(rec, zval)
-    # The newest mantissa is kept in [2^prec, 2^(prec+64)), renormalised
-    # in either direction when it leaves: Gamma-shell values shrink.
-    prec = math.ceil(digits * math.log2(10)) + 64
-    lo, hi = prec + 1, prec + 64  # bit lengths
-    e = max((c.numerator.bit_length() - c.denominator.bit_length()
-             for pair in init for c in pair if c), default=0) - prec - 32
-    indices = range(n0 + r, n_max + 1)
+    """Every (n, u_n) to n_max, by single steps of a :class:`_Window`."""
+    win = _Window(rec, zval, digits, ctx)
+    for i in range(win.r):
+        yield win.n0 + i, win.read(i)
+    yield from win.steps(win.n0, n_max - win.r + 1)
 
-    if not any(map(any, im_polys)) and not any(b for _, b in init):
-        out = _to_float if ctx is None else lambda m, e: ctx.mpf((m, e))
-        window = [_mantissa(a, e) for a, _ in init]
-        for i, m in enumerate(window):
-            yield n0 + i, out(m, e)
-        for n, vals in zip(indices, _values_from(re_polys, n0)):
-            lead = vals[r]
-            if not lead:
+
+class _Window:
+    """u_m, ..., u_{m+r-1} in fixed point: integer mantissas times 2^e, in
+    ``parts``, one list for real data and a real and an imaginary one for
+    complex data.  Values come out as ``ctx`` numbers, or as floats and
+    complexes when ``ctx`` is None.
+
+    The cleared equation sum_k c_k(n) u_{n+k} = 0 of :func:`_integer_form`
+    is, in companion form, c_r(n) s_{n+1} = A(n) s_n for the window
+    s_n = (u_n, ..., u_{n+r-1}).  :meth:`steps` takes it one step at a time,
+    :meth:`jump` a block of K steps at once: D s_{m+K} = B s_m with
+    B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
+    per value of the block instead of one per step.
+    """
+
+    def __init__(self, rec, zval, digits, ctx):
+        self.r, self.n0 = rec.order, rec.initial_index
+        re_polys, im_polys, self.pole, init = _integer_form(rec, zval)
+        self.real = not any(map(any, im_polys)) and not any(b for _, b in init)
+        self.polys = re_polys if self.real else re_polys + im_polys
+        self.degree = max((i for p in self.polys for i, c in enumerate(p) if c),
+                          default=0)
+        # The newest mantissa is kept in [2^prec, 2^(prec+64)), renormalised
+        # in either direction when it leaves: Gamma-shell values shrink.
+        prec = math.ceil(digits * math.log2(10)) + 64
+        self.lo, self.hi = prec + 1, prec + 64  # bit lengths
+        self.e = e = max((c.numerator.bit_length() - c.denominator.bit_length()
+                          for pair in init for c in pair if c), default=0) - prec - 32
+        self.parts = [[_mantissa(v[i], e) for v in init]
+                      for i in range(1 if self.real else 2)]
+        if self.real:
+            self.out = _to_float if ctx is None else lambda m, e: ctx.mpf((m, e))
+        elif ctx is None:
+            def out(x, y, e):
+                re, im = _to_float(x, e), _to_float(y, e)
+                return re if im == 0 else complex(re, im)
+            self.out = out
+        else:
+            self.out = lambda x, y, e: ctx.mpc((x, e), (y, e))
+
+    def read(self, i):
+        """u_{m+i}."""
+        return self.out(*(p[i] for p in self.parts), self.e)
+
+    def steps(self, m, stop):
+        """Step the window from m to stop one n at a time, yielding each new
+        (n, u_n)."""
+        r, lo, hi, out, pole, e = self.r, self.lo, self.hi, self.out, self.pole, self.e
+        indices = range(m + r, stop + r)
+        if self.real:
+            (window,) = self.parts
+            for n, vals in zip(indices, _values_from(self.polys, m)):
+                lead = vals[r]
+                if not lead:
+                    raise pole(n - r)
+                u = -sum(map(mul, vals, window)) // lead
+                b = u.bit_length()
+                if b and not lo <= b <= hi:
+                    s = b - lo if b > hi else b - hi
+                    window[:] = [_shift(w, s) for w in window]
+                    u, e = _shift(u, s), e + s
+                    self.e = e
+                window.append(u)
+                del window[0]
+                yield n, out(u, e)
+            return
+        xs, ys = self.parts
+        for n, vals in zip(indices, _values_from(self.polys, m)):
+            re, im = vals[:r + 1], vals[r + 1:]
+            c, d = re[r], im[r]
+            norm = c * c + d * d
+            if not norm:
                 raise pole(n - r)
-            m = -sum(map(mul, vals, window)) // lead
-            b = m.bit_length()
+            sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
+            si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
+            # u = -(sr + i si) / (c + i d) = -(sr + i si)(c - i d) / norm
+            x = -(sr * c + si * d) // norm
+            y = (sr * d - si * c) // norm
+            b = max(x.bit_length(), y.bit_length())
             if b and not lo <= b <= hi:
                 s = b - lo if b > hi else b - hi
-                window = [_shift(w, s) for w in window]
-                m, e = _shift(m, s), e + s
-            window.append(m)
-            del window[0]
-            yield n, out(m, e)
-        return
+                xs[:], ys[:] = [_shift(w, s) for w in xs], [_shift(w, s) for w in ys]
+                x, y, e = _shift(x, s), _shift(y, s), e + s
+                self.e = e
+            xs.append(x)
+            ys.append(y)
+            del xs[0], ys[0]
+            yield n, out(x, y, e)
 
-    if ctx is None:
-        def out(x, y, e):
-            re, im = _to_float(x, e), _to_float(y, e)
-            return re if im == 0 else complex(re, im)
-    else:
-        def out(x, y, e):
-            return ctx.mpc((x, e), (y, e))
-    xs = [_mantissa(a, e) for a, _ in init]
-    ys = [_mantissa(b, e) for _, b in init]
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        yield n0 + i, out(x, y, e)
-    for n, vals in zip(indices, _values_from(re_polys + im_polys, n0)):
-        re, im = vals[:r + 1], vals[r + 1:]
-        c, d = re[r], im[r]
-        norm = c * c + d * d
-        if not norm:
-            raise pole(n - r)
-        sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
-        si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
-        # u = -(sr + i si) / (c + i d) = -(sr + i si)(c - i d) / norm
-        x = -(sr * c + si * d) // norm
-        y = (sr * d - si * c) // norm
-        b = max(x.bit_length(), y.bit_length())
-        if b and not lo <= b <= hi:
-            s = b - lo if b > hi else b - hi
-            xs, ys = [_shift(w, s) for w in xs], [_shift(w, s) for w in ys]
-            x, y, e = _shift(x, s), _shift(y, s), e + s
-        xs.append(x)
-        ys.append(y)
-        del xs[0], ys[0]
-        yield n, out(x, y, e)
+    def block_size(self) -> int:
+        """K, the steps of one :meth:`jump`: 16, or fewer where the degree d
+        of the cleared coefficients in n would take the entries of B, of
+        degree K d, past 32; 1 (no jumps) from d = 5 on, where blocks of
+        fewer than 8 steps cost more than they save."""
+        k = min(16, 32 // max(self.degree, 1))
+        return k if k >= 8 else 1
+
+    def blocks(self, k):
+        """The entries of B and D (see the class) for the blocks at m = n0,
+        n0 + k, n0 + 2k, ...: a tuple per block, B row by row and then D,
+        real parts and, for complex data, imaginary parts after them.
+
+        They are polynomials of degree k * degree in the block index, built
+        from their values at the first k * degree + 1 blocks and stepped by
+        :func:`_stepping`."""
+        r = self.r
+        polys = self.polys + ([[0]] * (r + 1) if self.real else [])
+        points = []
+        for m in range(self.n0, self.n0 + (k * self.degree + 1) * k, k):
+            B = [[(int(i == j), 0) for j in range(r)] for i in range(r)]
+            D = (1, 0)
+            for vals in islice(_values_from(polys, m), k):
+                c = list(zip(vals[:r + 1], vals[r + 1:]))
+                cr, ci = c[r]
+                last = []  # -sum_k c_k B[k]: the new last row of A(n) B
+                for j in range(r):
+                    x = y = 0
+                    for (ar, ai), row in zip(c, B):
+                        br, bi = row[j]
+                        x -= ar * br - ai * bi
+                        y -= ar * bi + ai * br
+                    last.append((x, y))
+                B = [[(cr * br - ci * bi, cr * bi + ci * br) for br, bi in row]
+                     for row in B[1:]] + [last]
+                D = (cr * D[0] - ci * D[1], cr * D[1] + ci * D[0])
+            flat = [v for row in B for v in row] + [D]
+            points.append([x for x, _ in flat]
+                          + ([] if self.real else [y for _, y in flat]))
+        return _stepping(zip(*points))
+
+    def jump(self, vals) -> bool:
+        """Advance the window by one block, given its tuple from
+        :meth:`blocks`; False, and no move, where D = 0."""
+        r, rows = self.r, range(0, self.r * self.r, self.r)
+        if self.real:
+            div = vals[-1]
+            (window,) = self.parts
+            parts = [[sum(map(mul, vals[i:i + r], window)) for i in rows]]
+            b = parts[0][-1].bit_length()
+        else:
+            h = r * r + 1
+            c, d = vals[h - 1], vals[-1]
+            div = c * c + d * d
+            xs, ys = self.parts
+            parts = [[], []]
+            for i in rows:
+                re, im = vals[i:i + r], vals[h + i:h + i + r]
+                sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
+                si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
+                parts[0].append(sr * c + si * d)  # (sr + i si)(c - i d) / |D|^2
+                parts[1].append(si * c - sr * d)
+            b = max(parts[0][-1].bit_length(), parts[1][-1].bit_length())
+        if not div:
+            return False
+        # Where the newest quotient would keep fewer than lo bits, widen the
+        # numerators first, so that it has as many as after a single step.
+        # Either shift aims 32 bits above lo, clear of the next block's drift.
+        short = self.lo + div.bit_length() - b
+        if b and short > 0:
+            parts = [[w << (short + 32) for w in p] for p in parts]
+            self.e -= short + 32
+        self.parts = parts = [[w // div for w in p] for p in parts]
+        b = max(p[-1].bit_length() for p in parts)
+        if b > self.hi:
+            s = b - self.lo - 32
+            self.parts = [[w >> s for w in p] for p in parts]
+            self.e += s
+        return True
+
+    def at(self, ns: list) -> list:
+        """u_n for the increasing ns, from the initial window: K steps at a
+        jump between wanted n, and single steps to finish each gap."""
+        r, m, k = self.r, self.n0, self.block_size()
+        blocks = self.blocks(k) if k > 1 else None
+        edge = m if blocks else math.inf  # where the next block starts
+        got = []
+        for t in ns:
+            while t >= m + r:  # u_t is past the window u_m..u_{m+r-1}
+                if m == edge:
+                    vals = next(blocks)
+                    edge += k
+                    if t >= edge and self.jump(vals):
+                        m = edge
+                        continue
+                stop = min(edge, t - r + 1)
+                for _ in self.steps(m, stop):
+                    pass
+                m = stop
+            got.append(self.read(t - m))
+        return got
+
+
+def values_at(rec: PRecurrence, z, ns, digits: int | None = None) -> list:
+    """u_n at each of the increasing indices ``ns``, as floats or complexes.
+
+    Runs the fixed-point engine of :func:`iter_numeric` at the same
+    precision, but reaches each wanted n in blocks of steps
+    (:meth:`_Window.at`).  A block with a coefficient pole is taken in
+    single steps, so :class:`CoefficientPole` names the n that
+    :func:`iter_sequence` names.
+    """
+    ns = list(ns)
+    if ns and (ns[0] < rec.initial_index or any(a >= b for a, b in zip(ns, ns[1:]))):
+        raise ValueError("indices must increase from the initial index")
+    zval = z if z is not None else rec.param
+    return _Window(rec, zval, numeric_digits(digits), None).at(ns)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,20 @@ def test_quad_error_estimate_bounds_the_actual_error():
         assert abs(got.value - ref) <= got.error_estimate, (quad.__name__, m)
         tight = 1e-13 if m <= 60 else 1e-12
         assert got.error_estimate < tight * abs(got.value), (quad.__name__, m)
+    # where t^m peaks narrowly, against the 60-digit series
+    # I_m = sum_k 1/(k! (m+k+1)) and J_m = m (I_{m-1} - I_m)
+    oracle.dps = 60
+
+    def series(m):
+        return oracle.nsum(lambda k: 1 / (oracle.factorial(k) * (m + k + 1)),
+                           [0, oracle.inf])
+
+    for m in (640, 750, 918, 1200):
+        refs = {quad_I: series(m), quad_J: m * (series(m - 1) - series(m))}
+        for quad, ref in refs.items():
+            got = quad(m)
+            assert abs(got.value - ref) <= got.error_estimate, (quad.__name__, m)
+            assert got.error_estimate < 1e-12 * abs(got.value), (quad.__name__, m)
 
 
 def test_quad_J_anchors():

@@ -245,6 +245,23 @@ def test_limit_e(capsys):
     assert abs(value - 0.3678794412) < 1e-8
 
 
+def test_limit_json_says_what_ran(capsys):
+    code, out, _ = run_cli(capsys, ["limit", "e", "0", "--format", "json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["engine"] == "fixed" and rep["digits"] == 30
+    assert rep["n"] == [1024 * 2**k for k in range(7)]
+    assert len(rep["increments"]) == 6
+    assert rep["error_estimate"] == max(rep["increments"][-1], rep["rounding_floor"])
+    assert rep["timing_s"] > 0
+    _, text, _ = run_cli(capsys, ["limit", "e", "0"])
+    assert text == f"{rep['value']} ± {rep['error_estimate']:.2e}\n"
+    _, out, _ = run_cli(capsys, ["limit", "e", "0", "--format", "json",
+                                 "--digits", "40", "--n-base", "64", "--depth", "3"])
+    rep = json.loads(out)
+    assert (rep["digits"], rep["n"]) == (40, [64, 128, 256, 512])
+
+
 def test_limit_gamma(capsys):
     code, out, _ = run_cli(capsys, ["limit", "gamma", "1/2"])
     assert code == 0
@@ -266,13 +283,13 @@ def test_limit_digits_sets_the_accumulation_precision(capsys, monkeypatch):
     import agflab.connection as connection
 
     seen = []
-    real = connection.iter_numeric
+    real = connection.values_at
 
-    def spy(rec, z=None, n_max=100, digits=15):
+    def spy(rec, z, ns, digits=None):
         seen.append(digits)
-        return real(rec, z, n_max, digits)
+        return real(rec, z, ns, digits)
 
-    monkeypatch.setattr(connection, "iter_numeric", spy)
+    monkeypatch.setattr(connection, "values_at", spy)
     code, out, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "40"])
     assert code == 0 and seen == [40]
     assert abs(float(out.split(" ± ")[0]) - (1 - 2 / math.e)) < 1e-15

@@ -21,7 +21,9 @@ from agflab.holonomic import (
     parse_precurrence,
     shell_w,
     shell_wtilde,
+    values_at,
 )
+from agflab.holonomic import _Window
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -420,7 +422,7 @@ init: n0=1; 0.5, 1
 """
 
 
-@pytest.mark.parametrize("rec, digits", [
+FIXED_POINT_CASES = [
     (mirror_e(3), 30),
     (mirror_pi(3), 30),
     (mirror_e(3.0), None),
@@ -436,10 +438,14 @@ init: n0=1; 0.5, 1
     (gamma_recurrence(complex(12.5, 0.5)), 30),
     (parse_precurrence(USER_TEXT), None),
     (parse_precurrence(USER_TEXT), 30),
-], ids=["e-int", "pi-int", "e-float", "e-p/q", "pi-p/q", "e-complex",
-        "pi-complex", "pi-complex-30", "gamma-p/q", "gamma-float",
-        "gamma-complex", "gamma-shrink", "gamma-shrink-complex", "user",
-        "user-30"])
+]
+FIXED_POINT_IDS = ["e-int", "pi-int", "e-float", "e-p/q", "pi-p/q", "e-complex",
+                   "pi-complex", "pi-complex-30", "gamma-p/q", "gamma-float",
+                   "gamma-complex", "gamma-shrink", "gamma-shrink-complex",
+                   "user", "user-30"]
+
+
+@pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
 def test_fixed_point_against_60_digit_iteration(rec, digits):
     n_max = 2**14
     z = 0.75 if rec.param is None else None  # numeric, so digits=None is automatic
@@ -468,6 +474,84 @@ def test_short_numeric_runs_are_correctly_rounded(rec, z):
         assert sorted(got) == sorted(want)
         for n, v in got.items():
             assert abs(v - want[n]) <= 2.0**-52 * abs(want[n]), (digits, n)
+
+
+# a lambda = 2 growth, u_n = 2^n / (n + 1)
+DOUBLING = parse_precurrence("coeff1: n+2\ncoeff0: -2*(n+1)\ninit: n0=0; 1")
+# u_{n+1} = (n+1)/(n+1000) u_n loses 30 to 150 bits a block of 16 steps
+# before n = 400 (and leaves the double range near n = 800)
+SHRINKING = parse_precurrence(
+    f"coeff1: n+1000\ncoeff0: -(n+1)\ninit: n0=1; {2.0**1000}")
+
+
+def assert_values_at_match_iter_numeric(rec, z, digits, n_max):
+    want = dict(iter_numeric(rec, z, n_max, digits))
+    for base in (1024, 100):  # 100 is no multiple of the block size
+        ns = [base * 2**k for k in range(6) if base * 2**k <= n_max]
+        assert values_at(rec, z, ns, digits) == [want[n] for n in ns], base
+
+
+@pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
+def test_values_at_equals_iter_numeric(rec, digits):
+    z = 0.75 if rec.param is None else None
+    assert_values_at_match_iter_numeric(rec, z, digits, 2**14)
+
+
+@pytest.mark.parametrize("rec, z", [
+    (DOUBLING, None),
+    (SHRINKING, None),
+    (mirror_e(complex(2.5, 1.25)), None),
+    (parse_precurrence(USER_TEXT), complex(0.75, 0.5)),
+], ids=["doubling", "shrinking", "e-complex", "user-complex"])
+def test_values_at_block_cases(rec, z):
+    # the doubling values pass the double range at n = 1024 (inf both ways)
+    assert_values_at_match_iter_numeric(rec, z, None, 2**14)
+
+
+def test_values_at_block_size_follows_the_degree():
+    assert _Window(mirror_e(3), 3, 30, None).block_size() == 16
+    user = _Window(parse_precurrence(USER_TEXT), 0.75, 30, None)
+    assert user.degree == 3 and 1 < user.block_size() < 16
+
+
+def test_values_at_inside_the_initial_window():
+    rec = parse_precurrence(USER_TEXT)
+    want = dict(iter_numeric(rec, 0.75, 40))
+    ns = [1, 2, 3, 17, 18, 40]
+    assert values_at(rec, 0.75, ns) == [want[n] for n in ns]
+    assert values_at(rec, 0.75, [2]) == [want[2]]
+    assert values_at(rec, 0.75, []) == []
+    for bad in ([0, 5], [5, 5], [7, 6]):
+        with pytest.raises(ValueError):
+            values_at(rec, 0.75, bad)
+
+
+def test_values_at_pole_inside_a_block():
+    # n = 5000 lies inside the block that starts at 4993
+    for z in (-5000.0, complex(-5000, 0.0)):
+        with pytest.raises(CoefficientPole) as want:
+            list(iter_sequence(mirror_e(z), n_max=8192))
+        with pytest.raises(CoefficientPole) as got:
+            values_at(mirror_e(z), None, [1024, 2048, 4096, 8192])
+        assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
+        assert got.value.n == 5000
+
+
+@pytest.mark.parametrize("rec, ns", [
+    (mirror_e(3), [100 * 2**k for k in range(8)]),
+    (gamma_recurrence(Fraction(25, 2)), [100 * 2**k for k in range(8)]),
+    (mirror_pi(complex(0.25, -1.5)), [100 * 2**k for k in range(8)]),
+    (SHRINKING, [100, 250, 400, 700]),
+], ids=["e-int", "gamma-shrink", "pi-complex", "shrinking"])
+def test_block_path_keeps_40_digits(rec, ns):
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 45
+    want = mp_oracle(rec, rec.param, ns[-1])
+    got = _Window(rec, rec.param, 40, ctx).at(ns)
+    for n, v in zip(ns, got):
+        assert abs(v - want[n]) <= 1e-38 * abs(want[n]), n
 
 
 def test_fixed_point_pole_at_the_same_n():
