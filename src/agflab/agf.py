@@ -45,6 +45,7 @@ from .holonomic import _check_coeffs, _parse_coeff_text
 
 __all__ = [
     "AGFSpec",
+    "FIRST_POLE",
     "RegularityClass",
     "afe_residual",
     "classify_regularity",
@@ -55,6 +56,7 @@ __all__ = [
     "f_pole_distance",
     "f_spec",
     "format_agf_spec",
+    "functions",
     "g_eval",
     "g_pole_distance",
     "g_spec",
@@ -146,14 +148,17 @@ def gamma_spec() -> AGFSpec:
 # ---------------------------------------------------------------------------
 # pole bookkeeping
 
+FIRST_POLE = {"f": -2, "g": -1}  # the rest follow at unit steps to -infinity
+
+
 def f_pole_distance(z) -> float:
     """Distance from z to the pole set {-2, -3, -4, ...} of f."""
-    return _pole_row_distance(z, -2)
+    return _pole_row_distance(z, FIRST_POLE["f"])
 
 
 def g_pole_distance(z) -> float:
     """Distance from z to the pole set {-1, -2, -3, ...} of g."""
-    return _pole_row_distance(z, -1)
+    return _pole_row_distance(z, FIRST_POLE["g"])
 
 
 def _pole_row_distance(z, first: int) -> float:
@@ -173,7 +178,7 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     a thousandth of the working epsilon.
     """
     n = _nearest_int(z)
-    if n is not None and n <= -2:
+    if n is not None and n <= FIRST_POLE["f"]:
         raise PoleError(f"f pole at z={n}")
     ctx = cfg.ctx
     zz = _to_ctx(z, ctx)
@@ -239,12 +244,19 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     argument is negative) is dropped.
     """
     n = _nearest_int(z)
-    if n is not None and n <= -1:
+    if n is not None and n <= FIRST_POLE["g"]:
         raise PoleError(f"g pole at z={n}")
     ctx = cfg.ctx
     zz = _to_ctx(z, ctx)
     g = ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
     return g.real if zz.imag == 0 else g
+
+
+def functions() -> dict:
+    """'f' and 'g' mapped to (AFE spec, evaluator, pole distance), looked
+    up at each call, so that a caller gets a wrapped function if one is."""
+    return {"f": (f_spec(), f_eval, f_pole_distance),
+            "g": (g_spec(), g_eval, g_pole_distance)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import random
 import sys
 import time
@@ -129,8 +129,9 @@ def cmd_seq(args) -> int:
     n_max = args.n_max if args.n_max is not None else args.n_max_flag
     if n_max is None:
         raise ValueError("seq needs n_max (positional or --n-max)")
-    if args.world in ("e", "pi"):
-        rec = mirror_e() if args.world == "e" else mirror_pi()
+    builtin = {"e": mirror_e, "pi": mirror_pi}.get(args.world)
+    if builtin:
+        rec = builtin()
     else:
         with open(args.world) as fh:
             rec = parse_precurrence(fh.read())
@@ -159,49 +160,35 @@ def cmd_seq(args) -> int:
 
 def cmd_limit(args) -> int:
     z = parse_scalar(args.z)
-    digits = args.digits if args.digits > MAX_DOUBLE_DIGITS else None
-    ecfg = ExtrapolationConfig(depth=args.depth, n_base=args.n_base, digits=digits)
-    if args.world == "e":
-        est = estimate_connection_constant(mirror_e(z), F_SHELL, cfg=ecfg)
-    elif args.world == "pi":
-        est = estimate_connection_constant(mirror_pi(z), G_SHELL, cfg=ecfg)
-    else:
-        zc = complex(z)
-        est = estimate_connection_constant(
-            gamma_recurrence(z), GAMMA_SHELL, z=zc, cfg=ecfg
-        )
+    worlds = {"e": (mirror_e, F_SHELL), "pi": (mirror_pi, G_SHELL),
+              "gamma": (gamma_recurrence, GAMMA_SHELL)}
+    recurrence, shell = worlds[args.world]
+    # a shell whose exponent moves with z needs z itself
+    est = estimate_connection_constant(
+        recurrence(z), shell, z=complex(z) if shell.rho_slope else None,
+        cfg=ExtrapolationConfig(depth=args.depth, n_base=args.n_base,
+                                digits=args.digits))
     value = est.value.real if abs(est.value.imag) < 1e-13 else est.value
+    value = _fmt_value(value, DOUBLE)
     if args.format == "json":
-        payload = {
-            "command": "limit",
-            "world": args.world,
-            "z": str(args.z),
-            "value": _fmt_value(value, DOUBLE),
-            "error_estimate": est.error_estimate,
-            "engine": est.engine,
-            "digits": est.digits,
-            "n": list(est.n),
-            "increments": list(est.increments),
-            "rounding_floor": est.rounding_floor,
-            "timing_s": est.timing_s,
-        }
+        payload = {"command": "limit", "world": args.world, "z": str(args.z),
+                   **dataclasses.asdict(est), "value": value}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(
-            f"{_fmt_value(value, DOUBLE)} ± {est.error_estimate:.2e}\n", args.out
-        )
+        _emit(f"{value} ± {est.error_estimate:.2e}\n", args.out)
     return 0
 
 
 def cmd_agf(args) -> int:
     cfg = _precision(args.digits)
     z = parse_complex_literal(args.z)
-    fn = agf_mod.f_eval if args.which == "f" else agf_mod.g_eval
+    _, fn, _ = agf_mod.functions()[args.which]
     try:
         value = fn(z, cfg)
     except PoleError:
-        poles = "{-2, -3, -4, ...}" if args.which == "f" else "{-1, -2, -3, ...}"
-        raise PoleError(f"{args.which} has poles at {poles}; z={args.z} is one")
+        p = agf_mod.FIRST_POLE[args.which]
+        raise PoleError(f"{args.which} has poles at {{{p}, {p - 1}, {p - 2}, "
+                        f"...}}; z={args.z} is one")
     _emit(_fmt_value(value, cfg) + "\n", args.out)
     return 0
 
@@ -220,18 +207,13 @@ def _check(check: str, passed: bool, max_dev: float, params: dict,
     }
 
 
-def _suite_afe() -> Iterator[dict]:
+def _suite_afe(seed: int) -> Iterator[dict]:
     pts = agf_mod.grid_points(*DEFAULT_GRID)
-    worst_f, _ = agf_mod.residual_grid(
-        agf_mod.f_spec(), agf_mod.f_eval, pts, agf_mod.f_pole_distance
-    )
-    yield _check("afe_residual_grid_f", worst_f <= 1e-10, worst_f,
-                 {"grid": DEFAULT_GRID, "tolerance": 1e-10})
-    worst_g, _ = agf_mod.residual_grid(
-        agf_mod.g_spec(), agf_mod.g_eval, pts, agf_mod.g_pole_distance
-    )
-    yield _check("afe_residual_grid_g", worst_g <= 1e-10, worst_g,
-                 {"grid": DEFAULT_GRID, "tolerance": 1e-10})
+    functions = agf_mod.functions()
+    for name, (spec, h, pole_distance) in functions.items():
+        worst, _ = agf_mod.residual_grid(spec, h, pts, pole_distance)
+        yield _check(f"afe_residual_grid_{name}", worst <= 1e-10, worst,
+                     {"grid": DEFAULT_GRID, "tolerance": 1e-10})
 
     worst_route = 0.0
     for z in pts:
@@ -245,18 +227,15 @@ def _suite_afe() -> Iterator[dict]:
     yield _check("f_three_route_agreement", worst_route <= 1e-11,
                  worst_route, {"tolerance": 1e-11})
 
-    anchors = [
-        ("f(0)", agf_mod.f_eval(0), 1 / math.e),
-        ("f(1)", agf_mod.f_eval(1), 1 - 2 / math.e),
-        ("g(0)", agf_mod.g_eval(0), math.sqrt(2 / math.pi)),
-        ("g(1)", agf_mod.g_eval(1), (math.pi - 2) / math.sqrt(2 * math.pi)),
-    ]
+    anchors = [(f"{name}({point:g})", h(point), want)
+               for name, (spec, h, _) in functions.items()
+               for point, want in spec.anchors]
     worst_anchor = max(abs(got - want) for _, got, want in anchors)
     yield _check("explicit_anchors", worst_anchor <= 1e-12, worst_anchor,
                  {"tolerance": 1e-12}, [name for name, _, _ in anchors])
 
 
-def _suite_duality() -> Iterator[dict]:
+def _suite_duality(seed: int) -> Iterator[dict]:
     for world in ("e", "pi"):
         worst = 0.0
         rows = []
@@ -283,7 +262,7 @@ def _suite_duality() -> Iterator[dict]:
                  {"m_max": 100}, detail)
 
 
-def _suite_ode() -> Iterator[dict]:
+def _suite_ode(seed: int) -> Iterator[dict]:
     for m in range(9):
         yield _ode_check(f"ode_e_m{m}", certify.ode_series_check_e(m, 200),
                          {"m": m, "order": 200})
@@ -331,7 +310,7 @@ def _suite_slope(seed: int) -> Iterator[dict]:
                  {"alphas": [str(a) for a in nonint]})
 
 
-def _suite_growth() -> Iterator[dict]:
+def _suite_growth(seed: int) -> Iterator[dict]:
     ims = [10.0, 20.0, 40.0, 80.0]
     rows = agf_mod.growth_probe(agf_mod.f_eval, 1.0, ims, kind="f")
     normalized = [r["normalized"] for r in rows]
@@ -348,11 +327,11 @@ def _suite_growth() -> Iterator[dict]:
 
 
 SUITES = {
-    "afe": lambda seed: _suite_afe(),
-    "duality": lambda seed: _suite_duality(),
-    "ode": lambda seed: _suite_ode(),
+    "afe": _suite_afe,
+    "duality": _suite_duality,
+    "ode": _suite_ode,
     "slope": _suite_slope,
-    "growth": lambda seed: _suite_growth(),
+    "growth": _suite_growth,
 }
 
 
@@ -403,7 +382,7 @@ def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
     return header + ["form_value", "residual"], rows
 
 
-def _grid_columns(spec, h, pts, pole_distance) -> list[list[str]]:
+def _grid_columns(pts, spec, h, pole_distance) -> list[list[str]]:
     """value re, value im and AFE residual per point; 'pole' where undefined."""
     columns = []
     for _, value, _, rel in agf_mod.residual_table(spec, h, pts, pole_distance):
@@ -417,10 +396,8 @@ def _grid_columns(spec, h, pts, pole_distance) -> list[list[str]]:
 
 def _table_agf_grid(grid: tuple) -> tuple[list[str], list[list]]:
     pts = agf_mod.grid_points(*grid)
-    f_cols = _grid_columns(agf_mod.f_spec(), agf_mod.f_eval, pts,
-                           agf_mod.f_pole_distance)
-    g_cols = _grid_columns(agf_mod.g_spec(), agf_mod.g_eval, pts,
-                           agf_mod.g_pole_distance)
+    f_cols, g_cols = (_grid_columns(pts, *fns)
+                      for fns in agf_mod.functions().values())
     rows = [[f"{z.real:g}", f"{z.imag:g}", *f, *g]
             for z, f, g in zip(pts, f_cols, g_cols)]
     header = ["re", "im", "f_re", "f_im", "f_afe_residual",
@@ -447,6 +424,13 @@ def cmd_table(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _digits(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"digits must be at least 1, not {value}")
+    return value
+
+
 def _grid_spec(text: str) -> tuple:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 5:
@@ -468,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, func, *formats, digits=False):  # the first format is the default
         if digits:
-            p.add_argument("--digits", type=int, default=15,
+            p.add_argument("--digits", type=_digits, default=15,
                            help=f"working precision; above {MAX_DOUBLE_DIGITS} "
                            "switches to extended mode (limit accumulates at "
                            "it and prints double precision)")
@@ -500,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_agf, digits=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["afe", "duality", "ode", "slope",
-                                     "growth", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p, cmd_verify, "json", "text")
 

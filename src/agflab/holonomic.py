@@ -249,6 +249,8 @@ class RationalFn:
         return self.num.is_zero()
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
+        if self.den == other.den:
+            return RationalFn(self.num + other.num, self.den)
         return RationalFn(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

@@ -79,6 +79,38 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["agf", "f", "1", "--digits", "0"],
+    ["agf", "f", "1", "--digits", "-3"],
+    ["seq", "pi", "1+2i", "5", "--digits", "0"],
+    ["limit", "e", "1", "--digits", "0"],
+])
+def test_digits_below_1_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_readme_cli_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+) [^|]*(?:\\\|[^|]*)*\| (.*) \|$", readme, re.M)
+    documented = {
+        name: (set(re.findall(r"--[\w-]+", flags)),
+               re.findall(r"--format \{([\w,]+)\}", flags))
+        for name, flags in rows
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    defined = {}
+    for name, sub in commands.items():
+        options = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        flags = {s for a in options for s in a.option_strings}
+        formats = [",".join(a.choices) for a in options if a.dest == "format"]
+        defined[name] = (flags, formats)
+    assert documented == defined
+
+
 class _Recorder:
     """Parsed arguments that note each attribute a command reads."""
 
@@ -160,6 +192,18 @@ def test_seq_from_file(tmp_path, capsys):
     assert out.strip().splitlines()[-1].endswith("11/6")
 
 
+def test_seq_file_sum_over_a_shared_denominator(tmp_path, capsys):
+    # nine times 1/(n+1) is 9/(n+1): u_{n+1} = (n+1)/9 u_n, u_n = n!/9^(n-1)
+    path = tmp_path / "rec.txt"
+    path.write_text(f"coeff1: {'+'.join(['1/(n+1)'] * 9)}\ncoeff0: -1\n"
+                    "init: n0=1; 1\n")
+    code, out, _ = run_cli(capsys, ["seq", str(path), "0", "6"])
+    assert code == 0
+    assert [line.split("\t") for line in out.splitlines()] == [
+        [str(n), str(Fraction(math.factorial(n), 9 ** (n - 1)))]
+        for n in range(1, 7)]
+
+
 def test_seq_file_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("coeff1: n+\ninit: n0=1; 1\n")
@@ -226,6 +270,10 @@ def test_agf_pole_names_pole_set(capsys):
     code, out, err = run_cli(capsys, ["agf", "f", "-2"])
     assert code == 1
     assert "{-2, -3, -4, ...}" in err
+    assert err == "pole error: f has poles at {-2, -3, -4, ...}; z=-2 is one\n"
+    code, out, err = run_cli(capsys, ["agf", "g", "-3"])
+    assert (code, out) == (1, "")
+    assert err == "pole error: g has poles at {-1, -2, -3, ...}; z=-3 is one\n"
 
 
 def test_agf_extended_digits(capsys):
@@ -358,6 +406,25 @@ def test_verify_duality_reports_a_consistency_error(capsys, monkeypatch):
     assert code == 1 and "duality_closed_forms_exact" in err
     assert [c["check"] for c in failed] == ["duality_closed_forms_exact"]
     assert "mismatch at m=50" in failed[0]["details"][0]
+
+
+def test_verify_afe_checks_the_anchors_of_f_spec(capsys, monkeypatch):
+    import dataclasses
+
+    import agflab.agf as agf
+
+    real = agf.f_spec
+
+    def off_at_1():
+        spec = real()
+        (p0, v0), (p1, v1) = spec.anchors
+        return dataclasses.replace(spec, anchors=((p0, v0), (p1, v1 + 1e-9)))
+
+    monkeypatch.setattr(agf, "f_spec", off_at_1)
+    code, out, err = run_cli(capsys, ["verify", "afe"])
+    failed = [c["check"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert (code, failed) == (1, ["explicit_anchors"])
+    assert "explicit_anchors" in err
 
 
 def test_verify_growth(capsys):

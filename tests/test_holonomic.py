@@ -324,6 +324,17 @@ def test_degree_cap_enforced():
             p = p * n
 
 
+def test_sum_over_a_shared_denominator_keeps_it():
+    # nine equal terms add over their one denominator, to degree 1; nine
+    # distinct denominators multiply out to degree 9
+    same = "+".join(["1/(n+1)"] * 9)
+    rec = parse_precurrence(f"coeff1: {same}\ncoeff0: -1\ninit: n0=1; 1")
+    assert repr(rec.coeffs[1]) == "(9)/(1+n)"
+    distinct = "+".join(f"1/(n+{k})" for k in range(1, 10))
+    with pytest.raises(RecurrenceParseError, match="degree above 8"):
+        parse_precurrence(f"coeff1: {distinct}\ncoeff0: -1\ninit: n0=1; 1")
+
+
 def test_parse_errors_report_position():
     with pytest.raises(RecurrenceParseError) as info:
         parse_precurrence("coeff0: n+\ninit: n0=1; 1")
