@@ -39,7 +39,6 @@ from .complexfn import (
     log_gamma,
     lower_incomplete_gamma,
 )
-from .exact import duality_forms_e, duality_forms_pi
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
 from .holonomic import _check_coeffs, _parse_coeff_text
 
@@ -49,14 +48,12 @@ __all__ = [
     "RegularityClass",
     "afe_residual",
     "classify_regularity",
-    "duality_residuals",
     "f_eval",
     "f_eval_confluent_route",
     "f_eval_gamma_route",
     "f_pole_distance",
     "f_spec",
     "format_agf_spec",
-    "functions",
     "g_eval",
     "g_pole_distance",
     "g_spec",
@@ -102,47 +99,26 @@ class AGFSpec:
 
 def f_spec() -> AGFSpec:
     """AFE of f: h(z+2) + (z+2) h(z+1) - (z+2) h(z) = 0, anchored at 0, 1."""
-    z = Poly2.var("z")
-    two = Poly2.const(2)
-    return AGFSpec(
-        order=2,
-        coeffs=(
-            RationalFn(-(z + two)),
-            RationalFn(z + two),
-            RationalFn.const(1),
-        ),
-        anchors=((0.0, 1 / math.e), (1.0, 1 - 2 / math.e)),
-        name="f",
-    )
+    z_plus_2 = RationalFn(Poly2.var("z") + Poly2.const(2))
+    return AGFSpec(order=2, coeffs=(-z_plus_2, z_plus_2, RationalFn.const(1)),
+                   anchors=((0.0, 1 / math.e), (1.0, 1 - 2 / math.e)), name="f")
 
 
 def g_spec() -> AGFSpec:
     """AFE of g: h(z+2) + h(z+1)/(z+1) - h(z) = 0, anchored at 0, 1."""
-    z = Poly2.var("z")
     one = Poly2.const(1)
-    return AGFSpec(
-        order=2,
-        coeffs=(
-            RationalFn.const(-1),
-            RationalFn(one, z + one),
-            RationalFn.const(1),
-        ),
-        anchors=(
-            (0.0, math.sqrt(2 / math.pi)),
-            (1.0, (math.pi - 2) / math.sqrt(2 * math.pi)),
-        ),
-        name="g",
-    )
+    return AGFSpec(order=2, coeffs=(RationalFn.const(-1),
+                                    RationalFn(one, Poly2.var("z") + one),
+                                    RationalFn.const(1)),
+                   anchors=((0.0, math.sqrt(2 / math.pi)),
+                            (1.0, (math.pi - 2) / math.sqrt(2 * math.pi))),
+                   name="g")
 
 
 def gamma_spec() -> AGFSpec:
     """AFE of Gamma: z h(z) - h(z+1) = 0, anchored at Gamma(1) = 1."""
-    return AGFSpec(
-        order=1,
-        coeffs=(RationalFn(Poly2.var("z")), RationalFn.const(-1)),
-        anchors=((1.0, 1.0),),
-        name="gamma",
-    )
+    return AGFSpec(order=1, coeffs=(RationalFn(Poly2.var("z")), RationalFn.const(-1)),
+                   anchors=((1.0, 1.0),), name="gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +226,6 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     zz = _to_ctx(z, ctx)
     g = ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
     return g.real if zz.imag == 0 else g
-
-
-def functions() -> dict:
-    """'f' and 'g' mapped to (AFE spec, evaluator, pole distance), looked
-    up at each call, so that a caller gets a wrapped function if one is."""
-    return {"f": (f_spec(), f_eval, f_pole_distance),
-            "g": (g_spec(), g_eval, g_pole_distance)}
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +386,6 @@ def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int) -> float:
         dev = abs(direct - values[k]) / max(abs(direct), 1e-300)
         worst = max(worst, float(dev))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# arithmetic duality
-
-def duality_residuals(world: str, m_max: int,
-                      cfg: PrecisionConfig = DOUBLE) -> list[tuple]:
-    """(-1)^m h(m)/h(0) against its exact linear form, for m = 0..m_max.
-
-    World 'e' pairs h = f with a - e b (:func:`exact.duality_forms_e`),
-    world 'pi' pairs h = g with p - pi q (:func:`exact.duality_forms_pi`).
-    Returns one (form, residual, scale) per m: residual is
-    |(-1)^m h(m)/h(0) - form| and scale the size a + e b (p + pi q) of the
-    two terms the form combines, both as floats.
-    """
-    ctx = cfg.ctx
-    if world == "e":
-        h, const, forms = f_eval, ctx.e, duality_forms_e
-    elif world == "pi":
-        h, const, forms = g_eval, ctx.pi, duality_forms_pi
-    else:
-        raise ValueError(f"unknown world {world!r}")
-    h0 = h(0, cfg)
-    rows = []
-    for m, form in enumerate(forms(m_max)):
-        x, y = (form.a, form.b) if world == "e" else (form.p, form.q)
-        lhs = (-1) ** m * h(m, cfg) / h0
-        residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
-        rows.append((form, float(residual), float(x) + float(const) * float(y)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from itertools import zip_longest
 
 from mpmath import fp
 
-from .agf import f_eval, g_eval
+from .agf import g_eval
+from .connection import shell_eval
 from .holonomic import (
     exact_series,
     gamma_recurrence,
@@ -440,17 +441,14 @@ def identity_chain_pi(m_max: int) -> dict:
     }
 
 
-def transfer_check(world: str, m: int, n: int) -> float:
-    """Relative deviation of u_n from its singular-expansion prediction.
+def transfer_check(world: str, m, n: int) -> float:
+    """|u_n(m) / (h(m) Lambda(n)) - 1|, u_n against its singular-expansion
+    prediction, with the recurrence, function h and shell Lambda of the
+    named world: f(m) n for 'e', g(m) sqrt(n) for 'pi'."""
+    from .worlds import world as find  # the table reads this module's checks
 
-    world 'e': |u_n(m)/(f(m) n) - 1|; world 'pi': |v_n(m)/(g(m) sqrt(n)) - 1|.
-    """
     if n < 10**3:
         raise ValueError("transfer check needs n >= 1000")
-    if world == "e":
-        rec, predict = mirror_e(m), f_eval(m).real * n
-    elif world == "pi":
-        rec, predict = mirror_pi(m), g_eval(m).real * math.sqrt(n)
-    else:
-        raise ValueError("world must be 'e' or 'pi'")
-    return abs(values_at(rec, None, [n])[0] / predict - 1.0)
+    w = find(world)
+    predict = w.evaluator(m).real * shell_eval(w.shell, n, w.shell_z(m)).real
+    return abs(values_at(w.recurrence(m), None, [n])[0] / predict - 1.0)

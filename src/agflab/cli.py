@@ -1,12 +1,12 @@
 """Command-line front end: sequences, limits, function values, verification
 suites, and CSV/JSON tables.
 
-Commands:
-    agf-lab seq   {e|pi|FILE} Z N_MAX     evaluate a recurrence
-    agf-lab limit {e|pi|gamma} Z          extrapolate a connection constant
-    agf-lab agf   {f|g} Z                 evaluate an additive Gamma function
+Commands, with the worlds of :mod:`agflab.worlds`:
+    agf-lab seq {%(worlds)s|FILE} Z N_MAX    evaluate a recurrence
+    agf-lab limit {%(worlds)s} Z    extrapolate a connection constant
+    agf-lab agf {%(functions)s} Z    evaluate an additive Gamma function
     agf-lab verify {afe|duality|ode|slope|growth|all}
-    agf-lab table {duality-e|duality-pi|agf-grid}
+    agf-lab table {%(tables)s}
 
 Verification suites exit 0 iff every check lands inside its tolerance and
 emit a single JSON object (or a text summary); tables are RFC-4180 CSV or
@@ -28,7 +28,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import agf as agf_mod
-from . import certify
+from . import worlds
 from .complexfn import (
     DOUBLE,
     MAX_DOUBLE_DIGITS,
@@ -38,9 +38,6 @@ from .complexfn import (
     format_cnum,
 )
 from .connection import (
-    F_SHELL,
-    G_SHELL,
-    GAMMA_SHELL,
     ExtrapolationConfig,
     NonConvergence,
     SlopeKind,
@@ -48,16 +45,13 @@ from .connection import (
     slope_ratio,
     slope_ratio_numeric_check,
 )
-from .exact import ConsistencyError, duality_forms_e, duality_forms_pi
+from .exact import ConsistencyError
 from .holonomic import (
     DEFAULT_DIGITS,
     CoefficientPole,
     RecurrenceParseError,
     _exact_data,
     eval_sequence,
-    gamma_recurrence,
-    mirror_e,
-    mirror_pi,
     parse_precurrence,
 )
 
@@ -113,12 +107,18 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
+def _emit_rows(args, head: dict, header: list[str], rows: list[list]):
+    """rows under header as CSV, or with ``--format json`` as one record
+    per row after the fields of ``head``."""
+    if args.format == "json":
+        payload = {**head, "rows": [dict(zip(header, row)) for row in rows]}
+        _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    _emit(buf.getvalue(), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -129,43 +129,32 @@ def cmd_seq(args) -> int:
     n_max = args.n_max if args.n_max is not None else args.n_max_flag
     if n_max is None:
         raise ValueError("seq needs n_max (positional or --n-max)")
-    builtin = {"e": mirror_e, "pi": mirror_pi}.get(args.world)
+    z = parse_scalar(args.z)
+    builtin = worlds.table().get(args.world)
     if builtin:
-        rec = builtin()
+        rec = builtin.recurrence(z)
     else:
         with open(args.world) as fh:
             rec = parse_precurrence(fh.read())
-    z = parse_scalar(args.z)
     # numeric rows come from the fixed-point engine as mpmath values,
     # which format_cnum rounds once to the printed digits
     digits = (args.digits if cfg.is_extended
               else None if _exact_data(rec, z) else DEFAULT_DIGITS)
-    points = eval_sequence(rec, z=z, n_max=n_max, digits=digits)
-    if args.format == "json":
-        payload = {
-            "command": "seq",
-            "world": args.world,
-            "z": str(args.z),
-            "rows": [{"n": p.n, "value": _fmt_value(p.value, cfg)} for p in points],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [[p.n, _fmt_value(p.value, cfg)] for p in points]
-        _emit(_rows_to_csv(["n", "value"], rows), args.out)
+    rows = [[p.n, _fmt_value(p.value, cfg)]
+            for p in eval_sequence(rec, z=z, n_max=n_max, digits=digits)]
+    if args.format == "text":
+        _emit("".join(f"{n}\t{value}\n" for n, value in rows), args.out)
     else:
-        lines = [f"{p.n}\t{_fmt_value(p.value, cfg)}" for p in points]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_rows(args, {"command": "seq", "world": args.world, "z": str(args.z)},
+                   ["n", "value"], rows)
     return 0
 
 
 def cmd_limit(args) -> int:
     z = parse_scalar(args.z)
-    worlds = {"e": (mirror_e, F_SHELL), "pi": (mirror_pi, G_SHELL),
-              "gamma": (gamma_recurrence, GAMMA_SHELL)}
-    recurrence, shell = worlds[args.world]
-    # a shell whose exponent moves with z needs z itself
+    world = worlds.world(args.world)
     est = estimate_connection_constant(
-        recurrence(z), shell, z=complex(z) if shell.rho_slope else None,
+        world.recurrence(z), world.shell, z=world.shell_z(z),
         cfg=ExtrapolationConfig(depth=args.depth, n_base=args.n_base,
                                 digits=args.digits))
     value = est.value.real if abs(est.value.imag) < 1e-13 else est.value
@@ -182,9 +171,8 @@ def cmd_limit(args) -> int:
 def cmd_agf(args) -> int:
     cfg = _precision(args.digits)
     z = parse_complex_literal(args.z)
-    _, fn, _ = agf_mod.functions()[args.which]
     try:
-        value = fn(z, cfg)
+        value = worlds.functions()[args.which].evaluator(z, cfg)
     except PoleError:
         p = agf_mod.FIRST_POLE[args.which]
         raise PoleError(f"{args.which} has poles at {{{p}, {p - 1}, {p - 2}, "
@@ -209,9 +197,9 @@ def _check(check: str, passed: bool, max_dev: float, params: dict,
 
 def _suite_afe(seed: int) -> Iterator[dict]:
     pts = agf_mod.grid_points(*DEFAULT_GRID)
-    functions = agf_mod.functions()
-    for name, (spec, h, pole_distance) in functions.items():
-        worst, _ = agf_mod.residual_grid(spec, h, pts, pole_distance)
+    functions = worlds.functions()
+    for name, w in functions.items():
+        worst, _ = agf_mod.residual_grid(w.spec, w.evaluator, pts, w.pole_distance)
         yield _check(f"afe_residual_grid_{name}", worst <= 1e-10, worst,
                      {"grid": DEFAULT_GRID, "tolerance": 1e-10})
 
@@ -227,34 +215,31 @@ def _suite_afe(seed: int) -> Iterator[dict]:
     yield _check("f_three_route_agreement", worst_route <= 1e-11,
                  worst_route, {"tolerance": 1e-11})
 
-    anchors = [(f"{name}({point:g})", h(point), want)
-               for name, (spec, h, _) in functions.items()
-               for point, want in spec.anchors]
+    anchors = [(f"{name}({point:g})", w.evaluator(point), want)
+               for name, w in functions.items() for point, want in w.spec.anchors]
     worst_anchor = max(abs(got - want) for _, got, want in anchors)
     yield _check("explicit_anchors", worst_anchor <= 1e-12, worst_anchor,
                  {"tolerance": 1e-12}, [name for name, _, _ in anchors])
 
 
 def _suite_duality(seed: int) -> Iterator[dict]:
-    for world in ("e", "pi"):
+    dual = [w for w in worlds.table().values() if w.forms]
+    for world in dual:
         worst = 0.0
         rows = []
-        for form, residual, scale in agf_mod.duality_residuals(
-                world, 15, extended(40)):
+        for form, residual, scale in world.duality_residuals(15, extended(40)):
             dev = residual / scale
             worst = max(worst, dev)
-            terms = ({"a": form.a, "b": form.b} if world == "e"
-                     else {"p": str(form.p), "q": str(form.q)})
-            rows.append({"m": form.m, **terms, "scaled_residual": dev})
-        yield _check(f"duality_{world}", worst <= 1e-9, worst,
+            rows.append({**form.to_record(), "scaled_residual": dev})
+        yield _check(f"duality_{world.name}", worst <= 1e-9, worst,
                      {"m_max": 15, "tolerance": 1e-9}, rows)
 
     # closed forms equal recurrences exactly (construction cross-checks)
     ok = True
     detail = []
     try:
-        duality_forms_pi(100)
-        duality_forms_e(100)
+        for world in dual:
+            world.forms(100)
     except ConsistencyError as exc:
         ok = False
         detail = [str(exc)]
@@ -263,14 +248,11 @@ def _suite_duality(seed: int) -> Iterator[dict]:
 
 
 def _suite_ode(seed: int) -> Iterator[dict]:
-    for m in range(9):
-        yield _ode_check(f"ode_e_m{m}", certify.ode_series_check_e(m, 200),
-                         {"m": m, "order": 200})
-        yield _ode_check(f"ode_pi_m{m}", certify.ode_series_check_pi(m, 200),
-                         {"m": m, "order": 200})
-        z = Fraction(2 * m + 1, 2)
-        yield _ode_check(f"ode_gamma_z{z}", certify.ode_series_check_gamma(z, 200),
-                         {"z": str(z), "order": 200})
+    table = worlds.table().values()
+    for values in zip(*(w.ode_values for w in table)):  # the i-th of each world
+        for w, v in zip(table, values):
+            yield _ode_check(f"ode_{w.name}_{w.ode_param}{v}", w.ode(v, 200),
+                             {w.ode_param: v, "order": 200})
 
 
 def _ode_check(name: str, res, params: dict) -> dict:
@@ -375,17 +357,18 @@ def cmd_verify(args) -> int:
 # tables
 
 def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
-    rows = [[*form.to_record().values(), f"{form.value():.17g}", f"{residual:.3e}"]
-            for form, residual, _ in agf_mod.duality_residuals(
-                world, m_max, extended(40))]
-    header = ["m", "a", "b"] if world == "e" else ["m", "p", "q"]
-    return header + ["form_value", "residual"], rows
+    records = [{**form.to_record(), "form_value": f"{form.value():.17g}",
+                "residual": f"{residual:.3e}"}
+               for form, residual, _ in worlds.world(world).duality_residuals(
+                   m_max, extended(40))]
+    return list(records[0]), [list(r.values()) for r in records]
 
 
-def _grid_columns(pts, spec, h, pole_distance) -> list[list[str]]:
+def _grid_columns(pts, w) -> list[list[str]]:
     """value re, value im and AFE residual per point; 'pole' where undefined."""
     columns = []
-    for _, value, _, rel in agf_mod.residual_table(spec, h, pts, pole_distance):
+    residuals = agf_mod.residual_table(w.spec, w.evaluator, pts, w.pole_distance)
+    for _, value, _, rel in residuals:
         if value is None:
             columns.append(["pole", "pole", "pole"])
         else:
@@ -396,39 +379,34 @@ def _grid_columns(pts, spec, h, pole_distance) -> list[list[str]]:
 
 def _table_agf_grid(grid: tuple) -> tuple[list[str], list[list]]:
     pts = agf_mod.grid_points(*grid)
-    f_cols, g_cols = (_grid_columns(pts, *fns)
-                      for fns in agf_mod.functions().values())
-    rows = [[f"{z.real:g}", f"{z.imag:g}", *f, *g]
-            for z, f, g in zip(pts, f_cols, g_cols)]
-    header = ["re", "im", "f_re", "f_im", "f_afe_residual",
-              "g_re", "g_im", "g_afe_residual"]
-    return header, rows
+    functions = worlds.functions()
+    columns = [_grid_columns(pts, w) for w in functions.values()]
+    rows = [[f"{z.real:g}", f"{z.imag:g}", *(c for cells in row for c in cells)]
+            for z, *row in zip(pts, *columns)]
+    return ["re", "im", *(f"{name}_{part}" for name in functions
+                          for part in ("re", "im", "afe_residual"))], rows
 
 
 def cmd_table(args) -> int:
-    if args.kind in ("duality-e", "duality-pi"):
+    if args.kind.startswith("duality-"):
         header, rows = _table_duality(args.kind[len("duality-"):], args.m_max)
     else:
         header, rows = _table_agf_grid(args.grid)
-    if args.format == "json":
-        payload = {
-            "command": "table",
-            "kind": args.kind,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
-    else:
-        _emit(_rows_to_csv(header, rows), args.out)
+    _emit_rows(args, {"command": "table", "kind": args.kind}, header, rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _digits(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"digits must be at least 1, not {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
 
 
 def _grid_spec(text: str) -> tuple:
@@ -442,6 +420,14 @@ def _grid_spec(text: str) -> tuple:
     return tuple(parts)
 
 
+def _choices() -> dict[str, list[str]]:
+    """The world, function and table names the commands take."""
+    table = worlds.table().values()
+    return {"worlds": [w.name for w in table],
+            "functions": [w.spec.name for w in table if w.spec],
+            "tables": [*(f"duality-{w.name}" for w in table if w.forms), "agf-grid"]}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agf-lab",
@@ -449,10 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         "connection constants, and functional-equation verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    choices = _choices()
 
     def common(p, func, *formats, digits=False):  # the first format is the default
         if digits:
-            p.add_argument("--digits", type=_digits, default=15,
+            p.add_argument("--digits", type=_at_least(1), default=15,
                            help=f"working precision; above {MAX_DOUBLE_DIGITS} "
                            "switches to extended mode (limit accumulates at "
                            "it and prints double precision)")
@@ -463,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("seq", help="evaluate a built-in or file recurrence")
-    p.add_argument("world", help="'e', 'pi', or a recurrence file path")
+    p.add_argument("world", help=f"{', '.join(choices['worlds'])}, or a recurrence "
+                   "file path")
     p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
     p.add_argument("n_max", type=int, nargs="?", default=None,
                    help="last index to evaluate")
@@ -472,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_seq, "text", "csv", "json", digits=True)
 
     p = sub.add_parser("limit", help="extrapolate a connection constant")
-    p.add_argument("world", choices=["e", "pi", "gamma"])
+    p.add_argument("world", choices=choices["worlds"])
     p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--n-base", type=int, default=2**10, dest="n_base")
     common(p, cmd_limit, "text", "json", digits=True)
 
     p = sub.add_parser("agf", help="evaluate f or g at a complex point")
-    p.add_argument("which", choices=["f", "g"])
+    p.add_argument("which", choices=choices["functions"])
     p.add_argument("z", help="complex literal a+bi")
     common(p, cmd_agf, digits=True)
 
@@ -489,38 +477,34 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_verify, "json", "text")
 
     p = sub.add_parser("table", help="emit a duality or grid table")
-    p.add_argument("kind", choices=["duality-e", "duality-pi", "agf-grid"])
-    p.add_argument("--m-max", type=int, default=10, dest="m_max")
+    p.add_argument("kind", choices=choices["tables"])
+    p.add_argument("--m-max", type=_at_least(0), default=10, dest="m_max")
     p.add_argument("--grid", type=_grid_spec, default=DEFAULT_GRID)
     common(p, cmd_table, "csv", "json")
 
     return parser
 
 
+# the stderr label and exit code of each typed error; the first match wins
+_ERRORS = ((RecurrenceParseError, "parse error", 2),
+           (CoefficientPole, "coefficient pole", 1), (PoleError, "pole error", 1),
+           (NonConvergence, "non-convergence", 1), ((ValueError, OSError), "error", 2))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecurrenceParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except CoefficientPole as exc:
-        print(f"coefficient pole: {exc}", file=sys.stderr)
-        return 1
-    except PoleError as exc:
-        print(f"pole error: {exc}", file=sys.stderr)
-        return 1
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"arithmetic error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError, ArithmeticError) as exc:
+        label, code = next(((label, code) for kinds, label, code in _ERRORS
+                            if isinstance(exc, kinds)),
+                           (f"arithmetic error: {type(exc).__name__}", 1))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
+
+if __doc__:  # the command list names the table's worlds
+    __doc__ %= {kind: "|".join(names) for kind, names in _choices().items()}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -161,7 +161,10 @@ def estimate_connection_constant(
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
     Samples the ratio at n = n_base * 2^k for k = 0..depth, which one
-    :func:`values_at` run reaches in blocks of steps.  The error estimate
+    :func:`values_at` run reaches in blocks of steps.  An odd n_base is
+    rounded up to even: a (-1)^n companion solution such as mirror_pi's
+    (-1)^n n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that the
+    tableau removes only when every sample is even.  The error estimate
     is the last diagonal increment of the tableau (heuristic, not a
     rigorous bound), floored at the rounding the tableau amplifies:
     eps * (1 + |log Lambda(n)|) * |sample| per sample, weighted by the
@@ -170,7 +173,7 @@ def estimate_connection_constant(
     of the value.
     """
     start = time.perf_counter()
-    targets = [cfg.n_base * 2**k for k in range(cfg.depth + 1)]
+    targets = [(cfg.n_base + cfg.n_base % 2) * 2**k for k in range(cfg.depth + 1)]
     digits = numeric_digits(cfg.digits)
     samples, rounding = [], []  # in the order of targets
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless

@@ -330,17 +330,7 @@ def mirror_e(mz=None) -> PRecurrence:
     In cleared form: (n+z) u_{n+2} - (n+z) u_{n+1} - u_n = 0.
     """
     n_plus_z = Poly2.var("n") + Poly2.var("z")
-    return PRecurrence(
-        order=2,
-        coeffs=(
-            RationalFn(Poly2.const(-1)),
-            RationalFn(-n_plus_z),
-            RationalFn(n_plus_z),
-        ),
-        initial_index=1,
-        initial_values=(Fraction(0), Fraction(1)),
-        param=mz,
-    )
+    return _mirror((Poly2.const(-1), -n_plus_z, n_plus_z), mz)
 
 
 def mirror_pi(mz=None) -> PRecurrence:
@@ -349,17 +339,15 @@ def mirror_pi(mz=None) -> PRecurrence:
     In cleared form: (n+z) v_{n+2} - v_{n+1} - (n+z) v_n = 0.
     """
     n_plus_z = Poly2.var("n") + Poly2.var("z")
-    return PRecurrence(
-        order=2,
-        coeffs=(
-            RationalFn(-n_plus_z),
-            RationalFn(Poly2.const(-1)),
-            RationalFn(n_plus_z),
-        ),
-        initial_index=1,
-        initial_values=(Fraction(0), Fraction(1)),
-        param=mz,
-    )
+    return _mirror((-n_plus_z, Poly2.const(-1), n_plus_z), mz)
+
+
+def _mirror(coeffs: tuple, mz) -> PRecurrence:
+    """The order-2 recurrence with these polynomial coefficients, from
+    u_1 = 0 and u_2 = 1, that both mirrors share."""
+    return PRecurrence(order=2, coeffs=tuple(map(RationalFn, coeffs)),
+                       initial_index=1, initial_values=(Fraction(0), Fraction(1)),
+                       param=mz)
 
 
 def gamma_recurrence(z) -> PRecurrence:

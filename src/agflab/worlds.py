@@ -1,0 +1,88 @@
+"""The built-in worlds e, pi and Gamma, each a holonomic triangle as data.
+
+A world has a P-recursive sequence, an additive functional equation and
+a differential equation; the connection constant of the sequence against
+its shell is the world's function (f, g or Gamma).  :func:`table` reads
+every function from its module at each call, not at import, so a caller
+gets whatever stands under that name then (a test's replacement, a
+tracer's wrapper).  Nothing outside this module branches on a world name.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections.abc import Callable
+from fractions import Fraction
+
+from . import agf, certify, complexfn, exact, holonomic
+from .connection import F_SHELL, G_SHELL, GAMMA_SHELL, AsymptoticShell
+
+__all__ = ["World", "functions", "table", "world"]
+
+
+@dataclasses.dataclass(frozen=True)
+class World:
+    """u_n of ``recurrence(z)`` over ``shell`` tends to ``evaluator(z, cfg)``.
+    ``spec`` and ``pole_distance`` are the AFE and pole row of f and g.
+    ``ode(v, order)`` certifies the generating series' ODE at each value v
+    of ``ode_values`` of the parameter ``ode_param``.  ``forms(m_max)`` are
+    the duality forms x - c y, c the mpmath constant named ``constant``."""
+
+    name: str
+    recurrence: Callable
+    shell: AsymptoticShell
+    evaluator: Callable
+    spec: agf.AGFSpec | None
+    pole_distance: Callable | None
+    ode: Callable
+    ode_param: str
+    ode_values: tuple
+    constant: str | None
+    forms: Callable | None
+
+    def shell_z(self, z):
+        """The z the shell takes: z itself where its exponent moves with z."""
+        return complex(z) if self.shell.rho_slope else None
+
+    def duality_residuals(self, m_max: int, cfg: complexfn.PrecisionConfig
+                          ) -> list[tuple]:
+        """(form, |(-1)^m h(m)/h(0) - (x - c y)|, x + c y) for m = 0..m_max,
+        h the evaluator, the last two as floats."""
+        ctx = cfg.ctx
+        h, const = self.evaluator, getattr(ctx, self.constant)
+        h0 = h(0, cfg)
+        rows = []
+        for m, form in enumerate(self.forms(m_max)):
+            _, x, y = dataclasses.astuple(form)
+            lhs = (-1) ** m * h(m, cfg) / h0
+            residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
+            rows.append((form, float(residual), float(x) + float(const) * float(y)))
+        return rows
+
+
+def table() -> dict[str, World]:
+    """The worlds by name, built from what their modules hold now."""
+    ms = tuple(range(9))
+    return {w.name: w for w in (
+        World("e", holonomic.mirror_e, F_SHELL, agf.f_eval, agf.f_spec(),
+              agf.f_pole_distance, certify.ode_series_check_e, "m", ms,
+              "e", exact.duality_forms_e),
+        World("pi", holonomic.mirror_pi, G_SHELL, agf.g_eval, agf.g_spec(),
+              agf.g_pole_distance, certify.ode_series_check_pi, "m", ms,
+              "pi", exact.duality_forms_pi),
+        World("gamma", holonomic.gamma_recurrence, GAMMA_SHELL, complexfn.gamma,
+              None, None, certify.ode_series_check_gamma, "z",
+              tuple(Fraction(2 * m + 1, 2) for m in ms), None, None))}
+
+
+def world(name: str) -> World:
+    """The world called ``name``; ValueError if there is none."""
+    worlds = table()
+    if name not in worlds:
+        raise ValueError(f"unknown world {name!r}, not one of {', '.join(worlds)}")
+    return worlds[name]
+
+
+def functions() -> dict[str, World]:
+    """The worlds with an additive Gamma function, by its name (f, g)."""
+    return {w.spec.name: w for w in table().values() if w.spec}

@@ -12,7 +12,7 @@ import pytest
 
 import agflab
 from agflab.cli import build_parser, main, parse_complex_literal, parse_scalar
-from agflab.holonomic import eval_sequence, mirror_e
+from agflab.holonomic import eval_sequence, gamma_recurrence, mirror_e
 
 
 def run_cli(capsys, args):
@@ -167,6 +167,16 @@ def test_cli_import_loads_no_third_party_package_but_mpmath():
                          capture_output=True, text=True).stdout
     assert {"agflab", "mpmath"} <= set(out.split()) <= {
         "agflab", "mpmath", "gmpy2"}, out
+
+
+def test_seq_gamma_rows_are_the_exact_sequence(capsys):
+    code, out, _ = run_cli(capsys, ["seq", "gamma", "1/3", "5"])
+    want = eval_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [(int(n), Fraction(value)) for n, value in rows] == [
+        (p.n, p.value) for p in want]
+    assert rows[:2] == [["1", "3"], ["2", "9/2"]]
 
 
 def test_seq_pole_exit(capsys):
@@ -453,6 +463,27 @@ def test_table_duality_e_roundtrip(tmp_path, capsys):
         assert abs(float(r["form_value"]) - regenerated) < 1e-12 * max(
             1.0, abs(regenerated)
         )
+
+
+def test_verify_duality_writes_pi_forms_like_the_table(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "duality"])
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    verified = [{k: r[k] for k in ("m", "p", "q")}
+                for r in checks["duality_pi"]["details"]]
+    code_table, out, _ = run_cli(
+        capsys, ["table", "duality-pi", "--m-max", "15", "--format", "json"])
+    tabled = [{k: r[k] for k in ("m", "p", "q")} for r in json.loads(out)["rows"]]
+    assert (code, code_table) == (0, 0)
+    assert len(verified) == 16 and verified == tabled
+    assert verified[0] == {"m": 0, "p": "1/1", "q": "0/1"}
+
+
+@pytest.mark.parametrize("kind", ["duality-e", "duality-pi"])
+def test_table_duality_negative_m_max_exits_2(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", kind, "--m-max", "-1"])
+    assert exc.value.code == 2
+    assert "--m-max" in capsys.readouterr().err
 
 
 def test_table_duality_pi_exact_columns(tmp_path, capsys):

@@ -105,6 +105,27 @@ def test_error_estimate_bounds_the_actual_error():
             assert actual <= est.error_estimate < 1e-13, (m, shell)
 
 
+@pytest.mark.parametrize("n_base", [17, 33, 1025])
+def test_odd_n_base_is_sampled_at_even_n_and_stays_honest(n_base):
+    # mirror_pi's (-1)^n companion cancels in the tableau only at even n:
+    # sampled from n = 1025, the estimate read 1.0413944e-9 against a true
+    # error of 1.0413947e-9
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    z = ctx.mpf(1) / 3
+
+    def ratio_a(z):
+        return ctx.gamma(z / 2 + 1) * ctx.rgamma((z + 1) / 2)
+
+    want = ctx.sqrt(2) * (ratio_a(z) - ratio_a(z - 1))
+    est = estimate_connection_constant(
+        mirror_pi(Fraction(1, 3)), G_SHELL, cfg=ExtrapolationConfig(n_base=n_base))
+    assert est.n == tuple((n_base + 1) * 2**k for k in range(7))
+    assert abs(ctx.mpc(est.value) - want) <= est.error_estimate
+
+
 def test_extrapolation_gamma_constant():
     est = estimate_connection_constant(
         gamma_recurrence(Fraction(1, 2)), GAMMA_SHELL, z=0.5
