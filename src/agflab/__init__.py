@@ -9,6 +9,7 @@ and exact generating-function ODE certificates.
 
 from .agf import (
     AGFSpec,
+    DomainError,
     RegularityClass,
     afe_residual,
     classify_regularity,

@@ -44,7 +44,9 @@ from .holonomic import _check_coeffs, _parse_coeff_text
 
 __all__ = [
     "AGFSpec",
+    "DomainError",
     "FIRST_POLE",
+    "G_RADIUS",
     "RegularityClass",
     "afe_residual",
     "classify_regularity",
@@ -211,17 +213,34 @@ def gamma_ratio_A(z, cfg: PrecisionConfig = DOUBLE):
     return ctx.exp(log_gamma(zz / 2 + 1, cfg) - log_gamma((zz + 1) / 2, cfg))
 
 
+class DomainError(ArithmeticError):
+    """A point outside the region where a function's value is accurate."""
+
+
+# g's domain.  A(z) and A(z-1) grow like sqrt(|z|/2) while their difference
+# falls like 1/sqrt(|z|), and the double log-gamma carries an absolute
+# error of order eps |z log z|, so the relative error of g grows like
+# eps |z|^2 log |z|.  Against 40-digit mpmath, the worst of 500 points on
+# the circle |z| = R, at angles drawn from random.Random(R), is 5.0e-9 at
+# R = 1000, 7.4e-9 at 1300, 1.0e-8 at 1400 and 1.3e-8 at 1500.
+G_RADIUS = 1300.0
+
+
 def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     """g(z) = sqrt(2) [A(z) - A(z-1)], poles at the negative integers.
 
     Holomorphic at z = 0 because A(-1) = 0 by the reciprocal-gamma
     convention.  Real on the real axis: there the imaginary part the
     log-gamma route leaves (a rounded multiple of pi where a Gamma
-    argument is negative) is dropped.
+    argument is negative) is dropped.  Raises :class:`DomainError` past
+    |z| = :data:`G_RADIUS`, at every precision.
     """
     n = _nearest_int(z)
     if n is not None and n <= FIRST_POLE["g"]:
         raise PoleError(f"g pole at z={n}")
+    if abs(complex(z)) > G_RADIUS:
+        raise DomainError(f"g is evaluated only for |z| <= {G_RADIUS:g}; "
+                          f"|z| = {abs(complex(z)):.6g}")
     ctx = cfg.ctx
     zz = _to_ctx(z, ctx)
     g = ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))

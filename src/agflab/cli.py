@@ -38,6 +38,7 @@ from .complexfn import (
     format_cnum,
 )
 from .connection import (
+    REACH,
     ExtrapolationConfig,
     NonConvergence,
     SlopeKind,
@@ -459,11 +460,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last index to evaluate (alternative to the positional)")
     common(p, cmd_seq, "text", "csv", "json", digits=True)
 
-    p = sub.add_parser("limit", help="extrapolate a connection constant")
+    p = sub.add_parser("limit", help="extrapolate a connection constant",
+                       description="Prints the connection constant and its "
+                       "error estimate.  --format json also prints in n every "
+                       "sample the engine reached, and in increments the "
+                       "tableau's diagonal increments over the final window.")
     p.add_argument("world", choices=choices["worlds"])
     p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--n-base", type=int, default=2**10, dest="n_base")
+    p.add_argument("--depth", type=int, default=ExtrapolationConfig.depth,
+                   help="tableau depth: each estimate extrapolates the last "
+                   "depth+1 samples")
+    p.add_argument("--n-base", type=int, default=ExtrapolationConfig.n_base,
+                   dest="n_base", help="first sample; samples double from it "
+                   "(odd rounds up to even) until the tableau's last increment "
+                   f"reaches its rounding floor, at most to max({REACH}, "
+                   "n-base*2^depth)")
     common(p, cmd_limit, "text", "json", digits=True)
 
     p = sub.add_parser("agf", help="evaluate f or g at a complex point")
@@ -488,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the stderr label and exit code of each typed error; the first match wins
 _ERRORS = ((RecurrenceParseError, "parse error", 2),
            (CoefficientPole, "coefficient pole", 1), (PoleError, "pole error", 1),
+           (agf_mod.DomainError, "domain error", 1),
            (NonConvergence, "non-convergence", 1), ((ValueError, OSError), "error", 2))
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, PrecisionConfig, log_gamma
-from .holonomic import PRecurrence, numeric_digits, values_at
+from .complexfn import DOUBLE, PrecisionConfig, _mp_context, log_gamma
+from .holonomic import PRecurrence, iter_values_at, numeric_digits
 
 __all__ = [
     "AsymptoticShell",
@@ -107,10 +107,11 @@ def shell_eval(shell: AsymptoticShell, n: int, z=None,
 
 @dataclass(frozen=True)
 class ExtrapolationConfig:
-    """Richardson extrapolation policy: samples at n_base * 2^k."""
+    """Richardson extrapolation policy: samples at n_base * 2^k, the
+    tableau over the last depth + 1 of them."""
 
     depth: int = 6
-    n_base: int = 2**10
+    n_base: int = 32
     digits: int | None = None  # accumulation digits; see numeric_digits
 
     def __post_init__(self):
@@ -120,12 +121,18 @@ class ExtrapolationConfig:
             raise ValueError("n_base must be >= 16")
 
 
+# The last sample of the ladder, unless n_base * 2^depth lies past it.
+REACH = 2**16
+EPS = sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class ConnectionEstimate:
     """The extrapolated constant and how it was reached: the engine that
-    accumulated u_n (the fixed-point one) at ``digits``, the sampled ``n``,
-    the increments |diag[i+1] - diag[i]| of the tableau diagonal, the
-    rounding floor of the error estimate, and the seconds it all took."""
+    accumulated u_n (the fixed-point one) at ``digits``, every sampled
+    ``n``, the increments |diag[i+1] - diag[i]| of the tableau diagonal
+    over the final window, the rounding floor of the error estimate, and
+    the seconds it all took."""
 
     value: complex
     error_estimate: float
@@ -137,19 +144,22 @@ class ConnectionEstimate:
     timing_s: float
 
 
-def _richardson_diagonal(samples):
+def _richardson(samples, errors):
     """Diagonal of the Richardson tableau for an expansion in 1/n, with
-    samples at doubling n."""
-    row = list(samples)
+    samples at doubling n, and a running bound on the rounding of its last
+    entry: the samples' ``errors`` carried through with the absolute
+    weights of each level, plus eps |entry| for every entry the tableau
+    computes in double precision."""
+    row, err = list(samples), list(errors)
     diag = [row[0]]
-    for j in range(1, len(samples)):
+    for j in range(1, len(row)):
         factor = 2**j
-        row = [
-            (factor * row[i + 1] - row[i]) / (factor - 1)
-            for i in range(len(row) - 1)
-        ]
+        row = [(factor * row[i + 1] - row[i]) / (factor - 1)
+               for i in range(len(row) - 1)]
+        err = [(factor * err[i + 1] + err[i]) / (factor - 1) + EPS * abs(row[i])
+               for i in range(len(row))]
         diag.append(row[-1])
-    return diag
+    return diag, err[-1]
 
 
 def estimate_connection_constant(
@@ -160,37 +170,67 @@ def estimate_connection_constant(
 ) -> ConnectionEstimate:
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
-    Samples the ratio at n = n_base * 2^k for k = 0..depth, which one
-    :func:`values_at` run reaches in blocks of steps.  An odd n_base is
-    rounded up to even: a (-1)^n companion solution such as mirror_pi's
-    (-1)^n n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that the
-    tableau removes only when every sample is even.  The error estimate
-    is the last diagonal increment of the tableau (heuristic, not a
-    rigorous bound), floored at the rounding the tableau amplifies:
-    eps * (1 + |log Lambda(n)|) * |sample| per sample, weighted by the
-    absolute Richardson weights.  Raises NonConvergence when the diagonal
-    increments grow for three consecutive levels while still above 1e-13
-    of the value.
+    Samples the ratio at n = n_base * 2^k, k = 0, 1, ..., which one
+    :func:`iter_values_at` run reaches in blocks of steps, and reruns the
+    tableau over the last depth + 1 samples at each new one.  The ladder
+    stops at the first window whose last diagonal increment is at or
+    below its rounding floor, and never goes past max(REACH, n_base *
+    2^depth).  An odd n_base is rounded up to even: a (-1)^n companion
+    solution such as mirror_pi's (-1)^n n^(-1/2) adds (-1)^n/n to the
+    ratio, a plain 1/n term that the tableau removes only when every
+    sample is even.
+
+    Each sample divides the engine's value by exp(log Lambda) in an
+    mpmath context, so neither overflows.  The error estimate is the last
+    diagonal increment of the final window (heuristic, not a rigorous
+    bound), floored at the rounding of the window: eps * (1 + |log
+    Lambda(n)|) * |sample| per sample, carried through the tableau with
+    the rounding of its own steps (:func:`_richardson`).  Raises
+    NonConvergence at a sample that is not finite, when the increments
+    of any window grow for three consecutive levels while still above
+    1e-13 of the value, and when the window at the end of the ladder is
+    still far from settled.
     """
     start = time.perf_counter()
-    targets = [(cfg.n_base + cfg.n_base % 2) * 2**k for k in range(cfg.depth + 1)]
+    n_base = cfg.n_base + cfg.n_base % 2
+    reach = max(REACH, n_base * 2**cfg.depth)
+    ladder = [n_base << k for k in range((reach // n_base).bit_length())]
     digits = numeric_digits(cfg.digits)
-    samples, rounding = [], []  # in the order of targets
+    ctx = _mp_context(digits + 5)
+    size = cfg.depth + 1
+    samples, rounding = [], []  # in the order of the ladder
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
-    for n, u in zip(targets, values_at(rec, z, targets, digits)):
-        lam = shell_eval(shell, n, z)
-        samples.append(complex(u) / lam)
-        rounding.append(sys.float_info.epsilon * (1 + abs(cmath.log(lam)))
-                        * abs(samples[-1]))
+    for n, u in zip(ladder, iter_values_at(rec, z, ladder, digits, ctx)):
+        log_lam = shell_log_eval(shell, n, z)
+        sample = complex(u / ctx.exp(log_lam))
+        if not cmath.isfinite(sample):
+            raise NonConvergence(f"sample u_n / Lambda(n) not finite at n={n}")
+        samples.append(sample)
+        rounding.append(EPS * (1 + abs(log_lam)) * abs(sample))
+        if len(samples) < size:
+            continue
+        diag, rounding_error = _richardson(samples[-size:], rounding[-size:])
+        deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
+        scale = max(abs(diag[-1]), 1e-300)
+        _check_not_diverging(deltas, 1e-13 * scale)
+        if deltas[-1] <= rounding_error:
+            break
+    else:
+        if deltas[-1] > 0.01 * scale:
+            raise NonConvergence(
+                "extrapolation diagonal far from settled "
+                f"(last delta {deltas[-1]:.3g} vs value {scale:.3g})"
+            )
+    return ConnectionEstimate(
+        value=diag[-1], error_estimate=max(deltas[-1], rounding_error),
+        engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
+        increments=tuple(deltas), rounding_floor=rounding_error,
+        timing_s=time.perf_counter() - start)
 
-    diag = _richardson_diagonal(samples)
-    # the weight of sample k in diag[-1] is diag[-1] of the k-th unit vector
-    units = [[float(i == k) for i in range(len(samples))] for k in range(len(samples))]
-    rounding_error = sum(abs(_richardson_diagonal(unit)[-1]) * err
-                         for unit, err in zip(units, rounding))
-    deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
-    scale = max(abs(diag[-1]), 1e-300)
-    floor = 1e-13 * scale
+
+def _check_not_diverging(deltas, floor):
+    """Raise NonConvergence where the increments grow for three
+    consecutive levels while above ``floor``."""
     growing = 0
     for i in range(1, len(deltas)):
         if deltas[i] > deltas[i - 1] and deltas[i] > floor:
@@ -201,15 +241,6 @@ def estimate_connection_constant(
                 )
         else:
             growing = 0
-    if deltas and deltas[-1] > 0.01 * scale:
-        raise NonConvergence(
-            "extrapolation diagonal far from settled "
-            f"(last delta {deltas[-1]:.3g} vs value {scale:.3g})"
-        )
-    return ConnectionEstimate(
-        value=diag[-1], error_estimate=max(deltas[-1], rounding_error),
-        engine="fixed", digits=digits, n=tuple(targets), increments=tuple(deltas),
-        rounding_floor=rounding_error, timing_s=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

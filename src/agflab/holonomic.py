@@ -7,11 +7,12 @@ substitutes z exactly and clears the denominators once; every engine
 steps that integer equation.  Forward iteration is exact (big
 rationals) whenever z and the initial values are rational, and in fixed
 point on Python ints otherwise, at 30 digits unless more are asked for;
-:func:`values_at` takes the fixed-point engine to a few wanted indices
-in blocks of steps.  :func:`exact_series` builds a whole exact series
-u_0..u_N fraction-free instead, as integer numerators over one common
-denominator, for callers such as the ODE certificates that want every
-term rather than reduced values.  The two mirror recurrences, whose
+:func:`iter_values_at` takes the fixed-point engine to a few wanted
+indices in blocks of steps, as far as its caller draws them.
+:func:`exact_series` builds a whole exact series u_0..u_N fraction-free
+instead, as integer numerators over one common denominator, for
+callers such as the ODE certificates that want every term rather than
+reduced values.  The two mirror recurrences, whose
 connection constants tie to e and pi, and the Gamma prototype recurrence
 are built in, together with the constructive shell sequences n!/(z)_n
 and n!/Gamma(n+1-z).
@@ -53,6 +54,7 @@ __all__ = [
     "gamma_recurrence",
     "iter_numeric",
     "iter_sequence",
+    "iter_values_at",
     "mirror_e",
     "mirror_pi",
     "numeric_digits",
@@ -669,13 +671,21 @@ class _Window:
                       for i in range(1 if self.real else 2)]
         if self.real:
             self.out = _to_float if ctx is None else lambda m, e: ctx.mpf((m, e))
-        elif ctx is None:
-            def out(x, y, e):
-                re, im = _to_float(x, e), _to_float(y, e)
-                return re if im == 0 else complex(re, im)
-            self.out = out
-        else:
-            self.out = lambda x, y, e: ctx.mpc((x, e), (y, e))
+            return
+        # a part more than ``digits`` digits below the other is the residue
+        # of the floor divisions, not a value: it reads as 0
+        bits = math.ceil(digits * math.log2(10))
+
+        def out(x, y, e):
+            if x.bit_length() + bits < y.bit_length():
+                x = 0
+            elif y.bit_length() + bits < x.bit_length():
+                y = 0
+            if ctx is not None:
+                return ctx.mpc((x, e), (y, e))
+            re, im = _to_float(x, e), _to_float(y, e)
+            return re if im == 0 else complex(re, im)
+        self.out = out
 
     def read(self, i):
         """u_{m+i}."""
@@ -743,28 +753,33 @@ class _Window:
         from their values at the first k * degree + 1 blocks and stepped by
         :func:`_stepping`."""
         r = self.r
-        polys = self.polys + ([[0]] * (r + 1) if self.real else [])
+        # column j of B is the window from the j-th unit vector after k
+        # steps without their divisions by c_r, whose product is D: ints
+        # for real data, (re, im) pairs for complex data
+        one, zero = (1, 0) if self.real else ((1, 0), (0, 0))
         points = []
         for m in range(self.n0, self.n0 + (k * self.degree + 1) * k, k):
-            B = [[(int(i == j), 0) for j in range(r)] for i in range(r)]
-            D = (1, 0)
-            for vals in islice(_values_from(polys, m), k):
+            cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
+            D = one
+            for vals in islice(_values_from(self.polys, m), k):
+                if self.real:
+                    cr = vals[r]
+                    cols = [[cr * x for x in w[1:]] + [-sum(map(mul, vals, w))]
+                            for w in cols]
+                    D *= cr
+                    continue
                 c = list(zip(vals[:r + 1], vals[r + 1:]))
                 cr, ci = c[r]
-                last = []  # -sum_k c_k B[k]: the new last row of A(n) B
-                for j in range(r):
+                for w in cols:
                     x = y = 0
-                    for (ar, ai), row in zip(c, B):
-                        br, bi = row[j]
-                        x -= ar * br - ai * bi
-                        y -= ar * bi + ai * br
-                    last.append((x, y))
-                B = [[(cr * br - ci * bi, cr * bi + ci * br) for br, bi in row]
-                     for row in B[1:]] + [last]
+                    for (a, b), (u, v) in zip(c, w):
+                        x -= a * u - b * v
+                        y -= a * v + b * u
+                    w[:] = [(cr * u - ci * v, cr * v + ci * u) for u, v in w[1:]] + [(x, y)]
                 D = (cr * D[0] - ci * D[1], cr * D[1] + ci * D[0])
-            flat = [v for row in B for v in row] + [D]
-            points.append([x for x, _ in flat]
-                          + ([] if self.real else [y for _, y in flat]))
+            flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
+            points.append(flat if self.real else
+                          [x for x, _ in flat] + [y for _, y in flat])
         return _stepping(zip(*points))
 
     def jump(self, vals) -> bool:
@@ -806,14 +821,19 @@ class _Window:
             self.e += s
         return True
 
-    def at(self, ns: list) -> list:
-        """u_n for the increasing ns, from the initial window: K steps at a
-        jump between wanted n, and single steps to finish each gap."""
+    def at(self, ns):
+        """Yield u_n for each n drawn from the increasing ns, from the
+        initial window: K steps at a jump between wanted n, and single steps
+        to finish each gap.  The engine runs only as far as the last n
+        drawn, so a caller that stops drawing stops the stepping."""
         r, m, k = self.r, self.n0, self.block_size()
         blocks = self.blocks(k) if k > 1 else None
         edge = m if blocks else math.inf  # where the next block starts
-        got = []
+        last = m - 1
         for t in ns:
+            if t <= last:
+                raise ValueError("indices must increase from the initial index")
+            last = t
             while t >= m + r:  # u_t is past the window u_m..u_{m+r-1}
                 if m == edge:
                     vals = next(blocks)
@@ -825,24 +845,29 @@ class _Window:
                 for _ in self.steps(m, stop):
                     pass
                 m = stop
-            got.append(self.read(t - m))
-        return got
+            yield self.read(t - m)
 
 
-def values_at(rec: PRecurrence, z, ns, digits: int | None = None) -> list:
-    """u_n at each of the increasing indices ``ns``, as floats or complexes.
+def iter_values_at(rec: PRecurrence, z, ns, digits: int | None = None, ctx=None):
+    """Yield u_n for each n drawn from the increasing iterable ``ns``.
 
     Runs the fixed-point engine of :func:`iter_numeric` at the same
     precision, but reaches each wanted n in blocks of steps
-    (:meth:`_Window.at`).  A block with a coefficient pole is taken in
-    single steps, so :class:`CoefficientPole` names the n that
+    (:meth:`_Window.at`), and only as far as the last n drawn: ``ns`` may
+    be an endless ladder that the caller stops.  Values are floats or
+    complexes, or numbers of the mpmath context ``ctx`` when one is given
+    (no overflow at any size).  A block with a coefficient pole is taken
+    in single steps, so :class:`CoefficientPole` names the n that
     :func:`iter_sequence` names.
     """
-    ns = list(ns)
-    if ns and (ns[0] < rec.initial_index or any(a >= b for a, b in zip(ns, ns[1:]))):
-        raise ValueError("indices must increase from the initial index")
     zval = z if z is not None else rec.param
-    return _Window(rec, zval, numeric_digits(digits), None).at(ns)
+    return _Window(rec, zval, numeric_digits(digits), ctx).at(ns)
+
+
+def values_at(rec: PRecurrence, z, ns, digits: int | None = None) -> list:
+    """u_n at each of the increasing indices ``ns``, as floats or complexes:
+    the list of :func:`iter_values_at`."""
+    return list(iter_values_at(rec, z, ns, digits))
 
 
 # ---------------------------------------------------------------------------

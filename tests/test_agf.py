@@ -5,7 +5,9 @@ import random
 import pytest
 
 from agflab.agf import (
+    G_RADIUS,
     AGFSpec,
+    DomainError,
     RegularityClass,
     afe_residual,
     classify_regularity,
@@ -104,6 +106,32 @@ def test_g_far_up_the_imaginary_axis():
     for z in (800j, -800j):
         want = ctx.sqrt(2) * (a(ctx.mpc(z)) - a(ctx.mpc(z) - 1))
         assert abs(g_eval(z) - want) <= 1e-9 * abs(want)
+
+
+def test_g_holds_eight_digits_up_to_its_radius():
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+
+    def a(t):
+        return ctx.gamma(t / 2 + 1) * ctx.rgamma((t + 1) / 2)
+
+    rng = random.Random(1300)
+    for _ in range(60):
+        z = cmath.rect(G_RADIUS * rng.uniform(0.5, 1), rng.uniform(-math.pi, math.pi))
+        want = ctx.sqrt(2) * (a(ctx.mpc(z)) - a(ctx.mpc(z) - 1))
+        assert abs(g_eval(z) - want) <= 1e-8 * abs(want), z
+
+
+def test_g_refuses_points_past_its_radius():
+    # at 1e10+1e10i, A(z) and A(z-1) are about 8e4 and their difference
+    # was all rounding: -0.98-2.37i for 3.9e-6-1.6e-6i
+    for z in (complex(1e10, 1e10), 1.01j * G_RADIUS, -1.01 * G_RADIUS - 0.5):
+        with pytest.raises(DomainError):
+            g_eval(z)
+    with pytest.raises(DomainError):
+        g_eval(complex(1e10, 1e10), extended(30))
 
 
 def test_g_poles():

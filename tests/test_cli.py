@@ -179,6 +179,18 @@ def test_seq_gamma_rows_are_the_exact_sequence(capsys):
     assert rows[:2] == [["1", "3"], ["2", "9/2"]]
 
 
+def test_seq_complex_row_without_fixed_point_residue(capsys):
+    # w_3 = 3!/((1+i)(2+i)(3+i)) = -0.6i exactly; the engine's floor
+    # divisions left -4.97841222228891e-60 in the real part
+    code, out, _ = run_cli(capsys, ["seq", "gamma", "1+i", "4"])
+    assert code == 0 and out.split("\n")[2] == "3\t0-0.6i"
+
+
+def test_agf_g_past_its_radius_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["agf", "g", "1e10+1e10i"])
+    assert (code, out) == (1, "") and err.startswith("domain error: ")
+
+
 def test_seq_pole_exit(capsys):
     code, out, err = run_cli(capsys, ["seq", "e", "-1", "20"])
     assert code == 1
@@ -308,7 +320,7 @@ def test_limit_json_says_what_ran(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["engine"] == "fixed" and rep["digits"] == 30
-    assert rep["n"] == [1024 * 2**k for k in range(7)]
+    assert rep["n"] == [32 * 2**k for k in range(7)]
     assert len(rep["increments"]) == 6
     assert rep["error_estimate"] == max(rep["increments"][-1], rep["rounding_floor"])
     assert rep["timing_s"] > 0
@@ -341,13 +353,13 @@ def test_limit_digits_sets_the_accumulation_precision(capsys, monkeypatch):
     import agflab.connection as connection
 
     seen = []
-    real = connection.values_at
+    real = connection.iter_values_at
 
-    def spy(rec, z, ns, digits=None):
+    def spy(rec, z, ns, digits=None, ctx=None):
         seen.append(digits)
-        return real(rec, z, ns, digits)
+        return real(rec, z, ns, digits, ctx)
 
-    monkeypatch.setattr(connection, "values_at", spy)
+    monkeypatch.setattr(connection, "iter_values_at", spy)
     code, out, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "40"])
     assert code == 0 and seen == [40]
     assert abs(float(out.split(" ± ")[0]) - (1 - 2 / math.e)) < 1e-15

@@ -165,6 +165,86 @@ def test_nonconvergence_on_exponential_blowup():
         estimate_connection_constant(rec, AsymptoticShell(), cfg=cfg)
 
 
+def test_non_finite_sample_names_its_n():
+    # u_n = 1.02^n with a two-sample window: no window settles and none
+    # grows three levels in a row, and u_n passes the double range past
+    # n = 35845, so the sample at 65536 is inf; never a nan estimate
+    rec = PRecurrence(
+        order=1,
+        coeffs=(
+            RationalFn(Poly2.const(Fraction(-51, 50))),
+            RationalFn(Poly2.const(1)),
+        ),
+        initial_index=1,
+        initial_values=(1.02,),
+        param=0.0,
+    )
+    cfg = ExtrapolationConfig(depth=1, n_base=16)
+    with pytest.raises(NonConvergence, match="n=65536"):
+        estimate_connection_constant(rec, AsymptoticShell(), cfg=cfg)
+
+
+def first_order(lead, init) -> PRecurrence:
+    """u_{n+1} = lead(n) u_n from u_1 = init."""
+    return PRecurrence(order=1, coeffs=(RationalFn(-lead), RationalFn(Poly2.const(1))),
+                       initial_index=1, initial_values=(Fraction(init),))
+
+
+@pytest.mark.parametrize("rec, shell", [
+    # u_n = n! over Gamma(n+1): both pass the double range at n = 171
+    (first_order(Poly2.var("n") + Poly2.const(1), 1),
+     AsymptoticShell(gamma_factors=(GammaFactor(Fraction(0), 1.0, 1),))),
+    # u_n = 2^n over 2^n: past the double range at n = 1024
+    (first_order(Poly2.const(2), 2), AsymptoticShell(lam=2)),
+], ids=["factorial", "doubling"])
+def test_samples_divide_by_the_shell_in_log_space(rec, shell):
+    est = estimate_connection_constant(rec, shell)
+    assert abs(est.value - 1) <= est.error_estimate < 1e-10
+
+
+def limit_oracle(ctx, name, z):
+    """The world's function at z, in the 40-digit context ctx."""
+    z = ctx.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else ctx.mpc(z)
+    if name == "e":
+        return ctx.hyp1f1(2, z + 2, -1) / (z + 1)
+    if name == "pi":
+        def ratio_a(t):
+            return ctx.gamma(t / 2 + 1) * ctx.rgamma((t + 1) / 2)
+        return ctx.sqrt(2) * (ratio_a(z) - ratio_a(z - 1))
+    return ctx.gamma(z)
+
+
+def test_adaptive_ladder_is_honest_across_the_worlds():
+    # seeded z, rational and complex, |z| <= 30 for e and pi; Gamma to
+    # |z| <= 20, past which its tableau stops settling before n = 2^16
+    # (3.5e-13 at z = 30, as with the fixed ladder from 1024)
+    from mpmath.ctx_mp import MPContext
+
+    from agflab import worlds
+
+    ctx = MPContext()
+    ctx.dps = 40
+    rng = random.Random(2026)
+    worst = 0.0
+    for name, radius in (("e", 30), ("pi", 30), ("gamma", 20)):
+        world = worlds.world(name)
+        zs = [Fraction(radius)]
+        while len(zs) < 15:
+            q = rng.randint(2, 4)
+            zs.append(Fraction(rng.randint(1, radius * q), q))
+            z = complex(rng.uniform(0.1, radius), rng.uniform(-5, 5))
+            if abs(z) <= radius:
+                zs.append(z)
+        for z in zs:
+            est = estimate_connection_constant(world.recurrence(z), world.shell,
+                                               z=world.shell_z(z))
+            want = limit_oracle(ctx, name, z)
+            actual = abs(ctx.mpc(est.value) - want)
+            assert actual <= est.error_estimate, (name, z)
+            worst = max(worst, actual / abs(want))
+    assert worst < 1e-13
+
+
 def test_extrapolation_config_validation():
     with pytest.raises(ValueError):
         ExtrapolationConfig(depth=0)

@@ -525,6 +525,15 @@ def test_values_at_block_size_follows_the_degree():
     assert user.degree == 3 and 1 < user.block_size() < 16
 
 
+def test_complex_values_drop_a_part_below_the_precision():
+    # w_3 = 3!/((1+i)(2+i)(3+i)) = -0.6i: the real part is the floor
+    # divisions' residue, about 1e-59 of the imaginary part
+    rec = gamma_recurrence(1 + 1j)
+    assert dict(iter_numeric(rec, None, 4))[3] == -0.6j
+    assert values_at(rec, None, [3]) == [-0.6j]
+    assert dict(iter_sequence(rec, None, 4, digits=30))[3].real == 0
+
+
 def test_values_at_inside_the_initial_window():
     rec = parse_precurrence(USER_TEXT)
     want = dict(iter_numeric(rec, 0.75, 40))
