@@ -9,19 +9,19 @@ f is evaluated by the branch-free real series
     f(z) = e^(-1) * sum_k 1 / (k! (z+2+k)),
 
 with the incomplete-gamma and confluent-hypergeometric representations
-kept as independent cross-check routes; g is evaluated through ratios of
-Gamma values A(z) = Gamma(z/2+1)/Gamma((z+1)/2) via log-gamma
-differences.  An :class:`AGFSpec` packages a general additive functional
-equation sum_k R_k(z) h(z+k) = 0 with rational coefficients, normalized
-by anchor values, for residual checking, propagation probing, and the
-regular/irregular classification at infinity.
+kept as independent cross-check routes; g takes the Gamma ratios
+A(z) = Gamma(z/2+1)/Gamma((z+1)/2) and A(z-1) from three log-Gammas, at
+z/2, (z+1)/2 and z/2+1.  An :class:`AGFSpec` packages a general additive
+functional equation sum_k R_k(z) h(z+k) = 0 with rational coefficients
+in z, normalized by anchor values, for residual checking, propagation
+probing, and the regular/irregular classification at infinity.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -30,17 +30,17 @@ from .complexfn import (
     PoleError,
     PrecisionConfig,
     _is_mp,
+    _log_gamma,
     _mp_context,
     _nearest_int,
     _to_ctx,
     extended,
     format_cnum,
     hyp1f1,
-    log_gamma,
     lower_incomplete_gamma,
 )
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
-from .holonomic import _check_coeffs, _parse_coeff_text
+from .holonomic import _check_coeffs, _horner_z, _parse_coeff_text, _quotient
 
 __all__ = [
     "AGFSpec",
@@ -86,6 +86,7 @@ class AGFSpec:
     coeffs: tuple
     anchors: tuple
     name: str = ""
+    _rows: tuple = field(init=False, repr=False, compare=False)  # (num, den) in z
 
     def __post_init__(self):
         _check_coeffs(self.order, self.coeffs)
@@ -94,9 +95,13 @@ class AGFSpec:
                 raise ValueError("AFE coefficients must not involve n")
         if len(self.anchors) != self.order:
             raise ValueError("need exactly `order` anchor pairs")
+        object.__setattr__(self, "_rows", tuple(
+            (c.num.coeffs[0], c.den.coeffs[0]) for c in self.coeffs))
 
     def coeff_at(self, k: int, z):
-        return self.coeffs[k].eval(0, z)
+        """coeffs[k] at z, by the steps of ``coeffs[k].eval(0, z)``."""
+        num, den = self._rows[k]
+        return _quotient(_horner_z(num, z), _horner_z(den, z), 0, z)
 
 
 def f_spec() -> AGFSpec:
@@ -159,13 +164,13 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     if n is not None and n <= FIRST_POLE["f"]:
         raise PoleError(f"f pole at z={n}")
     ctx = cfg.ctx
-    zz = _to_ctx(z, ctx)
+    z2 = _to_ctx(z, ctx) + 2
     tiny = ctx.eps / 1000
     total = ctx.mpc(0)
     term = ctx.mpf(1)  # 1/k!
     k = 0
     while term >= tiny:
-        total += term / (zz + 2 + k)
+        total += term / (z2 + k)
         k += 1
         term /= k
     return total / ctx.e
@@ -210,7 +215,7 @@ def gamma_ratio_A(z, cfg: PrecisionConfig = DOUBLE):
         raise PoleError(f"A(z) {'indeterminate' if den_pole else 'pole'} at z={z}")
     if den_pole:
         return ctx.mpc(0)
-    return ctx.exp(log_gamma(zz / 2 + 1, cfg) - log_gamma((zz + 1) / 2, cfg))
+    return ctx.exp(_log_gamma(zz / 2 + 1, cfg) - _log_gamma((zz + 1) / 2, cfg))
 
 
 class DomainError(ArithmeticError):
@@ -229,21 +234,25 @@ G_RADIUS = 1300.0
 def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     """g(z) = sqrt(2) [A(z) - A(z-1)], poles at the negative integers.
 
+    log Gamma((z+1)/2) is shared: A(z)'s denominator, A(z-1)'s numerator.
     Holomorphic at z = 0 because A(-1) = 0 by the reciprocal-gamma
     convention.  Real on the real axis: there the imaginary part the
     log-gamma route leaves (a rounded multiple of pi where a Gamma
     argument is negative) is dropped.  Raises :class:`DomainError` past
     |z| = :data:`G_RADIUS`, at every precision.
     """
-    n = _nearest_int(z)
+    zc = complex(z)
+    n = _nearest_int(zc)
     if n is not None and n <= FIRST_POLE["g"]:
         raise PoleError(f"g pole at z={n}")
-    if abs(complex(z)) > G_RADIUS:
+    if abs(zc) > G_RADIUS:
         raise DomainError(f"g is evaluated only for |z| <= {G_RADIUS:g}; "
-                          f"|z| = {abs(complex(z)):.6g}")
+                          f"|z| = {abs(zc):.6g}")
     ctx = cfg.ctx
     zz = _to_ctx(z, ctx)
-    g = ctx.sqrt(2) * (gamma_ratio_A(zz, cfg) - gamma_ratio_A(zz - 1, cfg))
+    mid = _log_gamma((zz + 1) / 2, cfg)
+    a_prev = 0 if n == 0 else ctx.exp(mid - _log_gamma(zz / 2, cfg))
+    g = ctx.sqrt(2) * (ctx.exp(_log_gamma(zz / 2 + 1, cfg) - mid) - a_prev)
     return g.real if zz.imag == 0 else g
 
 
@@ -284,21 +293,22 @@ def residual_table(spec: AGFSpec, h, points, pole_distance) -> list[tuple]:
     """
     seen = {}
 
-    def h_at(w):
+    def h_at(w):  # None next to a pole
         if w not in seen:
-            seen[w] = h(w)
+            try:
+                seen[w] = None if pole_distance(w) < 1e-3 else h(w)
+            except PoleError:
+                seen[w] = None
         return seen[w]
 
     rows = []
     for z in points:
         values = []
         for k in range(spec.order + 1):
-            if pole_distance(z + k) < 1e-3:
+            v = h_at(z + k)
+            if v is None:
                 break
-            try:
-                values.append(h_at(z + k))
-            except PoleError:
-                break
+            values.append(v)
         value = values[0] if values else None
         if len(values) <= spec.order:
             rows.append((z, value, None, None))

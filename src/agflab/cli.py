@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import random
@@ -448,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default=formats[0],
                            help="output format")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.set_defaults(func=func)
+        # read by name when called: the parser outlives a test's or tracer's swap
+        p.set_defaults(func=lambda args: globals()[func.__name__](args))
 
     p = sub.add_parser("seq", help="evaluate a built-in or file recurrence")
     p.add_argument("world", help=f"{', '.join(choices['worlds'])}, or a recurrence "
@@ -503,8 +505,11 @@ _ERRORS = ((RecurrenceParseError, "parse error", 2),
            (NonConvergence, "non-convergence", 1), ((ValueError, OSError), "error", 2))
 
 
+_parser = functools.cache(build_parser)  # built once (1.5 ms); parse_args keeps no state
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -121,7 +121,8 @@ def _to_ctx(z, ctx):
     """z (Fraction, Python number or mpmath number of any context) as a
     complex number of ``ctx``, rounded to its precision; a zero imaginary
     part is +0, which keeps real arguments on the principal branch."""
-    return ctx.mpc(ctx.convert(z)) + 0
+    # fp.convert takes a complex only after a caught TypeError (1.5 us)
+    return ctx.mpc(z if type(z) is complex else ctx.convert(z)) + 0
 
 
 def _nearest_int(z) -> int | None:
@@ -211,10 +212,12 @@ def log_gamma(z, cfg: PrecisionConfig = DOUBLE):
     part may differ from the continuous branch by multiples of 2*pi.
     """
     _check_pole(z, "gamma pole at z")
-    z = _to_ctx(z, cfg.ctx)
-    if cfg.is_extended:
-        return cfg.ctx.loggamma(z)
-    return _lgamma_lanczos(z)
+    return _log_gamma(_to_ctx(z, cfg.ctx), cfg)
+
+
+def _log_gamma(w, cfg: PrecisionConfig):
+    """log_gamma of w, already a number of ``cfg.ctx`` and no pole."""
+    return cfg.ctx.loggamma(w) if cfg.is_extended else _lgamma_lanczos(w)
 
 
 def gamma(z, cfg: PrecisionConfig = DOUBLE):

@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from agflab.agf import (
     G_RADIUS,
@@ -26,9 +28,10 @@ from agflab.agf import (
     growth_probe,
     parse_agf_spec,
     residual_grid,
+    residual_table,
     uniqueness_probe,
 )
-from agflab.complexfn import PoleError, extended, gamma
+from agflab.complexfn import DOUBLE, PoleError, extended, gamma, log_gamma
 from agflab.exact import duality_form_e, duality_form_pi
 from agflab.holonomic import RecurrenceParseError
 
@@ -138,6 +141,71 @@ def test_g_poles():
     for z in (-1, -2, -5.0):
         with pytest.raises(PoleError):
             g_eval(z)
+
+
+def test_pole_and_domain_messages():
+    cases = [(lambda: g_eval(-3), PoleError, "g pole at z=-3"),
+             (lambda: g_eval(complex(-2, 1e-13), extended(30)), PoleError,
+              "g pole at z=-2"),
+             (lambda: gamma_ratio_A(-2), PoleError, "A(z) pole at z=-2"),
+             (lambda: f_eval(-4.0), PoleError, "f pole at z=-4"),
+             (lambda: log_gamma(-1), PoleError, "gamma pole at z=-1"),
+             (lambda: g_eval(1400), DomainError,
+              "g is evaluated only for |z| <= 1300; |z| = 1400")]
+    for call, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            call()
+        assert str(exc.value) == message
+    assert gamma_ratio_A(-1) == 0 and gamma_ratio_A(-1, extended(30)) == 0
+
+
+def test_g_is_the_two_ratio_form_exactly():
+    # g shares lgGamma((z+1)/2) between A(z) and A(z-1); where z - 1 + 1
+    # is z, as on the quarter grid, no bit may move
+    points = [0, 1, -0.5, -1.5] + [complex(a / 4, b / 4) for a in range(-14, 41, 3)
+                                   for b in range(-36, 37, 9)]
+    for cfg in (DOUBLE, extended(30)):
+        sqrt2 = cfg.ctx.sqrt(2)
+        for z in points:
+            if g_pole_distance(z) < 1e-3:
+                continue
+            want = sqrt2 * (gamma_ratio_A(z, cfg) - gamma_ratio_A(z - 1, cfg))
+            assert g_eval(z, cfg) == (want.real if complex(z).imag == 0 else want), z
+
+
+def _oracle_region(radius):
+    """200 seeded points with |z| <= radius, Re z > 0.1 and |Im z| <= radius/3."""
+    rng = random.Random(radius)
+    points = []
+    while len(points) < 200:
+        z = complex(rng.uniform(0.1, radius), rng.uniform(-radius / 3, radius / 3))
+        if abs(z) <= radius:
+            points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("radius, f_tol, g_tol, lg_tol", [
+    (10, 5.2e-16, 1.4e-13, 7.9e-15),
+    (60, 5.4e-16, 5.2e-12, 1.2e-13),
+])
+def test_double_f_g_log_gamma_against_40_digits(radius, f_tol, g_tol, lg_tol):
+    # each bound is the worst error of these points before g shared its
+    # middle log-Gamma, rounded up to two digits; log_gamma's error is
+    # taken modulo 2 pi i, and is the relative error of Gamma
+    ctx = MPContext()
+    ctx.dps = 40
+
+    def a(t):
+        return ctx.gamma(t / 2 + 1) * ctx.rgamma((t + 1) / 2)
+
+    for z in _oracle_region(radius):
+        w = ctx.mpc(z)
+        f_want = ctx.fsum(1 / (ctx.factorial(k) * (w + 2 + k)) for k in range(60)) / ctx.e
+        assert abs(f_eval(z) - f_want) <= f_tol * abs(f_want), z
+        g_want = ctx.sqrt(2) * (a(w) - a(w - 1))
+        assert abs(g_eval(z) - g_want) <= g_tol * abs(g_want), z
+        d = log_gamma(z) - ctx.loggamma(w)
+        assert abs(d - 2j * ctx.pi * ctx.nint(d.imag / (2 * ctx.pi))) <= lg_tol, z
 
 
 def test_gamma_ratio_A_values():
@@ -294,6 +362,45 @@ def test_agf_spec_text_roundtrip():
         for (p1, v1), (p2, v2) in zip(back.anchors, spec.anchors):
             assert p1 == p2
             assert abs(complex(v1) - complex(v2)) < 1e-15
+
+
+def test_residual_table_punctures_each_argument_once():
+    seen = []
+
+    def distance(w):
+        seen.append(w)
+        return f_pole_distance(w)
+
+    near = complex(-2 + 5e-4, 0)  # inside the 1e-3 puncture, no PoleError
+    rows = residual_table(f_spec(), f_eval, grid_points(-2.5, 0.5, 0, 0.5, 0.5) + [near],
+                          distance)
+    assert len(seen) == len(set(seen))
+    assert rows[-1] == (near, None, None, None)
+
+
+def test_coeff_at_is_the_coefficients_value():
+    parsed = parse_agf_spec("coeff2: 1\ncoeff1: (z+1)/(2*z-3)\ncoeff0: -z^2+1/2\n"
+                            "z0=0: 1\nz0=1: 2")
+    mp_z = extended(30).ctx.mpc(0.5, 1)
+    for spec in (f_spec(), g_spec(), gamma_spec(), parsed):
+        for z in (0, 3, -1, Fraction(1, 3), Fraction(3, 2), 0.25, 1.5, -7.5,
+                  complex(1.5, -2), complex(-1, 0), mp_z):
+            for k, c in enumerate(spec.coeffs):
+                try:
+                    want = c.eval(0, z)
+                except ZeroDivisionError:  # a root of the denominator
+                    with pytest.raises(ZeroDivisionError):
+                        spec.coeff_at(k, z)
+                    continue
+                got = spec.coeff_at(k, z)
+                assert got == want and type(got) is type(want), (spec, k, z)
+    assert type(parsed.coeff_at(1, 2)) is Fraction
+    assert type(g_spec().coeff_at(2, mp_z)) is type(mp_z)  # a constant, in z's type
+    for z in (Fraction(3, 2), 1.5, complex(1.5, 0)):
+        with pytest.raises(ZeroDivisionError):
+            parsed.coeff_at(1, z)
+    with pytest.raises(ZeroDivisionError):
+        g_spec().coeff_at(1, -1)
 
 
 def test_agf_spec_text_errors():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import agflab
+from agflab import cli
 from agflab.cli import build_parser, main, parse_complex_literal, parse_scalar
 from agflab.holonomic import eval_sequence, gamma_recurrence, mirror_e
 
@@ -57,6 +58,23 @@ def test_seq_n_max_flag_form(capsys):
     assert out.strip().splitlines()[-1].endswith("11/6")
     code, _, err = run_cli(capsys, ["seq", "e", "0"])
     assert code == 2 and "n_max" in err
+
+
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main builds its parser once; the flags of one call must not reach
+    # the next, and a command replaced since (a tracer's wrapper) is called
+    code, out, _ = run_cli(capsys, ["seq", "e", "1/2", "4", "--format", "json"])
+    assert code == 0 and json.loads(out)["rows"][-1]["n"] == 4
+    code, out, _ = run_cli(capsys, ["seq", "e", "1/2", "4"])
+    assert code == 0
+    assert out == "1\t0\n2\t1\n3\t1\n4\t7/5\n"
+    plain = ["seq", "e", "1/2", "4"]
+    reused, fresh = (vars(p.parse_args(plain)) for p in (cli._parser(), build_parser()))
+    del reused["func"], fresh["func"]  # one closure per parser
+    assert reused == fresh
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "cmd_seq", lambda args: 7)
+    assert main(plain) == 7
 
 
 def test_grid_zero_step_exits_2(capsys):
