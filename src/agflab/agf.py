@@ -30,6 +30,7 @@ from .complexfn import (
     PoleError,
     PrecisionConfig,
     _is_mp,
+    _is_real,
     _log_gamma,
     _mp_context,
     _nearest_int,
@@ -164,7 +165,9 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     if n is not None and n <= FIRST_POLE["f"]:
         raise PoleError(f"f pole at z={n}")
     ctx = cfg.ctx
-    z2 = _to_ctx(z, ctx) + 2
+    # a real z divides in real arithmetic: the same terms as in complex
+    real = _is_real(z)
+    z2 = (ctx.convert(z) if real else _to_ctx(z, ctx)) + 2
     tiny = ctx.eps / 1000
     total = ctx.mpc(0)
     term = ctx.mpf(1)  # 1/k!

@@ -163,9 +163,12 @@ class PowerSeries:
         else:
             order = min(self.order, other.order)
         out = [0] * (order + 1)
-        for i, c in enumerate(self._nums[: order + 1]):
+        short, long = self._nums[: order + 1], other._nums[: order + 1]
+        if len(short) > len(long):
+            short, long = long, short
+        for i, c in enumerate(short):
             if c:
-                for j, d in enumerate(other._nums[: order + 1 - i]):
+                for j, d in enumerate(long[: order + 1 - i]):
                     if d:
                         out[i + j] += c * d
         return PowerSeries._from_ints(out, self._den * other._den, order,

@@ -112,6 +112,13 @@ def _is_mp(z) -> bool:
     return isinstance(z, (_mpf, _mpc))
 
 
+def _is_real(z) -> bool:
+    """True for an int, Fraction, float or mpf of any context: a number
+    that is real by its type."""
+    # complex first: isinstance against Fraction, an ABC, costs 0.6 us
+    return not isinstance(z, complex) and isinstance(z, (int, float, Fraction, _mpf))
+
+
 def _mp_fraction(x) -> Fraction:
     """The real mpmath number x exactly: it is a dyadic rational."""
     return Fraction(*to_rational(x._mpf_))

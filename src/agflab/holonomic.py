@@ -559,18 +559,25 @@ def _exact_parts(v) -> tuple:
     return Fraction(c.real), Fraction(c.imag)
 
 
-def _gauss_poly(poly: Poly2, zparts) -> list:
-    """poly at z = zparts: its (re, im) Fraction coefficients in n."""
-    if zparts is None:
-        return [(c, Fraction(0)) for c in poly.collapse_z(None)]
-    zr, zi = zparts
+def _poly_at(poly: Poly2, z) -> tuple:
+    """poly at z = (x + iy)/q, given as the ints (x, y, q), or z-free where
+    z is None: its coefficients in n as (re, im) int pairs, and one
+    positive denominator that they all share."""
+    if z is None:
+        rows, (x, y, q) = [[c] for c in poly.collapse_z(None)], (0, 0, 1)
+    else:
+        rows, (x, y, q) = poly.coeffs, z
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
     out = []
-    for row in poly.coeffs:
-        re = im = Fraction(0)
+    for row in rows:  # sum_j row[j] (x + iy)^j q^(J-j) scale, by Horner's rule
+        re = im = 0
+        qk = scale
         for c in reversed(row):
-            re, im = re * zr - im * zi + c, re * zi + im * zr
+            c = c.numerator * (qk // c.denominator)
+            re, im = re * x - im * y + c, re * y + im * x
+            qk *= q
         out.append((re, im))
-    return out
+    return out, scale * q ** (len(rows[0]) - 1)
 
 
 def _gauss_mul(p: list, q: list) -> list:
@@ -582,26 +589,33 @@ def _gauss_mul(p: list, q: list) -> list:
     return out
 
 
-def _stepping(values):
-    """Tuples (v(j) for v in values) for j = 0, 1, ...: each v, given by its
-    values at j = 0..deg, is the polynomial of degree deg through them,
-    advanced by its forward differences, summed by itertools.accumulate."""
-    columns = []
-    for diffs in values:
-        diffs = list(diffs)
-        for i in range(1, len(diffs)):  # diffs[j] becomes the j-th difference
-            for j in range(len(diffs) - 1, i - 1, -1):
-                diffs[j] -= diffs[j - 1]
+def _differences(values) -> list:
+    """v(0), dv(0), ..., d^deg v(0): the forward differences at 0 of the
+    polynomial v of degree deg, given by its values at 0..deg."""
+    diffs = list(values)
+    for i in range(1, len(diffs)):  # diffs[j] becomes the j-th difference
+        for j in range(len(diffs) - 1, i - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    return diffs
+
+
+def _stepping(columns):
+    """Tuples (v(j) for v in columns) for j = 0, 1, ...: each polynomial v,
+    given by its forward differences at 0, advanced by them, summed by
+    itertools.accumulate."""
+    out = []
+    for diffs in columns:
         column = repeat(diffs[-1])
         for d in reversed(diffs[:-1]):
             column = accumulate(column, initial=d)
-        columns.append(column)
-    return zip(*columns)
+        out.append(column)
+    return zip(*out)
 
 
 def _values_from(polys: list, n0: int):
     """Tuples (p(n) for p in polys) for n = n0, n0 + 1, ..."""
-    return _stepping([_horner(p, n0 + i) for i in range(len(p))] for p in polys)
+    return _stepping(_differences([_horner(p, n0 + i) for i in range(len(p))])
+                     for p in polys)
 
 
 def _integer_form(rec: PRecurrence, zval):
@@ -611,26 +625,34 @@ def _integer_form(rec: PRecurrence, zval):
     coefficient, a function building the CoefficientPole of a step n
     where the leading one vanishes, and the initial values as (re, im)
     Fractions.  The equation is multiplied
-    by den_r(n) * prod_k den_k(n) and one integer: every coefficient
-    becomes a polynomial, and the leading one, num_r * prod_k den_k,
-    vanishes exactly at the poles.
+    by den_r(n) * prod_k den_k(n) and the least positive integer that
+    makes every coefficient an integer polynomial; the leading one,
+    num_r * prod_k den_k, vanishes exactly at the poles.  All of it runs
+    on (re, im) int pairs over one denominator.
     """
     r = rec.order
-    zparts = None if zval is None else _exact_parts(zval)
-    nums = [_gauss_poly(cf.num, zparts) for cf in rec.coeffs]
-    dens = [_gauss_poly(cf.den, zparts) for cf in rec.coeffs]
+    z = None
+    if zval is not None:  # as (x + iy)/q
+        parts = _exact_parts(zval)
+        q = math.lcm(*(c.denominator for c in parts))
+        z = (*(c.numerator * (q // c.denominator) for c in parts), q)
+    nums = [_poly_at(cf.num, z) for cf in rec.coeffs]
+    dens = [_poly_at(cf.den, z) for cf in rec.coeffs]
     cleared = []
-    for k, num in enumerate(nums):
-        for j, den in enumerate(dens + [dens[r]]):
-            if j != k and den != [(1, 0)]:  # every built-in has den = 1
-                num = _gauss_mul(num, den)
-        cleared.append(num)
-    scale = math.lcm(*(c.denominator for p in cleared for pair in p for c in pair))
-    re_polys = [[int(a * scale) for a, _ in p] for p in cleared]
-    im_polys = [[int(b * scale) for _, b in p] for p in cleared]
+    for k, (num, d) in enumerate(nums):
+        for j, (den, dd) in enumerate(dens + [dens[r]]):
+            if j != k and den != [(dd, 0)]:  # every built-in has den = 1
+                num, d = _gauss_mul(num, den), d * dd
+        cleared.append((num, d))
+    # over the common denominator, then cancelled by its gcd with every part
+    den = math.lcm(*(d for _, d in cleared))
+    cleared = [[(a * (den // d), b * (den // d)) for a, b in p] for p, d in cleared]
+    g = math.gcd(den, *(c for p in cleared for pair in p for c in pair))
+    re_polys = [[a // g for a, _ in p] for p in cleared]
+    im_polys = [[b // g for _, b in p] for p in cleared]
 
     def pole(n):  # the first vanishing denominator, else the numerator
-        for k, den in enumerate(dens):
+        for k, (den, _) in enumerate(dens):
             if all(_horner(part, n) == 0 for part in zip(*den)):
                 return CoefficientPole(n, f"denominator of coefficient {k}")
         return CoefficientPole(n, "leading coefficient")
@@ -750,43 +772,81 @@ class _Window:
         k = min(16, 32 // max(self.degree, 1))
         return k if k >= 8 else 1
 
-    def blocks(self, k):
-        """The entries of B and D (see the class) for the blocks at m = n0,
-        n0 + k, n0 + 2k, ...: a tuple per block, B row by row and then D,
-        real parts and, for complex data, imaginary parts after them.
+    def blocks(self, k, start):
+        """The entries of B and D (see the class) for the blocks at m =
+        start, start + k, start + 2k, ...: a tuple per block, B row by row
+        and then D, real parts and, for complex data, imaginary parts after
+        them.
 
-        They are polynomials of degree k * degree in the block index, built
-        from their values at the first k * degree + 1 blocks and stepped by
-        :func:`_stepping`."""
+        They are integer polynomials of degree k * degree in the block
+        offset t, m = start + k t, read by Kronecker substitution: one run
+        of the k steps at t = 2^S gives each entry's value there, and its
+        balanced base-2^S digits are the coefficients.  2^(S-1) is above
+        the same run at t = 1 on absolute coefficients, which bounds every
+        one of them.  :func:`_stepping` advances the entries by their
+        forward differences, which follow from the coefficients."""
+        r, deg = self.r, k * self.degree
+        # The coefficients in t of c(start + i + k t) sum in absolute value
+        # to at most |c|(|start| + i + k), |c| with the absolute values
+        # (|re| + |im|) of the coefficients of c, and so on through the
+        # products.  With the lower coefficients negated, the run adds every
+        # term.
+        polys = self.polys if self.real else [
+            [abs(a) + abs(b) for a, b in zip(p, q)]
+            for p, q in zip(self.polys, self.polys[r + 1:])]
+        bound = [[-abs(c) if i < r else abs(c) for c in p]
+                 for i, p in enumerate(polys)]
+        top = max(self._block(bound, abs(start) + k, k, True))
+        s = top.bit_length() + 1
+        half, mask = 1 << (s - 1), (1 << s) - 1
+        # table[i][l], the i-th forward difference of t^l at t = 0
+        table = [[1] + [0] * deg]
+        for i in range(1, deg + 1):
+            row, prev = [0], table[-1]
+            for l in range(1, deg + 1):
+                row.append(i * (row[-1] + prev[l - 1]))
+            table.append(row)
+        columns = []
+        for v in self._block(self.polys, start + (k << s), k, self.real):
+            coeffs = []
+            for _ in range(deg + 1):
+                c = ((v + half) & mask) - half
+                coeffs.append(c)
+                v = (v - c) >> s
+            if v:
+                raise ArithmeticError("a block entry past its coefficient bound")
+            columns.append([sum(map(mul, coeffs, row)) for row in table])
+        yield from _stepping(columns)
+
+    def _block(self, polys, m, k, real):
+        """B and D for the k steps from m of the equation with the
+        coefficient polynomials ``polys`` (real, or real then imaginary
+        parts), flat as in :meth:`blocks`."""
         r = self.r
         # column j of B is the window from the j-th unit vector after k
         # steps without their divisions by c_r, whose product is D: ints
         # for real data, (re, im) pairs for complex data
-        one, zero = (1, 0) if self.real else ((1, 0), (0, 0))
-        points = []
-        for m in range(self.n0, self.n0 + (k * self.degree + 1) * k, k):
-            cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
-            D = one
-            for vals in islice(_values_from(self.polys, m), k):
-                if self.real:
-                    cr = vals[r]
-                    cols = [[cr * x for x in w[1:]] + [-sum(map(mul, vals, w))]
-                            for w in cols]
-                    D *= cr
-                    continue
-                c = list(zip(vals[:r + 1], vals[r + 1:]))
-                cr, ci = c[r]
-                for w in cols:
-                    x = y = 0
-                    for (a, b), (u, v) in zip(c, w):
-                        x -= a * u - b * v
-                        y -= a * v + b * u
-                    w[:] = [(cr * u - ci * v, cr * v + ci * u) for u, v in w[1:]] + [(x, y)]
-                D = (cr * D[0] - ci * D[1], cr * D[1] + ci * D[0])
-            flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
-            points.append(flat if self.real else
-                          [x for x, _ in flat] + [y for _, y in flat])
-        return _stepping(zip(*points))
+        one, zero = (1, 0) if real else ((1, 0), (0, 0))
+        cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
+        D = one
+        for vals in islice(_values_from(polys, m), k):
+            if real:
+                cr = vals[r]
+                cols = [[cr * x for x in w[1:]] + [-sum(map(mul, vals, w))]
+                        for w in cols]
+                D *= cr
+                continue
+            c = list(zip(vals[:r + 1], vals[r + 1:]))
+            cr, ci = c[r]
+            for w in cols:
+                x = y = 0
+                for (a, b), (u, v) in zip(c, w):
+                    x -= a * u - b * v
+                    y -= a * v + b * u
+                w[:] = [(cr * u - ci * v, cr * v + ci * u) for u, v in w[1:]] + [(x, y)]
+            D = (cr * D[0] - ci * D[1], cr * D[1] + ci * D[0])
+        flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
+        return flat if real else [x for x, _ in flat] + [y for _, y in flat]
 
     def jump(self, vals) -> bool:
         """Advance the window by one block, given its tuple from
@@ -829,12 +889,18 @@ class _Window:
 
     def at(self, ns):
         """Yield u_n for each n drawn from the increasing ns, from the
-        initial window: K steps at a jump between wanted n, and single steps
-        to finish each gap.  The engine runs only as far as the last n
-        drawn, so a caller that stops drawing stops the stepping."""
+        initial window.  After the first p < K single steps, the window
+        ends at a multiple of K at every block edge: the engine jumps K
+        steps at a time between wanted n, and a wanted n that is a multiple
+        of K is read straight after a jump.  Any other n ends its gap in
+        single steps.  The engine runs only as far as the last n drawn, so
+        a caller that stops drawing stops the stepping."""
         r, m, k = self.r, self.n0, self.block_size()
-        blocks = self.blocks(k) if k > 1 else None
-        edge = m if blocks else math.inf  # where the next block starts
+        if k > 1:  # where the next block starts
+            edge = m + (1 - m - r) % k
+            blocks = self.blocks(k, edge)
+        else:
+            edge = math.inf
         last = m - 1
         for t in ns:
             if t <= last:

@@ -50,11 +50,11 @@ class World:
         h the evaluator, the last two as floats."""
         ctx = cfg.ctx
         h, const = self.evaluator, getattr(ctx, self.constant)
-        h0 = h(0, cfg)
+        hs = [h(m, cfg) for m in range(m_max + 1)]
         rows = []
-        for m, form in enumerate(self.forms(m_max)):
+        for m, (form, hm) in enumerate(zip(self.forms(m_max), hs)):
             _, x, y = dataclasses.astuple(form)
-            lhs = (-1) ** m * h(m, cfg) / h0
+            lhs = (-1) ** m * hm / hs[0]
             residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
             rows.append((form, float(residual), float(x) + float(const) * float(y)))
         return rows

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -23,7 +25,7 @@ from agflab.holonomic import (
     shell_wtilde,
     values_at,
 )
-from agflab.holonomic import _Window
+from agflab.holonomic import _Window, _integer_form, _values_from
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -546,8 +548,87 @@ def test_values_at_inside_the_initial_window():
             values_at(rec, 0.75, bad)
 
 
+def reference_block(win, m, k):
+    """B and D of the block of k steps from m, by the k products of the
+    companion matrices, each step in turn: the tuple of _Window.blocks."""
+    r = win.r
+    one, zero = (1, 0) if win.real else ((1, 0), (0, 0))
+    cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
+    D = one
+    for vals in islice(_values_from(win.polys, m), k):
+        if win.real:
+            cr = vals[r]
+            cols = [[cr * x for x in w[1:]] + [-sum(map(mul, vals, w))]
+                    for w in cols]
+            D *= cr
+            continue
+        c = list(zip(vals[:r + 1], vals[r + 1:]))
+        cr, ci = c[r]
+        for w in cols:
+            x = y = 0
+            for (a, b), (u, v) in zip(c, w):
+                x -= a * u - b * v
+                y -= a * v + b * u
+            w[:] = [(cr * u - ci * v, cr * v + ci * u) for u, v in w[1:]] + [(x, y)]
+        D = (cr * D[0] - ci * D[1], cr * D[1] + ci * D[0])
+    flat = [w[i] for i in range(r) for w in cols] + [D]
+    return tuple(flat if win.real else [x for x, _ in flat] + [y for _, y in flat])
+
+
+@pytest.mark.parametrize("rec, z, degree, zero_ds", [
+    (parse_precurrence("coeff2: 1\ncoeff1: -1\ncoeff0: -1\ninit: n0=0; 0, 1"),
+     None, 0, 0),
+    (mirror_e(3), None, 1, 0),
+    (mirror_pi(complex(0.25, -1.5)), None, 1, 0),
+    (parse_precurrence("coeff1: n^2+z\ncoeff0: -(2*n^2+1)\ninit: n0=0; 1"),
+     Fraction(1, 3), 2, 0),
+    (parse_precurrence(USER_TEXT), 0.75, 3, 0),
+    (parse_precurrence(USER_TEXT), complex(0.75, 0.5), 3, 0),
+    (parse_precurrence("coeff1: n^4+1\ncoeff0: -(n^2+z)*(n^2-3)\ninit: n0=2; 1"),
+     complex(0.5, 1), 4, 0),
+    (parse_precurrence("coeff1: n+20\ncoeff0: -(n-3)\ninit: n0=-7; 1"), None, 1, 0),
+    (SHRINKING, None, 1, 0),
+    (mirror_e(-40), None, 1, 1),  # D = 0 on the block over n = 40
+], ids=["fibonacci", "e-int", "pi-complex", "degree-2", "user-real", "user-complex",
+        "degree-4-complex", "negative-start", "shrinking", "zero-D"])
+def test_blocks_equal_the_step_by_step_products(rec, z, degree, zero_ds):
+    win = _Window(rec, z if z is not None else rec.param, 30, None)
+    k = win.block_size()
+    assert win.degree == degree and k > 1
+    count = k * degree + 4  # past the values the entries are read from
+    n0 = rec.initial_index
+    for start in (n0, n0 + (1 - n0 - win.r) % k):  # the first and the aligned grid
+        want = [reference_block(win, m, k) for m in range(start, start + count * k, k)]
+        assert list(islice(win.blocks(k, start), count)) == want, start
+        h = win.r**2  # D, or its real and imaginary parts, at h and 2h + 1
+        assert sum(not any(b[h::h + 1]) for b in want) == zero_ds
+
+
+@pytest.mark.parametrize("argv", [
+    ["e", "3"], ["pi", "4"], ["gamma", "7/3"], ["e", "2.5+1i"],
+])
+def test_limit_single_steps_only_up_to_the_block_grid(argv, monkeypatch, capsys):
+    from agflab.cli import main
+
+    calls = []
+    steps = _Window.steps
+
+    def spy(self, m, stop):
+        calls.append((m, stop))
+        return steps(self, m, stop)
+
+    monkeypatch.setattr(_Window, "steps", spy)
+    assert main(["limit", *argv]) == 0
+    capsys.readouterr()
+    # from n0 = 1, the window u_m..u_{m+r-1} ends at a multiple of K = 16
+    # from m = 15 (order 2) or m = 16 (order 1) on, and so does every
+    # sample n_base 2^k
+    r = 1 if argv[0] == "gamma" else 2
+    assert calls == [(1, 17 - r)]
+
+
 def test_values_at_pole_inside_a_block():
-    # n = 5000 lies inside the block that starts at 4993
+    # n = 5000 lies inside the block that starts at 4991
     for z in (-5000.0, complex(-5000, 0.0)):
         with pytest.raises(CoefficientPole) as want:
             list(iter_sequence(mirror_e(z), n_max=8192))
@@ -572,6 +653,24 @@ def test_block_path_keeps_40_digits(rec, ns):
     got = _Window(rec, rec.param, 40, ctx).at(ns)
     for n, v in zip(ns, got):
         assert abs(v - want[n]) <= 1e-38 * abs(want[n]), n
+
+
+def test_integer_form_is_the_least_integer_multiple():
+    # USER_TEXT times (n+1)^2 (2n+1) and 4: c2 = (4n + 4z)(2n+1)(n+1)
+    rec = parse_precurrence(USER_TEXT)
+    low = [[-4, -8, -4], [-4, -16, -20, -8]]
+    for z, im2 in [(0.75, [0, 0, 0, 0]), (complex(0.75, 0.5), [2, 6, 4, 0])]:
+        re, im, pole, init = _integer_form(rec, z)
+        assert (re, im) == (low + [[3, 13, 18, 8]], [[0, 0, 0], [0, 0, 0, 0], im2])
+        assert init == [(Fraction(1, 2), 0), (1, 0)]
+        assert str(pole(-1)) == ("coefficient pole at n=-1 "
+                                 "(denominator of coefficient 2)")
+        assert str(pole(7)) == "coefficient pole at n=7 (leading coefficient)"
+    # an integral equation keeps its common factor; a z-free one needs no z
+    rec = parse_precurrence("coeff1: 2*n+2\ncoeff0: -4\ninit: n0=0; 1")
+    assert _integer_form(rec, None)[:2] == ([[-4], [2, 2]], [[0], [0, 0]])
+    with pytest.raises(ValueError, match="depends on z"):
+        _integer_form(parse_precurrence("coeff1: n+z\ncoeff0: -1\ninit: n0=0; 1"), None)
 
 
 def test_fixed_point_pole_at_the_same_n():
