@@ -1,16 +1,18 @@
 """Certificates tying the recurrences to their generating-function ODEs.
 
-The D-finite vertex of each holonomic triangle is verified as an exact
-power-series identity: the series is built from the recurrence
-fraction-free, as integer numerators over one common denominator, the
-ODE is multiplied through by x to clear the 1/x coefficient, and every
-coefficient of the residual must vanish exactly: its integer numerator
-is 0, with no floating tolerance.  The singular-coefficient integrals
-behind the connection constants (I_m, J_m, L_m) are evaluated in double
-precision by mpmath's tanh-sinh quadrature, with an error estimate
-floored at (64 + m) eps |value|, and chained through their recurrences as
-floating cross-checks; the transfer from generating-function
-singularities to coefficient growth is probed directly on the sequences.
+The D-finite vertex of each holonomic triangle is derived from the
+recurrence and verified as an exact power-series identity: the ODE of
+U(x) = sum u_n x^n comes mechanically from any P-recursive sequence at a
+rational z (gfun's rectodiffeq), U is built from the recurrence
+fraction-free, as integer numerators over one common denominator, and
+every coefficient of the residual must vanish exactly: its integer
+numerator is 0, with no floating tolerance.  The singular-coefficient
+integrals behind the connection constants (I_m, J_m, L_m) are evaluated
+in double precision by mpmath's tanh-sinh quadrature, with an error
+estimate floored at (64 + m) eps |value|, and chained through their
+recurrences as floating cross-checks; the transfer from
+generating-function singularities to coefficient growth is probed
+directly on the sequences.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from itertools import zip_longest
 
 from mpmath import fp
 
+from . import worlds
 from .agf import g_eval
 from .connection import shell_eval
 from .holonomic import (
+    PRecurrence,
+    _differences,
+    _horner,
+    _integer_form,
     exact_series,
-    gamma_recurrence,
-    mirror_e,
-    mirror_pi,
     values_at,
 )
 
@@ -38,16 +42,11 @@ __all__ = [
     "QuadratureResult",
     "identity_chain_e",
     "identity_chain_pi",
-    "ode_series_check_e",
-    "ode_series_check_gamma",
-    "ode_series_check_pi",
+    "ode_series_check_recurrence",
     "quad_I",
     "quad_J",
     "quad_L",
     "transfer_check",
-    "u_series",
-    "v_series",
-    "w_series",
 ]
 
 
@@ -98,24 +97,6 @@ class PowerSeries:
     @staticmethod
     def poly(*coefficients) -> "PowerSeries":
         return PowerSeries(list(coefficients), exact=True)
-
-    @staticmethod
-    def exp_series(c, order: int) -> "PowerSeries":
-        """Series of exp(c x) through the given order."""
-        c = Fraction(c)
-        out = [Fraction(1)]
-        for k in range(1, order + 1):
-            out.append(out[-1] * c / k)
-        return PowerSeries(out, order)
-
-    @staticmethod
-    def binomial_series(exponent, order: int) -> "PowerSeries":
-        """Series of (1 - x)^exponent through the given order."""
-        a = Fraction(exponent)
-        out = [Fraction(1)]
-        for k in range(1, order + 1):
-            out.append(out[-1] * (a - k + 1) / k * -1)
-        return PowerSeries(out, order)
 
     def first_nonzero(self) -> int | None:
         return next((i for i, c in enumerate(self._nums) if c), None)
@@ -174,41 +155,11 @@ class PowerSeries:
         return PowerSeries._from_ints(out, self._den * other._den, order,
                                       self.exact and other.exact)
 
-    def scale(self, c) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries._from_ints([c.numerator * x for x in self._nums],
-                                      self._den * c.denominator, self.order,
-                                      self.exact)
-
     def differentiate(self) -> "PowerSeries":
         if self.order == 0:
             return PowerSeries([0], 0, self.exact)
         out = [k * self._nums[k] for k in range(1, self.order + 1)]
         return PowerSeries._from_ints(out, self._den, self.order - 1, self.exact)
-
-    def shift(self, k: int) -> "PowerSeries":
-        """Multiply by x^k; negative k requires the low coefficients to vanish."""
-        if k >= 0:
-            return PowerSeries._from_ints([0] * k + self._nums, self._den,
-                                          self.order + k, self.exact)
-        if any(self._nums[:-k]):
-            raise ValueError(f"series not divisible by x^{-k}")
-        return PowerSeries._from_ints(self._nums[-k:], self._den,
-                                      self.order + k, self.exact)
-
-    def divide_unit(self, den: "PowerSeries") -> "PowerSeries":
-        """Divide by a series with nonzero constant term."""
-        if not den._nums[0]:
-            raise ZeroDivisionError("divisor must be a unit (nonzero constant term)")
-        order = self.order if den.exact else min(self.order, den.order)
-        a, b = self.coefficients, den.coefficients
-        out = []
-        for j in range(order + 1):
-            acc = a[j] if j < len(a) else Fraction(0)
-            for i in range(1, min(j, len(b) - 1) + 1):
-                acc -= b[i] * out[j - i]
-            out.append(acc / b[0])
-        return PowerSeries(out, order, exact=False)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -223,95 +174,68 @@ class PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# series from the built-in recurrences
-
-def u_series(m, order: int) -> PowerSeries:
-    """Generating-series coefficients of the e-world sequence, exactly."""
-    return _series(mirror_e(Fraction(m)), order)
-
-
-def v_series(m, order: int) -> PowerSeries:
-    """Generating-series coefficients of the pi-world sequence, exactly."""
-    return _series(mirror_pi(Fraction(m)), order)
-
-
-def w_series(z, order: int) -> PowerSeries:
-    """Coefficients of the Gamma-triangle series: w_1 = 1 and
-    w_{n+1} = (n+1)/(n+z) w_n, that is z * n!/(z)_n termwise, z times
-    the series of :func:`holonomic.gamma_recurrence`; w_n = n at z = 0."""
-    zq = Fraction(z)
-    if zq == 0:
-        return PowerSeries(range(order + 1), order)
-    return _series(gamma_recurrence(zq), order).scale(zq)
-
-
-def _series(rec, order: int) -> PowerSeries:
-    return PowerSeries._from_ints(*exact_series(rec, order), order)
-
-
-# ---------------------------------------------------------------------------
-# ODE certificates (bit-exact coefficient checks)
+# the ODE of a recurrence, certified bit-exactly
 
 @dataclass(frozen=True)
 class OdeCheckResult:
-    check: str
     param: object
     order: int
     passed: bool
     first_failure: int | None
 
 
-def _residual_result(check: str, param, order: int, residual: PowerSeries
-                     ) -> OdeCheckResult:
-    bad = residual.first_nonzero()
-    return OdeCheckResult(check, param, order, bad is None, bad)
+def _recurrence_ode(rec: PRecurrence) -> tuple[list[list[int]], list[Fraction]]:
+    """(ops, rhs): the ODE sum_j ops[j](x) D^j U = rhs(x) of the series
+    U(x) = sum_n u_n x^n of ``rec`` at its rational ``param`` z, each
+    polynomial as its coefficients from x^0 (gfun's rectodiffeq).
 
-
-def ode_series_check_e(m: int, order: int, coeffs: PowerSeries | None = None
-                       ) -> OdeCheckResult:
-    """Verify x(1-x)U' - U(x^2 + (m-1)x + (2-m)) - m x^2 = 0 exactly.
-
-    U is built from the e-world recurrence unless an explicit series is
-    supplied (the seam used by mutation tests).
+    Multiplying sum_k c_k(n) u_{n+k} = 0, the cleared integer equation of
+    :func:`holonomic._integer_form`, by x^(n+r) and summing over n gives
+    L = sum_k x^(r-k) c_k(theta - k) with theta = x D.  In the falling
+    factorials theta (theta-1) ... (theta-j+1) = x^j D^j, c_k(theta - k)
+    has the coefficients Delta^j c_k(-k) / j!, integers: the Stirling
+    numbers of the second kind applied to its monomials.  The steps
+    below the initial index n0, which the recurrence does not hold at,
+    leave rhs = sum_{n=n0-r}^{n0-1} x^(n+r) sum_k c_k(n) u_{n+k}, with
+    u_n = 0 outside the initial window.
     """
-    if order < 10:
-        raise ValueError("order must be at least 10")
-    U = coeffs if coeffs is not None else u_series(m, order)
-    residual = (
-        PowerSeries.poly(0, 1, -1) * U.differentiate()
-        - U * PowerSeries.poly(2 - m, m - 1, 1)
-        - PowerSeries.poly(0, 0, m)
-    )
-    return _residual_result("ode_certificate_e", m, order, residual)
+    polys, _, _, init = _integer_form(rec, rec.param)
+    r, n0 = rec.order, rec.initial_index
+    degree = max(map(len, polys)) - 1
+    ops = [[0] * (r + j + 1) for j in range(degree + 1)]
+    for k, c in enumerate(polys):
+        diffs = _differences([_horner(c, i - k) for i in range(degree + 1)])
+        for j, d in enumerate(diffs):
+            ops[j][r - k + j] += d // math.factorial(j)
+    window = {n0 + i: u for i, (u, _) in enumerate(init)}
+    rhs = [Fraction(0)] * (n0 + r)
+    for n in range(n0 - r, n0):
+        rhs[n + r] = sum(_horner(c, n) * window.get(n + k, 0)
+                         for k, c in enumerate(polys))
+    return ops, rhs
 
 
-def ode_series_check_pi(m: int, order: int, coeffs: PowerSeries | None = None
-                        ) -> OdeCheckResult:
-    """Verify x(1-x^2)V' + V(m-2 - x - m x^2) - m x^2 = 0 exactly."""
-    if order < 10:
-        raise ValueError("order must be at least 10")
-    V = coeffs if coeffs is not None else v_series(m, order)
-    residual = (
-        PowerSeries.poly(0, 1, 0, -1) * V.differentiate()
-        + V * PowerSeries.poly(m - 2, -1, -m)
-        - PowerSeries.poly(0, 0, m)
-    )
-    return _residual_result("ode_certificate_pi", m, order, residual)
+def ode_series_check_recurrence(rec: PRecurrence, order: int,
+                                coeffs: PowerSeries | None = None
+                                ) -> OdeCheckResult:
+    """Verify the ODE L U = P of :func:`_recurrence_ode` coefficient by
+    coefficient through x^order: every numerator of L U - P must be 0.
 
-
-def ode_series_check_gamma(z, order: int, coeffs: PowerSeries | None = None
-                           ) -> OdeCheckResult:
-    """Verify x(1-x)W' + (z-1-x)W - z x = 0 exactly for rational z."""
-    if order < 10:
-        raise ValueError("order must be at least 10")
-    zq = Fraction(z)
-    W = coeffs if coeffs is not None else w_series(zq, order)
-    residual = (
-        PowerSeries.poly(0, 1, -1) * W.differentiate()
-        + W * PowerSeries.poly(zq - 1, -1)
-        - PowerSeries.poly(0, zq)
-    )
-    return _residual_result("ode_certificate_gamma", zq, order, residual)
+    U is built from ``rec`` by :func:`holonomic.exact_series` unless an
+    explicit series is supplied (the seam used by mutation tests).
+    """
+    ops, rhs = _recurrence_ode(rec)
+    if order < max(10, len(ops) - 1):
+        raise ValueError("order must be at least 10 and the order of the ODE")
+    series = coeffs if coeffs is not None else PowerSeries._from_ints(
+        *exact_series(rec, order), order)
+    residual = -PowerSeries.poly(*rhs)
+    for j, op in enumerate(ops):
+        if j:
+            series = series.differentiate()
+        residual = residual + PowerSeries.poly(*op) * series
+    bad = residual.first_nonzero()
+    return OdeCheckResult(rec.param, order, bad is None, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +372,8 @@ def transfer_check(world: str, m, n: int) -> float:
     """|u_n(m) / (h(m) Lambda(n)) - 1|, u_n against its singular-expansion
     prediction, with the recurrence, function h and shell Lambda of the
     named world: f(m) n for 'e', g(m) sqrt(n) for 'pi'."""
-    from .worlds import world as find  # the table reads this module's checks
-
     if n < 10**3:
         raise ValueError("transfer check needs n >= 1000")
-    w = find(world)
+    w = worlds.world(world)
     predict = w.evaluator(m).real * shell_eval(w.shell, n, w.shell_z(m)).real
     return abs(values_at(w.recurrence(m), None, [n])[0] / predict - 1.0)

@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import agf as agf_mod
-from . import worlds
+from . import certify, worlds
 from .complexfn import (
     DOUBLE,
     MAX_DOUBLE_DIGITS,
@@ -39,6 +39,7 @@ from .complexfn import (
     format_cnum,
 )
 from .connection import (
+    MAX_REACH,
     REACH,
     ExtrapolationConfig,
     NonConvergence,
@@ -253,7 +254,8 @@ def _suite_ode(seed: int) -> Iterator[dict]:
     table = worlds.table().values()
     for values in zip(*(w.ode_values for w in table)):  # the i-th of each world
         for w, v in zip(table, values):
-            yield _ode_check(f"ode_{w.name}_{w.ode_param}{v}", w.ode(v, 200),
+            res = certify.ode_series_check_recurrence(w.recurrence(v), 200)
+            yield _ode_check(f"ode_{w.name}_{w.ode_param}{v}", res,
                              {w.ode_param: v, "order": 200})
 
 
@@ -471,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
     p.add_argument("--depth", type=int, default=ExtrapolationConfig.depth,
                    help="tableau depth: each estimate extrapolates the last "
-                   "depth+1 samples")
+                   f"depth+1 samples; n-base*2^depth is at most {MAX_REACH}")
     p.add_argument("--n-base", type=int, default=ExtrapolationConfig.n_base,
                    dest="n_base", help="first sample; samples double from it "
                    "(odd rounds up to even) until the tableau's last increment "

@@ -133,9 +133,13 @@ def _to_ctx(z, ctx):
 
 
 def _nearest_int(z) -> int | None:
-    """Integer n with |z - n| < 1e-12, or None."""
+    """Integer n with |z - n| < 1e-12, or None; ValueError where Re z is
+    infinite or NaN."""
     zc = complex(z)
-    n = round(zc.real)
+    try:
+        n = round(zc.real)
+    except (OverflowError, ValueError):  # round(inf), round(nan)
+        raise ValueError(f"z is not finite: {zc}") from None
     if abs(zc.real - n) < 1e-12 and abs(zc.imag) < 1e-12:
         return n
     return None

@@ -119,10 +119,16 @@ class ExtrapolationConfig:
             raise ValueError("depth must be >= 1")
         if self.n_base < 16:
             raise ValueError("n_base must be >= 16")
+        if self.n_base > MAX_REACH >> self.depth:
+            raise ValueError(f"n_base * 2^depth must be at most 2^24 = {MAX_REACH}")
 
 
 # The last sample of the ladder, unless n_base * 2^depth lies past it.
 REACH = 2**16
+# The largest n_base * 2^depth, the n of the first full tableau.  The
+# work grows with n: on a 2-core Xeon, limit pi 1/3 takes 4 s at 2^22 and
+# 13 s at 2^24; --depth 40 (32 * 2^40) would take most of a year.
+MAX_REACH = 2**24
 EPS = sys.float_info.epsilon
 
 

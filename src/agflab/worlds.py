@@ -1,7 +1,8 @@
 """The built-in worlds e, pi and Gamma, each a holonomic triangle as data.
 
 A world has a P-recursive sequence, an additive functional equation and
-a differential equation; the connection constant of the sequence against
+a differential equation, the last derived from the recurrence by
+:mod:`certify`; the connection constant of the sequence against
 its shell is the world's function (f, g or Gamma).  :func:`table` reads
 every function from its module at each call, not at import, so a caller
 gets whatever stands under that name then (a test's replacement, a
@@ -14,7 +15,7 @@ import dataclasses
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import agf, certify, complexfn, exact, holonomic
+from . import agf, complexfn, exact, holonomic
 from .connection import F_SHELL, G_SHELL, GAMMA_SHELL, AsymptoticShell
 
 __all__ = ["World", "functions", "table", "world"]
@@ -24,9 +25,11 @@ __all__ = ["World", "functions", "table", "world"]
 class World:
     """u_n of ``recurrence(z)`` over ``shell`` tends to ``evaluator(z, cfg)``.
     ``spec`` and ``pole_distance`` are the AFE and pole row of f and g.
-    ``ode(v, order)`` certifies the generating series' ODE at each value v
-    of ``ode_values`` of the parameter ``ode_param``.  ``forms(m_max)`` are
-    the duality forms x - c y, c the mpmath constant named ``constant``."""
+    The ODE of the generating series of ``recurrence(v)``, derived and
+    certified by :func:`certify.ode_series_check_recurrence`, is checked at
+    each value v of ``ode_values`` of the parameter ``ode_param``.
+    ``forms(m_max)`` are the duality forms x - c y, c the mpmath constant
+    named ``constant``."""
 
     name: str
     recurrence: Callable
@@ -34,7 +37,6 @@ class World:
     evaluator: Callable
     spec: agf.AGFSpec | None
     pole_distance: Callable | None
-    ode: Callable
     ode_param: str
     ode_values: tuple
     constant: str | None
@@ -65,14 +67,12 @@ def table() -> dict[str, World]:
     ms = tuple(range(9))
     return {w.name: w for w in (
         World("e", holonomic.mirror_e, F_SHELL, agf.f_eval, agf.f_spec(),
-              agf.f_pole_distance, certify.ode_series_check_e, "m", ms,
-              "e", exact.duality_forms_e),
+              agf.f_pole_distance, "m", ms, "e", exact.duality_forms_e),
         World("pi", holonomic.mirror_pi, G_SHELL, agf.g_eval, agf.g_spec(),
-              agf.g_pole_distance, certify.ode_series_check_pi, "m", ms,
-              "pi", exact.duality_forms_pi),
+              agf.g_pole_distance, "m", ms, "pi", exact.duality_forms_pi),
         World("gamma", holonomic.gamma_recurrence, GAMMA_SHELL, complexfn.gamma,
-              None, None, certify.ode_series_check_gamma, "z",
-              tuple(Fraction(2 * m + 1, 2) for m in ms), None, None))}
+              None, None, "z", tuple(Fraction(2 * m + 1, 2) for m in ms),
+              None, None))}
 
 
 def world(name: str) -> World:

@@ -31,9 +31,7 @@ from agflab.agf import (
 from agflab.certify import (
     identity_chain_e,
     identity_chain_pi,
-    ode_series_check_e,
-    ode_series_check_gamma,
-    ode_series_check_pi,
+    ode_series_check_recurrence,
     quad_L,
 )
 from agflab.complexfn import hyp1f1, lower_incomplete_gamma
@@ -192,9 +190,9 @@ def test_08_ode_certificates():
     t0 = time.monotonic()
     ok = True
     for m in range(9):
-        ok = ok and ode_series_check_e(m, 200).passed
-        ok = ok and ode_series_check_pi(m, 200).passed
-        ok = ok and ode_series_check_gamma(Fraction(2 * m + 1, 2), 200).passed
+        for rec in (mirror_e(m), mirror_pi(m),
+                    gamma_recurrence(Fraction(2 * m + 1, 2))):
+            ok = ok and ode_series_check_recurrence(rec, 200).passed
     dt = time.monotonic() - t0
     ok = ok and dt < 20
     report("08 ode-certificates", ok,

@@ -1,30 +1,35 @@
+import dataclasses
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
+from agflab import certify
 from agflab.agf import f_eval, g_eval
 from agflab.certify import (
-    OdeCheckResult,
     PowerSeries,
-    QuadratureResult,
+    _recurrence_ode,
     identity_chain_e,
     identity_chain_pi,
-    ode_series_check_e,
-    ode_series_check_gamma,
-    ode_series_check_pi,
+    ode_series_check_recurrence,
     quad_I,
     quad_J,
     quad_L,
     transfer_check,
-    u_series,
-    v_series,
-    w_series,
 )
-from agflab.holonomic import CoefficientPole
+from agflab.holonomic import (
+    CoefficientPole,
+    PRecurrence,
+    exact_series,
+    gamma_recurrence,
+    mirror_e,
+    mirror_pi,
+    parse_precurrence,
+)
 
 E = math.e
 PI = math.pi
@@ -52,35 +57,6 @@ def test_powerseries_poly_times_truncated_keeps_validity():
     prod = x_poly * u
     assert prod.order == 4
     assert prod.coefficients == [0, 0, 1, 1, Fraction(3, 2)]
-
-
-def test_powerseries_differentiate_and_shift():
-    u = PowerSeries([1, 2, 3, 4], 3)
-    d = u.differentiate()
-    assert d.coefficients == [2, 6, 12]
-    assert d.order == 2
-    s = u.shift(2)
-    assert s.coefficients[:3] == [0, 0, 1]
-    back = s.shift(-2)
-    assert back.coefficients == u.coefficients
-    with pytest.raises(ValueError):
-        u.shift(-1)
-
-
-def test_powerseries_divide_unit_roundtrip():
-    den = PowerSeries.exp_series(1, 12)  # e^x, unit
-    num = PowerSeries([Fraction(1, k + 1) for k in range(13)], 12)
-    q = num.divide_unit(den)
-    assert (q * den).coefficients[:13] == num.coefficients
-    with pytest.raises(ZeroDivisionError):
-        num.divide_unit(PowerSeries([0, 1], 1))
-
-
-def test_exp_and_binomial_series():
-    em = PowerSeries.exp_series(-1, 6)
-    assert em.coefficients[:4] == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
-    geo2 = PowerSeries.binomial_series(-2, 5)  # (1-x)^-2 = sum (n+1) x^n
-    assert geo2.coefficients == [1, 2, 3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +112,8 @@ series_args = st.tuples(
 @seed(20261018)
 @settings(max_examples=100, deadline=None)
 @given(a=series_args, b=series_args,
-       c=st.fractions(min_value=-9, max_value=9, max_denominator=20),
-       k=st.integers(min_value=0, max_value=3))
-def test_powerseries_integer_arithmetic_matches_fraction_reference(a, b, c, k):
+       c=st.fractions(min_value=-9, max_value=9, max_denominator=20))
+def test_powerseries_integer_arithmetic_matches_fraction_reference(a, b, c):
     ra, rb = ref_series(*a), ref_series(*b)
     sa, sb = PowerSeries(*a), PowerSeries(*b)
     assert view(sa) == ra
@@ -146,90 +121,109 @@ def test_powerseries_integer_arithmetic_matches_fraction_reference(a, b, c, k):
     assert view(sa - sb) == ref_add(ra, rb, -1)
     assert view(sa * sb) == ref_mul(ra, rb)
     coeffs, order, exact = ra
-    assert view(sa.scale(c)) == ([c * x for x in coeffs], order, exact)
     if order:
         assert view(sa.differentiate()) == (
             [i * coeffs[i] for i in range(1, order + 1)], order - 1, exact)
-    assert view(sa.shift(k)) == ([Fraction(0)] * k + coeffs, order + k, exact)
-    assert sa.shift(k).shift(-k) == sa
-    if k and order >= k:
-        if any(coeffs[:k]):
-            with pytest.raises(ValueError):
-                sa.shift(-k)
-        else:
-            assert view(sa.shift(-k)) == (coeffs[k:], order - k, exact)
     n = min(order, rb[1]) + 1
     assert (sa == sb) == (coeffs[:n] == rb[0][:n])
     first = next((i for i, x in enumerate(coeffs) if x), None)
     assert sa.first_nonzero() == first
     assert sa.min_degree() == (order + 1 if first is None else first)
     if c:  # the same values over a larger denominator
-        assert sa.scale(c).scale(1 / c) == sa
-        assert view(sa.scale(c) * sb.scale(1 / c)) == ref_mul(ra, rb)
+        wide = sa * PowerSeries.poly(c) * PowerSeries.poly(1 / c)
+        assert view(wide) == ra
+        assert view(wide * sb) == ref_mul(ra, rb)
 
 
 # ---------------------------------------------------------------------------
-# closed-form shadows (independent oracles for the series builders)
+# closed-form shadows (independent oracles for the exact series)
 
-def closed_form_u0(order: int) -> PowerSeries:
+def series_of(rec, order: int) -> list[Fraction]:
+    nums, den = exact_series(rec, order)
+    return [Fraction(c, den) for c in nums]
+
+
+def times(a, b, order: int) -> list[Fraction]:
+    """The product of two coefficient lists through x^order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        for j, y in enumerate(b[: order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def exp_coeffs(c, order: int) -> list[Fraction]:
+    """exp(c x) through x^order."""
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * c / k)
+    return out
+
+
+def binomial_coeffs(a, order: int) -> list[Fraction]:
+    """(1 - x)^a through x^order."""
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(-out[-1] * (a - k + 1) / k)
+    return out
+
+
+def closed_form_u0(order: int) -> list[Fraction]:
     """U_0 = x^2 e^(-x) (1-x)^(-2), exactly."""
-    return (
-        PowerSeries.exp_series(-1, order) * PowerSeries.binomial_series(-2, order)
-    ).shift(2)
+    return [0, 0] + times(exp_coeffs(-1, order), binomial_coeffs(-2, order),
+                          order - 2)
 
 
-def closed_form_um(m: int, order: int) -> PowerSeries:
-    """U_m = x^(2-m) e^(-x) (1-x)^(-2) Int_m for m >= 1, where
+def closed_form_um(m: int, order: int) -> list[Fraction]:
+    """U_m = x^(2-m) e^(-x) (1-x)^(-2) Int_m for m >= 2, where
     Int_m = sum_k m x^(k+m)/(k!(k+m)) - m x^(k+m+1)/(k!(k+m+1))."""
-    coeffs = [Fraction(0)] * (order + m + 2)
+    top = order + m - 2
+    integral = [Fraction(0)] * (top + 1)
     kfac = Fraction(1)
-    for k in range(order + 2):
-        if k + m < len(coeffs):
-            coeffs[k + m] += Fraction(m) / (kfac * (k + m))
-        if k + m + 1 < len(coeffs):
-            coeffs[k + m + 1] -= Fraction(m) / (kfac * (k + m + 1))
+    for k in range(top + 1):
+        if k + m <= top:
+            integral[k + m] += Fraction(m) / (kfac * (k + m))
+        if k + m + 1 <= top:
+            integral[k + m + 1] -= Fraction(m) / (kfac * (k + m + 1))
         kfac *= k + 1
-    integral = PowerSeries(coeffs[: order + m + 1], order + m)
-    core = PowerSeries.exp_series(-1, order + m) * PowerSeries.binomial_series(
-        -2, order + m
-    )
-    return (core * integral).shift(2 - m)
+    core = times(exp_coeffs(-1, top), binomial_coeffs(-2, top), top)
+    return times(core, integral, top)[m - 2:]
 
 
-def closed_form_v0(order: int) -> PowerSeries:
+def closed_form_v0(order: int) -> list[Fraction]:
     """V_0 = x^2 (1-x)^(-3/2) (1+x)^(-1/2), exactly (rational coefficients)."""
-    one_minus = PowerSeries.binomial_series(Fraction(-3, 2), order)
+    one_minus = binomial_coeffs(Fraction(-3, 2), order)
     # (1+x)^(-1/2): alternate the signs of the (1-x)^(-1/2) series
-    base = PowerSeries.binomial_series(Fraction(-1, 2), order)
-    one_plus = PowerSeries(
-        [c if k % 2 == 0 else -c for k, c in enumerate(base.coefficients)], order
-    )
-    return (one_minus * one_plus).shift(2)
+    one_plus = [c if k % 2 == 0 else -c
+                for k, c in enumerate(binomial_coeffs(Fraction(-1, 2), order))]
+    return [0, 0] + times(one_minus, one_plus, order - 2)
 
 
 def test_u_series_matches_closed_form_u0():
-    got = u_series(0, 30)
-    shadow = closed_form_u0(30)
-    assert got.coefficients[:31] == shadow.coefficients[:31]
+    assert series_of(mirror_e(0), 30) == closed_form_u0(30)
 
 
 def test_u_series_matches_closed_form_m3():
-    got = u_series(3, 25)
-    shadow = closed_form_um(3, 25)
-    assert got.coefficients[:26] == shadow.coefficients[:26]
+    assert series_of(mirror_e(3), 25) == closed_form_um(3, 25)
 
 
 def test_v_series_matches_closed_form_v0():
-    got = v_series(0, 30)
-    shadow = closed_form_v0(30)
-    assert got.coefficients[:31] == shadow.coefficients[:31]
+    assert series_of(mirror_pi(0), 30) == closed_form_v0(30)
+
+
+def w_recurrence(z) -> PRecurrence:
+    """The Gamma world's series W = z U, z n!/(z)_n termwise: w_1 = 1 and
+    (n+z) w_{n+1} = (n+1) w_n, the recurrence of gamma_recurrence from
+    w_1 = 1 instead of 1/z, which also holds at z = 0 (w_n = n)."""
+    return dataclasses.replace(gamma_recurrence(1), initial_values=(Fraction(1),),
+                               param=z)
 
 
 def test_w_series_first_values():
-    s = w_series(Fraction(1, 2), 4)
+    s = series_of(w_recurrence(Fraction(1, 2)), 4)
     # w_1 = 1, w_{n+1} = (n+1)/(n+1/2) w_n
-    assert s.coefficients[1] == 1
-    assert s.coefficients[2] == Fraction(2, 1) / Fraction(3, 2)
+    assert s[1] == 1
+    assert s[2] == Fraction(2, 1) / Fraction(3, 2)
 
 
 def naive_w(z: Fraction, order: int) -> list[Fraction]:
@@ -242,90 +236,166 @@ def naive_w(z: Fraction, order: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(7, 3), Fraction(-5, 2), 5])
 def test_w_series_matches_naive_iteration(z):
-    assert w_series(z, 60).coefficients == naive_w(Fraction(z), 60)
+    assert series_of(w_recurrence(z), 60) == naive_w(Fraction(z), 60)
+    assert [z * u for u in series_of(gamma_recurrence(z), 60)] == naive_w(z, 60)
 
 
 def test_w_series_at_zero_and_at_negative_integers():
-    assert w_series(0, 8).coefficients == list(range(9))  # w_n = n at z = 0
-    assert ode_series_check_gamma(0, 40).passed
+    assert series_of(w_recurrence(0), 8) == list(range(9))  # w_n = n at z = 0
+    assert ode_series_check_recurrence(w_recurrence(0), 40).passed
     with pytest.raises(CoefficientPole) as info:
-        w_series(-3, 10)
+        series_of(w_recurrence(-3), 10)
     assert info.value.n == 3
-    assert w_series(-3, 3).coefficients == naive_w(Fraction(-3), 3)
+    assert series_of(w_recurrence(-3), 3) == naive_w(Fraction(-3), 3)
 
 
 # ---------------------------------------------------------------------------
-# ODE certificates
+# ODE certificates, derived from the recurrences
+
+def ode_e(m):
+    """x(1-x)U' - U(x^2 + (m-1)x + (2-m)) = m x^2, as written by hand:
+    ([p_0, p_1], rhs) for p_0 U + p_1 U' = rhs, coefficients from x^0."""
+    return [[m - 2, 1 - m, -1], [0, 1, -1]], [0, 0, m]
+
+
+def ode_pi(m):
+    """x(1-x^2)V' + V(m-2 - x - m x^2) = m x^2."""
+    return [[m - 2, -1, -m], [0, 1, 0, -1]], [0, 0, m]
+
+
+def ode_gamma(z):
+    """x(1-x)W' + (z-1-x)W = z x for W = z U: the same operator, with
+    the right-hand side x, for U."""
+    return [[z - 1, -1], [0, 1, -1]], [0, 1]
+
+
+def ratio(derived, written):
+    """The c with derived = c * written, polynomial by polynomial (lists
+    from x^0), or None if there is none."""
+    pairs = [(Fraction(a), Fraction(b))
+             for p, q in zip_longest(derived, written, fillvalue=[])
+             for a, b in zip_longest(p, q, fillvalue=0)]
+    c = next(a / b for a, b in pairs if b)
+    return c if c and all(a == c * b for a, b in pairs) else None
+
+
+HALVES = [Fraction(2 * m + 1, 2) for m in range(9)]
+
+
+@pytest.mark.parametrize("build, param, written", [
+    *((mirror_e, m, ode_e) for m in range(9)),
+    *((mirror_pi, m, ode_pi) for m in range(9)),
+    *((gamma_recurrence, z, ode_gamma) for z in HALVES),
+])
+def test_derived_ode_is_the_hand_written_one(build, param, written):
+    ops, rhs = _recurrence_ode(build(param))
+    hand_ops, hand_rhs = written(param)
+    assert ratio([*ops, rhs], [*hand_ops, hand_rhs]) is not None
+
 
 @pytest.mark.parametrize("m", range(9))
 def test_ode_certificate_e_exact(m):
-    res = ode_series_check_e(m, 200)
+    res = ode_series_check_recurrence(mirror_e(m), 200)
     assert res.passed and res.first_failure is None
 
 
 @pytest.mark.parametrize("m", range(9))
 def test_ode_certificate_pi_exact(m):
-    res = ode_series_check_pi(m, 200)
+    res = ode_series_check_recurrence(mirror_pi(m), 200)
     assert res.passed and res.first_failure is None
 
 
 @pytest.mark.parametrize("z", [Fraction(1, 2), 1, 2, Fraction(7, 3), 5])
 def test_ode_certificate_gamma_exact(z):
-    res = ode_series_check_gamma(z, 200)
+    res = ode_series_check_recurrence(gamma_recurrence(z), 200)
     assert res.passed and res.first_failure is None
 
 
+# the user recurrence of test_holonomic: degree 3 once its denominators
+# in n are cleared
+USER_TEXT = """
+coeff2: (n+z)/(n+1)
+coeff1: -1
+coeff0: -1/(2*n+1)
+init: n0=1; 0.5, 1
+"""
+
+
+def test_user_recurrence_certified_through_order_200():
+    rec = dataclasses.replace(parse_precurrence(USER_TEXT), param=Fraction(1, 3))
+    ops, _ = _recurrence_ode(rec)
+    assert len(ops) == 4
+    res = ode_series_check_recurrence(rec, 200)
+    assert res.passed and res.first_failure is None
+    assert (res.param, res.order) == (Fraction(1, 3), 200)
+
+
+def test_ode_certificate_needs_rational_data_and_order():
+    with pytest.raises(ValueError):
+        ode_series_check_recurrence(mirror_e(0.5), 20)
+    with pytest.raises(ValueError):  # z appears but is not given
+        ode_series_check_recurrence(parse_precurrence(USER_TEXT), 20)
+    with pytest.raises(ValueError):
+        ode_series_check_recurrence(mirror_e(1), 9)
+
+
+def corrupted(rec, order: int, i: int, delta=1) -> PowerSeries:
+    """The exact series of rec with delta added to its x^i coefficient."""
+    coeffs = series_of(rec, order)
+    coeffs[i] += delta
+    return PowerSeries(coeffs, order)
+
+
 def test_ode_certificate_mutation_detected():
-    base = u_series(1, 10)
-    corrupted = PowerSeries(
-        [c + (1 if i == 5 else 0) for i, c in enumerate(base.coefficients)], 10
-    )
-    res = ode_series_check_e(1, 10, coeffs=corrupted)
+    res = ode_series_check_recurrence(mirror_e(1), 10,
+                                      coeffs=corrupted(mirror_e(1), 10, 5))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 7
-    assert res.check == "ode_certificate_e"
 
 
 def test_ode_certificate_mutation_detected_pi():
-    base = v_series(0, 10)
-    corrupted = PowerSeries(
-        [c + (1 if i == 4 else 0) for i, c in enumerate(base.coefficients)], 10
-    )
-    res = ode_series_check_pi(0, 10, coeffs=corrupted)
+    res = ode_series_check_recurrence(mirror_pi(0), 10,
+                                      coeffs=corrupted(mirror_pi(0), 10, 4))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 6
 
 
 def test_ode_certificate_mutation_detected_gamma():
-    base = w_series(Fraction(1, 2), 10)
-    corrupted = PowerSeries(
-        [c + (1 if i == 6 else 0) for i, c in enumerate(base.coefficients)], 10
-    )
-    res = ode_series_check_gamma(Fraction(1, 2), 10, coeffs=corrupted)
+    rec = gamma_recurrence(Fraction(1, 2))
+    res = ode_series_check_recurrence(rec, 10, coeffs=corrupted(rec, 10, 6))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 8
-    assert res.check == "ode_certificate_gamma"
 
 
-@pytest.mark.parametrize("check, build, param", [
-    (ode_series_check_e, u_series, 0),
-    (ode_series_check_e, u_series, 2),
-    (ode_series_check_e, u_series, 5),
-    (ode_series_check_pi, v_series, 0),
-    (ode_series_check_pi, v_series, 3),
-    (ode_series_check_gamma, w_series, Fraction(1, 2)),
-    (ode_series_check_gamma, w_series, Fraction(7, 3)),
-])
-def test_every_single_coefficient_corruption_fails_nearby(check, build, param):
+@pytest.mark.parametrize("rec", [
+    mirror_e(0), mirror_e(2), mirror_e(5), mirror_pi(0), mirror_pi(3),
+    gamma_recurrence(Fraction(1, 2)), gamma_recurrence(Fraction(7, 3)),
+], ids=["e-0", "e-2", "e-5", "pi-0", "pi-3", "gamma-1/2", "gamma-7/3"])
+def test_every_single_coefficient_corruption_fails_nearby(rec):
     order = 40
-    base = build(param, order)
-    assert check(param, order, coeffs=base).passed
+    assert ode_series_check_recurrence(
+        rec, order, coeffs=PowerSeries(series_of(rec, order), order)).passed
     delta = Fraction(1, 10**30)  # far below double precision
     for i in range(order + 1):
-        coeffs = base.coefficients
-        coeffs[i] += delta
-        res = check(param, order, coeffs=PowerSeries(coeffs, order))
+        res = ode_series_check_recurrence(rec, order,
+                                          coeffs=corrupted(rec, order, i, delta))
         assert not res.passed and i <= res.first_failure <= i + 2, i
+
+
+@pytest.mark.parametrize("rec", [
+    mirror_e(3), mirror_pi(3), gamma_recurrence(Fraction(1, 2)),
+], ids=["e", "pi", "gamma"])
+def test_every_single_operator_corruption_fails(rec, monkeypatch):
+    ops, rhs = _recurrence_ode(rec)
+    assert ode_series_check_recurrence(rec, 40).passed
+    polys = [*ops, rhs]
+    for j, poly in enumerate(polys):
+        for i in range(len(poly)):
+            bad = [list(p) for p in polys]
+            bad[j][i] += 1
+            monkeypatch.setattr(certify, "_recurrence_ode",
+                                lambda _, bad=bad: (bad[:-1], bad[-1]))
+            assert not ode_series_check_recurrence(rec, 40).passed, (j, i)
 
 
 # ---------------------------------------------------------------------------

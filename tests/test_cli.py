@@ -1,10 +1,12 @@
 import csv
+import importlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +189,14 @@ def test_cli_import_loads_no_third_party_package_but_mpmath():
         "agflab", "mpmath", "gmpy2"}, out
 
 
+@pytest.mark.parametrize("name", ["agflab", *(f"agflab.{layer}" for layer in (
+    "agf", "certify", "complexfn", "connection", "exact", "holonomic", "worlds"))])
+def test_every_exported_name_exists(name):
+    # the benchmark's tracer getattr's each name of a layer's __all__
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 def test_seq_gamma_rows_are_the_exact_sequence(capsys):
     code, out, _ = run_cli(capsys, ["seq", "gamma", "1/3", "5"])
     want = eval_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5)
@@ -220,6 +230,19 @@ def test_seq_non_finite_z_exits_2(capsys):
         code, out, err = run_cli(capsys, ["seq", "e", "nan", n_max])
         assert (code, out) == (2, "")
         assert "cannot iterate from the value" in err
+
+
+def test_agf_non_finite_z_exits_2(capsys):
+    for which, z in (("f", "1e400"), ("f", "nan"), ("g", "nan"), ("g", "1e400")):
+        code, out, err = run_cli(capsys, ["agf", which, z])
+        assert (code, out) == (2, "") and err.startswith("error: z is not finite")
+
+
+def test_limit_past_the_largest_first_tableau_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["limit", "pi", "1/3", "--depth", "40"])
+    assert (code, out) == (2, "") and "2^24" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_seq_from_file(tmp_path, capsys):
@@ -580,16 +603,18 @@ def test_verify_nonzero_exit_names_first_failure(capsys, monkeypatch):
 
 def test_verify_ode_names_the_first_nonzero_residual(capsys, monkeypatch):
     import agflab.certify as certify
+    from agflab.holonomic import exact_series
 
-    check = certify.ode_series_check_e
+    check = certify.ode_series_check_recurrence
 
-    def corrupted_at_m3(m, order):
-        coeffs = certify.u_series(m, order).coefficients
-        if m == 3:
-            coeffs[5] += 1
-        return check(m, order, coeffs=certify.PowerSeries(coeffs, order))
+    def corrupted_at_e_m3(rec, order):
+        nums, den = exact_series(rec, order)
+        if repr(rec.coeffs) == repr(mirror_e().coeffs) and rec.param == 3:
+            nums[5] += den
+        return check(rec, order,
+                     coeffs=certify.PowerSeries([Fraction(c, den) for c in nums]))
 
-    monkeypatch.setattr(certify, "ode_series_check_e", corrupted_at_m3)
+    monkeypatch.setattr(certify, "ode_series_check_recurrence", corrupted_at_e_m3)
     code, out, _ = run_cli(capsys, ["verify", "ode"])
     assert code == 1
     checks = {c["check"]: c for c in json.loads(out)["checks"]}

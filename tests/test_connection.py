@@ -250,6 +250,12 @@ def test_extrapolation_config_validation():
         ExtrapolationConfig(depth=0)
     with pytest.raises(ValueError):
         ExtrapolationConfig(n_base=8)
+    # the first full tableau at n_base * 2^depth is at most 2^24
+    assert ExtrapolationConfig(depth=19, n_base=32)
+    assert ExtrapolationConfig(depth=6, n_base=2**18 - 1)
+    for depth, n_base in ((20, 32), (6, 2**18 + 1), (40, 32), (10**9, 16)):
+        with pytest.raises(ValueError, match="2\\^24"):
+            ExtrapolationConfig(depth=depth, n_base=n_base)
 
 
 # ---------------------------------------------------------------------------
