@@ -3,15 +3,16 @@
 The D-finite vertex of each holonomic triangle is derived from the
 recurrence and verified as an exact power-series identity: the ODE of
 U(x) = sum u_n x^n comes mechanically from any P-recursive sequence at a
-rational z (gfun's rectodiffeq), U is built from the recurrence
-fraction-free, as integer numerators over one common denominator, and
-every coefficient of the residual must vanish exactly: its integer
-numerator is 0, with no floating tolerance.  The singular-coefficient
-integrals behind the connection constants (I_m, J_m, L_m) are evaluated
-in double precision by mpmath's tanh-sinh quadrature, with an error
-estimate floored at (64 + m) eps |value|, and chained through their
-recurrences as floating cross-checks; the transfer from
-generating-function singularities to coefficient growth is probed
+rational z (gfun's rectodiffeq), U is built from the same cleared
+recurrence fraction-free, as the integer numerators over one common
+denominator of :func:`holonomic.exact_series`, and the residual L U - P
+is accumulated on those numerators as a plain list of ints: each of its
+coefficients must vanish exactly, with no floating tolerance.  The
+singular-coefficient integrals behind the connection constants (I_m,
+J_m, L_m) are evaluated in double precision by mpmath's tanh-sinh
+quadrature, with an error estimate floored at (64 + m) eps |value|, and
+chained through their recurrences as floating cross-checks; the transfer
+from generating-function singularities to coefficient growth is probed
 directly on the sequences.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from mpmath import fp
 
@@ -30,15 +30,15 @@ from .connection import shell_eval
 from .holonomic import (
     PRecurrence,
     _differences,
+    _exact_data,
+    _exact_series,
     _horner,
     _integer_form,
-    exact_series,
     values_at,
 )
 
 __all__ = [
     "OdeCheckResult",
-    "PowerSeries",
     "QuadratureResult",
     "identity_chain_e",
     "identity_chain_pi",
@@ -48,129 +48,6 @@ __all__ = [
     "quad_L",
     "transfer_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# exact truncated power series
-
-class PowerSeries:
-    """Truncated power series with exact rational coefficients.
-
-    The coefficients are stored as integer numerators over one positive
-    common denominator, which need not be reduced, so that sums, products
-    and derivatives run on Python ints; ``coefficients`` reads them back
-    as Fractions.  ``order`` is the truncation order: coefficients of
-    x^0 .. x^order are meaningful.  ``exact=True`` marks honest
-    polynomials (no truncation), which lets products against truncated
-    series keep the right validity order.
-    """
-
-    __slots__ = ("_nums", "_den", "order", "exact")
-
-    def __init__(self, coefficients, order: int | None = None, exact: bool = False):
-        coeffs = [Fraction(c) for c in coefficients]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self._set([c.numerator * (den // c.denominator) for c in coeffs],
-                  den, order, exact)
-
-    def _set(self, nums: list, den: int, order: int | None, exact: bool):
-        if order is None:
-            order = len(nums) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        nums = nums[: order + 1]
-        nums.extend([0] * (order + 1 - len(nums)))
-        self._nums, self._den, self.order, self.exact = nums, den, order, exact
-
-    @classmethod
-    def _from_ints(cls, nums, den: int, order: int, exact: bool = False
-                   ) -> "PowerSeries":
-        """The series sum_k nums[k]/den x^k; den must be positive."""
-        series = cls.__new__(cls)
-        series._set(nums, den, order, exact)
-        return series
-
-    @property
-    def coefficients(self) -> list[Fraction]:
-        return [Fraction(c, self._den) for c in self._nums]
-
-    @staticmethod
-    def poly(*coefficients) -> "PowerSeries":
-        return PowerSeries(list(coefficients), exact=True)
-
-    def first_nonzero(self) -> int | None:
-        return next((i for i, c in enumerate(self._nums) if c), None)
-
-    def min_degree(self) -> int:
-        first = self.first_nonzero()
-        return self.order + 1 if first is None else first
-
-    def _over(self, den: int, n: int) -> list[int]:
-        """The first n numerators over ``den``, a multiple of ours."""
-        k = den // self._den
-        return self._nums[:n] if k == 1 else [k * c for c in self._nums[:n]]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = self._combine_order(other)
-        den = math.lcm(self._den, other._den)
-        out = [x + y for x, y in zip_longest(self._over(den, order + 1),
-                                             other._over(den, order + 1),
-                                             fillvalue=0)]
-        return PowerSeries._from_ints(out, den, order, self.exact and other.exact)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries._from_ints([-c for c in self._nums], self._den,
-                                      self.order, self.exact)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
-
-    def _combine_order(self, other: "PowerSeries") -> int:
-        if self.exact and other.exact:
-            return max(self.order, other.order)
-        if self.exact:
-            return other.order
-        if other.exact:
-            return self.order
-        return min(self.order, other.order)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if self.exact and other.exact:
-            order = self.order + other.order
-        elif self.exact:
-            order = other.order + self.min_degree()
-        elif other.exact:
-            order = self.order + other.min_degree()
-        else:
-            order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        short, long = self._nums[: order + 1], other._nums[: order + 1]
-        if len(short) > len(long):
-            short, long = long, short
-        for i, c in enumerate(short):
-            if c:
-                for j, d in enumerate(long[: order + 1 - i]):
-                    if d:
-                        out[i + j] += c * d
-        return PowerSeries._from_ints(out, self._den * other._den, order,
-                                      self.exact and other.exact)
-
-    def differentiate(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries([0], 0, self.exact)
-        out = [k * self._nums[k] for k in range(1, self.order + 1)]
-        return PowerSeries._from_ints(out, self._den, self.order - 1, self.exact)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order) + 1
-        den = math.lcm(self._den, other._den)
-        return self._over(den, n) == other._over(den, n)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coefficients[:6])
-        return f"PowerSeries([{head}, ...], order={self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +61,23 @@ class OdeCheckResult:
     first_failure: int | None
 
 
-def _recurrence_ode(rec: PRecurrence) -> tuple[list[list[int]], list[Fraction]]:
+def _recurrence_ode(rec: PRecurrence, form) -> tuple[list[list[int]], list[Fraction]]:
     """(ops, rhs): the ODE sum_j ops[j](x) D^j U = rhs(x) of the series
     U(x) = sum_n u_n x^n of ``rec`` at its rational ``param`` z, each
-    polynomial as its coefficients from x^0 (gfun's rectodiffeq).
+    polynomial as its coefficients from x^0 (gfun's rectodiffeq), from
+    ``form``, the return value of :func:`holonomic._integer_form`.
 
-    Multiplying sum_k c_k(n) u_{n+k} = 0, the cleared integer equation of
-    :func:`holonomic._integer_form`, by x^(n+r) and summing over n gives
-    L = sum_k x^(r-k) c_k(theta - k) with theta = x D.  In the falling
-    factorials theta (theta-1) ... (theta-j+1) = x^j D^j, c_k(theta - k)
-    has the coefficients Delta^j c_k(-k) / j!, integers: the Stirling
-    numbers of the second kind applied to its monomials.  The steps
+    Multiplying sum_k c_k(n) u_{n+k} = 0, the cleared integer equation,
+    by x^(n+r) and summing over n gives L = sum_k x^(r-k) c_k(theta - k)
+    with theta = x D.  In the falling factorials theta (theta-1) ...
+    (theta-j+1) = x^j D^j, c_k(theta - k) has the coefficients
+    Delta^j c_k(-k) / j!, integers: the Stirling numbers of the second
+    kind applied to its monomials.  So ops[j] starts at x^j.  The steps
     below the initial index n0, which the recurrence does not hold at,
     leave rhs = sum_{n=n0-r}^{n0-1} x^(n+r) sum_k c_k(n) u_{n+k}, with
     u_n = 0 outside the initial window.
     """
-    polys, _, _, init = _integer_form(rec, rec.param)
+    polys, _, _, init = form
     r, n0 = rec.order, rec.initial_index
     degree = max(map(len, polys)) - 1
     ops = [[0] * (r + j + 1) for j in range(degree + 1)]
@@ -216,25 +94,36 @@ def _recurrence_ode(rec: PRecurrence) -> tuple[list[list[int]], list[Fraction]]:
 
 
 def ode_series_check_recurrence(rec: PRecurrence, order: int,
-                                coeffs: PowerSeries | None = None
+                                series: tuple[list[int], int] | None = None
                                 ) -> OdeCheckResult:
     """Verify the ODE L U = P of :func:`_recurrence_ode` coefficient by
-    coefficient through x^order: every numerator of L U - P must be 0.
+    coefficient through x^order: every coefficient of L U - P must be 0.
 
-    U is built from ``rec`` by :func:`holonomic.exact_series` unless an
-    explicit series is supplied (the seam used by mutation tests).
+    U is the pair (nums, den) of :func:`holonomic.exact_series`, built
+    from the same cleared form as the ODE, unless an explicit pair is
+    supplied (the seam used by mutation tests).  The coefficient of x^N
+    in ops[j](x) D^j U is sum_i ops[j][i] (m+1)...(m+j) u_{m+j} with
+    m = N - i: the residual is accumulated on the numerators, each D
+    taken on them, and P is brought over den, all in integers.
     """
-    ops, rhs = _recurrence_ode(rec)
+    if not _exact_data(rec, rec.param):
+        raise ValueError("the ODE certificate needs rational z and initial values")
+    form = _integer_form(rec, rec.param)
+    ops, rhs = _recurrence_ode(rec, form)
     if order < max(10, len(ops) - 1):
         raise ValueError("order must be at least 10 and the order of the ODE")
-    series = coeffs if coeffs is not None else PowerSeries._from_ints(
-        *exact_series(rec, order), order)
-    residual = -PowerSeries.poly(*rhs)
-    for j, op in enumerate(ops):
-        if j:
-            series = series.differentiate()
-        residual = residual + PowerSeries.poly(*op) * series
-    bad = residual.first_nonzero()
+    nums, den = series if series is not None else _exact_series(rec, form, order)
+    # ops[j] starts at x^j, so x^i D^j U needs no u past u_N at x^N
+    residual = [0] * (order + 1)
+    for op in ops:
+        for i, c in enumerate(op[: order + 1]):
+            if c:
+                for n, u in enumerate(nums[: order + 1 - i], i):
+                    residual[n] += c * u
+        nums = [m * u for m, u in enumerate(nums[1:], 1)]  # D U
+    for n, p in enumerate(rhs[: order + 1]):
+        residual[n] -= p * den
+    bad = next((n for n, c in enumerate(residual) if c), None)
     return OdeCheckResult(rec.param, order, bad is None, bad)
 
 

@@ -133,13 +133,12 @@ def _to_ctx(z, ctx):
 
 
 def _nearest_int(z) -> int | None:
-    """Integer n with |z - n| < 1e-12, or None; ValueError where Re z is
-    infinite or NaN."""
+    """Integer n with |z - n| < 1e-12, or None; ValueError where either
+    part of z is infinite or NaN, or beyond the double range."""
     zc = complex(z)
-    try:
-        n = round(zc.real)
-    except (OverflowError, ValueError):  # round(inf), round(nan)
-        raise ValueError(f"z is not finite: {zc}") from None
+    if not cmath.isfinite(zc):
+        raise ValueError(f"z is not finite: {zc}")
+    n = round(zc.real)
     if abs(zc.real - n) < 1e-12 and abs(zc.imag) < 1e-12:
         return n
     return None

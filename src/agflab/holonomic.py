@@ -488,13 +488,19 @@ def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
     end.  Raises :class:`CoefficientPole` at the same n as
     :func:`iter_sequence`.  The denominator is positive but not reduced.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     zval = z if z is not None else rec.param
     if not _exact_data(rec, zval):
         raise ValueError("exact_series needs rational z and initial values")
+    return _exact_series(rec, _integer_form(rec, zval), n_max)
+
+
+def _exact_series(rec: PRecurrence, form, n_max: int) -> tuple[list[int], int]:
+    """:func:`exact_series` from the cleared ``form`` of ``rec``, the
+    return value of :func:`_integer_form` at rational data."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = _integer_form(rec, zval)
+    polys, _, pole, init = form
     den = math.lcm(*(a.denominator for a, _ in init))
     window = [a.numerator * (den // a.denominator) for a, _ in init]
     left, leads = [], []  # u_{n0+j} over the denominator before step j

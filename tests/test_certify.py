@@ -4,14 +4,11 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
-from agflab import certify
+from agflab import certify, holonomic
 from agflab.agf import f_eval, g_eval
 from agflab.certify import (
-    PowerSeries,
     _recurrence_ode,
     identity_chain_e,
     identity_chain_pi,
@@ -33,106 +30,6 @@ from agflab.holonomic import (
 
 E = math.e
 PI = math.pi
-
-
-# ---------------------------------------------------------------------------
-# power series arithmetic
-
-def test_powerseries_mul_matches_naive_convolution():
-    a = PowerSeries([1, 2, 3, 4], 3)
-    b = PowerSeries([5, 6, 7, 8], 3)
-    got = a * b
-    naive = [
-        sum(a.coefficients[i] * b.coefficients[j - i]
-            for i in range(j + 1) if i <= 3 and j - i <= 3)
-        for j in range(4)
-    ]
-    assert got.coefficients[: 4] == naive
-    assert got.order == 3  # both truncated
-
-
-def test_powerseries_poly_times_truncated_keeps_validity():
-    u = PowerSeries([0, 1, 1, Fraction(3, 2)], 3)
-    x_poly = PowerSeries.poly(0, 1)  # x, exact
-    prod = x_poly * u
-    assert prod.order == 4
-    assert prod.coefficients == [0, 0, 1, 1, Fraction(3, 2)]
-
-
-# ---------------------------------------------------------------------------
-# integer-numerator arithmetic against a naive Fraction reference
-
-def ref_series(coeffs, order, exact):
-    """(coefficients, order, exact) of a series, one Fraction per term."""
-    coeffs = [Fraction(c) for c in coeffs][: order + 1]
-    return coeffs + [Fraction(0)] * (order + 1 - len(coeffs)), order, exact
-
-
-def ref_add(a, b, sign=1):
-    (ca, oa, ea), (cb, ob, eb) = a, b
-    order = max(oa, ob) if ea and eb else ob if ea else oa if eb else min(oa, ob)
-    ca, cb = ref_series(ca, order, 0)[0], ref_series(cb, order, 0)[0]
-    return [x + sign * y for x, y in zip(ca, cb)], order, ea and eb
-
-
-def ref_mul(a, b):
-    (ca, oa, ea), (cb, ob, eb) = a, b
-
-    def lowest(c, o):
-        return next((i for i, x in enumerate(c) if x), o + 1)
-
-    if ea and eb:
-        order = oa + ob
-    elif ea:
-        order = ob + lowest(ca, oa)
-    elif eb:
-        order = oa + lowest(cb, ob)
-    else:
-        order = min(oa, ob)
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(ca):
-        for j, y in enumerate(cb):
-            if i + j <= order:
-                out[i + j] += x * y
-    return out, order, ea and eb
-
-
-def view(series):
-    return series.coefficients, series.order, series.exact
-
-
-series_args = st.tuples(
-    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=40),
-             min_size=1, max_size=8),
-    st.integers(min_value=0, max_value=9),
-    st.booleans(),
-)
-
-
-@seed(20261018)
-@settings(max_examples=100, deadline=None)
-@given(a=series_args, b=series_args,
-       c=st.fractions(min_value=-9, max_value=9, max_denominator=20))
-def test_powerseries_integer_arithmetic_matches_fraction_reference(a, b, c):
-    ra, rb = ref_series(*a), ref_series(*b)
-    sa, sb = PowerSeries(*a), PowerSeries(*b)
-    assert view(sa) == ra
-    assert view(sa + sb) == ref_add(ra, rb)
-    assert view(sa - sb) == ref_add(ra, rb, -1)
-    assert view(sa * sb) == ref_mul(ra, rb)
-    coeffs, order, exact = ra
-    if order:
-        assert view(sa.differentiate()) == (
-            [i * coeffs[i] for i in range(1, order + 1)], order - 1, exact)
-    n = min(order, rb[1]) + 1
-    assert (sa == sb) == (coeffs[:n] == rb[0][:n])
-    first = next((i for i, x in enumerate(coeffs) if x), None)
-    assert sa.first_nonzero() == first
-    assert sa.min_degree() == (order + 1 if first is None else first)
-    if c:  # the same values over a larger denominator
-        wide = sa * PowerSeries.poly(c) * PowerSeries.poly(1 / c)
-        assert view(wide) == ra
-        assert view(wide * sb) == ref_mul(ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +166,10 @@ def ode_gamma(z):
     return [[z - 1, -1], [0, 1, -1]], [0, 1]
 
 
+def derived_ode(rec):
+    return _recurrence_ode(rec, holonomic._integer_form(rec, rec.param))
+
+
 def ratio(derived, written):
     """The c with derived = c * written, polynomial by polynomial (lists
     from x^0), or None if there is none."""
@@ -288,7 +189,7 @@ HALVES = [Fraction(2 * m + 1, 2) for m in range(9)]
     *((gamma_recurrence, z, ode_gamma) for z in HALVES),
 ])
 def test_derived_ode_is_the_hand_written_one(build, param, written):
-    ops, rhs = _recurrence_ode(build(param))
+    ops, rhs = derived_ode(build(param))
     hand_ops, hand_rhs = written(param)
     assert ratio([*ops, rhs], [*hand_ops, hand_rhs]) is not None
 
@@ -323,7 +224,7 @@ init: n0=1; 0.5, 1
 
 def test_user_recurrence_certified_through_order_200():
     rec = dataclasses.replace(parse_precurrence(USER_TEXT), param=Fraction(1, 3))
-    ops, _ = _recurrence_ode(rec)
+    ops, _ = derived_ode(rec)
     assert len(ops) == 4
     res = ode_series_check_recurrence(rec, 200)
     assert res.passed and res.first_failure is None
@@ -339,30 +240,33 @@ def test_ode_certificate_needs_rational_data_and_order():
         ode_series_check_recurrence(mirror_e(1), 9)
 
 
-def corrupted(rec, order: int, i: int, delta=1) -> PowerSeries:
-    """The exact series of rec with delta added to its x^i coefficient."""
-    coeffs = series_of(rec, order)
-    coeffs[i] += delta
-    return PowerSeries(coeffs, order)
+def corrupted(rec, order: int, i: int, delta=1) -> tuple[list[int], int]:
+    """The exact series of rec, as (nums, den), with delta added to its
+    x^i coefficient."""
+    nums, den = exact_series(rec, order)
+    delta = Fraction(delta)
+    nums = [c * delta.denominator for c in nums]
+    nums[i] += delta.numerator * den
+    return nums, den * delta.denominator
 
 
 def test_ode_certificate_mutation_detected():
     res = ode_series_check_recurrence(mirror_e(1), 10,
-                                      coeffs=corrupted(mirror_e(1), 10, 5))
+                                      series=corrupted(mirror_e(1), 10, 5))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 7
 
 
 def test_ode_certificate_mutation_detected_pi():
     res = ode_series_check_recurrence(mirror_pi(0), 10,
-                                      coeffs=corrupted(mirror_pi(0), 10, 4))
+                                      series=corrupted(mirror_pi(0), 10, 4))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 6
 
 
 def test_ode_certificate_mutation_detected_gamma():
     rec = gamma_recurrence(Fraction(1, 2))
-    res = ode_series_check_recurrence(rec, 10, coeffs=corrupted(rec, 10, 6))
+    res = ode_series_check_recurrence(rec, 10, series=corrupted(rec, 10, 6))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 8
 
@@ -374,11 +278,11 @@ def test_ode_certificate_mutation_detected_gamma():
 def test_every_single_coefficient_corruption_fails_nearby(rec):
     order = 40
     assert ode_series_check_recurrence(
-        rec, order, coeffs=PowerSeries(series_of(rec, order), order)).passed
+        rec, order, series=exact_series(rec, order)).passed
     delta = Fraction(1, 10**30)  # far below double precision
     for i in range(order + 1):
         res = ode_series_check_recurrence(rec, order,
-                                          coeffs=corrupted(rec, order, i, delta))
+                                          series=corrupted(rec, order, i, delta))
         assert not res.passed and i <= res.first_failure <= i + 2, i
 
 
@@ -386,7 +290,7 @@ def test_every_single_coefficient_corruption_fails_nearby(rec):
     mirror_e(3), mirror_pi(3), gamma_recurrence(Fraction(1, 2)),
 ], ids=["e", "pi", "gamma"])
 def test_every_single_operator_corruption_fails(rec, monkeypatch):
-    ops, rhs = _recurrence_ode(rec)
+    ops, rhs = derived_ode(rec)
     assert ode_series_check_recurrence(rec, 40).passed
     polys = [*ops, rhs]
     for j, poly in enumerate(polys):
@@ -394,8 +298,60 @@ def test_every_single_operator_corruption_fails(rec, monkeypatch):
             bad = [list(p) for p in polys]
             bad[j][i] += 1
             monkeypatch.setattr(certify, "_recurrence_ode",
-                                lambda _, bad=bad: (bad[:-1], bad[-1]))
+                                lambda *_, bad=bad: (bad[:-1], bad[-1]))
             assert not ode_series_check_recurrence(rec, 40).passed, (j, i)
+
+
+def first_nonzero_residual(ops, rhs, coeffs) -> int | None:
+    """The first N at which the x^N coefficient of sum_j ops[j](x) D^j U
+    - rhs(x) is not 0, U = sum coeffs[n] x^n, term by term in Fractions:
+    an oracle for the certificate's integer residual."""
+    for n in range(len(coeffs)):
+        total = -Fraction(rhs[n] if n < len(rhs) else 0)
+        for j, op in enumerate(ops):
+            for i, c in enumerate(op[: n + 1]):
+                if c:  # x^i D^j U at x^n: (m+1)...(m+j) u_{m+j}, m = n - i
+                    m = n - i
+                    total += c * math.prod(range(m + 1, m + j + 1)) * coeffs[m + j]
+        if total:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("build, param, written", [
+    (mirror_e, 0, ode_e), (mirror_e, 2, ode_e), (mirror_e, 5, ode_e),
+    (mirror_pi, 0, ode_pi), (mirror_pi, 3, ode_pi),
+    (gamma_recurrence, Fraction(1, 2), ode_gamma),
+    (gamma_recurrence, Fraction(7, 3), ode_gamma),
+], ids=["e-0", "e-2", "e-5", "pi-0", "pi-3", "gamma-1/2", "gamma-7/3"])
+def test_first_failure_matches_a_fraction_residual_of_the_written_ode(
+        build, param, written):
+    # the written ODEs differ from the derived ones by a scalar factor,
+    # so their residuals vanish at the same coefficients
+    rec, order = build(param), 40
+    ops, rhs = written(param)
+    assert first_nonzero_residual(ops, rhs, series_of(rec, order)) is None
+    for i in range(order + 1):
+        nums, den = corrupted(rec, order, i, Fraction(1, 10**30))
+        want = first_nonzero_residual(ops, rhs, [Fraction(c, den) for c in nums])
+        res = ode_series_check_recurrence(rec, order, series=(nums, den))
+        assert want is not None and res.first_failure == want, i
+
+
+def test_one_integer_form_per_certificate(monkeypatch):
+    calls = []
+
+    def counted(rec, zval, integer_form=holonomic._integer_form):
+        calls.append(rec)
+        return integer_form(rec, zval)
+
+    monkeypatch.setattr(certify, "_integer_form", counted)
+    monkeypatch.setattr(holonomic, "_integer_form", counted)
+    recs = [mirror_e(3), mirror_pi(0), gamma_recurrence(Fraction(1, 2)),
+            dataclasses.replace(parse_precurrence(USER_TEXT), param=Fraction(1, 3))]
+    for rec in recs:
+        assert ode_series_check_recurrence(rec, 40).passed
+    assert calls == recs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import inspect
 import json
 import math
 import os
@@ -197,6 +198,24 @@ def test_every_exported_name_exists(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def test_public_generators_take_only_iteration_arguments():
+    # the benchmark's tracer calls iteration_mode(**arguments) on every
+    # public generator function of a layer: any other parameter raises
+    generators = {}
+    for layer in ("agf", "certify", "cli", "complexfn", "connection", "exact",
+                  "holonomic"):
+        module = importlib.import_module(f"agflab.{layer}")
+        public = getattr(module, "__all__", None) or [
+            n for n in vars(module) if not n.startswith("_")]
+        for name in public:
+            fn = getattr(module, name)
+            if inspect.isgeneratorfunction(fn) and fn.__module__ == module.__name__:
+                generators[f"{layer}.{name}"] = set(inspect.signature(fn).parameters)
+    assert {"holonomic.iter_sequence", "holonomic.iter_numeric"} <= set(generators)
+    assert {name: params for name, params in generators.items()
+            if not params <= {"rec", "z", "n_max", "digits"}} == {}
+
+
 def test_seq_gamma_rows_are_the_exact_sequence(capsys):
     code, out, _ = run_cli(capsys, ["seq", "gamma", "1/3", "5"])
     want = eval_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5)
@@ -233,9 +252,11 @@ def test_seq_non_finite_z_exits_2(capsys):
 
 
 def test_agf_non_finite_z_exits_2(capsys):
-    for which, z in (("f", "1e400"), ("f", "nan"), ("g", "nan"), ("g", "1e400")):
-        code, out, err = run_cli(capsys, ["agf", which, z])
-        assert (code, out) == (2, "") and err.startswith("error: z is not finite")
+    for which in ("f", "g"):
+        for args in (["1e400"], ["nan"], ["1+nani"], ["1e400i", "--digits", "30"]):
+            code, out, err = run_cli(capsys, ["agf", which, *args])
+            assert (code, out) == (2, "") and err.startswith(
+                "error: z is not finite"), args
 
 
 def test_limit_past_the_largest_first_tableau_exits_2_at_once(capsys):
@@ -611,8 +632,7 @@ def test_verify_ode_names_the_first_nonzero_residual(capsys, monkeypatch):
         nums, den = exact_series(rec, order)
         if repr(rec.coeffs) == repr(mirror_e().coeffs) and rec.param == 3:
             nums[5] += den
-        return check(rec, order,
-                     coeffs=certify.PowerSeries([Fraction(c, den) for c in nums]))
+        return check(rec, order, series=(nums, den))
 
     monkeypatch.setattr(certify, "ode_series_check_recurrence", corrupted_at_e_m3)
     code, out, _ = run_cli(capsys, ["verify", "ode"])
