@@ -103,8 +103,8 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int,
     from the same cleared form as the ODE, unless an explicit pair is
     supplied (the seam used by mutation tests).  The coefficient of x^N
     in ops[j](x) D^j U is sum_i ops[j][i] (m+1)...(m+j) u_{m+j} with
-    m = N - i: the residual is accumulated on the numerators, each D
-    taken on them, and P is brought over den, all in integers.
+    m = N - i: the residual is accumulated in ints on the numerators,
+    each D taken on them, and P times den is subtracted.
     """
     if not _exact_data(rec, rec.param):
         raise ValueError("the ODE certificate needs rational z and initial values")
