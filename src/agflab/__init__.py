@@ -56,13 +56,12 @@ from .exact import (
 from .holonomic import (
     CoefficientPole,
     PRecurrence,
-    eval_sequence,
     exact_series,
     gamma_recurrence,
+    iter_sequence,
     mirror_e,
     mirror_pi,
     parse_precurrence,
-    shell_w,
     shell_wtilde,
 )
 

@@ -34,7 +34,7 @@ from .holonomic import (
     _exact_series,
     _horner,
     _integer_form,
-    values_at,
+    iter_values_at,
 )
 
 __all__ = [
@@ -265,4 +265,4 @@ def transfer_check(world: str, m, n: int) -> float:
         raise ValueError("transfer check needs n >= 1000")
     w = worlds.world(world)
     predict = w.evaluator(m).real * shell_eval(w.shell, n, w.shell_z(m)).real
-    return abs(values_at(w.recurrence(m), None, [n])[0] / predict - 1.0)
+    return abs(next(iter_values_at(w.recurrence(m), None, [n])) / predict - 1.0)

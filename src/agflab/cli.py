@@ -54,7 +54,7 @@ from .holonomic import (
     CoefficientPole,
     RecurrenceParseError,
     _exact_data,
-    eval_sequence,
+    iter_sequence,
     parse_precurrence,
 )
 
@@ -129,9 +129,9 @@ def _emit_rows(args, head: dict, header: list[str], rows: list[list]):
 
 def cmd_seq(args) -> int:
     cfg = _precision(args.digits)
+    if (args.n_max is None) == (args.n_max_flag is None):
+        raise ValueError("seq needs n_max once (positional or --n-max)")
     n_max = args.n_max if args.n_max is not None else args.n_max_flag
-    if n_max is None:
-        raise ValueError("seq needs n_max (positional or --n-max)")
     z = parse_scalar(args.z)
     builtin = worlds.table().get(args.world)
     if builtin:
@@ -143,8 +143,8 @@ def cmd_seq(args) -> int:
     # which format_cnum rounds once to the printed digits
     digits = (args.digits if cfg.is_extended
               else None if _exact_data(rec, z) else DEFAULT_DIGITS)
-    rows = [[p.n, _fmt_value(p.value, cfg)]
-            for p in eval_sequence(rec, z=z, n_max=n_max, digits=digits)]
+    rows = [[n, _fmt_value(v, cfg)]
+            for n, v in iter_sequence(rec, z=z, n_max=n_max, digits=digits)]
     if args.format == "text":
         _emit("".join(f"{n}\t{value}\n" for n, value in rows), args.out)
     else:

@@ -112,7 +112,8 @@ class ExtrapolationConfig:
 
     depth: int = 6
     n_base: int = 32
-    digits: int | None = None  # accumulation digits; see numeric_digits
+    # accumulation digits: this many above 15, else 30 (numeric_digits)
+    digits: int | None = None
 
     def __post_init__(self):
         if self.depth < 1:
@@ -176,7 +177,9 @@ def estimate_connection_constant(
 ) -> ConnectionEstimate:
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
-    Samples the ratio at n = n_base * 2^k, k = 0, 1, ..., which one
+    z is the shell's argument; ``rec`` steps at its own ``param``, so
+    that a rational z is not rounded to the shell's complex one.  Samples
+    the ratio at n = n_base * 2^k, k = 0, 1, ..., which one
     :func:`iter_values_at` run reaches in blocks of steps, and reruns the
     tableau over the last depth + 1 samples at each new one.  The ladder
     stops at the first window whose last diagonal increment is at or
@@ -202,11 +205,11 @@ def estimate_connection_constant(
     reach = max(REACH, n_base * 2**cfg.depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
     digits = numeric_digits(cfg.digits)
-    ctx = _mp_context(digits + 5)
+    ctx = _mp_context(digits + 5)  # that of the values u, as digits >= 30
     size = cfg.depth + 1
     samples, rounding = [], []  # in the order of the ladder
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
-    for n, u in zip(ladder, iter_values_at(rec, z, ladder, digits, ctx)):
+    for n, u in zip(ladder, iter_values_at(rec, None, ladder, digits)):
         log_lam = shell_log_eval(shell, n, z)
         sample = complex(u / ctx.exp(log_lam))
         if not cmath.isfinite(sample):

@@ -4,18 +4,19 @@ A :class:`PRecurrence` stores an order-r linear recurrence
 sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
 functions in the index n and the parameter z.  :func:`_integer_form`
 substitutes z exactly and clears the denominators once; every engine
-steps that integer equation.  Forward iteration is exact (big
-rationals) whenever z and the initial values are rational, and in fixed
-point on Python ints otherwise, at 30 digits unless more are asked for;
-:func:`iter_values_at` takes the fixed-point engine to a few wanted
-indices in blocks of steps, as far as its caller draws them.
-:func:`exact_series` builds a whole exact series u_0..u_N fraction-free
-instead, as integer numerators over one common denominator, for
-callers such as the ODE certificates that want every term rather than
-reduced values.  The two mirror recurrences, whose
-connection constants tie to e and pi, and the Gamma prototype recurrence
-are built in, together with the constructive shell sequences n!/(z)_n
-and n!/Gamma(n+1-z).
+steps that integer equation.  There are two ways in:
+:func:`iter_sequence` yields every u_n up to n_max, exactly (big
+rationals) where z and the initial values are rational and no digits
+are asked for, and :func:`iter_values_at` yields a few wanted u_n,
+reached in blocks of steps as far as its caller draws them.  The rest
+is fixed point on Python ints, one engine whose values both give by one
+rule.  :func:`exact_series` builds a whole exact series
+u_0..u_N fraction-free instead, as integer numerators over one common
+denominator, for the ODE certificate, which wants every term rather
+than reduced values.  The two mirror recurrences, whose connection
+constants tie to e and pi, and the Gamma prototype recurrence, whose
+sequence is the constructive shell n!/(z)_n, are built in, together
+with the shell n!/Gamma(n+1-z).
 """
 
 from __future__ import annotations
@@ -48,20 +49,15 @@ __all__ = [
     "Poly2",
     "RationalFn",
     "RecurrenceParseError",
-    "SequencePoint",
-    "eval_sequence",
     "exact_series",
     "gamma_recurrence",
-    "iter_numeric",
     "iter_sequence",
     "iter_values_at",
     "mirror_e",
     "mirror_pi",
     "numeric_digits",
     "parse_precurrence",
-    "shell_w",
     "shell_wtilde",
-    "values_at",
 ]
 
 MAX_DEGREE = 8
@@ -296,17 +292,12 @@ class RationalFn:
 # recurrences
 
 @dataclass(frozen=True)
-class SequencePoint:
-    n: int
-    value: object
-
-
-@dataclass(frozen=True)
 class PRecurrence:
     """Order-r recurrence sum_k coeffs[k](n, z) u_{n+k} = 0 with initials.
 
     ``param`` records a default z substitution (set by the built-in
-    constructors); the z argument of :func:`eval_sequence` overrides it.
+    constructors); the z argument of :func:`iter_sequence` and
+    :func:`iter_values_at` overrides it.
     """
 
     order: int
@@ -399,53 +390,40 @@ def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None
     - exact (``Fraction``) when z and the initial values are rational and
       no digit count is given: Fraction stepping over the integer
       coefficients;
-    - fixed point for everything else, at ``digits`` above
-      :data:`MAX_DOUBLE_DIGITS` and at :data:`DEFAULT_DIGITS` otherwise.
+    - fixed point for everything else, with values by one rule: numbers
+      of a private mpmath context at ``digits + 5`` digits for ``digits``
+      above :data:`MAX_DOUBLE_DIGITS`, and otherwise floats (complexes
+      where the imaginary part is nonzero), each the double nearest the
+      :data:`DEFAULT_DIGITS`-digit value.
 
     Fixed point substitutes z exactly (a float or complex z is a dyadic
     rational) and iterates on Python ints: mantissas of
     ``ceil(digits * log2(10)) + 64`` bits, Gaussian-integer pairs for
-    complex data, under one block exponent.  An explicit ``digits`` above
-    :data:`MAX_DOUBLE_DIGITS` yields values of a private mpmath context at
-    ``digits + 5`` digits; otherwise it yields floats (complexes where the
-    imaginary part is nonzero), each the double nearest the 30-digit
-    value.  No engine reads or changes mpmath's global state, so a live
-    generator holds none.
+    complex data, under one block exponent.  No engine reads or changes
+    mpmath's global state, so a live generator holds none.
     """
-    zval = _start(rec, z, n_max)
-    if digits is not None and digits > MAX_DOUBLE_DIGITS:
-        yield from _fixed_point(rec, zval, n_max, digits, _mp_context(digits + 5))
-    elif digits is None and _exact_data(rec, zval):
+    if n_max < rec.initial_index + rec.order:
+        raise ValueError("n_max must cover at least the initial window")
+    zval = z if z is not None else rec.param
+    if digits is None and _exact_data(rec, zval):
         yield from _exact(rec, zval, n_max)
     else:
-        yield from _fixed_point(rec, zval, n_max, DEFAULT_DIGITS, None)
+        yield from _fixed_point(rec, zval, n_max, *_precision(digits))
+
+
+def _precision(digits: int | None) -> tuple:
+    """(digits, ctx) of the fixed-point engine for a requested ``digits``,
+    the one value rule of :func:`iter_sequence` and :func:`iter_values_at`:
+    floats and complexes where ctx is None."""
+    if digits is not None and digits > MAX_DOUBLE_DIGITS:
+        return digits, _mp_context(digits + 5)
+    return DEFAULT_DIGITS, None
 
 
 def numeric_digits(digits: int | None) -> int:
     """The digits the fixed-point engine runs at for a requested ``digits``:
     that many above :data:`MAX_DOUBLE_DIGITS`, else :data:`DEFAULT_DIGITS`."""
-    if digits is not None and digits > MAX_DOUBLE_DIGITS:
-        return digits
-    return DEFAULT_DIGITS
-
-
-def iter_numeric(rec: PRecurrence, z=None, n_max: int = 100,
-                 digits: int | None = None):
-    """Yield (n, u_n) as Python floats or complexes, whatever the data.
-
-    Runs the fixed-point engine of :func:`iter_sequence` at
-    :func:`numeric_digits` ``(digits)``; for callers that only need
-    numbers, at no cost for building exact or mpmath values.
-    """
-    yield from _fixed_point(rec, _start(rec, z, n_max), n_max,
-                            numeric_digits(digits), None)
-
-
-def _start(rec, z, n_max):
-    """The z to substitute, after checking that n_max covers the window."""
-    if n_max < rec.initial_index + rec.order:
-        raise ValueError("n_max must cover at least the initial window")
-    return z if z is not None else rec.param
+    return _precision(digits)[0]
 
 
 def _exact_data(rec, zval) -> bool:
@@ -467,13 +445,6 @@ def _exact(rec, zval, n_max):
         window.append(u)
         del window[0]
         yield n, u
-
-
-def eval_sequence(
-    rec: PRecurrence, z=None, n_max: int = 100, digits: int | None = None
-) -> list[SequencePoint]:
-    """Forward iteration of a recurrence; see :func:`iter_sequence`."""
-    return [SequencePoint(n, v) for n, v in iter_sequence(rec, z, n_max, digits)]
 
 
 def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
@@ -926,46 +897,24 @@ class _Window:
             yield self.read(t - m)
 
 
-def iter_values_at(rec: PRecurrence, z, ns, digits: int | None = None, ctx=None):
+def iter_values_at(rec: PRecurrence, z, ns, digits: int | None = None):
     """Yield u_n for each n drawn from the increasing iterable ``ns``.
 
-    Runs the fixed-point engine of :func:`iter_numeric` at the same
-    precision, but reaches each wanted n in blocks of steps
-    (:meth:`_Window.at`), and only as far as the last n drawn: ``ns`` may
-    be an endless ladder that the caller stops.  Values are floats or
-    complexes, or numbers of the mpmath context ``ctx`` when one is given
-    (no overflow at any size).  A block with a coefficient pole is taken
-    in single steps, so :class:`CoefficientPole` names the n that
-    :func:`iter_sequence` names.
+    Runs the fixed-point engine of :func:`iter_sequence`, whatever the
+    data, and gives its values by the same rule: floats or complexes, or
+    mpmath numbers for ``digits`` above :data:`MAX_DOUBLE_DIGITS` (no
+    overflow at any size).  It reaches each
+    wanted n in blocks of steps (:meth:`_Window.at`), and only as far as
+    the last n drawn: ``ns`` may be an endless ladder that the caller
+    stops.  A block with a coefficient pole is taken in single steps, so
+    :class:`CoefficientPole` names the n that :func:`iter_sequence` names.
     """
     zval = z if z is not None else rec.param
-    return _Window(rec, zval, numeric_digits(digits), ctx).at(ns)
-
-
-def values_at(rec: PRecurrence, z, ns, digits: int | None = None) -> list:
-    """u_n at each of the increasing indices ``ns``, as floats or complexes:
-    the list of :func:`iter_values_at`."""
-    return list(iter_values_at(rec, z, ns, digits))
+    return _Window(rec, zval, *_precision(digits)).at(ns)
 
 
 # ---------------------------------------------------------------------------
 # constructive shells
-
-def shell_w(z, n_max: int) -> list[SequencePoint]:
-    """w_n = n!/(z)_n for n = 1..n_max, from :func:`gamma_recurrence`.
-
-    Behaves like Gamma(z) n^(1-z) for large n; z = 0 and the negative
-    integers -1, ..., -(n_max - 1) are excluded.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if z == 0:
-        raise CoefficientPole(0, "1/z initial value")
-    rec = gamma_recurrence(z)
-    if n_max == 1:  # below the window that iteration needs
-        return [SequencePoint(1, rec.initial_values[0])]
-    return eval_sequence(rec, n_max=n_max)
-
 
 def shell_wtilde(z, n: int, cfg: PrecisionConfig = DOUBLE):
     """n!/Gamma(n+1-z), evaluated through log-gamma differences.

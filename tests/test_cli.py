@@ -16,7 +16,7 @@ import pytest
 import agflab
 from agflab import cli
 from agflab.cli import build_parser, main, parse_complex_literal, parse_scalar
-from agflab.holonomic import eval_sequence, gamma_recurrence, mirror_e
+from agflab.holonomic import gamma_recurrence, iter_sequence, mirror_e
 
 
 def run_cli(capsys, args):
@@ -61,6 +61,9 @@ def test_seq_n_max_flag_form(capsys):
     assert out.strip().splitlines()[-1].endswith("11/6")
     code, _, err = run_cli(capsys, ["seq", "e", "0"])
     assert code == 2 and "n_max" in err
+    # both forms at once: refused, not one of them silently dropped
+    code, out, err = run_cli(capsys, ["seq", "e", "1", "4", "--n-max", "6"])
+    assert (code, out) == (2, "") and err.startswith("error: ") and "n_max" in err
 
 
 def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
@@ -211,18 +214,17 @@ def test_public_generators_take_only_iteration_arguments():
             fn = getattr(module, name)
             if inspect.isgeneratorfunction(fn) and fn.__module__ == module.__name__:
                 generators[f"{layer}.{name}"] = set(inspect.signature(fn).parameters)
-    assert {"holonomic.iter_sequence", "holonomic.iter_numeric"} <= set(generators)
+    assert {"holonomic.iter_sequence"} <= set(generators)
     assert {name: params for name, params in generators.items()
             if not params <= {"rec", "z", "n_max", "digits"}} == {}
 
 
 def test_seq_gamma_rows_are_the_exact_sequence(capsys):
     code, out, _ = run_cli(capsys, ["seq", "gamma", "1/3", "5"])
-    want = eval_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5)
+    want = list(iter_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5))
     assert code == 0
     rows = [line.split("\t") for line in out.splitlines()]
-    assert [(int(n), Fraction(value)) for n, value in rows] == [
-        (p.n, p.value) for p in want]
+    assert [(int(n), Fraction(value)) for n, value in rows] == want
     assert rows[:2] == [["1", "3"], ["2", "9/2"]]
 
 
@@ -334,7 +336,7 @@ def test_seq_exact_rows_longer_than_int_str_limit(capsys):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        want = str(eval_sequence(mirror_e(1), n_max=2000)[-1].value)
+        want = str(list(iter_sequence(mirror_e(1), n_max=2000))[-1][1])
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -417,9 +419,9 @@ def test_limit_digits_sets_the_accumulation_precision(capsys, monkeypatch):
     seen = []
     real = connection.iter_values_at
 
-    def spy(rec, z, ns, digits=None, ctx=None):
+    def spy(rec, z, ns, digits=None):
         seen.append(digits)
-        return real(rec, z, ns, digits, ctx)
+        return real(rec, z, ns, digits)
 
     monkeypatch.setattr(connection, "iter_values_at", spy)
     code, out, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "40"])
@@ -438,7 +440,7 @@ def test_digits_16_is_extended_everywhere(capsys):
     code, out, err = run_cli(capsys, ["seq", "e", "1/3", "12", "--digits", "16"])
     assert code == 0, err
     rows = out.strip().splitlines()
-    want = eval_sequence(mirror_e(Fraction(1, 3)), n_max=12)[-1].value
+    want = dict(iter_sequence(mirror_e(Fraction(1, 3)), n_max=12))[12]
     assert rows[-1].split("\t")[0] == "12"
     assert abs(Fraction(rows[-1].split("\t")[1]) - want) < Fraction(1, 10**14)
 

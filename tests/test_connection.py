@@ -133,6 +133,24 @@ def test_extrapolation_gamma_constant():
     assert abs(est.value - math.sqrt(math.pi)) < 1e-6
 
 
+def test_recurrence_steps_at_its_own_z_not_the_shells(monkeypatch):
+    # the shell takes a complex z; 7/3 as a double has a 2^54 denominator
+    import agflab.holonomic as holonomic
+
+    seen = []
+    real = holonomic._integer_form
+
+    def spy(rec, zval):
+        seen.append(zval)
+        return real(rec, zval)
+
+    monkeypatch.setattr(holonomic, "_integer_form", spy)
+    est = estimate_connection_constant(
+        gamma_recurrence(Fraction(7, 3)), GAMMA_SHELL, z=complex(7 / 3))
+    assert seen == [Fraction(7, 3)] and type(seen[0]) is Fraction
+    assert abs(est.value - math.gamma(7 / 3)) <= est.error_estimate
+
+
 def test_nonconvergence_on_growing_geometric_part():
     # u_n = 1.02^n: each extrapolation level doubles the exponent, so the
     # diagonal increments grow level after level (delta-ratio rule)

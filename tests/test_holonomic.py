@@ -12,20 +12,16 @@ from agflab.holonomic import (
     Poly2,
     RationalFn,
     RecurrenceParseError,
-    SequencePoint,
-    eval_sequence,
     exact_series,
     gamma_recurrence,
-    iter_numeric,
     iter_sequence,
+    iter_values_at,
     mirror_e,
     mirror_pi,
     parse_precurrence,
-    shell_w,
     shell_wtilde,
-    values_at,
 )
-from agflab.holonomic import _Window, _integer_form, _values_from
+from agflab.holonomic import _fixed_point, _Window, _integer_form, _values_from
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -102,49 +98,48 @@ def test_precurrence_validation():
 def test_mirror_e_first_values():
     expect = naive_mirror_e(Fraction(0), 5)
     assert expect == [0, 1, 1, Fraction(3, 2), Fraction(11, 6)]
-    got = [p.value for p in eval_sequence(mirror_e(0), n_max=5)]
+    got = [v for _, v in iter_sequence(mirror_e(0), n_max=5)]
     assert got == expect
 
 
 def test_mirror_pi_first_values():
     expect = naive_mirror_pi(Fraction(0), 5)
     assert expect == [0, 1, 1, Fraction(3, 2), Fraction(3, 2)]
-    got = [p.value for p in eval_sequence(mirror_pi(0), n_max=5)]
+    got = [v for _, v in iter_sequence(mirror_pi(0), n_max=5)]
     assert got == expect
 
 
 def test_mirror_single_steps():
-    assert eval_sequence(mirror_e(1), n_max=3)[-1].value == 1  # u_3 = u_2 + u_1/2
-    assert eval_sequence(mirror_pi(2), n_max=3)[-1].value == Fraction(1, 3)
-    pts = eval_sequence(mirror_pi(0), n_max=4)
-    assert pts[-1].value == Fraction(3, 2)
+    assert dict(iter_sequence(mirror_e(1), n_max=3))[3] == 1  # u_3 = u_2 + u_1/2
+    assert dict(iter_sequence(mirror_pi(2), n_max=3))[3] == Fraction(1, 3)
+    assert dict(iter_sequence(mirror_pi(0), n_max=4))[4] == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5])
 def test_exactness_against_naive_oracle(m):
-    got_e = [p.value for p in eval_sequence(mirror_e(m), n_max=500)]
+    got_e = [v for _, v in iter_sequence(mirror_e(m), n_max=500)]
     assert got_e == naive_mirror_e(Fraction(m), 500)
-    got_pi = [p.value for p in eval_sequence(mirror_pi(m), n_max=500)]
+    got_pi = [v for _, v in iter_sequence(mirror_pi(m), n_max=500)]
     assert got_pi == naive_mirror_pi(Fraction(m), 500)
 
 
 def test_exactness_rational_parameter():
     m = Fraction(1, 3)
-    got = [p.value for p in eval_sequence(mirror_e(m), n_max=200)]
+    got = [v for _, v in iter_sequence(mirror_e(m), n_max=200)]
     assert got == naive_mirror_e(m, 200)
 
 
 def test_z_override_and_complex_parameter():
     rec = mirror_e()  # no parameter baked in
     with pytest.raises(ValueError):
-        eval_sequence(rec, n_max=5)
-    got = [p.value for p in eval_sequence(rec, z=0, n_max=5)]
+        list(iter_sequence(rec, n_max=5))
+    got = [v for _, v in iter_sequence(rec, z=0, n_max=5)]
     assert got[-1] == Fraction(11, 6)
     zc = complex(-0.5, 0.8)
-    pts = eval_sequence(mirror_e(zc), n_max=6)
+    pts = dict(iter_sequence(mirror_e(zc), n_max=6))
     # one manual step: u_3 = u_2 + u_1/(1+z) = 1
-    assert abs(pts[2].value - 1) < 1e-15
-    assert isinstance(pts[-1].value, complex)
+    assert abs(pts[3] - 1) < 1e-15
+    assert isinstance(pts[6], complex)
 
 
 def test_mpmath_parameter_keeps_its_sign():
@@ -153,8 +148,8 @@ def test_mpmath_parameter_keeps_its_sign():
     ctx = MPContext()
     ctx.dps = 35
     for z in (complex(-1.5, 0.25), complex(0.5, -0.75)):
-        got = eval_sequence(mirror_e(), z=ctx.mpc(z), n_max=8)
-        assert got == eval_sequence(mirror_e(), z=z, n_max=8)
+        got = list(iter_sequence(mirror_e(), z=ctx.mpc(z), n_max=8))
+        assert got == list(iter_sequence(mirror_e(), z=z, n_max=8))
 
 
 def test_mirror_limit_e_at_ten_thousand():
@@ -199,51 +194,51 @@ def test_width2_standard_form_on_exact_windows():
 
 def test_coefficient_pole_reported():
     with pytest.raises(CoefficientPole) as info:
-        eval_sequence(mirror_e(-1), n_max=20)
+        list(iter_sequence(mirror_e(-1), n_max=20))
     assert info.value.n == 1
     with pytest.raises(CoefficientPole) as info:
-        eval_sequence(mirror_e(-5), n_max=20)
+        list(iter_sequence(mirror_e(-5), n_max=20))
     assert info.value.n == 5
 
 
 # ---------------------------------------------------------------------------
 # shells
 
+def shell(z, n_max: int) -> list:
+    """The shell w_n = n!/(z)_n for n = 1..n_max, the sequence of
+    gamma_recurrence(z)."""
+    return [v for _, v in iter_sequence(gamma_recurrence(z), n_max=n_max)]
+
+
 def test_shell_w_values():
-    pts = shell_w(1, 6)
-    assert all(p.value == 1 for p in pts)
+    assert all(v == 1 for v in shell(1, 6))
     # n!/(2)_n = 1/(n+1)
-    pts = shell_w(2, 4)
-    assert [p.value for p in pts] == [
-        Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)
-    ]
+    assert shell(2, 4) == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]
     # factorial oracle at a rational z
     z = Fraction(1, 2)
     from agflab.exact import factorial, pochhammer
 
-    pts = shell_w(z, 8)
-    assert pts[-1].value == Fraction(factorial(8)) / pochhammer(z, 8)
+    assert shell(z, 8)[-1] == Fraction(factorial(8)) / pochhammer(z, 8)
     with pytest.raises(CoefficientPole):
-        shell_w(-3, 10)
-    with pytest.raises(CoefficientPole):
-        shell_w(0, 10)
+        shell(-3, 10)
+    with pytest.raises(ValueError):
+        gamma_recurrence(0)
 
 
 def test_shell_w_single_point():
-    # below the two-point window of the iteration, and before any pole
-    assert shell_w(-1, 1) == [SequencePoint(1, Fraction(-1))]
-    assert shell_w(Fraction(1, 2), 1) == [SequencePoint(1, Fraction(2))]
+    # w_1 = 1/z comes before any pole
+    assert next(iter_sequence(gamma_recurrence(Fraction(1, 2)), n_max=2)) == (1, 2)
+    steps = iter_sequence(gamma_recurrence(-1), n_max=2)
+    assert next(steps) == (1, Fraction(-1))
     with pytest.raises(CoefficientPole) as info:
-        shell_w(-1, 2)
+        next(steps)
     assert info.value.n == 1
 
 
 def test_shell_w_gamma_limit():
     z = 0.5
-    pts = shell_w(z, 10**4)
-    w = pts[-1].value
-    n = pts[-1].n
-    approx = w * n ** (z - 1)
+    n = 10**4
+    approx = shell(z, n)[-1] * n ** (z - 1)
     assert abs(approx - SQRT_PI) < 1e-3 * SQRT_PI
 
 
@@ -283,9 +278,11 @@ def test_shell_wtilde_extended():
 
 
 def test_gamma_recurrence_matches_shell_w():
-    pts_rec = eval_sequence(gamma_recurrence(Fraction(1, 2)), n_max=50)
-    pts_shell = shell_w(Fraction(1, 2), 50)
-    assert [p.value for p in pts_rec] == [p.value for p in pts_shell]
+    from agflab.exact import factorial, pochhammer
+
+    z = Fraction(1, 2)
+    assert shell(z, 50) == [Fraction(factorial(n)) / pochhammer(z, n)
+                            for n in range(1, 51)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,7 @@ def test_parse_precurrence_roundtrip():
     rec = parse_precurrence(EXAMPLE_TEXT)
     assert rec.order == 2
     assert rec.initial_index == 1
-    got = [p.value for p in eval_sequence(rec, z=0, n_max=5)]
+    got = [v for _, v in iter_sequence(rec, z=0, n_max=5)]
     assert got == [0, 1, 1, Fraction(3, 2), Fraction(11, 6)]
 
 
@@ -497,17 +494,24 @@ SHRINKING = parse_precurrence(
     f"coeff1: n+1000\ncoeff0: -(n+1)\ninit: n0=1; {2.0**1000}")
 
 
-def assert_values_at_match_iter_numeric(rec, z, digits, n_max):
-    want = dict(iter_numeric(rec, z, n_max, digits))
+def assert_values_at_match_single_steps(rec, z, digits, n_max):
+    """The block path against the single steps of the same 30-digit
+    engine: its floats exactly, and at ``digits`` its mpmath values within
+    the 1e-28 of the fixed-point tests."""
+    want = dict(_fixed_point(rec, z if z is not None else rec.param, n_max, 30, None))
+    want_mp = dict(iter_sequence(rec, z, n_max, digits)) if digits else {}
     for base in (1024, 100):  # 100 is no multiple of the block size
         ns = [base * 2**k for k in range(6) if base * 2**k <= n_max]
-        assert values_at(rec, z, ns, digits) == [want[n] for n in ns], base
+        assert list(iter_values_at(rec, z, ns)) == [want[n] for n in ns], base
+        if digits:
+            for n, v in zip(ns, iter_values_at(rec, z, ns, digits)):
+                assert abs(v - want_mp[n]) <= 1e-28 * abs(want_mp[n]), (base, n)
 
 
 @pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
 def test_values_at_equals_iter_numeric(rec, digits):
     z = 0.75 if rec.param is None else None
-    assert_values_at_match_iter_numeric(rec, z, digits, 2**14)
+    assert_values_at_match_single_steps(rec, z, digits, 2**14)
 
 
 @pytest.mark.parametrize("rec, z", [
@@ -518,7 +522,7 @@ def test_values_at_equals_iter_numeric(rec, digits):
 ], ids=["doubling", "shrinking", "e-complex", "user-complex"])
 def test_values_at_block_cases(rec, z):
     # the doubling values pass the double range at n = 1024 (inf both ways)
-    assert_values_at_match_iter_numeric(rec, z, None, 2**14)
+    assert_values_at_match_single_steps(rec, z, None, 2**14)
 
 
 def test_values_at_block_size_follows_the_degree():
@@ -531,21 +535,21 @@ def test_complex_values_drop_a_part_below_the_precision():
     # w_3 = 3!/((1+i)(2+i)(3+i)) = -0.6i: the real part is the floor
     # divisions' residue, about 1e-59 of the imaginary part
     rec = gamma_recurrence(1 + 1j)
-    assert dict(iter_numeric(rec, None, 4))[3] == -0.6j
-    assert values_at(rec, None, [3]) == [-0.6j]
+    assert dict(iter_sequence(rec, None, 4))[3] == -0.6j
+    assert list(iter_values_at(rec, None, [3])) == [-0.6j]
     assert dict(iter_sequence(rec, None, 4, digits=30))[3].real == 0
 
 
 def test_values_at_inside_the_initial_window():
     rec = parse_precurrence(USER_TEXT)
-    want = dict(iter_numeric(rec, 0.75, 40))
+    want = dict(_fixed_point(rec, 0.75, 40, 30, None))
     ns = [1, 2, 3, 17, 18, 40]
-    assert values_at(rec, 0.75, ns) == [want[n] for n in ns]
-    assert values_at(rec, 0.75, [2]) == [want[2]]
-    assert values_at(rec, 0.75, []) == []
+    assert list(iter_values_at(rec, 0.75, ns)) == [want[n] for n in ns]
+    assert list(iter_values_at(rec, 0.75, [2])) == [want[2]]
+    assert list(iter_values_at(rec, 0.75, [])) == []
     for bad in ([0, 5], [5, 5], [7, 6]):
         with pytest.raises(ValueError):
-            values_at(rec, 0.75, bad)
+            list(iter_values_at(rec, 0.75, bad))
 
 
 def reference_block(win, m, k):
@@ -633,7 +637,7 @@ def test_values_at_pole_inside_a_block():
         with pytest.raises(CoefficientPole) as want:
             list(iter_sequence(mirror_e(z), n_max=8192))
         with pytest.raises(CoefficientPole) as got:
-            values_at(mirror_e(z), None, [1024, 2048, 4096, 8192])
+            list(iter_values_at(mirror_e(z), None, [1024, 2048, 4096, 8192]))
         assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
         assert got.value.n == 5000
 
@@ -675,7 +679,7 @@ def test_integer_form_is_the_least_integer_multiple():
 
 def test_fixed_point_pole_at_the_same_n():
     with pytest.raises(CoefficientPole) as exact:
-        eval_sequence(mirror_e(-5), n_max=20)
+        list(iter_sequence(mirror_e(-5), n_max=20))
     for z, digits, n_max in [(-5, 30, 20), (-5.0, None, 20_000),
                              (complex(-5, 0), None, 20_000)]:
         with pytest.raises(CoefficientPole) as info:
@@ -700,10 +704,26 @@ def test_fixed_point_overflow_gives_inf():
     assert vals[1024] == -math.inf and vals[10_001] == -math.inf
 
 
-def test_iter_numeric_yields_floats_for_exact_data():
-    got = [v for _, v in iter_numeric(mirror_e(1), n_max=12, digits=30)]
+def test_values_at_yield_floats_for_exact_data():
+    got = list(iter_values_at(mirror_e(1), None, range(1, 13)))
     want = [float(v) for _, v in iter_sequence(mirror_e(1), n_max=12)]
     assert got == want and all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("rec", [mirror_e(0.75), mirror_pi(complex(0.25, -1.5))],
+                         ids=["e-float", "pi-complex"])
+def test_both_entry_points_follow_one_value_rule(rec):
+    ns = [1, 2, 3, 17, 40]
+    for digits in (None, 15, 16, 30, 40):
+        every = dict(iter_sequence(rec, None, 40, digits))
+        for n, v in zip(ns, iter_values_at(rec, None, ns, digits)):
+            assert type(v) is type(every[n]), (digits, n)
+            if digits is not None and digits > 15:
+                assert type(v).__name__ in ("mpf", "mpc"), (digits, n)
+                assert v.context is every[n].context, (digits, n)
+                assert v.context.dps == digits + 5
+            else:
+                assert type(v) in (float, complex), (digits, n)
 
 
 # ---------------------------------------------------------------------------
