@@ -11,7 +11,6 @@ from .agf import (
     AGFSpec,
     DomainError,
     RegularityClass,
-    afe_residual,
     classify_regularity,
     f_eval,
     f_spec,
@@ -19,7 +18,6 @@ from .agf import (
     g_spec,
     gamma_spec,
     growth_probe,
-    uniqueness_probe,
 )
 from .complexfn import (
     DOUBLE,
@@ -30,8 +28,6 @@ from .complexfn import (
     hyp1f1,
     log_gamma,
     lower_incomplete_gamma,
-    principal_log,
-    principal_pow,
 )
 from .connection import (
     F_SHELL,
@@ -42,17 +38,9 @@ from .connection import (
     NonConvergence,
     SlopeKind,
     estimate_connection_constant,
-    shell_eval,
     slope_ratio,
 )
-from .exact import (
-    derangement,
-    double_factorial,
-    duality_form_e,
-    duality_form_pi,
-    factorial,
-    pochhammer,
-)
+from .exact import duality_form_e, duality_form_pi
 from .holonomic import (
     CoefficientPole,
     PRecurrence,
@@ -62,7 +50,6 @@ from .holonomic import (
     mirror_e,
     mirror_pi,
     parse_precurrence,
-    shell_wtilde,
 )
 
 __version__ = "0.1.0"

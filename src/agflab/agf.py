@@ -13,8 +13,8 @@ kept as independent cross-check routes; g takes the Gamma ratios
 A(z) = Gamma(z/2+1)/Gamma((z+1)/2) and A(z-1) from three log-Gammas, at
 z/2, (z+1)/2 and z/2+1.  An :class:`AGFSpec` packages a general additive
 functional equation sum_k R_k(z) h(z+k) = 0 with rational coefficients
-in z, normalized by anchor values, for residual checking, propagation
-probing, and the regular/irregular classification at infinity.
+in z, normalized by anchor values, for residual checking and the
+regular/irregular classification at infinity.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .complexfn import (
     DOUBLE,
     PoleError,
     PrecisionConfig,
-    _is_mp,
     _is_real,
     _log_gamma,
-    _mp_context,
     _nearest_int,
     _to_ctx,
     extended,
@@ -49,7 +47,6 @@ __all__ = [
     "FIRST_POLE",
     "G_RADIUS",
     "RegularityClass",
-    "afe_residual",
     "classify_regularity",
     "f_eval",
     "f_eval_confluent_route",
@@ -67,7 +64,6 @@ __all__ = [
     "parse_agf_spec",
     "residual_grid",
     "residual_table",
-    "uniqueness_probe",
 ]
 
 
@@ -262,15 +258,6 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
 # ---------------------------------------------------------------------------
 # residuals, classification, probes
 
-def afe_residual(spec: AGFSpec, h, z):
-    """sum_k R_k(z) h(z+k); zero (to precision) when h satisfies the AFE."""
-    total = None
-    for k in range(spec.order + 1):
-        term = spec.coeff_at(k, z) * h(z + k)
-        total = term if total is None else total + term
-    return total
-
-
 def grid_points(re_min: float, re_max: float, im_min: float, im_max: float,
                 step: float) -> list[complex]:
     """Rectangular complex grid, inclusive of the boundary (tolerant stop)."""
@@ -378,46 +365,6 @@ def growth_probe(h, re_anchor: float, im_values, kind=None) -> list[dict]:
             normalized = mag
         rows.append({"im": im, "magnitude": mag, "normalized": normalized})
     return rows
-
-
-def uniqueness_probe(spec: AGFSpec, h1, h2, z0, grid_len: int) -> float:
-    """Propagate h2's anchor values by the AFE and compare against h1.
-
-    Returns the max relative deviation |h1 - propagated| / max(|h1|, eps)
-    over z0 + k, k = 0..grid_len.  The anchor values of h1 and h2 must
-    already agree to 1e-6 (relative).
-
-    The propagation solves for h(z+r) at each step, so any anchor error
-    is amplified by the AFE's dominant homogeneous solution; for the
-    f-equation that growth is factorial, which is why callers should pass
-    extended-precision evaluations of h1 and h2 for grid_len beyond a
-    few steps.  When the callables return mpmath values, the propagation
-    itself runs at a working precision sized to that factorial growth.
-    """
-    r = spec.order
-    values = []
-    for k in range(r):
-        a1, a2 = h1(z0 + k), h2(z0 + k)
-        if abs(a1 - a2) > 1e-6 * max(abs(a1), abs(a2), 1e-30):
-            raise ValueError(f"anchors disagree at z={z0 + k}: {a1} vs {a2}")
-        values.append(a2)
-    if any(_is_mp(v) for v in values):
-        # headroom for factorial error amplification along the propagation
-        dps = max(30, int(math.lgamma(grid_len + 2) / math.log(10)) + 20)
-        z0 = _mp_context(dps).convert(z0)
-    for k in range(r, grid_len + 1):
-        zk = z0 + (k - r)
-        acc = None
-        for j in range(r):
-            term = spec.coeff_at(j, zk) * values[k - r + j]
-            acc = term if acc is None else acc + term
-        values.append(-acc / spec.coeff_at(r, zk))
-    worst = 0.0
-    for k in range(grid_len + 1):
-        direct = h1(z0 + k)
-        dev = abs(direct - values[k]) / max(abs(direct), 1e-300)
-        worst = max(worst, float(dev))
-    return worst
 
 
 # ---------------------------------------------------------------------------

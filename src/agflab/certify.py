@@ -11,9 +11,7 @@ coefficients must vanish exactly, with no floating tolerance.  The
 singular-coefficient integrals behind the connection constants (I_m,
 J_m, L_m) are evaluated in double precision by mpmath's tanh-sinh
 quadrature, with an error estimate floored at (64 + m) eps |value|, and
-chained through their recurrences as floating cross-checks; the transfer
-from generating-function singularities to coefficient growth is probed
-directly on the sequences.
+chained through their recurrences as floating cross-checks.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from fractions import Fraction
 
 from mpmath import fp
 
-from . import worlds
 from .agf import g_eval
-from .connection import shell_eval
 from .holonomic import (
     PRecurrence,
     _differences,
@@ -34,7 +30,6 @@ from .holonomic import (
     _exact_series,
     _horner,
     _integer_form,
-    iter_values_at,
 )
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "quad_I",
     "quad_J",
     "quad_L",
-    "transfer_check",
 ]
 
 
@@ -197,7 +191,7 @@ def quad_L(m: int) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# identity chains and transfer checks
+# identity chains
 
 def identity_chain_e(m_max: int) -> dict:
     """Quadrature cross-checks: J_m = I_{m+1}, J_{m+1} = e - (m+2) J_m,
@@ -255,14 +249,3 @@ def identity_chain_pi(m_max: int) -> dict:
         "max_deviation": worst,
         "details": details,
     }
-
-
-def transfer_check(world: str, m, n: int) -> float:
-    """|u_n(m) / (h(m) Lambda(n)) - 1|, u_n against its singular-expansion
-    prediction, with the recurrence, function h and shell Lambda of the
-    named world: f(m) n for 'e', g(m) sqrt(n) for 'pi'."""
-    if n < 10**3:
-        raise ValueError("transfer check needs n >= 1000")
-    w = worlds.world(world)
-    predict = w.evaluator(m).real * shell_eval(w.shell, n, w.shell_z(m)).real
-    return abs(next(iter_values_at(w.recurrence(m), None, [n])) / predict - 1.0)

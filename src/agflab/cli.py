@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -419,8 +420,12 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             "grid must be re_min,re_max,im_min,im_max,step"
         )
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError("grid bounds and step must be finite")
     if parts[4] <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    if parts[1] < parts[0] or parts[3] < parts[2]:
+        raise argparse.ArgumentTypeError("grid max must not be below its min")
     return tuple(parts)
 
 

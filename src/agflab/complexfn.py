@@ -42,8 +42,6 @@ __all__ = [
     "hyp1f1",
     "log_gamma",
     "lower_incomplete_gamma",
-    "principal_log",
-    "principal_pow",
 ]
 
 # The most significant digits double precision carries; a precision
@@ -149,29 +147,6 @@ def _check_pole(z, where: str):
     n = _nearest_int(z)
     if n is not None and n <= 0:
         raise PoleError(f"{where}={n}")
-
-
-# ---------------------------------------------------------------------------
-# elementary principal-branch functions
-
-def principal_log(z, cfg: PrecisionConfig = DOUBLE):
-    """Principal log with Im in (-pi, pi]; cut along (-inf, 0]."""
-    w = _to_ctx(z, cfg.ctx)
-    if w == 0:
-        raise ValueError("principal log undefined at 0")
-    return cfg.ctx.log(w)
-
-
-def principal_pow(z, w, cfg: PrecisionConfig = DOUBLE):
-    """z**w on the principal branch, exp(w * principal_log(z))."""
-    ctx = cfg.ctx
-    zz, ww = _to_ctx(z, ctx), _to_ctx(w, ctx)
-    if zz == 0:
-        n = _nearest_int(ww)
-        if n is not None and n > 0:
-            return ww * 0
-        raise ValueError("0**w undefined unless w is a positive integer")
-    return ctx.exp(ww * ctx.log(zz))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "SlopeKind",
     "SlopeRatioResult",
     "estimate_connection_constant",
-    "shell_eval",
     "shell_log_eval",
     "slope_ratio",
     "slope_ratio_numeric_check",
@@ -97,12 +96,6 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None,
             raise ValueError("shell Gamma factor depends on z but no z was given")
         out += fac.multiplicity * log_gamma(arg, cfg)
     return out
-
-
-def shell_eval(shell: AsymptoticShell, n: int, z=None,
-               cfg: PrecisionConfig = DOUBLE):
-    """Lambda(n, z) = exp(shell_log_eval(...))."""
-    return cmath.exp(shell_log_eval(shell, n, z, cfg))
 
 
 @dataclass(frozen=True)

@@ -19,69 +19,15 @@ __all__ = [
     "ConsistencyError",
     "LinearFormE",
     "LinearFormPi",
-    "derangement",
-    "double_factorial",
     "duality_form_e",
     "duality_form_pi",
     "duality_forms_e",
     "duality_forms_pi",
-    "factorial",
-    "pochhammer",
 ]
 
 
 class ConsistencyError(RuntimeError):
     """Two redundant exact computations of the same quantity disagreed."""
-
-
-def factorial(m: int) -> int:
-    """m! as an exact integer; m must be a nonnegative integer."""
-    if m < 0:
-        raise ValueError(f"factorial undefined for negative m={m}")
-    return math.factorial(m)
-
-
-def double_factorial(m: int) -> int:
-    """m!! = m(m-2)(m-4)... with the conventions (-1)!! = 0!! = 1.
-
-    The -1 case is admitted so that ratios like (2k-1)!!/(2k-2)!! are
-    well-defined down to k = 0.
-    """
-    if m < -1:
-        raise ValueError(f"double factorial undefined for m={m}")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def derangement(m: int) -> int:
-    """Number of fixed-point-free permutations of m elements.
-
-    Computed by D_m = (m-1)(D_{m-1} + D_{m-2}) with D_0 = 1, D_1 = 0.
-    """
-    if m < 0:
-        raise ValueError(f"derangement undefined for negative m={m}")
-    if m == 0:
-        return 1
-    prev2, prev1 = 1, 0  # D_0, D_1
-    for k in range(2, m + 1):
-        prev2, prev1 = prev1, (k - 1) * (prev1 + prev2)
-    return prev1
-
-
-def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x(x+1)...(x+k-1); (x)_0 = 1.
-
-    Works for any scalar supporting + and * (int, Fraction, complex, mpf).
-    """
-    if k < 0:
-        raise ValueError(f"pochhammer undefined for negative k={k}")
-    out = x**0  # multiplicative one of the right type
-    for j in range(k):
-        out = out * (x + j)
-    return out
 
 
 @dataclass(frozen=True)
@@ -131,7 +77,7 @@ def duality_forms_e(m_max: int) -> list[LinearFormE]:
     Each is built twice and the two compared (:func:`_check`): by the
     recurrences a_{m+1} = (m+2) a_m and b_{m+1} = (m+2) b_m + (-1)^m from
     (a_0, b_0) = (1, 0), and as (m+1)! and the derangement number D_{m+1}
-    of :func:`derangement`'s recurrence.
+    of the recurrence D_m = (m-1)(D_{m-1} + D_{m-2}), D_0 = 1, D_1 = 0.
     """
     forms = []
     a, b = 1, 0
@@ -140,7 +86,8 @@ def duality_forms_e(m_max: int) -> list[LinearFormE]:
         if m:
             a, b = (m + 1) * a, (m + 1) * b + (-1) ** (m - 1)
             d_prev, d = d, m * (d + d_prev)
-        forms.append(LinearFormE(m, *_check("e", m, (a, b), (factorial(m + 1), d))))
+        closed = (math.factorial(m + 1), d)
+        forms.append(LinearFormE(m, *_check("e", m, (a, b), closed)))
     return forms
 
 

@@ -15,8 +15,7 @@ u_0..u_N fraction-free instead, as integer numerators over one common
 denominator, for the ODE certificate, which wants every term rather
 than reduced values.  The two mirror recurrences, whose connection
 constants tie to e and pi, and the Gamma prototype recurrence, whose
-sequence is the constructive shell n!/(z)_n, are built in, together
-with the shell n!/Gamma(n+1-z).
+sequence is the constructive shell n!/(z)_n, are built in.
 """
 
 from __future__ import annotations
@@ -31,16 +30,7 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import mul
 
-from .complexfn import (
-    DOUBLE,
-    MAX_DOUBLE_DIGITS,
-    PrecisionConfig,
-    _is_mp,
-    _mp_context,
-    _mp_fraction,
-    _to_ctx,
-    log_gamma,
-)
+from .complexfn import MAX_DOUBLE_DIGITS, _is_mp, _mp_context, _mp_fraction
 
 __all__ = [
     "CoefficientPole",
@@ -57,7 +47,6 @@ __all__ = [
     "mirror_pi",
     "numeric_digits",
     "parse_precurrence",
-    "shell_wtilde",
 ]
 
 MAX_DEGREE = 8
@@ -911,22 +900,6 @@ def iter_values_at(rec: PRecurrence, z, ns, digits: int | None = None):
     """
     zval = z if z is not None else rec.param
     return _Window(rec, zval, *_precision(digits)).at(ns)
-
-
-# ---------------------------------------------------------------------------
-# constructive shells
-
-def shell_wtilde(z, n: int, cfg: PrecisionConfig = DOUBLE):
-    """n!/Gamma(n+1-z), evaluated through log-gamma differences.
-
-    Satisfies w_{n+1}(z) = (n+1)/(n+1-z) w_n(z) and
-    w_n(z+1) = (n-z) w_n(z); behaves like n^z for large n.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ctx = cfg.ctx
-    zz = _to_ctx(z, ctx)
-    return ctx.exp(log_gamma(n + 1, cfg) - log_gamma(n + 1 - zz, cfg))
 
 
 # ---------------------------------------------------------------------------

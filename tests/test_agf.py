@@ -11,7 +11,6 @@ from agflab.agf import (
     AGFSpec,
     DomainError,
     RegularityClass,
-    afe_residual,
     classify_regularity,
     f_eval,
     f_eval_confluent_route,
@@ -29,7 +28,6 @@ from agflab.agf import (
     parse_agf_spec,
     residual_grid,
     residual_table,
-    uniqueness_probe,
 )
 from agflab.complexfn import DOUBLE, PoleError, extended, gamma, log_gamma
 from agflab.exact import duality_form_e, duality_form_pi
@@ -231,16 +229,18 @@ def test_gamma_ratio_product_relation():
 
 
 def test_afe_residual_examples():
-    fs = f_spec()
-    assert abs(afe_residual(fs, f_eval, 0)) < 1e-12
+    def residual(spec, h, z):
+        [(_, _, res, _)] = residual_table(spec, h, [z], lambda w: math.inf)
+        return res
+
+    assert abs(residual(f_spec(), f_eval, 0)) < 1e-12
     gs = g_spec()
     z = complex(1.5, 2)
     terms_scale = max(
         abs(gs.coeff_at(k, z) * g_eval(z + k)) for k in range(3)
     )
-    assert abs(afe_residual(gs, g_eval, z)) < 1e-10 * terms_scale
-    gams = gamma_spec()
-    assert abs(afe_residual(gams, gamma, 3)) < 1e-12 * abs(gamma(4))
+    assert abs(residual(gs, g_eval, z)) < 1e-10 * terms_scale
+    assert abs(residual(gamma_spec(), gamma, 3)) < 1e-12 * abs(gamma(4))
 
 
 def test_duality_identity_e_world():
@@ -313,29 +313,6 @@ def test_growth_probe_g():
 def test_growth_probe_raw():
     rows = growth_probe(lambda z: 2.0, 1.0, [5, 10], kind=None)
     assert [r["normalized"] for r in rows] == [2.0, 2.0]
-
-
-def test_uniqueness_probe_f_needs_and_gets_extended():
-    cfg = extended(40)
-    h = lambda z: f_eval(z, cfg)
-    assert uniqueness_probe(f_spec(), h, h, 0.0, 20) < 1e-8
-
-
-def test_uniqueness_probe_g():
-    cfg = extended(30)
-    h = lambda z: g_eval(z, cfg)
-    assert uniqueness_probe(g_spec(), h, h, 0.0, 20) < 1e-8
-
-
-def test_uniqueness_probe_gamma():
-    cfg = extended(30)
-    h = lambda z: gamma(z, cfg)
-    assert uniqueness_probe(gamma_spec(), h, h, 1.0, 15) < 1e-8
-
-
-def test_uniqueness_probe_rejects_disagreeing_anchors():
-    with pytest.raises(ValueError):
-        uniqueness_probe(f_spec(), f_eval, lambda z: f_eval(z) + 0.1, 0.0, 5)
 
 
 def test_agf_spec_validation():

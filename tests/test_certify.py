@@ -16,7 +16,6 @@ from agflab.certify import (
     quad_I,
     quad_J,
     quad_L,
-    transfer_check,
 )
 from agflab.holonomic import (
     CoefficientPole,
@@ -450,23 +449,3 @@ def test_g_from_L_matches_g_eval():
     for m in (0, 1, 3):
         g_quad = math.sqrt(2 / PI) * quad_L(m).value
         assert abs(g_quad - g_eval(m).real) < 1e-9
-
-
-def test_transfer_checks():
-    assert transfer_check("e", 0, 10**5) < 5e-3
-    assert transfer_check("pi", 0, 10**5) < 5e-2
-    assert transfer_check("e", 4, 10**5) < 5e-3
-    with pytest.raises(ValueError):
-        transfer_check("e", 0, 100)
-    with pytest.raises(ValueError):
-        transfer_check("q", 0, 10**4)
-
-
-def test_transfer_deviation_monotone_to_rounding_floor():
-    floor = 1e-12
-    for world, m in (("e", 1), ("e", 4), ("pi", 0), ("pi", 3)):
-        devs = [transfer_check(world, m, n) for n in (10**3, 10**4, 10**5)]
-        for prev, cur in zip(devs, devs[1:]):
-            assert cur <= max(prev, floor)
-    # m = 0 in the e world converges superexponentially: floor-dominated
-    assert transfer_check("e", 0, 10**3) < 1e-12

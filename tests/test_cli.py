@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import inspect
@@ -84,10 +85,17 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
 
 
 def test_grid_zero_step_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "agf-grid", "--grid=-1,1,-1,1,0"])
-    assert exc.value.code == 2
-    assert "grid step must be positive" in capsys.readouterr().err
+    # every rejected grid ends in argparse's usage error, not in a
+    # traceback's exit 1 or an empty table
+    for grid, message in [("-1,1,-1,1,0", "grid step must be positive"),
+                          ("0,inf,0,1,0.5", "must be finite"),
+                          ("nan,1,0,1,0.5", "must be finite"),
+                          ("0,1,0,1,inf", "must be finite"),
+                          ("5,1,0,1,0.5", "max must not be below its min")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "agf-grid", f"--grid={grid}"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,6 +225,83 @@ def test_public_generators_take_only_iteration_arguments():
     assert {"holonomic.iter_sequence"} <= set(generators)
     assert {name: params for name, params in generators.items()
             if not params <= {"rec", "z", "n_max", "digits"}} == {}
+
+
+SRC = Path(agflab.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+# public functions and classes that no command reaches, each with the
+# reason it stays
+KEPT = {
+    "gamma_ratio_A": "the bit-exact reference of g's two-ratio form in the tests",
+    "parse_agf_spec": "reads the AFE text format that AFE guessing will emit",
+    "format_agf_spec": "writes the AFE text format, the inverse of parse_agf_spec",
+    "exact_series": "the public entry to the exact-series engine certify calls",
+    "GammaFactor": "a shell's Gamma factors, which derived shells will fill",
+}
+
+
+def _layers() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names ``tree`` reads as a Name, an Attribute or an import,
+    outside the subtree ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_public_function_only_the_tests_call():
+    # the public API is what the commands and the acceptance suite call
+    layers = _layers()
+    uses = {name: _uses(tree) for name, tree in layers.items()}
+    accepted = _uses(ast.parse(ACCEPTANCE.read_text()))
+    public, uncalled = set(), []
+    for name, tree in layers.items():
+        elsewhere = accepted.union(*(u for n, u in uses.items() if n != name))
+        exported = _exported(tree)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in exported):
+                public.add(node.name)
+                if (node.name not in elsewhere | _uses(tree, skip=node)
+                        and node.name not in KEPT):
+                    uncalled.append(f"{name}:{node.name}")
+    assert uncalled == []
+    assert set(KEPT) <= public
+
+
+def test_no_unused_import_in_the_library():
+    unused = {}
+    for name, tree in _layers().items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused[name] = sorted(bound - read - _exported(tree))
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_seq_gamma_rows_are_the_exact_sequence(capsys):

@@ -17,8 +17,6 @@ from agflab.complexfn import (
     hyp1f1,
     log_gamma,
     lower_incomplete_gamma,
-    principal_log,
-    principal_pow,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -30,28 +28,6 @@ def test_precision_config_validation():
         PrecisionConfig(working_digits=0)
     with pytest.raises(ValueError):
         extended(10)
-
-
-def test_principal_log_values():
-    assert principal_log(1) == 0
-    assert abs(principal_log(-1) - math.pi * 1j) < 1e-15
-    assert abs(principal_log(math.e) - 1) < 1e-15
-    # branch convention: Im in (-pi, pi], including on the cut
-    assert principal_log(complex(-2, -0.0)).imag > 0
-    with pytest.raises(ValueError):
-        principal_log(0)
-
-
-def test_principal_pow_values():
-    assert abs(principal_pow(-1, 2) - 1) < 1e-14
-    assert abs(principal_pow(-1, 0.5) - 1j) < 1e-14
-    expected = cmath.exp(0.3j * math.pi)
-    assert abs(principal_pow(-1, complex(0.3, 0)) - expected) < 1e-14
-    assert principal_pow(0, 3) == 0
-    with pytest.raises(ValueError):
-        principal_pow(0, 0.5)
-    with pytest.raises(ValueError):
-        principal_pow(0, 0)
 
 
 def test_gamma_anchor_values():

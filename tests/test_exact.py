@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,15 +10,19 @@ from agflab.exact import (
     ConsistencyError,
     LinearFormE,
     LinearFormPi,
-    derangement,
-    double_factorial,
     duality_form_e,
     duality_form_pi,
     duality_forms_e,
     duality_forms_pi,
-    factorial,
-    pochhammer,
 )
+
+
+def derangement(m: int) -> int:
+    """D_m by the recurrence D_m = (m-1)(D_{m-1} + D_{m-2}), D_0 = 1, D_1 = 0."""
+    d = [1, 0]
+    for k in range(2, m + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[m]
 
 
 def brute_force_derangements(m: int) -> int:
@@ -27,50 +32,9 @@ def brute_force_derangements(m: int) -> int:
     )
 
 
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    # a_3 of the e-world duality is 4! = 24
-    assert factorial(4) == 24
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_double_factorial_values():
-    assert double_factorial(0) == 1
-    assert double_factorial(-1) == 1
-    assert double_factorial(7) == 105
-    assert double_factorial(6) == 48
-    with pytest.raises(ValueError):
-        double_factorial(-2)
-
-
-def test_derangement_values():
-    assert derangement(0) == 1
-    assert derangement(1) == 0
-    assert derangement(2) == 1  # b_1 = D_2 = 1
-
-
 @pytest.mark.parametrize("m", range(8))
 def test_derangement_matches_brute_force(m):
     assert derangement(m) == brute_force_derangements(m)
-
-
-def test_pochhammer_values():
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(complex(2, 1), 0) == 1
-    assert pochhammer(1, 5) == 120
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
-
-
-@given(
-    x=st.fractions(min_value=-50, max_value=50),
-    k=st.integers(min_value=0, max_value=20),
-)
-def test_pochhammer_shift_property(x, k):
-    assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
 
 
 def test_duality_form_e_anchors():
@@ -94,7 +58,7 @@ def test_duality_form_e_recurrence_and_derangement_link():
         assert forms[m + 1].b == (m + 2) * forms[m].b + (-1) ** m
     for m in range(201):
         assert forms[m].b == derangement(m + 1)
-        assert forms[m].a == factorial(m + 1)
+        assert forms[m].a == math.factorial(m + 1)
 
 
 def test_duality_form_pi_anchors():

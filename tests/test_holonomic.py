@@ -5,7 +5,6 @@ from operator import mul
 
 import pytest
 
-from agflab.complexfn import PoleError, extended
 from agflab.holonomic import (
     CoefficientPole,
     PRecurrence,
@@ -19,7 +18,6 @@ from agflab.holonomic import (
     mirror_e,
     mirror_pi,
     parse_precurrence,
-    shell_wtilde,
 )
 from agflab.holonomic import _fixed_point, _Window, _integer_form, _values_from
 
@@ -210,15 +208,18 @@ def shell(z, n_max: int) -> list:
     return [v for _, v in iter_sequence(gamma_recurrence(z), n_max=n_max)]
 
 
+def rising(z, n: int) -> Fraction:
+    """The rising factorial (z)_n = z (z+1) ... (z+n-1), exactly."""
+    return math.prod((Fraction(z) + j for j in range(n)), start=Fraction(1))
+
+
 def test_shell_w_values():
     assert all(v == 1 for v in shell(1, 6))
     # n!/(2)_n = 1/(n+1)
     assert shell(2, 4) == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]
     # factorial oracle at a rational z
     z = Fraction(1, 2)
-    from agflab.exact import factorial, pochhammer
-
-    assert shell(z, 8)[-1] == Fraction(factorial(8)) / pochhammer(z, 8)
+    assert shell(z, 8)[-1] == Fraction(math.factorial(8)) / rising(z, 8)
     with pytest.raises(CoefficientPole):
         shell(-3, 10)
     with pytest.raises(ValueError):
@@ -242,46 +243,9 @@ def test_shell_w_gamma_limit():
     assert abs(approx - SQRT_PI) < 1e-3 * SQRT_PI
 
 
-def test_shell_wtilde_values():
-    for n in (1, 3, 10):
-        assert abs(shell_wtilde(0, n) - 1) < 1e-12
-    assert abs(shell_wtilde(1, 5) - 5) < 1e-12
-    val = shell_wtilde(0.5, 10**4)
-    assert abs(val - 100) < 0.1  # behaves like n^z
-    with pytest.raises(PoleError):
-        shell_wtilde(6, 5)  # n+1-z = 0
-
-
-def test_shell_wtilde_recurrences():
-    import random
-
-    rng = random.Random(5)
-    cfg_tol = 1e-11
-    for _ in range(20):
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        n = rng.randint(2, 40)
-        lhs = shell_wtilde(z, n + 1)
-        rhs = (n + 1) / (n + 1 - z) * shell_wtilde(z, n)
-        assert abs(lhs - rhs) <= cfg_tol * abs(lhs)
-        lhs2 = shell_wtilde(z + 1, n)
-        rhs2 = (n - z) * shell_wtilde(z, n)
-        assert abs(lhs2 - rhs2) <= cfg_tol * max(abs(lhs2), 1e-30)
-
-
-def test_shell_wtilde_extended():
-    import mpmath as mp
-
-    val = shell_wtilde(Fraction(1, 2), 16, extended(30))
-    with mp.workdps(40):
-        ref = mp.factorial(16) / mp.gamma(16 + 1 - mp.mpf(0.5))
-        assert abs(val - ref) < mp.mpf("1e-28") * ref
-
-
 def test_gamma_recurrence_matches_shell_w():
-    from agflab.exact import factorial, pochhammer
-
     z = Fraction(1, 2)
-    assert shell(z, 50) == [Fraction(factorial(n)) / pochhammer(z, n)
+    assert shell(z, 50) == [Fraction(math.factorial(n)) / rising(z, n)
                             for n in range(1, 51)]
 
 
