@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath.ctx_mp import MPContext
 
+from agflab import worlds
 from agflab.agf import (
+    _G_SERIES_C,
+    _G_SERIES_E,
     G_RADIUS,
     AGFSpec,
     DomainError,
@@ -83,7 +86,8 @@ def test_g_real_on_the_real_axis():
         x = ctx.mpf(x)
         return ctx.sqrt(2) * (a(x) - a(x - 1))
 
-    for x in (-0.5, -1.5, -2.25, -3.7, -6.1, 0.5, 2.0, 7.25, complex(-0.5, 0)):
+    for x in (-0.5, -1.5, -2.25, -3.7, -6.1, 0.5, 2.0, 7.25, complex(-0.5, 0), 20.0,
+              300.5, complex(45, 0)):
         want = oracle(complex(x).real)
         got = g_eval(x)
         assert type(got) is float
@@ -159,12 +163,18 @@ def test_pole_and_domain_messages():
 
 def test_g_is_the_two_ratio_form_exactly():
     # g shares lgGamma((z+1)/2) between A(z) and A(z-1); where z - 1 + 1
-    # is z, as on the quarter grid, no bit may move
+    # is z, as on the quarter grid, no bit may move.  Off the large-|z|
+    # series' region (|z| >= 20, Re z >= -|Im z|) in double precision, and
+    # everywhere in extended precision, g takes this route
     points = [0, 1, -0.5, -1.5] + [complex(a / 4, b / 4) for a in range(-14, 41, 3)
                                    for b in range(-36, 37, 9)]
-    for cfg in (DOUBLE, extended(30)):
+    points += [19.75, 19.75j, complex(15.75, -12), complex(-14, 14), complex(-25, 20),
+               complex(-20.25, -20), -100.5, complex(-30, 29.75), complex(-900, 0.5)]
+    series_region = [20, 20j, complex(1, 40), complex(1, 80), complex(30, 10),
+                     complex(-20, 20), complex(-25, -25.25), 1000]
+    for cfg, extra in ((DOUBLE, []), (extended(30), series_region)):
         sqrt2 = cfg.ctx.sqrt(2)
-        for z in points:
+        for z in points + extra:
             if g_pole_distance(z) < 1e-3:
                 continue
             want = sqrt2 * (gamma_ratio_A(z, cfg) - gamma_ratio_A(z - 1, cfg))
@@ -204,6 +214,93 @@ def test_double_f_g_log_gamma_against_40_digits(radius, f_tol, g_tol, lg_tol):
         assert abs(g_eval(z) - g_want) <= g_tol * abs(g_want), z
         d = log_gamma(z) - ctx.loggamma(w)
         assert abs(d - 2j * ctx.pi * ctx.nint(d.imag / (2 * ctx.pi))) <= lg_tol, z
+
+
+def _sector_band(lo, hi, count):
+    """``count`` seeded points with lo <= |z| <= hi and |arg z| <= 3 pi/4."""
+    rng = random.Random(hi)
+    return [cmath.rect(rng.uniform(lo, hi), rng.uniform(-0.75 * PI, 0.75 * PI))
+            for _ in range(count)]
+
+
+def _g_oracle(ctx, z):
+    """g(z) = sqrt(2) [A(z) - A(z-1)] from the Gamma values of ``ctx``."""
+    def a(t):
+        return ctx.gamma(t / 2 + 1) * ctx.rgamma((t + 1) / 2)
+
+    w = ctx.mpc(z)
+    return ctx.sqrt(2) * (a(w) - a(w - 1))
+
+
+@pytest.mark.parametrize("lo, hi, tol", [
+    (20, 20.001, 6.8e-16),
+    (20, 40, 4.9e-16),
+    (40, 300, 3.8e-16),
+    (300, 1300, 4.8e-16),
+])
+def test_double_g_series_against_40_digits(lo, hi, tol):
+    # each bound is the worst error of these points, rounded up to two
+    # digits; the three-log-Gamma route's worst on them, rounded the same
+    # way, is 6.9e-12, 1.7e-11, 2.4e-10 and 8.4e-9
+    ctx = MPContext()
+    ctx.dps = 40
+    for z in _sector_band(lo, hi, 400):
+        want = _g_oracle(ctx, z)
+        assert abs(g_eval(z) - want) <= tol * abs(want), z
+
+
+def test_g_routes_agree_where_they_meet():
+    # on |z| = 20 the series route meets the three-log-Gamma route (the
+    # two-ratio form), whose worst error against 40-digit mpmath at these
+    # points is 6.7e-12
+    ctx = MPContext()
+    ctx.dps = 40
+    worst = 0.0
+    for z in _sector_band(20, 20 + 1e-12, 200):
+        assert abs(z) >= 20
+        log_gamma_route = math.sqrt(2) * (gamma_ratio_A(z) - gamma_ratio_A(z - 1))
+        want = _g_oracle(ctx, z)
+        worst = max(worst, abs(log_gamma_route - want) / abs(want))
+        assert abs(g_eval(z) - log_gamma_route) <= 6.8e-12 * abs(g_eval(z)), z
+    assert worst <= 6.8e-12
+
+
+def test_g_residual_where_the_routes_mix():
+    # the AFE residual sums g at z, z+1 and z+2, taken from different
+    # routes on this window, which straddles |z| = 20
+    pts = grid_points(8, 12, 14, 18, 0.25)
+    assert min(map(abs, pts)) < 20 < max(map(abs, pts))
+    rows = residual_table(g_spec(), g_eval, pts, g_pole_distance)
+    assert all(rel is not None and rel <= 1e-10 for _, _, _, rel in rows)
+
+
+def test_g_series_coefficients_are_the_exact_derivation():
+    # log C(t) = sum_m B_2m (2 - 2^(1-2m)) / (2m(2m-1)) t^(2m-1) for
+    # C(t) = A(z)/sqrt(z/2), t = 2/z; E(t) = 2 (C(t)^2 - 1)/t = 2 A(z)^2 - z
+    n = len(_G_SERIES_C)
+    bernoulli = [Fraction(1)]  # B_0, B_1, ..., B_n by sum_j C(m+1, j) B_j = 0
+    for m in range(1, n + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli))
+                         / (m + 1))
+    log_c = [Fraction(0)] * n
+    for m in range(1, n // 2 + 1):
+        log_c[2 * m - 1] = (bernoulli[2 * m] * (2 - Fraction(2) ** (1 - 2 * m))
+                            / (2 * m * (2 * m - 1)))
+    c = [Fraction(1)]  # the exponential: k c_k = sum_j j log_c[j] c_(k-j)
+    for k in range(1, n):
+        c.append(sum(j * log_c[j] * c[k - j] for j in range(1, k + 1)) / k)
+    c_squared = [sum(c[i] * c[k - i] for i in range(k + 1)) for k in range(n)]
+    assert list(_G_SERIES_C) == c
+    assert list(_G_SERIES_E) == [2 * s for s in c_squared[1:]]
+    assert _G_SERIES_C[:5] == (1, Fraction(1, 8), Fraction(1, 128), Fraction(-5, 1024),
+                               Fraction(-21, 32768))
+    assert _G_SERIES_E[:5] == (Fraction(1, 2), Fraction(1, 16), Fraction(-1, 64),
+                               Fraction(-5, 1024), Fraction(23, 4096))
+
+
+def test_each_spec_is_built_once():
+    assert f_spec() is f_spec() and g_spec() is g_spec() and gamma_spec() is gamma_spec()
+    assert worlds.world("e").spec is f_spec() and worlds.world("pi").spec is g_spec()
 
 
 def test_gamma_ratio_A_values():
