@@ -100,9 +100,9 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int,
     m = N - i: the residual is accumulated in ints on the numerators,
     each D taken on them, and P times den is subtracted.
     """
-    if not _exact_data(rec, rec.param):
+    if not _exact_data(rec):
         raise ValueError("the ODE certificate needs rational z and initial values")
-    form = _integer_form(rec, rec.param)
+    form = _integer_form(rec)
     ops, rhs = _recurrence_ode(rec, form)
     if order < max(10, len(ops) - 1):
         raise ValueError("order must be at least 10 and the order of the ODE")

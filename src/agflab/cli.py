@@ -51,10 +51,8 @@ from .connection import (
 )
 from .exact import ConsistencyError
 from .holonomic import (
-    DEFAULT_DIGITS,
     CoefficientPole,
     RecurrenceParseError,
-    _exact_data,
     iter_sequence,
     parse_precurrence,
 )
@@ -139,13 +137,12 @@ def cmd_seq(args) -> int:
         rec = builtin.recurrence(z)
     else:
         with open(args.world) as fh:
-            rec = parse_precurrence(fh.read())
+            rec = dataclasses.replace(parse_precurrence(fh.read()), param=z)
     # numeric rows come from the fixed-point engine as mpmath values,
     # which format_cnum rounds once to the printed digits
-    digits = (args.digits if cfg.is_extended
-              else None if _exact_data(rec, z) else DEFAULT_DIGITS)
+    digits = args.digits if cfg.is_extended else None
     rows = [[n, _fmt_value(v, cfg)]
-            for n, v in iter_sequence(rec, z=z, n_max=n_max, digits=digits)]
+            for n, v in iter_sequence(rec, n_max=n_max, digits=digits)]
     if args.format == "text":
         _emit("".join(f"{n}\t{value}\n" for n, value in rows), args.out)
     else:

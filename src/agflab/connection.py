@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, PrecisionConfig, _mp_context, log_gamma
+from .complexfn import DOUBLE, PrecisionConfig, log_gamma
 from .holonomic import PRecurrence, iter_values_at, numeric_digits
 
 __all__ = [
@@ -182,29 +182,30 @@ def estimate_connection_constant(
     ratio, a plain 1/n term that the tableau removes only when every
     sample is even.
 
-    Each sample divides the engine's value by exp(log Lambda) in an
-    mpmath context, so neither overflows.  The error estimate is the last
-    diagonal increment of the final window (heuristic, not a rigorous
-    bound), floored at the rounding of the window: eps * (1 + |log
-    Lambda(n)|) * |sample| per sample, carried through the tableau with
-    the rounding of its own steps (:func:`_richardson`).  Raises
-    NonConvergence at a sample that is not finite, when the increments
-    of any window grow for three consecutive levels while still above
-    1e-13 of the value, and when the window at the end of the ladder is
-    still far from settled.
+    Each sample divides the engine's value, an mpmath number, by
+    exp(log Lambda) in that number's own context, so neither overflows.
+    The error estimate is the last diagonal increment of the final window
+    (heuristic, not a rigorous bound), floored at the rounding of the
+    window: eps * (1 + |log Lambda(n)|) * |sample| per sample, carried
+    through the tableau with the rounding of its own steps
+    (:func:`_richardson`).  Where the ladder ends before a window
+    settles, the estimate is also at least the change of the value from
+    the previous window.  Raises NonConvergence at a sample that is not
+    finite, when the increments of any window grow for three consecutive
+    levels while still above 1e-13 of the value, and when the error of an
+    unsettled end of the ladder is above 1e-2 of the value.
     """
     start = time.perf_counter()
     n_base = cfg.n_base + cfg.n_base % 2
     reach = max(REACH, n_base * 2**cfg.depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
     digits = numeric_digits(cfg.digits)
-    ctx = _mp_context(digits + 5)  # that of the values u, as digits >= 30
     size = cfg.depth + 1
-    samples, rounding = [], []  # in the order of the ladder
+    samples, rounding, values = [], [], []  # values: each window's diag[-1]
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
-    for n, u in zip(ladder, iter_values_at(rec, None, ladder, digits)):
+    for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
         log_lam = shell_log_eval(shell, n, z)
-        sample = complex(u / ctx.exp(log_lam))
+        sample = complex(u / u.context.exp(log_lam))
         if not cmath.isfinite(sample):
             raise NonConvergence(f"sample u_n / Lambda(n) not finite at n={n}")
         samples.append(sample)
@@ -212,19 +213,25 @@ def estimate_connection_constant(
         if len(samples) < size:
             continue
         diag, rounding_error = _richardson(samples[-size:], rounding[-size:])
+        values.append(diag[-1])
         deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
         scale = max(abs(diag[-1]), 1e-300)
         _check_not_diverging(deltas, 1e-13 * scale)
-        if deltas[-1] <= rounding_error:
+        error = deltas[-1]
+        if error <= rounding_error:
             break
     else:
-        if deltas[-1] > 0.01 * scale:
+        # unsettled at the end of the ladder: the estimate is off by at
+        # least what its last sample moved it
+        if len(values) > 1:
+            error = max(error, abs(values[-1] - values[-2]))
+        if error > 0.01 * scale:
             raise NonConvergence(
                 "extrapolation diagonal far from settled "
-                f"(last delta {deltas[-1]:.3g} vs value {scale:.3g})"
+                f"(error {error:.3g} vs value {scale:.3g})"
             )
     return ConnectionEstimate(
-        value=diag[-1], error_estimate=max(deltas[-1], rounding_error),
+        value=diag[-1], error_estimate=max(error, rounding_error),
         engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)

@@ -2,15 +2,16 @@
 
 A :class:`PRecurrence` stores an order-r linear recurrence
 sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
-functions in the index n and the parameter z.  :func:`_integer_form`
-substitutes z exactly and clears the denominators once; every engine
-steps that integer equation.  There are two ways in:
-:func:`iter_sequence` yields every u_n up to n_max, exactly (big
-rationals) where z and the initial values are rational and no digits
-are asked for, and :func:`iter_values_at` yields a few wanted u_n,
-reached in blocks of steps as far as its caller draws them.  The rest
-is fixed point on Python ints, one engine whose values both give by one
-rule.  :func:`exact_series` builds a whole exact series
+functions in the index n and the parameter z, and the z it steps at,
+its ``param``.  :func:`_integer_form` substitutes that z exactly and
+clears the denominators once; every engine steps that integer equation.
+There are two ways in: :func:`iter_sequence` yields every u_n up to
+n_max, exactly (big rationals) where z and the initial values are
+rational and no digits are asked for, and :func:`iter_values_at` yields
+a few wanted u_n, reached in blocks of steps as far as its caller draws
+them.  The rest is fixed point on Python ints, one engine whose values
+both give as numbers of one private mpmath context.
+:func:`exact_series` builds a whole exact series
 u_0..u_N fraction-free instead, as integer numerators over one common
 denominator, for the ODE certificate, which wants every term rather
 than reduced values.  The two mirror recurrences, whose connection
@@ -51,8 +52,8 @@ __all__ = [
 
 MAX_DEGREE = 8
 # The fixed-point precision of numeric iteration unless the caller asks
-# for more than MAX_DOUBLE_DIGITS: the doubles it yields carry no rounding
-# compounded over the steps, even past n = 10^5.
+# for more than MAX_DOUBLE_DIGITS: its values rounded to doubles carry no
+# rounding compounded over the steps, even past n = 10^5.
 DEFAULT_DIGITS = 30
 
 
@@ -284,9 +285,9 @@ class RationalFn:
 class PRecurrence:
     """Order-r recurrence sum_k coeffs[k](n, z) u_{n+k} = 0 with initials.
 
-    ``param`` records a default z substitution (set by the built-in
-    constructors); the z argument of :func:`iter_sequence` and
-    :func:`iter_values_at` overrides it.
+    ``param`` is the z every engine steps the recurrence at (set by the
+    built-in constructors; ``dataclasses.replace(rec, param=z)`` gives a
+    parsed one its z).  None only where no coefficient depends on z.
     """
 
     order: int
@@ -370,8 +371,9 @@ def _horner(coeff_list, n):
     return acc
 
 
-def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None = None):
-    """Yield (n, u_n) from the initial index up to n_max by forward iteration.
+def iter_sequence(rec: PRecurrence, n_max: int = 100, digits: int | None = None):
+    """Yield (n, u_n) from the initial index up to n_max by forward
+    iteration at z = ``rec.param``.
 
     Two engines, both on the cleared integer equation of
     :func:`_integer_form`:
@@ -379,51 +381,42 @@ def iter_sequence(rec: PRecurrence, z=None, n_max: int = 100, digits: int | None
     - exact (``Fraction``) when z and the initial values are rational and
       no digit count is given: Fraction stepping over the integer
       coefficients;
-    - fixed point for everything else, with values by one rule: numbers
-      of a private mpmath context at ``digits + 5`` digits for ``digits``
-      above :data:`MAX_DOUBLE_DIGITS`, and otherwise floats (complexes
-      where the imaginary part is nonzero), each the double nearest the
-      :data:`DEFAULT_DIGITS`-digit value.
+    - fixed point for everything else, at :func:`numeric_digits` d
+      digits, whose values are numbers (mpf, or mpc for complex data) of
+      the private mpmath context at d + 5 digits.
 
     Fixed point substitutes z exactly (a float or complex z is a dyadic
     rational) and iterates on Python ints: mantissas of
-    ``ceil(digits * log2(10)) + 64`` bits, Gaussian-integer pairs for
-    complex data, under one block exponent.  No engine reads or changes
-    mpmath's global state, so a live generator holds none.
+    ``ceil(d * log2(10)) + 64`` bits, Gaussian-integer pairs for complex
+    data, under one block exponent.  No engine reads or changes mpmath's
+    global state, so a live generator holds none.
     """
     if n_max < rec.initial_index + rec.order:
         raise ValueError("n_max must cover at least the initial window")
-    zval = z if z is not None else rec.param
-    if digits is None and _exact_data(rec, zval):
-        yield from _exact(rec, zval, n_max)
+    if digits is None and _exact_data(rec):
+        yield from _exact(rec, n_max)
     else:
-        yield from _fixed_point(rec, zval, n_max, *_precision(digits))
-
-
-def _precision(digits: int | None) -> tuple:
-    """(digits, ctx) of the fixed-point engine for a requested ``digits``,
-    the one value rule of :func:`iter_sequence` and :func:`iter_values_at`:
-    floats and complexes where ctx is None."""
-    if digits is not None and digits > MAX_DOUBLE_DIGITS:
-        return digits, _mp_context(digits + 5)
-    return DEFAULT_DIGITS, None
+        yield from _fixed_point(rec, n_max, numeric_digits(digits))
 
 
 def numeric_digits(digits: int | None) -> int:
     """The digits the fixed-point engine runs at for a requested ``digits``:
     that many above :data:`MAX_DOUBLE_DIGITS`, else :data:`DEFAULT_DIGITS`."""
-    return _precision(digits)[0]
+    if digits is not None and digits > MAX_DOUBLE_DIGITS:
+        return digits
+    return DEFAULT_DIGITS
 
 
-def _exact_data(rec, zval) -> bool:
-    return all(_is_exact(v) for v in (0 if zval is None else zval, *rec.initial_values))
+def _exact_data(rec) -> bool:
+    z = rec.param
+    return all(_is_exact(v) for v in (0 if z is None else z, *rec.initial_values))
 
 
-def _exact(rec, zval, n_max):
+def _exact(rec, n_max):
     """Fraction stepping: u_{n+r} = -sum_k c_k(n) u_{n+k} / c_r(n) over
     the integer coefficients c_k of the cleared equation."""
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = _integer_form(rec, zval)
+    polys, _, pole, init = _integer_form(rec)
     window = [a for a, _ in init]
     yield from enumerate(window, n0)
     for n, vals in zip(range(n0 + r, n_max + 1), _values_from(polys, n0)):
@@ -436,8 +429,9 @@ def _exact(rec, zval, n_max):
         yield n, u
 
 
-def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
-    """u_0..u_{n_max} exactly, as integer numerators over one denominator.
+def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
+    """u_0..u_{n_max} at z = ``rec.param`` exactly, as integer numerators
+    over one denominator.
 
     Terms below the initial index are 0.  z and the initial values must
     be rational.  The iteration is fraction-free: each step solves the
@@ -448,10 +442,9 @@ def exact_series(rec: PRecurrence, n_max: int, z=None) -> tuple[list[int], int]:
     end.  Raises :class:`CoefficientPole` at the same n as
     :func:`iter_sequence`.  The denominator is positive but not reduced.
     """
-    zval = z if z is not None else rec.param
-    if not _exact_data(rec, zval):
+    if not _exact_data(rec):
         raise ValueError("exact_series needs rational z and initial values")
-    return _exact_series(rec, _integer_form(rec, zval), n_max)
+    return _exact_series(rec, _integer_form(rec), n_max)
 
 
 def _exact_series(rec: PRecurrence, form, n_max: int) -> tuple[list[int], int]:
@@ -485,20 +478,6 @@ def _exact_series(rec: PRecurrence, form, n_max: int) -> tuple[list[int], int]:
 
 # ---------------------------------------------------------------------------
 # fixed-point iteration on Python ints
-
-def _to_float(m: int, e: int) -> float:
-    """m * 2^e rounded to a float; +-inf beyond the double range."""
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:  # m * 2^e beyond the double range, or m itself
-        pass
-    if e < 0:
-        try:
-            return m / (1 << -e)
-        except OverflowError:
-            pass
-    return math.copysign(math.inf, m)
-
 
 def _mantissa(c: Fraction, e: int) -> int:
     """floor(c / 2^e)."""
@@ -584,8 +563,8 @@ def _values_from(polys: list, n0: int):
                      for p in polys)
 
 
-def _integer_form(rec: PRecurrence, zval):
-    """The recurrence at z with its denominators cleared.
+def _integer_form(rec: PRecurrence):
+    """The recurrence at z = ``rec.param`` with its denominators cleared.
 
     Returns the real and imaginary integer polynomials in n of each
     coefficient, a function building the CoefficientPole of a step n
@@ -598,8 +577,8 @@ def _integer_form(rec: PRecurrence, zval):
     """
     r = rec.order
     z = None
-    if zval is not None:  # as (x + iy)/q
-        parts = _exact_parts(zval)
+    if rec.param is not None:  # as (x + iy)/q
+        parts = _exact_parts(rec.param)
         q = math.lcm(*(c.denominator for c in parts))
         z = (*(c.numerator * (q // c.denominator) for c in parts), q)
     nums = [_poly_at(cf.num, z) for cf in rec.coeffs]
@@ -626,9 +605,9 @@ def _integer_form(rec: PRecurrence, zval):
     return re_polys, im_polys, pole, [_exact_parts(v) for v in rec.initial_values]
 
 
-def _fixed_point(rec, zval, n_max, digits, ctx):
+def _fixed_point(rec, n_max, digits):
     """Every (n, u_n) to n_max, by single steps of a :class:`_Window`."""
-    win = _Window(rec, zval, digits, ctx)
+    win = _Window(rec, digits)
     for i in range(win.r):
         yield win.n0 + i, win.read(i)
     yield from win.steps(win.n0, n_max - win.r + 1)
@@ -637,8 +616,8 @@ def _fixed_point(rec, zval, n_max, digits, ctx):
 class _Window:
     """u_m, ..., u_{m+r-1} in fixed point: integer mantissas times 2^e, in
     ``parts``, one list for real data and a real and an imaginary one for
-    complex data.  Values come out as ``ctx`` numbers, or as floats and
-    complexes when ``ctx`` is None.
+    complex data.  Values come out as numbers of the private mpmath
+    context at ``digits + 5`` digits.
 
     The cleared equation sum_k c_k(n) u_{n+k} = 0 of :func:`_integer_form`
     is, in companion form, c_r(n) s_{n+1} = A(n) s_n for the window
@@ -648,9 +627,9 @@ class _Window:
     per value of the block instead of one per step.
     """
 
-    def __init__(self, rec, zval, digits, ctx):
+    def __init__(self, rec, digits):
         self.r, self.n0 = rec.order, rec.initial_index
-        re_polys, im_polys, self.pole, init = _integer_form(rec, zval)
+        re_polys, im_polys, self.pole, init = _integer_form(rec)
         self.real = not any(map(any, im_polys)) and not any(b for _, b in init)
         self.polys = re_polys if self.real else re_polys + im_polys
         self.degree = max((i for p in self.polys for i, c in enumerate(p) if c),
@@ -663,8 +642,9 @@ class _Window:
                           for pair in init for c in pair if c), default=0) - prec - 32
         self.parts = [[_mantissa(v[i], e) for v in init]
                       for i in range(1 if self.real else 2)]
+        ctx = _mp_context(digits + 5)
         if self.real:
-            self.out = _to_float if ctx is None else lambda m, e: ctx.mpf((m, e))
+            self.out = lambda m, e: ctx.mpf((m, e))
             return
         # a part more than ``digits`` digits below the other is the residue
         # of the floor divisions, not a value: it reads as 0
@@ -675,10 +655,7 @@ class _Window:
                 x = 0
             elif y.bit_length() + bits < x.bit_length():
                 y = 0
-            if ctx is not None:
-                return ctx.mpc((x, e), (y, e))
-            re, im = _to_float(x, e), _to_float(y, e)
-            return re if im == 0 else complex(re, im)
+            return ctx.mpc((x, e), (y, e))
         self.out = out
 
     def read(self, i):
@@ -886,20 +863,20 @@ class _Window:
             yield self.read(t - m)
 
 
-def iter_values_at(rec: PRecurrence, z, ns, digits: int | None = None):
-    """Yield u_n for each n drawn from the increasing iterable ``ns``.
+def iter_values_at(rec: PRecurrence, ns, digits: int | None = None):
+    """Yield u_n at z = ``rec.param`` for each n drawn from the increasing
+    iterable ``ns``.
 
     Runs the fixed-point engine of :func:`iter_sequence`, whatever the
-    data, and gives its values by the same rule: floats or complexes, or
-    mpmath numbers for ``digits`` above :data:`MAX_DOUBLE_DIGITS` (no
-    overflow at any size).  It reaches each
+    data, and gives its values of the same type: numbers of the private
+    mpmath context at :func:`numeric_digits` + 5 digits, which overflow
+    at no size.  It reaches each
     wanted n in blocks of steps (:meth:`_Window.at`), and only as far as
     the last n drawn: ``ns`` may be an endless ladder that the caller
     stops.  A block with a coefficient pole is taken in single steps, so
     :class:`CoefficientPole` names the n that :func:`iter_sequence` names.
     """
-    zval = z if z is not None else rec.param
-    return _Window(rec, zval, *_precision(digits)).at(ns)
+    return _Window(rec, numeric_digits(digits)).at(ns)
 
 
 # ---------------------------------------------------------------------------

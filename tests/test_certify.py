@@ -166,7 +166,7 @@ def ode_gamma(z):
 
 
 def derived_ode(rec):
-    return _recurrence_ode(rec, holonomic._integer_form(rec, rec.param))
+    return _recurrence_ode(rec, holonomic._integer_form(rec))
 
 
 def ratio(derived, written):
@@ -340,9 +340,9 @@ def test_first_failure_matches_a_fraction_residual_of_the_written_ode(
 def test_one_integer_form_per_certificate(monkeypatch):
     calls = []
 
-    def counted(rec, zval, integer_form=holonomic._integer_form):
+    def counted(rec, integer_form=holonomic._integer_form):
         calls.append(rec)
-        return integer_form(rec, zval)
+        return integer_form(rec)
 
     monkeypatch.setattr(certify, "_integer_form", counted)
     monkeypatch.setattr(holonomic, "_integer_form", counted)

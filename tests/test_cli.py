@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -227,6 +228,43 @@ def test_public_generators_take_only_iteration_arguments():
             if not params <= {"rec", "z", "n_max", "digits"}} == {}
 
 
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_benchmark_tracer_binds_names_the_library_has():
+    # the tracer binds by name, and a rename would crash only traced runs:
+    # read its source, without importing it, for the names it binds
+    from agflab import connection, holonomic
+
+    tree = ast.parse(TRACER.read_text())
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+    # iteration_mode(**arguments of iter_sequence)
+    mode = {a.arg for a in defs["iteration_mode"].args.args}
+    assert set(inspect.signature(holonomic.iter_sequence).parameters) <= mode
+
+    def is_rec(node):
+        return (isinstance(node, ast.Name) and node.id == "rec"
+                or isinstance(node, ast.Subscript)
+                and getattr(node.slice, "value", None) == "rec")
+
+    # the fields it reads off a recurrence, param among them
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_rec(node.value)}
+    assert "param" in read
+    assert read <= {field.name for field in dataclasses.fields(holonomic.PRecurrence)}
+    # the arguments of a traced estimate it reads, and the name it is under
+    keys = {node.slice.value for node in ast.walk(defs["_estimate_honest"])
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)}
+    params = set(inspect.signature(connection.estimate_connection_constant).parameters)
+    assert {"rec", "shell", "z"} <= keys <= params
+    (estimate,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "ESTIMATE" for t in node.targets)]
+    assert estimate == "connection.estimate_connection_constant"
+    assert cli.estimate_connection_constant is connection.estimate_connection_constant
+
+
 SRC = Path(agflab.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
@@ -361,6 +399,19 @@ def test_seq_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["seq", str(path), "0", "5"])
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("11/6")
+
+
+@pytest.mark.parametrize("z", ["1/3", "0.5", "1+2i"])
+def test_seq_from_file_steps_at_its_z(tmp_path, capsys, z):
+    # the file's recurrence takes Z as its param, as seq e Z does
+    path = tmp_path / "rec.txt"
+    path.write_text(
+        "coeff2: n+z\ncoeff1: -(n+z)\ncoeff0: -1\ninit: n0=1; 0, 1\n"
+    )
+    code, out, _ = run_cli(capsys, ["seq", str(path), z, "30"])
+    assert code == 0
+    assert (0, out) == run_cli(capsys, ["seq", "e", z, "30"])[:2]
+    assert len(out.splitlines()) == 30
 
 
 def test_seq_file_sum_over_a_shared_denominator(tmp_path, capsys):
@@ -504,9 +555,9 @@ def test_limit_digits_sets_the_accumulation_precision(capsys, monkeypatch):
     seen = []
     real = connection.iter_values_at
 
-    def spy(rec, z, ns, digits=None):
+    def spy(rec, ns, digits=None):
         seen.append(digits)
-        return real(rec, z, ns, digits)
+        return real(rec, ns, digits)
 
     monkeypatch.setattr(connection, "iter_values_at", spy)
     code, out, _ = run_cli(capsys, ["limit", "e", "1", "--digits", "40"])

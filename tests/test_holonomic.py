@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import islice
@@ -17,11 +18,17 @@ from agflab.holonomic import (
     iter_values_at,
     mirror_e,
     mirror_pi,
+    numeric_digits,
     parse_precurrence,
 )
 from agflab.holonomic import _fixed_point, _Window, _integer_form, _values_from
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def with_z(rec: PRecurrence, z) -> PRecurrence:
+    """rec stepping at z, as the seq command gives a parsed file its z."""
+    return dataclasses.replace(rec, param=z)
 
 
 def naive_mirror_e(m: Fraction, n_max: int) -> list[Fraction]:
@@ -127,17 +134,15 @@ def test_exactness_rational_parameter():
     assert got == naive_mirror_e(m, 200)
 
 
-def test_z_override_and_complex_parameter():
+def test_missing_and_complex_parameter():
     rec = mirror_e()  # no parameter baked in
     with pytest.raises(ValueError):
         list(iter_sequence(rec, n_max=5))
-    got = [v for _, v in iter_sequence(rec, z=0, n_max=5)]
-    assert got[-1] == Fraction(11, 6)
     zc = complex(-0.5, 0.8)
     pts = dict(iter_sequence(mirror_e(zc), n_max=6))
     # one manual step: u_3 = u_2 + u_1/(1+z) = 1
     assert abs(pts[3] - 1) < 1e-15
-    assert isinstance(pts[6], complex)
+    assert type(pts[6]).__name__ == "mpc"
 
 
 def test_mpmath_parameter_keeps_its_sign():
@@ -146,8 +151,8 @@ def test_mpmath_parameter_keeps_its_sign():
     ctx = MPContext()
     ctx.dps = 35
     for z in (complex(-1.5, 0.25), complex(0.5, -0.75)):
-        got = list(iter_sequence(mirror_e(), z=ctx.mpc(z), n_max=8))
-        assert got == list(iter_sequence(mirror_e(), z=z, n_max=8))
+        got = list(iter_sequence(mirror_e(ctx.mpc(z)), n_max=8))
+        assert got == list(iter_sequence(mirror_e(z), n_max=8))
 
 
 def test_mirror_limit_e_at_ten_thousand():
@@ -159,7 +164,7 @@ def test_mirror_limit_e_at_ten_thousand():
 
 def test_extended_accumulation_kicks_in_past_1e4():
     vals = {n: v for n, v in iter_sequence(mirror_e(0.0), n_max=10_368)}
-    assert isinstance(vals[10_368], float)
+    assert type(vals[10_368]).__name__ == "mpf"
     assert abs(vals[10_368] / 10_368 - 1 / math.e) < 1e-12
 
 
@@ -265,7 +270,7 @@ def test_parse_precurrence_roundtrip():
     rec = parse_precurrence(EXAMPLE_TEXT)
     assert rec.order == 2
     assert rec.initial_index == 1
-    got = [v for _, v in iter_sequence(rec, z=0, n_max=5)]
+    got = [v for _, v in iter_sequence(with_z(rec, 0), n_max=5)]
     assert got == [0, 1, 1, Fraction(3, 2), Fraction(11, 6)]
 
 
@@ -367,14 +372,14 @@ def test_parse_error_column_is_in_the_original_text():
 # ---------------------------------------------------------------------------
 # fixed-point mode against an independent route
 
-def mp_oracle(rec, z, n_max: int) -> dict:
+def mp_oracle(rec, n_max: int) -> dict:
     """u_n for n <= n_max by the recurrence in a private 60-digit mpmath
     context, each coefficient taken from its exact rational function."""
     from mpmath.ctx_mp import MPContext
 
     ctx = MPContext()
     ctx.dps = 60
-    zc = None if z is None else ctx.convert(z)
+    zc = None if rec.param is None else ctx.convert(rec.param)
     coeffs = [([ctx.convert(c) for c in cf.num.collapse_z(zc)],
                [ctx.convert(c) for c in cf.den.collapse_z(zc)]) for cf in rec.coeffs]
     window = [ctx.convert(v) for v in rec.initial_values]
@@ -394,6 +399,7 @@ coeff1: -1
 coeff0: -1/(2*n+1)
 init: n0=1; 0.5, 1
 """
+USER = parse_precurrence(USER_TEXT)
 
 
 FIXED_POINT_CASES = [
@@ -410,8 +416,8 @@ FIXED_POINT_CASES = [
     (gamma_recurrence(complex(3.5, 0.75)), None),
     (gamma_recurrence(Fraction(25, 2)), 30),  # shrinks by 2^-130 to n = 2^14
     (gamma_recurrence(complex(12.5, 0.5)), 30),
-    (parse_precurrence(USER_TEXT), None),
-    (parse_precurrence(USER_TEXT), 30),
+    (with_z(USER, 0.75), None),
+    (with_z(USER, 0.75), 30),
 ]
 FIXED_POINT_IDS = ["e-int", "pi-int", "e-float", "e-p/q", "pi-p/q", "e-complex",
                    "pi-complex", "pi-complex-30", "gamma-p/q", "gamma-float",
@@ -422,32 +428,27 @@ FIXED_POINT_IDS = ["e-int", "pi-int", "e-float", "e-p/q", "pi-p/q", "e-complex",
 @pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
 def test_fixed_point_against_60_digit_iteration(rec, digits):
     n_max = 2**14
-    z = 0.75 if rec.param is None else None  # numeric, so digits=None is automatic
-    want = mp_oracle(rec, z if z is not None else rec.param, n_max)
-    got = dict(iter_sequence(rec, z, n_max, digits=digits))
+    want = mp_oracle(rec, n_max)
+    got = dict(iter_sequence(rec, n_max, digits=digits))
     assert sorted(got) == sorted(want)
-    # automatic mode: the double nearest the 164-bit value; digits=30: 1e-28
-    rtol = 1e-28 if digits else 2.0**-52
+    # digits=None runs at 30 digits too (numeric data): 1e-28 either way
     for n, v in got.items():
-        if digits:
-            assert type(v).__name__ in ("mpf", "mpc")
-        else:
-            assert isinstance(v, float if want[n].imag == 0 else complex)
-        assert abs(v - want[n]) <= rtol * abs(want[n]), n
+        assert type(v).__name__ in ("mpf", "mpc")
+        assert abs(v - want[n]) <= 1e-28 * abs(want[n]), n
 
 
-@pytest.mark.parametrize("rec, z", [
-    (mirror_e(complex(2.5, 1.25)), None),
-    (gamma_recurrence(3.5), None),
+@pytest.mark.parametrize("rec", [
+    mirror_e(complex(2.5, 1.25)),
+    gamma_recurrence(3.5),
 ], ids=["e-complex", "gamma-float"])
-def test_short_numeric_runs_are_correctly_rounded(rec, z):
+def test_short_numeric_runs_are_correctly_rounded(rec):
     n_max = 2000
-    want = mp_oracle(rec, rec.param, n_max)
+    want = mp_oracle(rec, n_max)
     for digits in (None, 15):
-        got = dict(iter_sequence(rec, z, n_max, digits=digits))
+        got = dict(iter_sequence(rec, n_max, digits=digits))
         assert sorted(got) == sorted(want)
         for n, v in got.items():
-            assert abs(v - want[n]) <= 2.0**-52 * abs(want[n]), (digits, n)
+            assert abs(complex(v) - want[n]) <= 2.0**-52 * abs(want[n]), (digits, n)
 
 
 # a lambda = 2 growth, u_n = 2^n / (n + 1)
@@ -458,40 +459,44 @@ SHRINKING = parse_precurrence(
     f"coeff1: n+1000\ncoeff0: -(n+1)\ninit: n0=1; {2.0**1000}")
 
 
-def assert_values_at_match_single_steps(rec, z, digits, n_max):
+def doubles(values) -> list:
+    """Each value rounded to a Python complex."""
+    return [complex(v) for v in values]
+
+
+def assert_values_at_match_single_steps(rec, digits, n_max):
     """The block path against the single steps of the same 30-digit
-    engine: its floats exactly, and at ``digits`` its mpmath values within
-    the 1e-28 of the fixed-point tests."""
-    want = dict(_fixed_point(rec, z if z is not None else rec.param, n_max, 30, None))
-    want_mp = dict(iter_sequence(rec, z, n_max, digits)) if digits else {}
+    engine: rounded to doubles exactly, and at ``digits`` within the 1e-28
+    of the fixed-point tests."""
+    want = dict(_fixed_point(rec, n_max, 30))
+    want_mp = dict(iter_sequence(rec, n_max, digits)) if digits else {}
     for base in (1024, 100):  # 100 is no multiple of the block size
         ns = [base * 2**k for k in range(6) if base * 2**k <= n_max]
-        assert list(iter_values_at(rec, z, ns)) == [want[n] for n in ns], base
+        assert doubles(iter_values_at(rec, ns)) == doubles(want[n] for n in ns), base
         if digits:
-            for n, v in zip(ns, iter_values_at(rec, z, ns, digits)):
+            for n, v in zip(ns, iter_values_at(rec, ns, digits)):
                 assert abs(v - want_mp[n]) <= 1e-28 * abs(want_mp[n]), (base, n)
 
 
 @pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
 def test_values_at_equals_iter_numeric(rec, digits):
-    z = 0.75 if rec.param is None else None
-    assert_values_at_match_single_steps(rec, z, digits, 2**14)
+    assert_values_at_match_single_steps(rec, digits, 2**14)
 
 
-@pytest.mark.parametrize("rec, z", [
-    (DOUBLING, None),
-    (SHRINKING, None),
-    (mirror_e(complex(2.5, 1.25)), None),
-    (parse_precurrence(USER_TEXT), complex(0.75, 0.5)),
+@pytest.mark.parametrize("rec", [
+    DOUBLING,
+    SHRINKING,
+    mirror_e(complex(2.5, 1.25)),
+    with_z(USER, complex(0.75, 0.5)),
 ], ids=["doubling", "shrinking", "e-complex", "user-complex"])
-def test_values_at_block_cases(rec, z):
+def test_values_at_block_cases(rec):
     # the doubling values pass the double range at n = 1024 (inf both ways)
-    assert_values_at_match_single_steps(rec, z, None, 2**14)
+    assert_values_at_match_single_steps(rec, None, 2**14)
 
 
 def test_values_at_block_size_follows_the_degree():
-    assert _Window(mirror_e(3), 3, 30, None).block_size() == 16
-    user = _Window(parse_precurrence(USER_TEXT), 0.75, 30, None)
+    assert _Window(mirror_e(3), 30).block_size() == 16
+    user = _Window(with_z(USER, 0.75), 30)
     assert user.degree == 3 and 1 < user.block_size() < 16
 
 
@@ -499,21 +504,20 @@ def test_complex_values_drop_a_part_below_the_precision():
     # w_3 = 3!/((1+i)(2+i)(3+i)) = -0.6i: the real part is the floor
     # divisions' residue, about 1e-59 of the imaginary part
     rec = gamma_recurrence(1 + 1j)
-    assert dict(iter_sequence(rec, None, 4))[3] == -0.6j
-    assert list(iter_values_at(rec, None, [3])) == [-0.6j]
-    assert dict(iter_sequence(rec, None, 4, digits=30))[3].real == 0
+    for v in (dict(iter_sequence(rec, 4))[3], *iter_values_at(rec, [3])):
+        assert v.real == 0 and complex(v) == -0.6j
 
 
 def test_values_at_inside_the_initial_window():
-    rec = parse_precurrence(USER_TEXT)
-    want = dict(_fixed_point(rec, 0.75, 40, 30, None))
+    rec = with_z(USER, 0.75)
+    want = dict(_fixed_point(rec, 40, 30))
     ns = [1, 2, 3, 17, 18, 40]
-    assert list(iter_values_at(rec, 0.75, ns)) == [want[n] for n in ns]
-    assert list(iter_values_at(rec, 0.75, [2])) == [want[2]]
-    assert list(iter_values_at(rec, 0.75, [])) == []
+    assert doubles(iter_values_at(rec, ns)) == doubles(want[n] for n in ns)
+    assert doubles(iter_values_at(rec, [2])) == [complex(want[2])]
+    assert list(iter_values_at(rec, [])) == []
     for bad in ([0, 5], [5, 5], [7, 6]):
         with pytest.raises(ValueError):
-            list(iter_values_at(rec, 0.75, bad))
+            list(iter_values_at(rec, bad))
 
 
 def reference_block(win, m, k):
@@ -543,24 +547,23 @@ def reference_block(win, m, k):
     return tuple(flat if win.real else [x for x, _ in flat] + [y for _, y in flat])
 
 
-@pytest.mark.parametrize("rec, z, degree, zero_ds", [
-    (parse_precurrence("coeff2: 1\ncoeff1: -1\ncoeff0: -1\ninit: n0=0; 0, 1"),
-     None, 0, 0),
-    (mirror_e(3), None, 1, 0),
-    (mirror_pi(complex(0.25, -1.5)), None, 1, 0),
-    (parse_precurrence("coeff1: n^2+z\ncoeff0: -(2*n^2+1)\ninit: n0=0; 1"),
-     Fraction(1, 3), 2, 0),
-    (parse_precurrence(USER_TEXT), 0.75, 3, 0),
-    (parse_precurrence(USER_TEXT), complex(0.75, 0.5), 3, 0),
-    (parse_precurrence("coeff1: n^4+1\ncoeff0: -(n^2+z)*(n^2-3)\ninit: n0=2; 1"),
-     complex(0.5, 1), 4, 0),
-    (parse_precurrence("coeff1: n+20\ncoeff0: -(n-3)\ninit: n0=-7; 1"), None, 1, 0),
-    (SHRINKING, None, 1, 0),
-    (mirror_e(-40), None, 1, 1),  # D = 0 on the block over n = 40
+@pytest.mark.parametrize("rec, degree, zero_ds", [
+    (parse_precurrence("coeff2: 1\ncoeff1: -1\ncoeff0: -1\ninit: n0=0; 0, 1"), 0, 0),
+    (mirror_e(3), 1, 0),
+    (mirror_pi(complex(0.25, -1.5)), 1, 0),
+    (with_z(parse_precurrence("coeff1: n^2+z\ncoeff0: -(2*n^2+1)\ninit: n0=0; 1"),
+            Fraction(1, 3)), 2, 0),
+    (with_z(USER, 0.75), 3, 0),
+    (with_z(USER, complex(0.75, 0.5)), 3, 0),
+    (with_z(parse_precurrence("coeff1: n^4+1\ncoeff0: -(n^2+z)*(n^2-3)\ninit: n0=2; 1"),
+            complex(0.5, 1)), 4, 0),
+    (parse_precurrence("coeff1: n+20\ncoeff0: -(n-3)\ninit: n0=-7; 1"), 1, 0),
+    (SHRINKING, 1, 0),
+    (mirror_e(-40), 1, 1),  # D = 0 on the block over n = 40
 ], ids=["fibonacci", "e-int", "pi-complex", "degree-2", "user-real", "user-complex",
         "degree-4-complex", "negative-start", "shrinking", "zero-D"])
-def test_blocks_equal_the_step_by_step_products(rec, z, degree, zero_ds):
-    win = _Window(rec, z if z is not None else rec.param, 30, None)
+def test_blocks_equal_the_step_by_step_products(rec, degree, zero_ds):
+    win = _Window(rec, 30)
     k = win.block_size()
     assert win.degree == degree and k > 1
     count = k * degree + 4  # past the values the entries are read from
@@ -601,7 +604,7 @@ def test_values_at_pole_inside_a_block():
         with pytest.raises(CoefficientPole) as want:
             list(iter_sequence(mirror_e(z), n_max=8192))
         with pytest.raises(CoefficientPole) as got:
-            list(iter_values_at(mirror_e(z), None, [1024, 2048, 4096, 8192]))
+            list(iter_values_at(mirror_e(z), [1024, 2048, 4096, 8192]))
         assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
         assert got.value.n == 5000
 
@@ -613,22 +616,17 @@ def test_values_at_pole_inside_a_block():
     (SHRINKING, [100, 250, 400, 700]),
 ], ids=["e-int", "gamma-shrink", "pi-complex", "shrinking"])
 def test_block_path_keeps_40_digits(rec, ns):
-    from mpmath.ctx_mp import MPContext
-
-    ctx = MPContext()
-    ctx.dps = 45
-    want = mp_oracle(rec, rec.param, ns[-1])
-    got = _Window(rec, rec.param, 40, ctx).at(ns)
+    want = mp_oracle(rec, ns[-1])
+    got = iter_values_at(rec, ns, 40)
     for n, v in zip(ns, got):
         assert abs(v - want[n]) <= 1e-38 * abs(want[n]), n
 
 
 def test_integer_form_is_the_least_integer_multiple():
     # USER_TEXT times (n+1)^2 (2n+1) and 4: c2 = (4n + 4z)(2n+1)(n+1)
-    rec = parse_precurrence(USER_TEXT)
     low = [[-4, -8, -4], [-4, -16, -20, -8]]
     for z, im2 in [(0.75, [0, 0, 0, 0]), (complex(0.75, 0.5), [2, 6, 4, 0])]:
-        re, im, pole, init = _integer_form(rec, z)
+        re, im, pole, init = _integer_form(with_z(USER, z))
         assert (re, im) == (low + [[3, 13, 18, 8]], [[0, 0, 0], [0, 0, 0, 0], im2])
         assert init == [(Fraction(1, 2), 0), (1, 0)]
         assert str(pole(-1)) == ("coefficient pole at n=-1 "
@@ -636,9 +634,9 @@ def test_integer_form_is_the_least_integer_multiple():
         assert str(pole(7)) == "coefficient pole at n=7 (leading coefficient)"
     # an integral equation keeps its common factor; a z-free one needs no z
     rec = parse_precurrence("coeff1: 2*n+2\ncoeff0: -4\ninit: n0=0; 1")
-    assert _integer_form(rec, None)[:2] == ([[-4], [2, 2]], [[0], [0, 0]])
+    assert _integer_form(rec)[:2] == ([[-4], [2, 2]], [[0], [0, 0]])
     with pytest.raises(ValueError, match="depends on z"):
-        _integer_form(parse_precurrence("coeff1: n+z\ncoeff0: -1\ninit: n0=0; 1"), None)
+        _integer_form(parse_precurrence("coeff1: n+z\ncoeff0: -1\ninit: n0=0; 1"))
 
 
 def test_fixed_point_pole_at_the_same_n():
@@ -661,17 +659,12 @@ def test_fixed_point_pole_at_the_same_n():
     assert seen == {(3, "coefficient pole at n=3 (denominator of coefficient 1)")}
 
 
-def test_fixed_point_overflow_gives_inf():
+def test_fixed_point_values_pass_the_double_range():
     rec = PRecurrence(1, (RationalFn.const(-2), RationalFn.const(1)), 0, (-1.0,))
     vals = dict(iter_sequence(rec, n_max=10_001))
-    assert vals[1023] == -(2.0**1023)
-    assert vals[1024] == -math.inf and vals[10_001] == -math.inf
-
-
-def test_values_at_yield_floats_for_exact_data():
-    got = list(iter_values_at(mirror_e(1), None, range(1, 13)))
-    want = [float(v) for _, v in iter_sequence(mirror_e(1), n_max=12)]
-    assert got == want and all(type(v) is float for v in got)
+    assert vals[1023] == -(2**1023)
+    assert vals[1024] == -(2**1024) and vals[10_001] == -(2**10_001)
+    assert vals[10_001].context.isfinite(vals[10_001])
 
 
 @pytest.mark.parametrize("rec", [mirror_e(0.75), mirror_pi(complex(0.25, -1.5))],
@@ -679,35 +672,36 @@ def test_values_at_yield_floats_for_exact_data():
 def test_both_entry_points_follow_one_value_rule(rec):
     ns = [1, 2, 3, 17, 40]
     for digits in (None, 15, 16, 30, 40):
-        every = dict(iter_sequence(rec, None, 40, digits))
-        for n, v in zip(ns, iter_values_at(rec, None, ns, digits)):
+        every = dict(iter_sequence(rec, 40, digits))
+        for n, v in zip(ns, iter_values_at(rec, ns, digits)):
             assert type(v) is type(every[n]), (digits, n)
-            if digits is not None and digits > 15:
-                assert type(v).__name__ in ("mpf", "mpc"), (digits, n)
-                assert v.context is every[n].context, (digits, n)
-                assert v.context.dps == digits + 5
-            else:
-                assert type(v) in (float, complex), (digits, n)
+            assert type(v).__name__ in ("mpf", "mpc"), (digits, n)
+            assert v.context is every[n].context, (digits, n)
+            assert v.context.dps == numeric_digits(digits) + 5
 
 
 # ---------------------------------------------------------------------------
 # fraction-free exact series against the Fraction iteration
 
-@pytest.mark.parametrize("rec, z", [
-    (mirror_e(3), None),
-    (mirror_pi(0), None),
-    (mirror_e(Fraction(1, 3)), None),
-    (mirror_pi(Fraction(-7, 2)), None),
-    (gamma_recurrence(Fraction(7, 3)), None),
-    (gamma_recurrence(Fraction(-5, 2)), None),
-    (parse_precurrence(USER_TEXT), Fraction(3, 4)),  # n-dependent denominators
-], ids=["e-int", "pi-int", "e-p/q", "pi-p/q", "gamma-p/q", "gamma-negative",
-        "user"])
-def test_exact_series_matches_fraction_iteration(rec, z):
+EXACT_CASES = [
+    mirror_e(3),
+    mirror_pi(0),
+    mirror_e(Fraction(1, 3)),
+    mirror_pi(Fraction(-7, 2)),
+    gamma_recurrence(Fraction(7, 3)),
+    gamma_recurrence(Fraction(-5, 2)),
+    with_z(USER, Fraction(3, 4)),  # n-dependent denominators
+]
+EXACT_IDS = ["e-int", "pi-int", "e-p/q", "pi-p/q", "gamma-p/q", "gamma-negative",
+             "user"]
+
+
+@pytest.mark.parametrize("rec", EXACT_CASES, ids=EXACT_IDS)
+def test_exact_series_matches_fraction_iteration(rec):
     n_max = 120
-    nums, den = exact_series(rec, n_max, z)
+    nums, den = exact_series(rec, n_max)
     assert all(type(c) is int for c in nums) and type(den) is int and den > 0
-    want = dict(iter_sequence(rec, z, n_max))
+    want = dict(iter_sequence(rec, n_max))
     assert [Fraction(c, den) for c in nums] == [want.get(n, 0)
                                                 for n in range(n_max + 1)]
 
@@ -741,19 +735,19 @@ def test_exact_series_pole_at_the_same_n():
 # ---------------------------------------------------------------------------
 # both exact engines against a naive Fraction iteration
 
-def naive_iteration(rec: PRecurrence, z, n_max: int) -> dict:
+def naive_iteration(rec: PRecurrence, n_max: int) -> dict:
     """u_n for n <= n_max by u_{n+r} = -sum_k C_k(n) u_{n+k} / C_r(n), each
     coefficient evaluated as a Fraction through RationalFn.eval; a
     vanishing denominator or leading coefficient raises CoefficientPole."""
-    zval = z if z is not None else rec.param
+    z = rec.param
     r, n0 = rec.order, rec.initial_index
     u = {n0 + i: Fraction(v) for i, v in enumerate(rec.initial_values)}
     for n in range(n0, n_max - r + 1):
         c = []
         for k, cf in enumerate(rec.coeffs):
-            if cf.den.eval(n, zval) == 0:
+            if cf.den.eval(n, z) == 0:
                 raise CoefficientPole(n, f"denominator of coefficient {k}")
-            c.append(cf.eval(n, zval))
+            c.append(cf.eval(n, z))
         if c[r] == 0:
             raise CoefficientPole(n, "leading coefficient")
         u[n + r] = -sum(c[k] * u[n + k] for k in range(r)) / c[r]
@@ -763,34 +757,27 @@ def naive_iteration(rec: PRecurrence, z, n_max: int) -> dict:
 POLE_TEXT = "coeff1: 1/(n-3)\ncoeff0: -1\ninit: n0=1; 1"
 
 
-@pytest.mark.parametrize("rec, z", [
-    (mirror_e(3), None),
-    (mirror_pi(0), None),
-    (mirror_e(Fraction(1, 3)), None),
-    (mirror_pi(Fraction(-7, 2)), None),
-    (gamma_recurrence(Fraction(7, 3)), None),
-    (gamma_recurrence(Fraction(-5, 2)), None),
-    (parse_precurrence(USER_TEXT), Fraction(3, 4)),  # n-dependent denominators
-    (mirror_e(-5), None),
-    (mirror_pi(-3), None),
-    (gamma_recurrence(-4), None),
-    (parse_precurrence(POLE_TEXT), None),
-], ids=["e-int", "pi-int", "e-p/q", "pi-p/q", "gamma-p/q", "gamma-negative",
-        "user", "e-pole", "pi-pole", "gamma-pole", "denominator-pole"])
-def test_exact_engines_match_naive_iteration(rec, z):
+@pytest.mark.parametrize("rec", [
+    *EXACT_CASES,
+    mirror_e(-5),
+    mirror_pi(-3),
+    gamma_recurrence(-4),
+    parse_precurrence(POLE_TEXT),
+], ids=[*EXACT_IDS, "e-pole", "pi-pole", "gamma-pole", "denominator-pole"])
+def test_exact_engines_match_naive_iteration(rec):
     n_max = 120
     try:
-        want = naive_iteration(rec, z, n_max)
+        want = naive_iteration(rec, n_max)
     except CoefficientPole as pole:
-        for engine in (lambda: list(iter_sequence(rec, z, n_max)),
-                       lambda: exact_series(rec, n_max, z)):
+        for engine in (lambda: list(iter_sequence(rec, n_max)),
+                       lambda: exact_series(rec, n_max)):
             with pytest.raises(CoefficientPole) as got:
                 engine()
             assert (got.value.n, str(got.value)) == (pole.n, str(pole))
         return
-    got = list(iter_sequence(rec, z, n_max))
+    got = list(iter_sequence(rec, n_max))
     assert got == sorted(want.items())
     assert all(type(v) is Fraction for _, v in got)
-    nums, den = exact_series(rec, n_max, z)
+    nums, den = exact_series(rec, n_max)
     assert [Fraction(c, den) for c in nums] == [want.get(n, 0)
                                                 for n in range(n_max + 1)]
