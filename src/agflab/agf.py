@@ -43,7 +43,7 @@ from .complexfn import (
     lower_incomplete_gamma,
 )
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
-from .holonomic import _check_coeffs, _horner_z, _parse_coeff_text, _quotient
+from .holonomic import _check_coeffs, _horner_z, _number, _parse_coeff_text, _quotient
 
 __all__ = [
     "AGFSpec",
@@ -298,8 +298,8 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     where a Gamma argument is negative) is dropped.  Raises
     :class:`DomainError` past |z| = :data:`G_RADIUS`, at every precision.
     """
+    n = _nearest_int(z)
     zc = complex(z)
-    n = _nearest_int(zc)
     if n is not None and n <= FIRST_POLE["g"]:
         raise PoleError(f"g pole at z={n}")
     r = abs(zc)
@@ -447,22 +447,14 @@ def parse_agf_spec(text: str) -> AGFSpec:
     def on_key(key, rest, line_no, col_offset):
         if not key.startswith("z0="):
             raise RecurrenceParseError(line_no, 1, f"unknown key {key!r}")
-        try:
-            point = float(Fraction(key[3:]))
-        except (ValueError, ZeroDivisionError):
-            try:
-                point = float(key[3:])
-            except ValueError:
-                raise RecurrenceParseError(
-                    line_no, 1, f"bad anchor point {key[3:]!r}"
-                )
-        try:
-            value = complex(rest.strip().replace("i", "j"))
-        except ValueError:
+        point = _number(key[3:], line_no, 1, "anchor point")
+        value = _number(rest, line_no, col_offset + 1, "anchor value")
+        try:  # a real point, which format_agf_spec prints with :g
+            anchors.append((float(point), complex(value)))
+        except (TypeError, OverflowError):  # complex point, or past 1.8e308
             raise RecurrenceParseError(
-                line_no, col_offset + 1, f"bad anchor value {rest.strip()!r}"
-            )
-        anchors.append((point, value))
+                line_no, 1, "anchor point and value must be doubles, the point "
+                f"real: {key}:{rest}") from None
 
     def build(coeffs):
         return AGFSpec(order=len(coeffs) - 1, coeffs=coeffs, anchors=tuple(anchors))

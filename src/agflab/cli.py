@@ -8,6 +8,11 @@ Commands, with the worlds of :mod:`agflab.worlds`:
     agf-lab verify {afe|duality|ode|slope|growth|all}
     agf-lab table {%(tables)s}
 
+Every Z goes through :func:`holonomic.parse_scalar`, the reader of the
+recurrence and AFE files too: an exact rational (-5/2, 0.7, 1e-3) or
+a+bi, and it may start with '-' without a '--' before it.  The world of
+``limit`` steps its recurrence and evaluates its shell at that one z.
+
 Verification suites exit 0 iff every check lands inside its tolerance and
 emit a single JSON object (or a text summary); tables are RFC-4180 CSV or
 JSON.  All randomized checks take --seed and default to a fixed seed.
@@ -23,6 +28,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 from collections.abc import Iterator
@@ -55,6 +61,7 @@ from .holonomic import (
     RecurrenceParseError,
     iter_sequence,
     parse_precurrence,
+    parse_scalar,
 )
 
 DEFAULT_SEED = 20260808
@@ -62,27 +69,7 @@ DEFAULT_GRID = (-1.5, 5.0, -5.0, 5.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing helpers
-
-def parse_scalar(text: str):
-    """Exact rational if possible ('0', '-1', '1/2', '2.5'), else complex."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    return parse_complex_literal(text)
-
-
-def parse_complex_literal(text: str) -> complex:
-    """Complex literals 'a+bi' / 'a-bi' with optional spaces."""
-    cleaned = text.strip().replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty complex literal")
-    try:
-        return complex(cleaned.replace("i", "j"))
-    except ValueError:
-        raise ValueError(f"cannot parse complex literal {text!r}")
-
+# value helpers
 
 def _precision(digits: int) -> PrecisionConfig:
     return extended(digits) if digits > MAX_DOUBLE_DIGITS else DOUBLE
@@ -128,9 +115,6 @@ def _emit_rows(args, head: dict, header: list[str], rows: list[list]):
 
 def cmd_seq(args) -> int:
     cfg = _precision(args.digits)
-    if (args.n_max is None) == (args.n_max_flag is None):
-        raise ValueError("seq needs n_max once (positional or --n-max)")
-    n_max = args.n_max if args.n_max is not None else args.n_max_flag
     z = parse_scalar(args.z)
     builtin = worlds.table().get(args.world)
     if builtin:
@@ -142,7 +126,7 @@ def cmd_seq(args) -> int:
     # which format_cnum rounds once to the printed digits
     digits = args.digits if cfg.is_extended else None
     rows = [[n, _fmt_value(v, cfg)]
-            for n, v in iter_sequence(rec, n_max=n_max, digits=digits)]
+            for n, v in iter_sequence(rec, n_max=args.n_max, digits=digits)]
     if args.format == "text":
         _emit("".join(f"{n}\t{value}\n" for n, value in rows), args.out)
     else:
@@ -155,7 +139,7 @@ def cmd_limit(args) -> int:
     z = parse_scalar(args.z)
     world = worlds.world(args.world)
     est = estimate_connection_constant(
-        world.recurrence(z), world.shell, z=world.shell_z(z),
+        world.recurrence(z), world.shell,
         cfg=ExtrapolationConfig(depth=args.depth, n_base=args.n_base,
                                 digits=args.digits))
     value = est.value.real if abs(est.value.imag) < 1e-13 else est.value
@@ -171,7 +155,7 @@ def cmd_limit(args) -> int:
 
 def cmd_agf(args) -> int:
     cfg = _precision(args.digits)
-    z = parse_complex_literal(args.z)
+    z = parse_scalar(args.z)
     try:
         value = worlds.functions()[args.which].evaluator(z, cfg)
     except PoleError:
@@ -455,15 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path")
         # read by name when called: the parser outlives a test's or tracer's swap
         p.set_defaults(func=lambda args: globals()[func.__name__](args))
+        # an argument such as -5/2 or -1.5+0.7i is a value, not an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    z_help = "a rational (-5/2, 0.7, 1e-3) or a+bi"
 
     p = sub.add_parser("seq", help="evaluate a built-in or file recurrence")
     p.add_argument("world", help=f"{', '.join(choices['worlds'])}, or a recurrence "
                    "file path")
-    p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
-    p.add_argument("n_max", type=int, nargs="?", default=None,
-                   help="last index to evaluate")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max_flag",
-                   help="last index to evaluate (alternative to the positional)")
+    p.add_argument("z", help=z_help)
+    p.add_argument("n_max", type=int, help="last index to evaluate")
     common(p, cmd_seq, "text", "csv", "json", digits=True)
 
     p = sub.add_parser("limit", help="extrapolate a connection constant",
@@ -472,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "sample the engine reached, and in increments the "
                        "tableau's diagonal increments over the final window.")
     p.add_argument("world", choices=choices["worlds"])
-    p.add_argument("z", help="parameter (rational like 1/2, or a+bi)")
+    p.add_argument("z", help=z_help)
     p.add_argument("--depth", type=int, default=ExtrapolationConfig.depth,
                    help="tableau depth: each estimate extrapolates the last "
                    f"depth+1 samples; n-base*2^depth is at most {MAX_REACH}")
@@ -485,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("agf", help="evaluate f or g at a complex point")
     p.add_argument("which", choices=choices["functions"])
-    p.add_argument("z", help="complex literal a+bi")
+    p.add_argument("z", help=z_help)
     common(p, cmd_agf, digits=True)
 
     p = sub.add_parser("verify", help="run a verification suite")

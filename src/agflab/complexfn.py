@@ -133,7 +133,10 @@ def _to_ctx(z, ctx):
 def _nearest_int(z) -> int | None:
     """Integer n with |z - n| < 1e-12, or None; ValueError where either
     part of z is infinite or NaN, or beyond the double range."""
-    zc = complex(z)
+    try:
+        zc = complex(z)
+    except OverflowError:  # a Fraction such as 10^400
+        raise ValueError("z is not finite: beyond the double range") from None
     if not cmath.isfinite(zc):
         raise ValueError(f"z is not finite: {zc}")
     n = round(zc.real)

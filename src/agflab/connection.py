@@ -170,17 +170,16 @@ def estimate_connection_constant(
 ) -> ConnectionEstimate:
     """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
 
-    z is the shell's argument; ``rec`` steps at its own ``param``, so
-    that a rational z is not rounded to the shell's complex one.  Samples
-    the ratio at n = n_base * 2^k, k = 0, 1, ..., which one
-    :func:`iter_values_at` run reaches in blocks of steps, and reruns the
-    tableau over the last depth + 1 samples at each new one.  The ladder
-    stops at the first window whose last diagonal increment is at or
-    below its rounding floor, and never goes past max(REACH, n_base *
-    2^depth).  An odd n_base is rounded up to even: a (-1)^n companion
-    solution such as mirror_pi's (-1)^n n^(-1/2) adds (-1)^n/n to the
-    ratio, a plain 1/n term that the tableau removes only when every
-    sample is even.
+    z is the shell's argument and defaults to ``rec.param``, the z the
+    recurrence steps at.  Samples the ratio at n = n_base * 2^k, k = 0,
+    1, ..., which one :func:`iter_values_at` run reaches in blocks of
+    steps, and reruns the tableau over the last depth + 1 samples at
+    each new one.  The ladder stops at the first window whose last
+    diagonal increment is at or below its rounding floor, and never goes
+    past max(REACH, n_base * 2^depth).  An odd n_base is rounded up to
+    even: a (-1)^n companion solution such as mirror_pi's (-1)^n
+    n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that the
+    tableau removes only when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
     exp(log Lambda) in that number's own context, so neither overflows.
@@ -196,6 +195,7 @@ def estimate_connection_constant(
     unsettled end of the ladder is above 1e-2 of the value.
     """
     start = time.perf_counter()
+    z = rec.param if z is None else z
     n_base = cfg.n_base + cfg.n_base % 2
     reach = max(REACH, n_base * 2**cfg.depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]

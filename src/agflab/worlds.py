@@ -42,10 +42,6 @@ class World:
     constant: str | None
     forms: Callable | None
 
-    def shell_z(self, z):
-        """The z the shell takes: z itself where its exponent moves with z."""
-        return complex(z) if self.shell.rho_slope else None
-
     def duality_residuals(self, m_max: int, cfg: complexfn.PrecisionConfig
                           ) -> list[tuple]:
         """(form, |(-1)^m h(m)/h(0) - (x - c y)|, x + c y) for m = 0..m_max,

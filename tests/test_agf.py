@@ -477,6 +477,20 @@ def test_coeff_at_is_the_coefficients_value():
         g_spec().coeff_at(1, -1)
 
 
+def test_agf_spec_anchors_take_the_grammar_of_z():
+    spec = parse_agf_spec("coeff1: 1\ncoeff0: -z\nz0=1/2: 0.25-1i\n")
+    ((point, value),) = spec.anchors
+    # a float point, which format_agf_spec prints with :g
+    assert (point, value) == (0.5, complex(0.25, -1))
+    assert (type(point), type(value)) == (float, complex)
+    assert "z0=0.5: " in format_agf_spec(spec)
+    for anchor, col in (("z0=x: 1", 1), ("z0=1: 2+", 6), ("z0=1+2i: 1", 1),
+                        ("z0=1e400: 1", 1)):
+        with pytest.raises(RecurrenceParseError) as info:
+            parse_agf_spec(f"coeff1: 1\ncoeff0: -z\n{anchor}\n")
+        assert (info.value.line, info.value.col) == (3, col), anchor
+
+
 def test_agf_spec_text_errors():
     with pytest.raises(RecurrenceParseError):
         parse_agf_spec("coeff1: n+1\ncoeff0: 1\nz0=0: 1.0")  # n not allowed

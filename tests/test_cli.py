@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -17,8 +18,15 @@ import pytest
 
 import agflab
 from agflab import cli
-from agflab.cli import build_parser, main, parse_complex_literal, parse_scalar
-from agflab.holonomic import gamma_recurrence, iter_sequence, mirror_e
+from agflab.cli import build_parser, main
+from agflab.complexfn import DOUBLE, format_cnum
+from agflab.holonomic import (
+    PRecurrence,
+    gamma_recurrence,
+    iter_sequence,
+    mirror_e,
+    parse_scalar,
+)
 
 
 def run_cli(capsys, args):
@@ -31,16 +39,21 @@ def test_parse_scalar():
     assert parse_scalar("1/2") == Fraction(1, 2)
     assert parse_scalar("-1") == Fraction(-1)
     assert parse_scalar("2.5") == Fraction(5, 2)
+    assert parse_scalar("0.7") == Fraction(7, 10)  # exact, not the double
+    assert parse_scalar("1e400") == Fraction(10**400)
     assert parse_scalar("0.7+1.1i") == complex(0.7, 1.1)
 
 
 def test_parse_complex_literal():
-    assert parse_complex_literal("1+2i") == complex(1, 2)
-    assert parse_complex_literal("1 - 2 i") == complex(1, -2)
-    assert parse_complex_literal("3") == complex(3, 0)
-    assert parse_complex_literal("2i") == complex(0, 2)
-    with pytest.raises(ValueError):
-        parse_complex_literal("not a number")
+    # a literal that is not rational reads as a complex
+    for text, want in (("1+2i", complex(1, 2)), ("1 - 2 i", complex(1, -2)),
+                       ("2i", complex(0, 2)), ("-1.5+0.7i", complex(-1.5, 0.7))):
+        value = parse_scalar(text)
+        assert value == want and type(value) is complex
+    assert parse_scalar("3") == complex(3, 0)
+    for text in ("not a number", "", "1/0", "1/3+2i"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 def test_seq_e_exact_rows(capsys):
@@ -58,14 +71,34 @@ def test_seq_pi_exact_rows(capsys):
 
 
 def test_seq_n_max_flag_form(capsys):
-    code, out, _ = run_cli(capsys, ["seq", "e", "0", "--n-max", "5"])
-    assert code == 0
-    assert out.strip().splitlines()[-1].endswith("11/6")
-    code, _, err = run_cli(capsys, ["seq", "e", "0"])
-    assert code == 2 and "n_max" in err
-    # both forms at once: refused, not one of them silently dropped
-    code, out, err = run_cli(capsys, ["seq", "e", "1", "4", "--n-max", "6"])
-    assert (code, out) == (2, "") and err.startswith("error: ") and "n_max" in err
+    # N_MAX is a positional only: --n-max is an unknown flag, and a
+    # missing N_MAX exits 2
+    for argv, message in ((["seq", "e", "0", "--n-max", "5"], "--n-max"),
+                          (["seq", "e", "0"], "n_max")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "") and message in err
+
+
+def _untimed(out: str) -> str:
+    """JSON output without timing_s, the one field that varies between runs."""
+    return re.sub(r'\n *"timing_s": [^\n]*', "", out)
+
+
+@pytest.mark.parametrize("argv, dashed", [
+    ("seq e -5/2 4", "seq e -- -5/2 4"),
+    ("seq gamma -.5 4 --format json", "seq gamma --format json -- -.5 4"),
+    ("limit gamma -1/2", "limit gamma -- -1/2"),
+    ("limit pi -0.25+1i --format json", "limit pi --format json -- -0.25+1i"),
+    ("agf f -1.5+0.7i", "agf f -- -1.5+0.7i"),
+    ("agf g -0.5-2i", "agf g -- -0.5-2i"),
+    ("agf g -0.5 --digits 30", "agf g --digits 30 -- -0.5"),
+])
+def test_negative_z_needs_no_double_dash(capsys, argv, dashed):
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert _untimed(out) == _untimed(run_cli(capsys, dashed.split())[1])
 
 
 def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
@@ -144,6 +177,29 @@ def test_readme_cli_table_matches_the_parser():
     assert documented == defined
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_runs_as_its_comments_say(tmp_path, monkeypatch, capsys):
+    # each line of the README's CLI block, run in a scratch directory:
+    # the exit code its comment names (0 unless 'exit N'), and every value
+    # its comment shows after a '→' somewhere in the output
+    readme = README.read_text()
+    lines = re.search(r"^## CLI\n\n```\n(.*?)```", readme, re.M | re.S)[1].splitlines()
+    recurrence = re.search(r"^```\n(coeff.*?)```", readme, re.M | re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_recurrence.txt").write_text(recurrence)
+    assert any("my_recurrence.txt" in line for line in lines)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        code, out, err = run_cli(capsys, argv)
+        named = re.search(r"\bexit (\d)", comment)
+        assert (program, code) == ("agf-lab", int(named[1]) if named else 0), (line, err)
+        shown = [v.strip() for v in comment.partition("→")[2].split(", ")]
+        assert [v for v in shown if v not in ("", "...") and v not in out] == [], line
+
+
 class _Recorder:
     """Parsed arguments that note each attribute a command reads."""
 
@@ -159,7 +215,7 @@ def test_every_flag_of_a_command_is_read(capsys):
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     cheap = {
-        "seq": [["seq", "e", "1/2", "--n-max", "4"]],
+        "seq": [["seq", "e", "1/2", "4"]],
         "limit": [["limit", "e", "1", "--n-base", "64", "--depth", "3"]],
         "agf": [["agf", "f", "1"]],
         "verify": [["verify", "slope"]],
@@ -414,6 +470,17 @@ def test_seq_from_file_steps_at_its_z(tmp_path, capsys, z):
     assert len(out.splitlines()) == 30
 
 
+def test_seq_file_reads_its_initial_values_as_it_reads_z(tmp_path, capsys):
+    # an initial value takes the grammar of a Z: here a complex one
+    path = tmp_path / "rec.txt"
+    path.write_text("coeff2: n+z\ncoeff1: -(n+z)\ncoeff0: -1\ninit: n0=1; 0, 1+2i\n")
+    code, out, _ = run_cli(capsys, ["seq", str(path), "1/2", "6"])
+    rec = PRecurrence(order=2, coeffs=mirror_e().coeffs, initial_index=1,
+                      initial_values=(Fraction(0), complex(1, 2)), param=Fraction(1, 2))
+    want = [f"{n}\t{format_cnum(v, DOUBLE)}" for n, v in iter_sequence(rec, n_max=6)]
+    assert (code, out.splitlines()) == (0, want)
+
+
 def test_seq_file_sum_over_a_shared_denominator(tmp_path, capsys):
     # nine times 1/(n+1) is 9/(n+1): u_{n+1} = (n+1)/9 u_n, u_n = n!/9^(n-1)
     path = tmp_path / "rec.txt"
@@ -485,7 +552,7 @@ def test_agf_g_far_up_the_imaginary_axis(capsys):
     code, out, err = run_cli(capsys, ["agf", "g", "0+800i"])
     assert code == 0 and err == ""
     want = 0.0125000030517637581 * (1 - 1j)  # mpmath at 40 digits
-    assert abs(parse_complex_literal(out.strip()) - want) <= 1e-9 * abs(want)
+    assert abs(parse_scalar(out.strip()) - want) <= 1e-9 * abs(want)
 
 
 def test_agf_pole_names_pole_set(capsys):
@@ -506,6 +573,29 @@ def test_agf_extended_digits(capsys):
     with mp.workdps(40):
         want = mp.nstr(1 / mp.e, 25)
     assert out.strip()[:20] == want[:20]
+
+
+@pytest.mark.parametrize("z", ["1/3", "0.7", "-5/4", "12.35"])
+def test_agf_extended_reads_z_exactly(capsys, z):
+    # a decimal Z is read exactly: 0.7 is f(7/10), which the double nearest
+    # 0.7 misses by 3.9e-18
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    value = parse_scalar(z)
+    zz = ctx.mpf(value.numerator) / value.denominator
+    want = ctx.hyp1f1(1, zz + 3, -1) / (zz + 2)
+    code, out, _ = run_cli(capsys, ["agf", "f", z, "--digits", "30"])
+    assert code == 0 and abs(ctx.mpf(out.strip()) - want) <= 1e-28
+
+
+def test_agf_g_lies_within_the_limit_of_pi(capsys):
+    # the same 1/3 reaches g and the pi world's connection constant
+    _, value, _ = run_cli(capsys, ["agf", "g", "1/3"])
+    code, limit, _ = run_cli(capsys, ["limit", "pi", "1/3"])
+    estimate, error = limit.split(" ± ")
+    assert code == 0 and abs(float(value) - float(estimate)) <= float(error)
 
 
 def test_limit_e(capsys):
@@ -593,12 +683,9 @@ def test_verify_slope_and_exit_contract(capsys):
 
 
 def test_verify_deterministic_at_fixed_seed(capsys):
-    def untimed(out):  # timing_s is a wall time, the one field that varies
-        return re.sub(r'\n *"timing_s": [^\n]*', "", out)
-
     code1, out1, _ = run_cli(capsys, ["verify", "slope", "--seed", "7"])
     code2, out2, _ = run_cli(capsys, ["verify", "slope", "--seed", "7"])
-    assert (code1, untimed(out1)) == (code2, untimed(out2))
+    assert (code1, _untimed(out1)) == (code2, _untimed(out2))
 
 
 def test_verify_duality_text_format(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -155,6 +156,18 @@ def test_recurrence_steps_at_its_own_z_not_the_shells(monkeypatch):
     assert abs(est.value - math.gamma(7 / 3)) <= est.error_estimate
 
 
+@pytest.mark.parametrize("z", [Fraction(7, 3), Fraction(-1, 2), complex(1.5, -0.5)],
+                         ids=str)
+def test_shell_takes_the_recurrences_z_by_default(z):
+    # without a z the shell reads rec.param: the estimate of the complex z
+    # that callers used to pass as well
+    rec = gamma_recurrence(z)
+    implicit = estimate_connection_constant(rec, GAMMA_SHELL)
+    explicit = estimate_connection_constant(rec, GAMMA_SHELL, z=complex(z))
+    assert (dataclasses.replace(implicit, timing_s=0)
+            == dataclasses.replace(explicit, timing_s=0))
+
+
 def test_nonconvergence_on_growing_geometric_part():
     # u_n = 1.02^n: each extrapolation level doubles the exponent, so the
     # diagonal increments grow level after level (delta-ratio rule)
@@ -258,8 +271,7 @@ def test_adaptive_ladder_is_honest_across_the_worlds():
             if abs(z) <= radius:
                 zs.append(z)
         for z in zs:
-            est = estimate_connection_constant(world.recurrence(z), world.shell,
-                                               z=world.shell_z(z))
+            est = estimate_connection_constant(world.recurrence(z), world.shell)
             want = limit_oracle(ctx, name, z)
             actual = abs(ctx.mpc(est.value) - want)
             assert actual <= est.error_estimate, (name, z)
@@ -291,8 +303,7 @@ def test_error_estimate_is_honest_past_the_sweep_radius():
             else:
                 z = Fraction(round(4 * r), 4)
             try:
-                est = estimate_connection_constant(world.recurrence(z), world.shell,
-                                                   z=world.shell_z(z))
+                est = estimate_connection_constant(world.recurrence(z), world.shell)
             except NonConvergence:
                 continue
             returned += 1

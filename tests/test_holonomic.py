@@ -319,6 +319,16 @@ def test_parse_errors_report_position():
         parse_precurrence("coeff2: n\ncoeff0: 1\ninit: n0=1; 1, 2")  # gap
 
 
+def test_initial_values_take_the_grammar_of_z():
+    rec = parse_precurrence("coeff2: n+z\ncoeff1: -(n+z)\ncoeff0: -1\n"
+                            "init: n0=1; 0.7, 1+2i")
+    assert rec.initial_values == (Fraction(7, 10), complex(1, 2))
+    assert type(rec.initial_values[0]) is Fraction  # exact, not the double
+    with pytest.raises(RecurrenceParseError, match="bad initial value '1/3\\+2i'") as info:
+        parse_precurrence("coeff1: n\ncoeff0: 1\n\ninit: n0=1;  1/3+2i")
+    assert (info.value.line, info.value.col) == (4, 6)
+
+
 # Every coefficient text the tests parse, and the built-in AFEs as
 # format_agf_spec writes them, with the repr of the coefficient it gives.
 PARSED_COEFFICIENTS = [

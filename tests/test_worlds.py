@@ -17,8 +17,7 @@ SRC = Path(worlds.__file__).resolve().parent
 def test_connection_constant_is_the_worlds_function(name, z):
     # the table wires each world's recurrence, shell and evaluator together
     world = worlds.world(name)
-    est = estimate_connection_constant(world.recurrence(z), world.shell,
-                                       z=world.shell_z(z))
+    est = estimate_connection_constant(world.recurrence(z), world.shell)
     assert abs(est.value - complex(world.evaluator(z))) <= est.error_estimate
 
 
