@@ -34,7 +34,6 @@ from .connection import (
     G_SHELL,
     GAMMA_SHELL,
     AsymptoticShell,
-    ExtrapolationConfig,
     NonConvergence,
     SlopeKind,
     estimate_connection_constant,

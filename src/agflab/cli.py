@@ -46,9 +46,10 @@ from .complexfn import (
     format_cnum,
 )
 from .connection import (
+    DEPTH,
     MAX_REACH,
+    N_BASE,
     REACH,
-    ExtrapolationConfig,
     NonConvergence,
     SlopeKind,
     estimate_connection_constant,
@@ -139,11 +140,9 @@ def cmd_limit(args) -> int:
     z = parse_scalar(args.z)
     world = worlds.world(args.world)
     est = estimate_connection_constant(
-        world.recurrence(z), world.shell,
-        cfg=ExtrapolationConfig(depth=args.depth, n_base=args.n_base,
-                                digits=args.digits))
-    value = est.value.real if abs(est.value.imag) < 1e-13 else est.value
-    value = _fmt_value(value, DOUBLE)
+        world.recurrence(z), world.shell, depth=args.depth, n_base=args.n_base,
+        digits=args.digits)
+    value = _fmt_value(est.value, DOUBLE)
     if args.format == "json":
         payload = {"command": "limit", "world": args.world, "z": str(args.z),
                    **dataclasses.asdict(est), "value": value}
@@ -458,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "tableau's diagonal increments over the final window.")
     p.add_argument("world", choices=choices["worlds"])
     p.add_argument("z", help=z_help)
-    p.add_argument("--depth", type=int, default=ExtrapolationConfig.depth,
+    p.add_argument("--depth", type=int, default=DEPTH,
                    help="tableau depth: each estimate extrapolates the last "
                    f"depth+1 samples; n-base*2^depth is at most {MAX_REACH}")
-    p.add_argument("--n-base", type=int, default=ExtrapolationConfig.n_base,
+    p.add_argument("--n-base", type=int, default=N_BASE,
                    dest="n_base", help="first sample; samples double from it "
                    "(odd rounds up to even) until the tableau's last increment "
                    f"reaches its rounding floor, at most to max({REACH}, "

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, PrecisionConfig, log_gamma
+from .complexfn import DOUBLE, PrecisionConfig, _nearest_int, log_gamma
 from .holonomic import PRecurrence, iter_values_at, numeric_digits
 
 __all__ = [
     "AsymptoticShell",
     "ConnectionEstimate",
-    "ExtrapolationConfig",
     "F_SHELL",
     "G_SHELL",
     "GAMMA_SHELL",
@@ -98,31 +97,15 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None,
     return out
 
 
-@dataclass(frozen=True)
-class ExtrapolationConfig:
-    """Richardson extrapolation policy: samples at n_base * 2^k, the
-    tableau over the last depth + 1 of them."""
-
-    depth: int = 6
-    n_base: int = 32
-    # accumulation digits: this many above 15, else 30 (numeric_digits)
-    digits: int | None = None
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.n_base < 16:
-            raise ValueError("n_base must be >= 16")
-        if self.n_base > MAX_REACH >> self.depth:
-            raise ValueError(f"n_base * 2^depth must be at most 2^24 = {MAX_REACH}")
-
-
 # The last sample of the ladder, unless n_base * 2^depth lies past it.
 REACH = 2**16
 # The largest n_base * 2^depth, the n of the first full tableau.  The
 # work grows with n: on a 2-core Xeon, limit pi 1/3 takes 4 s at 2^22 and
 # 13 s at 2^24; --depth 40 (32 * 2^40) would take most of a year.
 MAX_REACH = 2**24
+# The defaults of the tableau depth and the first sample.
+DEPTH = 6
+N_BASE = 32
 EPS = sys.float_info.epsilon
 
 
@@ -166,41 +149,57 @@ def estimate_connection_constant(
     rec: PRecurrence,
     shell: AsymptoticShell,
     z=None,
-    cfg: ExtrapolationConfig = ExtrapolationConfig(),
+    *,
+    depth: int = DEPTH,
+    n_base: int = N_BASE,
+    digits: int | None = None,
 ) -> ConnectionEstimate:
-    """Limit of u_n / Lambda(n, z) by Richardson extrapolation.
+    """Limit of u_n / Lambda(n, z) by Richardson extrapolation, at the z
+    the recurrence steps at, ``rec.param``.
 
-    z is the shell's argument and defaults to ``rec.param``, the z the
-    recurrence steps at.  Samples the ratio at n = n_base * 2^k, k = 0,
-    1, ..., which one :func:`iter_values_at` run reaches in blocks of
-    steps, and reruns the tableau over the last depth + 1 samples at
-    each new one.  The ladder stops at the first window whose last
-    diagonal increment is at or below its rounding floor, and never goes
-    past max(REACH, n_base * 2^depth).  An odd n_base is rounded up to
-    even: a (-1)^n companion solution such as mirror_pi's (-1)^n
-    n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that the
-    tableau removes only when every sample is even.
+    ``z`` may only repeat ``rec.param`` (0.5 for Fraction(1, 2)); any other
+    z is a ValueError, and so is a ``rec.param`` that is not a finite
+    double.  Samples the ratio at n = n_base * 2^k, k = 0, 1, ..., which
+    one :func:`iter_values_at` run reaches in blocks of steps at
+    ``digits`` (this many above 15, else 30: :func:`numeric_digits`), and
+    reruns the tableau over the last depth + 1 samples at each new one.
+    The ladder stops at the first window whose last diagonal increment
+    is at or below its rounding floor, and never goes past max(REACH,
+    n_base * 2^depth).  depth >= 1, n_base >= 16 and n_base * 2^depth
+    <= MAX_REACH, or ValueError before any step.  An odd n_base is
+    rounded up to even: a (-1)^n companion solution such as mirror_pi's
+    (-1)^n n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that
+    the tableau removes only when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
     exp(log Lambda) in that number's own context, so neither overflows.
     The error estimate is the last diagonal increment of the final window
-    (heuristic, not a rigorous bound), floored at the rounding of the
-    window: eps * (1 + |log Lambda(n)|) * |sample| per sample, carried
-    through the tableau with the rounding of its own steps
-    (:func:`_richardson`).  Where the ladder ends before a window
-    settles, the estimate is also at least the change of the value from
-    the previous window.  Raises NonConvergence at a sample that is not
-    finite, when the increments of any window grow for three consecutive
-    levels while still above 1e-13 of the value, and when the error of an
-    unsettled end of the ladder is above 1e-2 of the value.
+    (heuristic, not a rigorous bound), plus, where the ladder ends before
+    a window settles, the change of the value from the previous window,
+    floored at the rounding of the window: eps * (1 + |log Lambda(n)|) *
+    |sample| per sample, carried through the tableau with the rounding of
+    its own steps (:func:`_richardson`).  Raises NonConvergence at a
+    sample that is not finite, when the increments of any window grow for
+    three consecutive levels while still above 1e-13 of the value, and
+    when the error estimate is above 1e-2 of the value, settled or not.
     """
     start = time.perf_counter()
-    z = rec.param if z is None else z
-    n_base = cfg.n_base + cfg.n_base % 2
-    reach = max(REACH, n_base * 2**cfg.depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if n_base < 16:
+        raise ValueError("n_base must be >= 16")
+    if n_base > MAX_REACH >> depth:
+        raise ValueError(f"n_base * 2^depth must be at most 2^24 = {MAX_REACH}")
+    if z is not None and z != rec.param:
+        raise ValueError(f"the shell takes the recurrence's z, {rec.param}, not {z}")
+    z = rec.param
+    if z is not None:
+        _nearest_int(z)  # ValueError where z is not a finite double
+    n_base += n_base % 2
+    reach = max(REACH, n_base * 2**depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
-    digits = numeric_digits(cfg.digits)
-    size = cfg.depth + 1
+    digits = numeric_digits(digits)
+    size = depth + 1
     samples, rounding, values = [], [], []  # values: each window's diag[-1]
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
     for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
@@ -217,21 +216,21 @@ def estimate_connection_constant(
         deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
         scale = max(abs(diag[-1]), 1e-300)
         _check_not_diverging(deltas, 1e-13 * scale)
-        error = deltas[-1]
-        if error <= rounding_error:
+        settled = deltas[-1] <= rounding_error
+        if settled:
             break
-    else:
+    error = deltas[-1]
+    if not settled and len(values) > 1:
         # unsettled at the end of the ladder: the estimate is off by at
         # least what its last sample moved it
-        if len(values) > 1:
-            error = max(error, abs(values[-1] - values[-2]))
-        if error > 0.01 * scale:
-            raise NonConvergence(
-                "extrapolation diagonal far from settled "
-                f"(error {error:.3g} vs value {scale:.3g})"
-            )
+        error = max(error, abs(values[-1] - values[-2]))
+    error = max(error, rounding_error)
+    if error > 0.01 * scale:
+        why = ("value below its rounding floor" if settled
+               else "extrapolation diagonal far from settled")
+        raise NonConvergence(f"{why} (error {error:.3g} vs value {scale:.3g})")
     return ConnectionEstimate(
-        value=diag[-1], error_estimate=max(error, rounding_error),
+        value=diag[-1], error_estimate=error,
         engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)
@@ -261,26 +260,23 @@ class SlopeKind(Enum):
 
 
 @dataclass(frozen=True)
-class LinearFactorForm:
-    """Product/quotient of linear factors (s*z + c), the shape taken by
-    Gamma(alpha(z+1)+beta)/Gamma(alpha z+beta) for integer alpha."""
+class SlopeRatioResult:
+    """Whether Gamma(alpha(z+1)+beta)/Gamma(alpha z+beta) is rational and,
+    if so, its form: a product/quotient of linear factors (s*z + c)."""
 
+    kind: SlopeKind
     numer_factors: tuple = ()
     denom_factors: tuple = ()
 
     def eval(self, z):
+        if self.kind is not SlopeKind.RATIONAL:
+            raise ValueError("a non-integer slope has no rational form")
         out = 1.0 + 0j if not isinstance(z, (int, Fraction)) else Fraction(1)
         for s, c in self.numer_factors:
             out = out * (s * z + c)
         for s, c in self.denom_factors:
             out = out / (s * z + c)
         return out
-
-
-@dataclass(frozen=True)
-class SlopeRatioResult:
-    kind: SlopeKind
-    rational_form: LinearFactorForm | None = None
 
 
 def slope_ratio(alpha, beta) -> SlopeRatioResult:
@@ -301,15 +297,10 @@ def slope_ratio(alpha, beta) -> SlopeRatioResult:
         return SlopeRatioResult(SlopeKind.NON_RATIONAL)
     k = int(alpha)
     if k > 0:
-        factors = tuple((alpha, beta + j) for j in range(k))
-        return SlopeRatioResult(
-            SlopeKind.RATIONAL, LinearFactorForm(numer_factors=factors)
-        )
-    kk = -k
-    factors = tuple((alpha, beta - kk + j) for j in range(kk))
-    return SlopeRatioResult(
-        SlopeKind.RATIONAL, LinearFactorForm(denom_factors=factors)
-    )
+        return SlopeRatioResult(SlopeKind.RATIONAL, numer_factors=tuple(
+            (alpha, beta + j) for j in range(k)))
+    return SlopeRatioResult(SlopeKind.RATIONAL, denom_factors=tuple(
+        (alpha, beta + k + j) for j in range(-k)))
 
 
 def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
@@ -324,6 +315,6 @@ def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
     for z in samples:
         zz = complex(z)
         ratio = cmath.exp(log_gamma(a * (zz + 1) + b) - log_gamma(a * zz + b))
-        sym = complex(result.rational_form.eval(zz))
+        sym = complex(result.eval(zz))
         worst = max(worst, abs(ratio - sym) / abs(ratio))
     return worst

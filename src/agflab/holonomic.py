@@ -751,7 +751,11 @@ class _Window:
         top = max(self._block(bound, abs(start) + k, k, True))
         s = top.bit_length() + 1
         half, mask = 1 << (s - 1), (1 << s) - 1
-        # table[i][l], the i-th forward difference of t^l at t = 0
+        # table[i][l], the i-th forward difference of t^l at t = 0.  It
+        # stays rather than _differences over Horner values of the
+        # coefficients: that gave the same entries and output, but block
+        # set-up took 0.35 ms against 0.30 on `limit e 3` and 0.62 against
+        # 0.50 on `limit e 2.5+1i` (best of 7, 2-vCPU VM)
         table = [[1] + [0] * deg]
         for i in range(1, deg + 1):
             row, prev = [0], table[-1]

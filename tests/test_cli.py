@@ -447,6 +447,32 @@ def test_limit_past_the_largest_first_tableau_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
+
+@pytest.mark.parametrize("argv, code, err", [
+    # Gamma(-17.5+0.2i) = 1.4599e-15 + 9.525e-16i: an imaginary part
+    # below 1e-13 is still a part
+    (["limit", "gamma", "-17.5+0.2i"], 0, ""),
+    # f(1e20) is about 1e-20, below the rounding floor 1.33e-17
+    (["limit", "e", "1e20"], 1, "non-convergence: "),
+    (["limit", "gamma", "1e400"], 2, "error: z is not finite"),
+    (["limit", "e", "1e400i"], 2, "error: z is not finite"),
+], ids=["gamma -17.5+0.2i", "e 1e20", "gamma 1e400", "e 1e400i"])
+def test_limit_prints_a_value_within_its_error_or_refuses(capsys, argv, code, err):
+    got, out, stderr = run_cli(capsys, argv)
+    assert got == code and stderr.startswith(err), stderr
+    if code:
+        assert out == ""
+        return
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    value, _, error = out.partition(" ± ")
+    value, error = complex(parse_scalar(value)), float(error)
+    want = ctx.gamma(ctx.mpc(-17.5, 0.2))
+    assert value.imag != 0
+    assert abs(value.real - want.real) <= error and abs(value.imag - want.imag) <= error
+
 def test_seq_from_file(tmp_path, capsys):
     path = tmp_path / "rec.txt"
     path.write_text(

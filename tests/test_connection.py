@@ -11,7 +11,6 @@ from agflab.connection import (
     G_SHELL,
     GAMMA_SHELL,
     AsymptoticShell,
-    ExtrapolationConfig,
     GammaFactor,
     NonConvergence,
     SlopeKind,
@@ -21,6 +20,7 @@ from agflab.connection import (
     slope_ratio_numeric_check,
 )
 from agflab.holonomic import (
+    CoefficientPole,
     PRecurrence,
     Poly2,
     RationalFn,
@@ -126,44 +126,59 @@ def test_odd_n_base_is_sampled_at_even_n_and_stays_honest(n_base):
 
     want = ctx.sqrt(2) * (ratio_a(z) - ratio_a(z - 1))
     est = estimate_connection_constant(
-        mirror_pi(Fraction(1, 3)), G_SHELL, cfg=ExtrapolationConfig(n_base=n_base))
+        mirror_pi(Fraction(1, 3)), G_SHELL, n_base=n_base)
     assert est.n == tuple((n_base + 1) * 2**k for k in range(7))
     assert abs(ctx.mpc(est.value) - want) <= est.error_estimate
 
 
 def test_extrapolation_gamma_constant():
-    est = estimate_connection_constant(
-        gamma_recurrence(Fraction(1, 2)), GAMMA_SHELL, z=0.5
-    )
+    # 0.5 == Fraction(1, 2): the estimate of no z
+    rec = gamma_recurrence(Fraction(1, 2))
+    est = estimate_connection_constant(rec, GAMMA_SHELL, z=0.5)
     assert abs(est.value - math.sqrt(math.pi)) < 1e-6
+    assert (dataclasses.replace(est, timing_s=0)
+            == dataclasses.replace(estimate_connection_constant(rec, GAMMA_SHELL),
+                                   timing_s=0))
 
 
 def test_recurrence_steps_at_its_own_z_not_the_shells(monkeypatch):
-    # the shell takes a complex z; 7/3 as a double has a 2^54 denominator
+    # the recurrence and the shell both take the exact 7/3; a z for the
+    # shell alone, such as the double nearest 7/3 (a 2^54 denominator),
+    # is refused before any step
+    import agflab.connection as connection
     import agflab.holonomic as holonomic
 
-    seen = []
-    real = holonomic._integer_form
+    seen, shell_zs = [], set()
+    real, real_shell = holonomic._integer_form, connection.shell_log_eval
 
     def spy(rec):
         seen.append(rec.param)
         return real(rec)
 
+    def shell_spy(shell, n, z=None):
+        shell_zs.add(z)
+        return real_shell(shell, n, z)
+
     monkeypatch.setattr(holonomic, "_integer_form", spy)
-    est = estimate_connection_constant(
-        gamma_recurrence(Fraction(7, 3)), GAMMA_SHELL, z=complex(7 / 3))
+    monkeypatch.setattr(connection, "shell_log_eval", shell_spy)
+    rec = gamma_recurrence(Fraction(7, 3))
+    with pytest.raises(ValueError, match="recurrence's z"):
+        estimate_connection_constant(rec, GAMMA_SHELL, z=complex(7 / 3))
+    assert seen == [] and shell_zs == set()
+    est = estimate_connection_constant(rec, GAMMA_SHELL)
     assert seen == [Fraction(7, 3)] and type(seen[0]) is Fraction
+    assert shell_zs == {Fraction(7, 3)} and type(shell_zs.pop()) is Fraction
     assert abs(est.value - math.gamma(7 / 3)) <= est.error_estimate
 
 
 @pytest.mark.parametrize("z", [Fraction(7, 3), Fraction(-1, 2), complex(1.5, -0.5)],
                          ids=str)
 def test_shell_takes_the_recurrences_z_by_default(z):
-    # without a z the shell reads rec.param: the estimate of the complex z
-    # that callers used to pass as well
+    # without a z the shell reads rec.param; a z that equals it gives the
+    # same estimate
     rec = gamma_recurrence(z)
     implicit = estimate_connection_constant(rec, GAMMA_SHELL)
-    explicit = estimate_connection_constant(rec, GAMMA_SHELL, z=complex(z))
+    explicit = estimate_connection_constant(rec, GAMMA_SHELL, z=z)
     assert (dataclasses.replace(implicit, timing_s=0)
             == dataclasses.replace(explicit, timing_s=0))
 
@@ -181,9 +196,8 @@ def test_nonconvergence_on_growing_geometric_part():
         initial_values=(1.02,),
         param=0.0,
     )
-    cfg = ExtrapolationConfig(depth=6, n_base=16)
     with pytest.raises(NonConvergence):
-        estimate_connection_constant(rec, AsymptoticShell(), cfg=cfg)
+        estimate_connection_constant(rec, AsymptoticShell(), depth=6, n_base=16)
 
 
 def test_nonconvergence_on_exponential_blowup():
@@ -195,9 +209,8 @@ def test_nonconvergence_on_exponential_blowup():
         initial_values=(1.0,),
         param=0.0,
     )
-    cfg = ExtrapolationConfig(depth=5, n_base=16)
     with pytest.raises(NonConvergence):
-        estimate_connection_constant(rec, AsymptoticShell(), cfg=cfg)
+        estimate_connection_constant(rec, AsymptoticShell(), depth=5, n_base=16)
 
 
 def test_non_finite_sample_names_its_n():
@@ -214,9 +227,8 @@ def test_non_finite_sample_names_its_n():
         initial_values=(1.02,),
         param=0.0,
     )
-    cfg = ExtrapolationConfig(depth=1, n_base=16)
     with pytest.raises(NonConvergence, match="n=65536"):
-        estimate_connection_constant(rec, AsymptoticShell(), cfg=cfg)
+        estimate_connection_constant(rec, AsymptoticShell(), depth=1, n_base=16)
 
 
 def first_order(lead, init) -> PRecurrence:
@@ -313,16 +325,22 @@ def test_error_estimate_is_honest_past_the_sweep_radius():
 
 
 def test_extrapolation_config_validation():
-    with pytest.raises(ValueError):
-        ExtrapolationConfig(depth=0)
-    with pytest.raises(ValueError):
-        ExtrapolationConfig(n_base=8)
+    # mirror_e(-1) has a coefficient pole at n = 1: an accepted config
+    # fails at the first step, a refused one before it
+    def estimate(**cfg):
+        return estimate_connection_constant(mirror_e(-1), F_SHELL, **cfg)
+
+    with pytest.raises(ValueError, match="depth"):
+        estimate(depth=0)
+    with pytest.raises(ValueError, match="n_base"):
+        estimate(n_base=8)
     # the first full tableau at n_base * 2^depth is at most 2^24
-    assert ExtrapolationConfig(depth=19, n_base=32)
-    assert ExtrapolationConfig(depth=6, n_base=2**18 - 1)
+    for depth, n_base in ((19, 32), (6, 2**18 - 1)):
+        with pytest.raises(CoefficientPole):
+            estimate(depth=depth, n_base=n_base)
     for depth, n_base in ((20, 32), (6, 2**18 + 1), (40, 32), (10**9, 16)):
         with pytest.raises(ValueError, match="2\\^24"):
-            ExtrapolationConfig(depth=depth, n_base=n_base)
+            estimate(depth=depth, n_base=n_base)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +350,9 @@ def test_slope_ratio_polynomial_cases():
     r = slope_ratio(1, 0)
     assert r.kind is SlopeKind.RATIONAL
     for z in (2.0, complex(1.5, -0.3)):
-        assert abs(r.rational_form.eval(z) - z) < 1e-14
+        assert abs(r.eval(z) - z) < 1e-14
     r = slope_ratio(2, 0)
-    assert abs(r.rational_form.eval(1.5) - (3.0 * 4.0)) < 1e-12
+    assert abs(r.eval(1.5) - (3.0 * 4.0)) < 1e-12
 
 
 def test_slope_ratio_reciprocal_case():
@@ -344,7 +362,7 @@ def test_slope_ratio_reciprocal_case():
     samples = [complex(rng.uniform(0.5, 3), rng.uniform(0.2, 2)) for _ in range(20)]
     assert slope_ratio_numeric_check(r, -1, 0, samples) < 1e-10
     for z in samples:
-        assert abs(r.rational_form.eval(z) - 1 / (-z - 1)) < 1e-12
+        assert abs(r.eval(z) - 1 / (-z - 1)) < 1e-12
 
 
 def test_slope_ratio_non_integer():
@@ -355,6 +373,8 @@ def test_slope_ratio_non_integer():
         slope_ratio(0, 1)
     with pytest.raises(TypeError):
         slope_ratio(0.5, 0)
+    with pytest.raises(ValueError, match="no rational form"):
+        slope_ratio(Fraction(1, 2), 0).eval(1.0)
 
 
 def test_slope_ratio_exhaustive_integer_grid():
