@@ -34,6 +34,7 @@ from .complexfn import (
     PoleError,
     PrecisionConfig,
     _is_real,
+    _lgamma_lanczos,
     _log_gamma,
     _nearest_int,
     _to_ctx,
@@ -64,6 +65,7 @@ __all__ = [
     "gamma_ratio_A",
     "gamma_spec",
     "grid_points",
+    "grid_steps",
     "growth_probe",
     "parse_agf_spec",
     "residual_grid",
@@ -88,6 +90,9 @@ class AGFSpec:
     anchors: tuple
     name: str = ""
     _rows: tuple = field(init=False, repr=False, compare=False)  # (num, den) in z
+    # the rows for a complex z: (num, den) from the top coefficient down,
+    # as complexes, with den () where it is 1
+    _complex_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_coeffs(self.order, self.coeffs)
@@ -96,19 +101,30 @@ class AGFSpec:
                 raise ValueError("AFE coefficients must not involve n")
         if len(self.anchors) != self.order:
             raise ValueError("need exactly `order` anchor pairs")
-        object.__setattr__(self, "_rows", tuple(
-            (c.num.coeffs[0], c.den.coeffs[0]) for c in self.coeffs))
+        rows = tuple((c.num.coeffs[0], c.den.coeffs[0]) for c in self.coeffs)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_complex_rows", tuple(
+            (tuple(map(complex, reversed(num))),
+             () if den == [1] else tuple(map(complex, reversed(den))))
+            for num, den in rows))
 
     def coeff_at(self, k: int, z):
-        """coeffs[k] at z, by the steps of ``coeffs[k].eval(0, z)``."""
-        num, den = self._rows[k]
-        if type(z) is complex:  # the same steps, with no type dispatch
-            n = d = 0j
-            for c in reversed(num):
+        """coeffs[k] at z, by the steps of ``coeffs[k].eval(0, z)``.  A
+        complex z runs them on the complex row: Horner from the top
+        coefficient, so a constant row is that constant, and no division
+        where the denominator is 1."""
+        if type(z) is complex:
+            num, den = self._complex_rows[k]
+            n = num[0]
+            for c in num[1:]:
                 n = n * z + c
-            for c in reversed(den):
+            if not den:
+                return n
+            d = den[0]
+            for c in den[1:]:
                 d = d * z + c
             return n / d
+        num, den = self._rows[k]
         return _quotient(_horner_z(num, z), _horner_z(den, z), 0, z)
 
 
@@ -158,7 +174,8 @@ def g_pole_distance(z) -> float:
 
 def _pole_row_distance(z, first: int) -> float:
     zc = complex(z)
-    return abs(zc - min(first, round(zc.real)))
+    n = round(zc.real)
+    return abs(zc - (n if n < first else first))
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +195,27 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     ctx = cfg.ctx
     # a real z divides in real arithmetic: the same terms as in complex
     real = _is_real(z)
-    z2 = (ctx.convert(z) if real else _to_ctx(z, ctx)) + 2
-    total = ctx.mpc(0)
-    for k, term in enumerate(_reciprocal_factorials(ctx)):
+    if cfg.is_extended:
+        total, e = ctx.mpc(0), ctx.e
+        z2 = (ctx.convert(z) if real else _to_ctx(z, ctx)) + 2
+    else:  # Python floats and complexes, with none of fp's per-call dispatch
+        total, e = 0j, math.e
+        z2 = (float(z) if real else complex(z)) + 2
+    for k, term in _reciprocal_factorials(ctx):
         total += term / (z2 + k)
-    return total / ctx.e
+    return total / e
 
 
 @cache
 def _reciprocal_factorials(ctx) -> tuple:
-    """1/k! in ``ctx`` for k = 0, 1, ... while it is at least a thousandth
-    of the working epsilon; one tuple per context."""
+    """(k, 1/k!) with 1/k! in ``ctx``, for k = 0, 1, ... while 1/k! is at
+    least a thousandth of the working epsilon; one tuple per context."""
     tiny = ctx.eps / 1000
     terms = []
     term = ctx.mpf(1)
     k = 0
     while term >= tiny:
-        terms.append(term)
+        terms.append((k, term))
         k += 1
         term /= k
     return tuple(terms)
@@ -306,7 +327,10 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     if r > G_RADIUS:
         raise DomainError(f"g is evaluated only for |z| <= {G_RADIUS:g}; "
                           f"|z| = {r:.6g}")
-    if r >= _G_SERIES_RADIUS and zc.real >= -abs(zc.imag) and not cfg.is_extended:
+    if cfg.is_extended:
+        ctx = cfg.ctx
+        zz, lgamma, exp, sqrt2 = _to_ctx(z, ctx), ctx.loggamma, ctx.exp, ctx.sqrt(2)
+    elif r >= _G_SERIES_RADIUS and zc.real >= -abs(zc.imag):
         t = 2 / zc
         c_poly, e_poly = _G_SERIES_HORNER
         c = e = 0j
@@ -316,25 +340,31 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
             e = e * t + k
         g = e / (cmath.sqrt(zc) * c)
         return g.real if zc.imag == 0 else g
-    ctx = cfg.ctx
-    zz = _to_ctx(z, ctx)
-    mid = _log_gamma((zz + 1) / 2, cfg)
-    a_prev = 0 if n == 0 else ctx.exp(mid - _log_gamma(zz / 2, cfg))
-    g = ctx.sqrt(2) * (ctx.exp(_log_gamma(zz / 2 + 1, cfg) - mid) - a_prev)
+    else:  # Python complexes, with none of fp's per-call dispatch
+        zz, lgamma, exp, sqrt2 = zc + 0, _lgamma_lanczos, cmath.exp, math.sqrt(2)
+    mid = lgamma((zz + 1) / 2)
+    a_prev = 0 if n == 0 else exp(mid - lgamma(zz / 2))
+    g = sqrt2 * (exp(lgamma(zz / 2 + 1) - mid) - a_prev)
     return g.real if zz.imag == 0 else g
 
 
 # ---------------------------------------------------------------------------
 # residuals, classification, probes
 
+def grid_steps(re_min: float, re_max: float, im_min: float, im_max: float,
+               step: float) -> tuple[int, int]:
+    """The steps along the real and the imaginary side of
+    :func:`grid_points`' grid; OverflowError where one is not finite."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return round((re_max - re_min) / step), round((im_max - im_min) / step)
+
+
 def grid_points(re_min: float, re_max: float, im_min: float, im_max: float,
                 step: float) -> list[complex]:
     """Rectangular complex grid, inclusive of the boundary (tolerant stop)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    n_re, n_im = grid_steps(re_min, re_max, im_min, im_max, step)
     points = []
-    n_re = int(round((re_max - re_min) / step))
-    n_im = int(round((im_max - im_min) / step))
     for i in range(n_re + 1):
         for j in range(n_im + 1):
             points.append(complex(re_min + i * step, im_min + j * step))
@@ -347,49 +377,46 @@ def residual_table(spec: AGFSpec, h, points, pole_distance) -> list[tuple]:
     The residual is sum_k R_k(z) h(z+k), and ``relative`` is its size over
     the largest term magnitude max_k |R_k(z) h(z+k)|.  h(z) is None where
     ``pole_distance(z)`` is below 1e-3 or h raises PoleError; residual and
-    relative are None where any shifted argument z+k is.  Each argument is
-    evaluated once per call, also when it is z+k for more than one point.
+    relative are None where any shifted argument z+k is.  One pass: each
+    distinct argument gets one ``pole_distance`` test and at most one call
+    of h, also when it is z+k for more than one point.
     """
-    seen = {}
-
-    def h_at(w):  # None next to a pole
-        if w not in seen:
-            try:
-                seen[w] = None if pole_distance(w) < 1e-3 else h(w)
-            except PoleError:
-                seen[w] = None
-        return seen[w]
-
+    values = {}  # h at each argument reached so far, None next to a pole
     rows = []
     for z in points:
-        values = []
+        hs = []
         for k in range(spec.order + 1):
-            v = h_at(z + k)
+            w = z + k
+            if w not in values:
+                try:
+                    values[w] = None if pole_distance(w) < 1e-3 else h(w)
+                except PoleError:
+                    values[w] = None
+            v = values[w]
             if v is None:
                 break
-            values.append(v)
-        value = values[0] if values else None
-        if len(values) <= spec.order:
-            rows.append((z, value, None, None))
+            hs.append(v)
+        if len(hs) <= spec.order:
+            rows.append((z, hs[0] if hs else None, None, None))
             continue
-        terms = [spec.coeff_at(k, z) * v for k, v in enumerate(values)]
+        terms = [spec.coeff_at(k, z) * v for k, v in enumerate(hs)]
         residual = sum(terms)
-        scale = max(abs(t) for t in terms)
-        rows.append((z, value, residual, abs(residual) / scale if scale > 0 else 0.0))
+        scale = max(map(abs, terms))
+        rows.append((z, hs[0], residual, abs(residual) / scale if scale > 0 else 0.0))
     return rows
 
 
-def residual_grid(spec: AGFSpec, h, points, pole_distance):
-    """Max relative AFE residual of h over the grid, poles punctured.
 
-    See :func:`residual_table`; points next to a pole are skipped.
+def residual_grid(spec: AGFSpec, h, points, pole_distance):
+    """Max relative AFE residual of h over the grid, poles punctured, and
+    the :func:`residual_table` rows it is taken from.
+
     Returns (max_relative_residual, rows).
     """
+    rows = residual_table(spec, h, points, pole_distance)
     worst = 0.0
-    rows = []
-    for z, _, residual, rel in residual_table(spec, h, points, pole_distance):
+    for *_, rel in rows:
         if rel is not None:
-            rows.append({"z": z, "residual": abs(residual), "relative": rel})
             worst = max(worst, rel)
     return worst, rows
 

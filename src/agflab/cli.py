@@ -67,6 +67,7 @@ from .holonomic import (
 
 DEFAULT_SEED = 20260808
 DEFAULT_GRID = (-1.5, 5.0, -5.0, 5.0, 0.5)
+MAX_GRID_POINTS = 10**6  # grid_points builds the whole list first
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +183,18 @@ def _check(check: str, passed: bool, max_dev: float, params: dict,
 def _suite_afe(seed: int) -> Iterator[dict]:
     pts = agf_mod.grid_points(*DEFAULT_GRID)
     functions = worlds.functions()
+    tables = {}
     for name, w in functions.items():
-        worst, _ = agf_mod.residual_grid(w.spec, w.evaluator, pts, w.pole_distance)
+        worst, tables[name] = agf_mod.residual_grid(w.spec, w.evaluator, pts,
+                                                    w.pole_distance)
         yield _check(f"afe_residual_grid_{name}", worst <= 1e-10, worst,
                      {"grid": DEFAULT_GRID, "tolerance": 1e-10})
 
+    # f at each point is read from its residual table, not evaluated again
     worst_route = 0.0
-    for z in pts:
-        if abs(z - (-1)) < 1e-3:
+    for z, a, _, _ in tables["f"]:
+        if a is None or abs(z - (-1)) < 1e-3:
             continue
-        a = agf_mod.f_eval(z)
         b = agf_mod.f_eval_gamma_route(z)
         c = agf_mod.f_eval_confluent_route(z)
         scale = max(abs(a), 1e-30)
@@ -349,25 +352,20 @@ def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
     return list(records[0]), [list(r.values()) for r in records]
 
 
-def _grid_columns(pts, w) -> list[list[str]]:
-    """value re, value im and AFE residual per point; 'pole' where undefined."""
-    columns = []
-    residuals = agf_mod.residual_table(w.spec, w.evaluator, pts, w.pole_distance)
-    for _, value, _, rel in residuals:
-        if value is None:
-            columns.append(["pole", "pole", "pole"])
-        else:
-            columns.append([f"{value.real:.17g}", f"{value.imag:.17g}",
-                            "pole" if rel is None else f"{rel:.3e}"])
-    return columns
-
-
 def _table_agf_grid(grid: tuple) -> tuple[list[str], list[list]]:
+    """z, then value re, value im and AFE residual of each function per
+    point; 'pole' where undefined."""
     pts = agf_mod.grid_points(*grid)
     functions = worlds.functions()
-    columns = [_grid_columns(pts, w) for w in functions.values()]
-    rows = [[f"{z.real:g}", f"{z.imag:g}", *(c for cells in row for c in cells)]
-            for z, *row in zip(pts, *columns)]
+    rows = [[f"{z.real:g}", f"{z.imag:g}"] for z in pts]
+    for w in functions.values():
+        table = agf_mod.residual_table(w.spec, w.evaluator, pts, w.pole_distance)
+        for row, (_, value, _, rel) in zip(rows, table):
+            if value is None:
+                row += ("pole", "pole", "pole")
+            else:
+                row += (f"{value.real:.17g}", f"{value.imag:.17g}",
+                        "pole" if rel is None else f"{rel:.3e}")
     return ["re", "im", *(f"{name}_{part}" for name in functions
                           for part in ("re", "im", "afe_residual"))], rows
 
@@ -406,6 +404,13 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if parts[1] < parts[0] or parts[3] < parts[2]:
         raise argparse.ArgumentTypeError("grid max must not be below its min")
+    try:
+        count = math.prod(n + 1 for n in agf_mod.grid_steps(*parts))
+    except OverflowError:  # a side with more steps than a double holds
+        count = math.inf
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {count} points, more than {MAX_GRID_POINTS}")
     return tuple(parts)
 
 

@@ -139,9 +139,10 @@ def _nearest_int(z) -> int | None:
         raise ValueError("z is not finite: beyond the double range") from None
     if not cmath.isfinite(zc):
         raise ValueError(f"z is not finite: {zc}")
-    n = round(zc.real)
-    if abs(zc.real - n) < 1e-12 and abs(zc.imag) < 1e-12:
-        return n
+    if abs(zc.imag) < 1e-12:
+        n = round(zc.real)
+        if abs(zc.real - n) < 1e-12:
+            return n
     return None
 
 

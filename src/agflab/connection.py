@@ -14,7 +14,7 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -311,10 +311,16 @@ def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
         raise ValueError("numeric check needs a rational slope result")
     a = complex(Fraction(alpha))
     b = complex(beta)
+
+    def as_complex(factors):  # a Fraction s times a complex z converts s each time
+        return tuple((complex(s), complex(c)) for s, c in factors)
+
+    form = replace(result, numer_factors=as_complex(result.numer_factors),
+                   denom_factors=as_complex(result.denom_factors))
     worst = 0.0
     for z in samples:
         zz = complex(z)
         ratio = cmath.exp(log_gamma(a * (zz + 1) + b) - log_gamma(a * zz + b))
-        sym = complex(result.eval(zz))
+        sym = complex(form.eval(zz))
         worst = max(worst, abs(ratio - sym) / abs(ratio))
     return worst

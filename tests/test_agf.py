@@ -363,14 +363,15 @@ def test_residual_grid_f():
     assert len(pts) == 14 * 21
     worst, rows = residual_grid(f_spec(), f_eval, pts, f_pole_distance)
     assert worst <= 1e-10
-    assert len(rows) == len(pts)  # no pole punctures in this window
+    assert [z for z, *_ in rows] == pts  # the residual_table rows
+    assert all(rel is not None for *_, rel in rows)  # no pole punctures here
 
 
 def test_residual_grid_g():
     pts = grid_points(-1.5, 5, -5, 5, 0.5)
     worst, rows = residual_grid(g_spec(), g_eval, pts, g_pole_distance)
     assert worst <= 1e-10
-    assert len(rows) == len(pts) - 1  # z = -1 is punctured
+    assert [z for z, *_, rel in rows if rel is None] == [-1]  # z = -1 is punctured
 
 
 def test_three_route_agreement_on_grid():
@@ -445,11 +446,21 @@ def test_residual_table_punctures_each_argument_once():
         seen.append(w)
         return f_pole_distance(w)
 
+    evaluated = []
+
+    def h(w):
+        evaluated.append(w)
+        return f_eval(w)
+
     near = complex(-2 + 5e-4, 0)  # inside the 1e-3 puncture, no PoleError
-    rows = residual_table(f_spec(), f_eval, grid_points(-2.5, 0.5, 0, 0.5, 0.5) + [near],
+    rows = residual_table(f_spec(), h, grid_points(-2.5, 0.5, 0, 0.5, 0.5) + [near],
                           distance)
     assert len(seen) == len(set(seen))
     assert rows[-1] == (near, None, None, None)
+    # h runs at most once per argument, and never inside the puncture
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == {w for w in seen if f_pole_distance(w) >= 1e-3}
+    assert near not in evaluated and -2 not in evaluated
 
 
 def test_coeff_at_is_the_coefficients_value():

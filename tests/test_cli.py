@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -18,8 +19,17 @@ import pytest
 
 import agflab
 from agflab import cli
+from agflab.agf import (
+    f_eval,
+    f_pole_distance,
+    f_spec,
+    g_eval,
+    g_pole_distance,
+    g_spec,
+    grid_points,
+)
 from agflab.cli import build_parser, main
-from agflab.complexfn import DOUBLE, format_cnum
+from agflab.complexfn import DOUBLE, PoleError, format_cnum
 from agflab.holonomic import (
     PRecurrence,
     gamma_recurrence,
@@ -125,11 +135,17 @@ def test_grid_zero_step_exits_2(capsys):
                           ("0,inf,0,1,0.5", "must be finite"),
                           ("nan,1,0,1,0.5", "must be finite"),
                           ("0,1,0,1,inf", "must be finite"),
-                          ("5,1,0,1,0.5", "max must not be below its min")]:
+                          ("5,1,0,1,0.5", "max must not be below its min"),
+                          # refused before grid_points builds the list
+                          ("0,1e9,0,1e9,1", "grid has 1000000002000000001 points"),
+                          ("0,1000,0,999,1", "grid has 1001000 points"),
+                          ("0,1e9,0,1e9,1e-300", "grid has inf points"),
+                          ("-1e308,1e308,0,1,1", "grid has inf points")]:
         with pytest.raises(SystemExit) as exc:
             main(["table", "agf-grid", f"--grid={grid}"])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+    assert cli._grid_spec("0,999,0,999,1") == (0, 999, 0, 999, 1)  # 10^6 points
 
 
 @pytest.mark.parametrize("argv", [
@@ -845,6 +861,67 @@ def test_table_agf_grid_pole_cells(tmp_path, capsys):
     assert pole_rows[0]["re"] == "-1" and pole_rows[0]["im"] == "0"
     # f is finite at z = -1
     assert pole_rows[0]["f_re"] != "pole"
+
+
+def _scalar_grid_csv(grid) -> str:
+    """table agf-grid's CSV, built one point at a time from f_eval, g_eval,
+    the specs' coeff_at and the pole distances, with no residual pass."""
+    functions = [("f", f_spec(), f_eval, f_pole_distance),
+                 ("g", g_spec(), g_eval, g_pole_distance)]
+
+    def value(h, pole_distance, w):  # None next to a pole
+        if pole_distance(w) < 1e-3:
+            return None
+        try:
+            return h(w)
+        except PoleError:
+            return None
+
+    lines = [["re", "im", *(f"{name}_{part}" for name, *_ in functions
+                            for part in ("re", "im", "afe_residual"))]]
+    for z in grid_points(*grid):
+        row = [f"{z.real:g}", f"{z.imag:g}"]
+        for _, spec, h, pole_distance in functions:
+            hs = [value(h, pole_distance, z + k) for k in range(spec.order + 1)]
+            if hs[0] is None:
+                row += ["pole"] * 3
+                continue
+            row += [f"{hs[0].real:.17g}", f"{hs[0].imag:.17g}"]
+            if any(v is None for v in hs):
+                row.append("pole")
+                continue
+            terms = [spec.coeff_at(k, z) * v for k, v in enumerate(hs)]
+            scale = max(abs(t) for t in terms)
+            row.append(f"{abs(sum(terms)) / scale if scale > 0 else 0.0:.3e}")
+        lines.append(row)
+    return "".join(",".join(line) + "\r\n" for line in lines)
+
+
+def _window(rng, re_range, im_range, half=2.5, step=0.5) -> tuple:
+    re, im = (rng.randint(round(4 * lo), round(4 * hi)) / 4
+              for lo, hi in (re_range, im_range))
+    return (re - half, re + half, im - half, im + half, step)
+
+
+def test_agf_grid_is_the_scalar_route(capsys):
+    rng = random.Random(23)
+    inside = _window(rng, (14, 18), (9, 12))  # g's series sector past |z| = 20
+    outside = _window(rng, (-20, -17), (2, 3))  # Re z < -|Im z|: log-Gammas
+    axis = _window(rng, (-2, -1), (0, 0), half=2)  # poles of f and g, and 0
+    plane = _window(rng, (-1.5, 12), (-80, 80))
+    for grid, in_sector in ((inside, True), (outside, False)):
+        pts = grid_points(*grid)
+        assert min(map(abs, pts)) < 20 < max(map(abs, pts)), grid
+        assert all((z.real >= -abs(z.imag)) == in_sector for z in pts), grid
+    assert {0, -1, -2} <= set(grid_points(*axis))
+    for grid in (inside, outside, axis, plane):
+        code, out, _ = run_cli(capsys, ["table", "agf-grid",
+                                        "--grid=" + ",".join(map(str, grid))])
+        assert code == 0 and out == _scalar_grid_csv(grid), grid
+    # the oracle's own pole cells: f at -3, -2 and g at -3, -2, -1, three each
+    assert _scalar_grid_csv(axis).count("pole") == 15
+    code, out, err = run_cli(capsys, ["table", "agf-grid", "--grid=1290,1310,0,1,5"])
+    assert (code, out) == (1, "") and err.startswith("domain error: ")
 
 
 def test_verify_all_smoke(capsys):
