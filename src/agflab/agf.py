@@ -223,10 +223,13 @@ def _reciprocal_factorials(ctx) -> tuple:
 
 def f_eval_gamma_route(z, cfg: PrecisionConfig = DOUBLE):
     """f(z) = e^(-1 - i pi z) gamma(z+2, -1), on the principal branch."""
-    ctx = cfg.ctx
-    zz = _to_ctx(z, ctx)
+    if cfg.is_extended:
+        ctx = cfg.ctx
+        zz, exp, pi = _to_ctx(z, ctx), ctx.exp, ctx.pi
+    else:  # Python complexes, with none of fp's per-call dispatch
+        zz, exp, pi = complex(z) + 0, cmath.exp, math.pi
     inc = lower_incomplete_gamma(zz + 2, -1.0, cfg)
-    return ctx.exp(-1 - 1j * ctx.pi * zz) * inc
+    return exp(-1 - 1j * pi * zz) * inc
 
 
 def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
@@ -237,7 +240,7 @@ def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
     """
     if _nearest_int(z) == -1:
         raise PoleError("confluent representation of f degenerates at z=-1")
-    zz = _to_ctx(z, cfg.ctx)
+    zz = _to_ctx(z, cfg.ctx) if cfg.is_extended else complex(z) + 0
     return hyp1f1(2, zz + 2, -1, cfg) / (zz + 1)
 
 
@@ -326,7 +329,7 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     r = abs(zc)
     if r > G_RADIUS:
         raise DomainError(f"g is evaluated only for |z| <= {G_RADIUS:g}; "
-                          f"|z| = {r:.6g}")
+                          f"|z| = {repr(r).removesuffix('.0')}")
     if cfg.is_extended:
         ctx = cfg.ctx
         zz, lgamma, exp, sqrt2 = _to_ctx(z, ctx), ctx.loggamma, ctx.exp, ctx.sqrt(2)

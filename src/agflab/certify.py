@@ -6,12 +6,14 @@ U(x) = sum u_n x^n comes mechanically from any P-recursive sequence at a
 rational z (gfun's rectodiffeq), U is built from the same cleared
 recurrence fraction-free, as the integer numerators over one common
 denominator of :func:`holonomic.exact_series`, and the residual L U - P
-is accumulated on those numerators as a plain list of ints: each of its
-coefficients must vanish exactly, with no floating tolerance.  The
-singular-coefficient integrals behind the connection constants (I_m,
-J_m, L_m) are evaluated in double precision by mpmath's tanh-sinh
-quadrature, with an error estimate floored at (64 + m) eps |value|, and
-chained through their recurrences as floating cross-checks.
+is summed on those numerators as a plain list of ints, one pass for
+each shift between the index of a residual coefficient and that of the
+numerator it reads: each of its coefficients must vanish exactly, with
+no floating tolerance.  The singular-coefficient integrals behind the
+connection constants (I_m, J_m, L_m) are evaluated in double precision
+by mpmath's tanh-sinh quadrature, with an error estimate floored at
+(64 + m) eps |value|, and chained through their recurrences as floating
+cross-checks.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul
 
 from mpmath import fp
 
@@ -30,6 +33,7 @@ from .holonomic import (
     _exact_series,
     _horner,
     _integer_form,
+    _stepping,
 )
 
 __all__ = [
@@ -97,8 +101,13 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int,
     from the same cleared form as the ODE, unless an explicit pair is
     supplied (the seam used by mutation tests).  The coefficient of x^N
     in ops[j](x) D^j U is sum_i ops[j][i] (m+1)...(m+j) u_{m+j} with
-    m = N - i: the residual is accumulated in ints on the numerators,
-    each D taken on them, and P times den is subtracted.
+    m = N - i, so the residual is summed in ints on the numerators, one
+    pass per shift s = j - i: W_s(N) u_{N+s}, with the small-integer
+    weight W_s(N) = sum_j ops[j][j-s] (N-i+1)...(N-i+j).  On
+    N >= max(0, -s) that weight is one polynomial in N, since each product
+    vanishes where N < i, and it is stepped by its forward differences.  A
+    shift s > 0 stops at x^(len(nums) - 1 - s), where the numerators end.
+    P times den is subtracted last.
     """
     if not _exact_data(rec):
         raise ValueError("the ODE certificate needs rational z and initial values")
@@ -107,14 +116,23 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int,
     if order < max(10, len(ops) - 1):
         raise ValueError("order must be at least 10 and the order of the ODE")
     nums, den = series if series is not None else _exact_series(rec, form, order)
-    # ops[j] starts at x^j, so x^i D^j U needs no u past u_N at x^N
-    residual = [0] * (order + 1)
-    for op in ops:
-        for i, c in enumerate(op[: order + 1]):
+    shifts = {}  # s -> [(j, ops[j][j - s])]
+    for j, op in enumerate(ops):
+        for i, c in enumerate(op):
             if c:
-                for n, u in enumerate(nums[: order + 1 - i], i):
-                    residual[n] += c * u
-        nums = [m * u for m, u in enumerate(nums[1:], 1)]  # D U
+                shifts.setdefault(j - i, []).append((j, c))
+    residual = [0] * (order + 1)
+    for s, terms in shifts.items():
+        lo, hi = max(0, -s), min(order, len(nums) - 1 - s)
+        if lo > hi:
+            continue
+        deg = max(j for j, _ in terms)
+        weights = _stepping([_differences(
+            [sum(c * math.perm(n + s, j) for j, c in terms)
+             for n in range(lo, lo + deg + 1)])])
+        residual[lo: hi + 1] = map(add, residual[lo: hi + 1],
+                                   map(mul, map(itemgetter(0), weights),
+                                       nums[lo + s: hi + s + 1]))
     for n, p in enumerate(rhs[: order + 1]):
         residual[n] -= p * den
     bad = next((n for n, c in enumerate(residual) if c), None)

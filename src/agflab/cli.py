@@ -354,18 +354,21 @@ def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
 
 def _table_agf_grid(grid: tuple) -> tuple[list[str], list[list]]:
     """z, then value re, value im and AFE residual of each function per
-    point; 'pole' where undefined."""
+    point; 'pole' where undefined.  g's pass runs first: a window past
+    g's radius exits before f is evaluated anywhere."""
     pts = agf_mod.grid_points(*grid)
     functions = worlds.functions()
-    rows = [[f"{z.real:g}", f"{z.imag:g}"] for z in pts]
-    for w in functions.values():
+    cells = {}
+    for name, w in reversed(functions.items()):
         table = agf_mod.residual_table(w.spec, w.evaluator, pts, w.pole_distance)
-        for row, (_, value, _, rel) in zip(rows, table):
-            if value is None:
-                row += ("pole", "pole", "pole")
-            else:
-                row += (f"{value.real:.17g}", f"{value.imag:.17g}",
+        cells[name] = [("pole", "pole", "pole") if value is None else
+                       (f"{value.real:.17g}", f"{value.imag:.17g}",
                         "pole" if rel is None else f"{rel:.3e}")
+                       for _, value, _, rel in table]
+    rows = [[f"{z.real:g}", f"{z.imag:g}"] for z in pts]
+    for name in functions:  # the columns in the order f, g
+        for row, cell in zip(rows, cells.pop(name)):
+            row += cell
     return ["re", "im", *(f"{name}_{part}" for name in functions
                           for part in ("re", "im", "afe_residual"))], rows
 

@@ -8,7 +8,9 @@ the one exception: double precision keeps a fixed Lanczos approximation
 with reflection for Re z < 1/2, which is faster than ``fp.loggamma``; the
 extended mode uses the context's ``loggamma``.  Gamma is exp(log-Gamma).
 The confluent hypergeometric 1F1 is the context's ``hyp1f1``, and the
-lower incomplete gamma is written through it.
+lower incomplete gamma is written through it; in double precision that
+formula binds ``cmath.exp``, ``math.log`` and ``math.pi``, and Python
+numbers go to ``fp.hyp1f1`` as they are, not through ``fp.convert``.
 
 Poles are reported as typed :class:`PoleError`, never as infinities, so
 grid drivers can skip them deterministically.  All functions are pure;
@@ -103,6 +105,10 @@ def extended(digits: int) -> PrecisionConfig:
 
 # ---------------------------------------------------------------------------
 # scalar conversion helpers
+
+# the types that mpmath's fp context takes as they are
+_PYTHON_NUMBERS = frozenset((int, float, complex))
+
 
 def _is_mp(z) -> bool:
     """True for an mpmath number of any context, the global one or a
@@ -222,8 +228,13 @@ def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
     context; b must avoid the nonpositive integers."""
     _check_pole(b, "hyp1f1 pole at b")
     ctx = cfg.ctx
+    args = (a, b, x)
+    # in double, Python numbers go to fp as they are: fp.convert takes a
+    # complex only after a caught TypeError (1.5 us)
+    if cfg.is_extended or not _PYTHON_NUMBERS.issuperset(map(type, args)):
+        args = map(ctx.convert, args)
     try:
-        return ctx.hyp1f1(*map(ctx.convert, (a, b, x)))
+        return ctx.hyp1f1(*args)
     except NoConvergence as exc:
         raise ConvergenceError(f"1F1({a}; {b}; {x}) did not converge") from exc
 
@@ -236,10 +247,13 @@ def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
     """
     _check_pole(a, "lower incomplete gamma pole at a")
     ctx = cfg.ctx
-    aa = _to_ctx(a, ctx)
+    if cfg.is_extended:
+        aa, exp, log, pi = _to_ctx(a, ctx), ctx.exp, ctx.log, ctx.pi
+    else:  # Python complexes, with none of fp's per-call dispatch
+        aa, exp, log, pi = complex(a) + 0, cmath.exp, math.log, math.pi
     if x == 0:
         return ctx.mpc(0)
-    xa = ctx.exp(aa * (ctx.log(abs(x)) + (ctx.pi * 1j if x < 0 else 0)))
+    xa = exp(aa * (log(abs(x)) + (pi * 1j if x < 0 else 0)))
     return xa / aa * hyp1f1(aa, aa + 1, -x, cfg)
 
 

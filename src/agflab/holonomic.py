@@ -435,13 +435,14 @@ def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
     over one denominator.
 
     Terms below the initial index are 0.  z and the initial values must
-    be rational.  The iteration is fraction-free: each step solves the
-    cleared equation of :func:`_integer_form` for the newest numerator,
-    multiplies the window by the cleared leading coefficient and folds
-    that coefficient into the running denominator, with no gcd; terms
-    that have left the window are brought to the final denominator at the
-    end.  Raises :class:`CoefficientPole` at the same n as
-    :func:`iter_sequence`.  The denominator is positive but not reduced.
+    be rational.  The iteration is fraction-free and steps over its final
+    denominator: the lcm of the initial denominators times |c_r(n)| for
+    every step n, c_r the leading coefficient of the cleared equation of
+    :func:`_integer_form`.  Each step solves that equation for the newest
+    numerator by one exact integer division by c_r(n), with no gcd and
+    no rescaling.  Raises :class:`CoefficientPole` at the same n as
+    :func:`iter_sequence`, before any step.  The denominator is positive
+    but not reduced.
     """
     if not _exact_data(rec):
         raise ValueError("exact_series needs rational z and initial values")
@@ -455,26 +456,18 @@ def _exact_series(rec: PRecurrence, form, n_max: int) -> tuple[list[int], int]:
         raise ValueError("n_max must be nonnegative")
     r, n0 = rec.order, rec.initial_index
     polys, _, pole, init = form
-    den = math.lcm(*(a.denominator for a, _ in init))
-    window = [a.numerator * (den // a.denominator) for a, _ in init]
-    left, leads = [], []  # u_{n0+j} over the denominator before step j
-    for n, vals in zip(range(n0, n_max - r + 1), _values_from(polys, n0)):
-        lead = vals[r]
-        if not lead:
+    rows = list(islice(_values_from(polys, n0), max(0, n_max - r + 1 - n0)))
+    for n, vals in enumerate(rows, n0):
+        if not vals[r]:
             raise pole(n)
-        new = -sum(map(mul, vals, window))
-        if lead < 0:
-            lead, new = -lead, -new
-        left.append(window[0])
-        leads.append(lead)
-        window = [lead * w for w in window[1:]]
-        window.append(new)
-        den *= lead
-    tail = 1
-    for j in reversed(range(len(left))):
-        tail *= leads[j]
-        left[j] *= tail
-    return ([0] * n0 + left + window)[: n_max + 1], den
+    den = math.lcm(*(a.denominator for a, _ in init))
+    den *= abs(math.prod(vals[r] for vals in rows))
+    nums = [0] * n0 + [a.numerator * (den // a.denominator) for a, _ in init]
+    # over a den that holds every c_r(n), -sum_k c_k(n) u_{n+k} is c_r(n)
+    # times an integer: the floor division is exact
+    for n, vals in enumerate(rows, n0):
+        nums.append(-sum(map(mul, vals, nums[n: n + r])) // vals[r])
+    return nums[: n_max + 1], den
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import fp
 from mpmath.ctx_mp import MPContext
 
 from agflab import worlds
@@ -32,7 +33,15 @@ from agflab.agf import (
     residual_grid,
     residual_table,
 )
-from agflab.complexfn import DOUBLE, PoleError, extended, gamma, log_gamma
+from agflab.complexfn import (
+    DOUBLE,
+    PoleError,
+    extended,
+    gamma,
+    hyp1f1,
+    log_gamma,
+    lower_incomplete_gamma,
+)
 from agflab.exact import duality_form_e, duality_form_pi
 from agflab.holonomic import RecurrenceParseError
 
@@ -66,6 +75,65 @@ def test_f_three_routes_agree_at_complex_point():
 def test_f_confluent_route_degenerates_at_minus_one():
     with pytest.raises(PoleError):
         f_eval_confluent_route(-1)
+
+
+def _fp(z):
+    return fp.mpc(z if type(z) is complex else fp.convert(z)) + 0
+
+
+def _fp_hyp1f1(a, b, x):
+    return fp.hyp1f1(*map(fp.convert, (a, b, x)))
+
+
+def _fp_lower_incomplete_gamma(a, x):
+    aa = _fp(a)
+    if x == 0:
+        return fp.mpc(0)
+    xa = fp.exp(aa * (fp.log(abs(x)) + (fp.pi * 1j if x < 0 else 0)))
+    return xa / aa * _fp_hyp1f1(aa, aa + 1, -x)
+
+
+def _fp_gamma_route(z):
+    zz = _fp(z)
+    return fp.exp(-1 - 1j * fp.pi * zz) * _fp_lower_incomplete_gamma(zz + 2, -1.0)
+
+
+def _fp_confluent_route(z):
+    zz = _fp(z)
+    return _fp_hyp1f1(2, zz + 2, -1) / (zz + 1)
+
+
+def test_double_routes_are_their_mpmath_fp_formulas():
+    # the formulas in mpmath.fp, each argument through fp.convert, are the
+    # oracle; == on the bits of both parts, the sign of a zero among them
+    def bits(v):
+        return type(v), v.real.hex(), v.imag.hex()
+
+    rng = random.Random(24)
+    ctx = MPContext()
+    points = [complex(rng.uniform(-1.5, 12), rng.uniform(-80, 80)) for _ in range(60)]
+    points += [complex(rng.uniform(-1.9, 9), 0.0) for _ in range(10)]
+    points += [complex(1.5, -0.0), 2.25, 0.5, 3, Fraction(7, 3), ctx.mpf(0.3),
+               ctx.mpc(1.25, -0.0)]
+    for z in points:
+        assert bits(f_eval_gamma_route(z)) == bits(_fp_gamma_route(z)), z
+        assert bits(f_eval_confluent_route(z)) == bits(_fp_confluent_route(z)), z
+        a = z + 2
+        for x in (-1.0, 0.5, 2, 0, Fraction(-1, 3), ctx.mpf(-0.75)):
+            assert bits(lower_incomplete_gamma(a, x)) == bits(
+                _fp_lower_incomplete_gamma(a, x)), (z, x)
+        for args in ((2, a, -1), (a, a + 1, 1.0), (Fraction(1, 3), a, Fraction(-1, 2)),
+                     (ctx.mpf(1.5), a, ctx.mpf(-1)), (a, Fraction(5, 2), 0.25)):
+            assert bits(hyp1f1(*args)) == bits(_fp_hyp1f1(*args)), args
+    for route in (f_eval_gamma_route, f_eval_confluent_route):  # -0.0 reads as +0.0
+        for x in (0.5, 2.25, -1.5):
+            assert bits(route(complex(x, -0.0))) == bits(route(x)), (route, x)
+    with pytest.raises(PoleError):
+        f_eval_confluent_route(-1)
+    for z in (-2, -3, -3.0, complex(-2, 0)):
+        for route in (f_eval_gamma_route, f_eval_confluent_route):
+            with pytest.raises(PoleError):
+                route(z)
 
 
 def test_g_anchor_values():
@@ -153,7 +221,9 @@ def test_pole_and_domain_messages():
              (lambda: f_eval(-4.0), PoleError, "f pole at z=-4"),
              (lambda: log_gamma(-1), PoleError, "gamma pole at z=-1"),
              (lambda: g_eval(1400), DomainError,
-              "g is evaluated only for |z| <= 1300; |z| = 1400")]
+              "g is evaluated only for |z| <= 1300; |z| = 1400"),
+             (lambda: g_eval(1300.0000001), DomainError,
+              "g is evaluated only for |z| <= 1300; |z| = 1300.0000001")]
     for call, kind, message in cases:
         with pytest.raises(kind) as exc:
             call()

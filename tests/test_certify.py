@@ -317,6 +317,29 @@ def first_nonzero_residual(ops, rhs, coeffs) -> int | None:
     return None
 
 
+@pytest.mark.parametrize("rec", [
+    mirror_e(3), mirror_pi(3), gamma_recurrence(Fraction(1, 2)),
+], ids=["e", "pi", "gamma"])
+def test_operator_corruption_fails_where_the_fraction_residual_does(rec, monkeypatch):
+    # each entry of ops and rhs bumped in turn: those below x^j in ops[j],
+    # whose shift j - i > 0 runs into the top of the series, and those
+    # near x^order, some past what the certificate reads
+    order = 40
+    coeffs = series_of(rec, order)
+    ops, rhs = derived_ode(rec)
+    polys = [*ops, rhs]
+    for j, poly in enumerate(polys):
+        for i in [*range(len(poly)), *range(order - 2, order + 2)]:
+            bad = [list(p) for p in polys]
+            bad[j] += [0] * (i + 1 - len(bad[j]))
+            bad[j][i] += 1
+            monkeypatch.setattr(certify, "_recurrence_ode",
+                                lambda *_, bad=bad: (bad[:-1], bad[-1]))
+            want = first_nonzero_residual(bad[:-1], bad[-1], coeffs)
+            res = ode_series_check_recurrence(rec, order)
+            assert (res.passed, res.first_failure) == (want is None, want), (j, i)
+
+
 @pytest.mark.parametrize("build, param, written", [
     (mirror_e, 0, ode_e), (mirror_e, 2, ode_e), (mirror_e, 5, ode_e),
     (mirror_pi, 0, ode_pi), (mirror_pi, 3, ode_pi),

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import agflab
-from agflab import cli
+from agflab import agf, cli
 from agflab.agf import (
     f_eval,
     f_pole_distance,
@@ -922,6 +922,23 @@ def test_agf_grid_is_the_scalar_route(capsys):
     assert _scalar_grid_csv(axis).count("pole") == 15
     code, out, err = run_cli(capsys, ["table", "agf-grid", "--grid=1290,1310,0,1,5"])
     assert (code, out) == (1, "") and err.startswith("domain error: ")
+
+
+def test_agf_grid_past_g_radius_exits_before_f_runs(capsys, monkeypatch):
+    calls = []
+
+    def counted(z, cfg=DOUBLE, f_eval=agf.f_eval):
+        calls.append(z)
+        return f_eval(z, cfg)
+
+    monkeypatch.setattr(agf, "f_eval", counted)
+    want = "domain error: g is evaluated only for |z| <= 1300; |z| = 1301\n"
+    for grid in ("1301,1400,0,100,0.5", "1290,1310,0,1,5"):
+        code, out, err = run_cli(capsys, ["table", "agf-grid", f"--grid={grid}"])
+        assert (code, out, err, calls) == (1, "", want, []), grid
+    # inside g's radius the same counter sees f's one pass
+    code, _, _ = run_cli(capsys, ["table", "agf-grid", "--grid=0,1,0,1,0.5"])
+    assert code == 0 and len(calls) == len(set(calls)) == 21
 
 
 def test_verify_all_smoke(capsys):
