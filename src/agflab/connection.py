@@ -100,8 +100,9 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None,
 # The last sample of the ladder, unless n_base * 2^depth lies past it.
 REACH = 2**16
 # The largest n_base * 2^depth, the n of the first full tableau.  The
-# work grows with n: on a 2-core Xeon, limit pi 1/3 takes 4 s at 2^22 and
-# 13 s at 2^24; --depth 40 (32 * 2^40) would take most of a year.
+# work grows with n: on a 2-core Xeon, limit pi 1/3 --n-base 16 takes 1.0 s
+# at 2^22 (--depth 18) and 4.0 s at 2^24 (--depth 20); --depth 40
+# (32 * 2^40) would take months.
 MAX_REACH = 2**24
 # The defaults of the tableau depth and the first sample.
 DEPTH = 6

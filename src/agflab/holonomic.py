@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, islice, repeat
 from operator import mul
 
@@ -538,6 +538,19 @@ def _differences(values) -> list:
     return diffs
 
 
+@cache
+def _power_differences(deg: int) -> tuple:
+    """Row i, for i = 0..deg: the i-th forward differences at t = 0 of t^l
+    for l = i..deg, the part of the row that is not 0 (l < i gives 0)."""
+    table = [[1] + [0] * deg]
+    for i in range(1, deg + 1):
+        row, prev = [0], table[-1]
+        for l in range(1, deg + 1):
+            row.append(i * (row[-1] + prev[l - 1]))
+        table.append(row)
+    return tuple(tuple(row[i:]) for i, row in enumerate(table))
+
+
 def _stepping(columns):
     """Tuples (v(j) for v in columns) for j = 0, 1, ...: each polynomial v,
     given by its forward differences at 0, advanced by them, summed by
@@ -604,19 +617,22 @@ def _fixed_point(rec, n_max, digits):
     win = _Window(rec, digits)
     for i in range(win.r):
         yield win.n0 + i, win.read(i)
-    yield from win.steps(win.n0, n_max - win.r + 1)
+    out = win.out
+    for n, raw in win.steps(win.n0, n_max - win.r + 1):
+        yield n, out(*raw)
 
 
 class _Window:
     """u_m, ..., u_{m+r-1} in fixed point: integer mantissas times 2^e, in
     ``parts``, one list for real data and a real and an imaginary one for
-    complex data.  Values come out as numbers of the private mpmath
-    context at ``digits + 5`` digits.
+    complex data.  ``out`` builds a value from mantissas and e, a number
+    of the private mpmath context at ``digits + 5`` digits; only
+    :meth:`read` and :func:`_fixed_point` call it.
 
     The cleared equation sum_k c_k(n) u_{n+k} = 0 of :func:`_integer_form`
     is, in companion form, c_r(n) s_{n+1} = A(n) s_n for the window
     s_n = (u_n, ..., u_{n+r-1}).  :meth:`steps` takes it one step at a time,
-    :meth:`jump` a block of K steps at once: D s_{m+K} = B s_m with
+    :meth:`_cross` blocks of K steps at once: D s_{m+K} = B s_m with
     B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
     per value of the block instead of one per step.
 
@@ -666,8 +682,9 @@ class _Window:
 
     def steps(self, m, stop):
         """Step the window from m to stop one n at a time, yielding each new
-        (n, u_n)."""
-        r, lo, hi, out, pole, e = self.r, self.lo, self.hi, self.out, self.pole, self.e
+        n with the raw arguments of ``out`` for u_n: (mantissa, e), or
+        (real mantissa, imaginary mantissa, e) for complex data."""
+        r, lo, hi, pole, e = self.r, self.lo, self.hi, self.pole, self.e
         indices = range(m + r, stop + r)
         if self.real:
             (window,) = self.parts
@@ -684,7 +701,7 @@ class _Window:
                     self.e = e
                 window.append(u)
                 del window[0]
-                yield n, out(u, e)
+                yield n, (u, e)
             return
         xs, ys = self.parts
         for n, vals in zip(indices, _values_from(self.polys, m)):
@@ -707,12 +724,12 @@ class _Window:
             xs.append(x)
             ys.append(y)
             del xs[0], ys[0]
-            yield n, out(x, y, e)
+            yield n, (x, y, e)
 
     def block_size(self) -> int:
-        """K, the steps of one :meth:`jump`: 16, or fewer where the degree d
+        """K, the steps of one block: 16, or fewer where the degree d
         of the cleared coefficients in n would take the entries of B, of
-        degree K d, past 32; 1 (no jumps) from d = 5 on, where blocks of
+        degree K d, past 32; 1 (no blocks) from d = 5 on, where blocks of
         fewer than 8 steps cost more than they save."""
         k = min(16, 32 // max(self.degree, 1))
         return k if k >= 8 else 1
@@ -744,17 +761,11 @@ class _Window:
         top = max(self._block(bound, abs(start) + k, k, True))
         s = top.bit_length() + 1
         half, mask = 1 << (s - 1), (1 << s) - 1
-        # table[i][l], the i-th forward difference of t^l at t = 0.  It
-        # stays rather than _differences over Horner values of the
-        # coefficients: that gave the same entries and output, but block
-        # set-up took 0.35 ms against 0.30 on `limit e 3` and 0.62 against
-        # 0.50 on `limit e 2.5+1i` (best of 7, 2-vCPU VM)
-        table = [[1] + [0] * deg]
-        for i in range(1, deg + 1):
-            row, prev = [0], table[-1]
-            for l in range(1, deg + 1):
-                row.append(i * (row[-1] + prev[l - 1]))
-            table.append(row)
+        # The differences of t^l stay rather than _differences over Horner
+        # values of the coefficients: that gave the same entries and
+        # output, but block set-up took 0.35 ms against 0.30 on `limit e 3`
+        # and 0.62 against 0.50 on `limit e 2.5+1i` (best of 7, 2-vCPU VM)
+        table = _power_differences(deg)
         columns = []
         for v in self._block(self.polys, start + (k << s), k, self.real):
             coeffs = []
@@ -764,7 +775,8 @@ class _Window:
                 v = (v - c) >> s
             if v:
                 raise ArithmeticError("a block entry past its coefficient bound")
-            columns.append([sum(map(mul, coeffs, row)) for row in table])
+            columns.append([sum(map(mul, coeffs[i:], row))
+                            for i, row in enumerate(table)])
         yield from _stepping(columns)
 
     def _block(self, polys, m, k, real):
@@ -797,55 +809,82 @@ class _Window:
         flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
         return flat if real else [x for x, _ in flat] + [y for _, y in flat]
 
-    def jump(self, vals) -> bool:
-        """Advance the window by one block, given its tuple from
-        :meth:`blocks`; False, and no move, where D = 0."""
-        r, rows = self.r, range(0, self.r * self.r, self.r)
+    def _cross(self, blocks, count) -> int:
+        """Advance the window by up to ``count`` blocks drawn from
+        ``blocks`` (see :meth:`blocks`) in one pass, and return how many it
+        took.  A block with D = 0 ends the pass: it is drawn but not taken.
+
+        Where the newest quotient would keep fewer than lo bits, the
+        numerators are widened first, so that it has as many as after a
+        single step; where it passes hi, the quotients are narrowed.
+        Either shift aims 32 bits above lo, clear of the next block's
+        drift."""
+        r, lo, hi, e = self.r, self.lo, self.hi, self.e
+        rows = range(0, r * r, r)
+        taken = 0
         if self.real:
-            div = vals[-1]
             (window,) = self.parts
-            parts = [[sum(map(mul, vals[i:i + r], window)) for i in rows]]
-            b = parts[0][-1].bit_length()
-        else:
-            h = r * r + 1
+            for vals in islice(blocks, count):
+                div = vals[-1]
+                if not div:
+                    break
+                window = [sum(map(mul, vals[i:i + r], window)) for i in rows]
+                b = window[-1].bit_length()
+                short = lo + div.bit_length() - b
+                if b and short > 0:
+                    window = [w << (short + 32) for w in window]
+                    e -= short + 32
+                window = [w // div for w in window]
+                b = window[-1].bit_length()
+                if b > hi:
+                    s = b - lo - 32
+                    window = [w >> s for w in window]
+                    e += s
+                taken += 1
+            self.parts, self.e = [window], e
+            return taken
+        h = r * r + 1
+        xs, ys = self.parts
+        for vals in islice(blocks, count):
             c, d = vals[h - 1], vals[-1]
             div = c * c + d * d
-            xs, ys = self.parts
-            parts = [[], []]
+            if not div:
+                break
+            px, py = [], []
             for i in rows:
                 re, im = vals[i:i + r], vals[h + i:h + i + r]
                 sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
                 si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
-                parts[0].append(sr * c + si * d)  # (sr + i si)(c - i d) / |D|^2
-                parts[1].append(si * c - sr * d)
-            b = max(parts[0][-1].bit_length(), parts[1][-1].bit_length())
-        if not div:
-            return False
-        # Where the newest quotient would keep fewer than lo bits, widen the
-        # numerators first, so that it has as many as after a single step.
-        # Either shift aims 32 bits above lo, clear of the next block's drift.
-        short = self.lo + div.bit_length() - b
-        if b and short > 0:
-            parts = [[w << (short + 32) for w in p] for p in parts]
-            self.e -= short + 32
-        self.parts = parts = [[w // div for w in p] for p in parts]
-        b = max(p[-1].bit_length() for p in parts)
-        if b > self.hi:
-            s = b - self.lo - 32
-            self.parts = [[w >> s for w in p] for p in parts]
-            self.e += s
-        return True
+                px.append(sr * c + si * d)  # (sr + i si)(c - i d) / |D|^2
+                py.append(si * c - sr * d)
+            b = max(px[-1].bit_length(), py[-1].bit_length())
+            short = lo + div.bit_length() - b
+            if b and short > 0:
+                px = [w << (short + 32) for w in px]
+                py = [w << (short + 32) for w in py]
+                e -= short + 32
+            xs, ys = [w // div for w in px], [w // div for w in py]
+            b = max(xs[-1].bit_length(), ys[-1].bit_length())
+            if b > hi:
+                s = b - lo - 32
+                xs, ys = [w >> s for w in xs], [w >> s for w in ys]
+                e += s
+            taken += 1
+        self.parts, self.e = [xs, ys], e
+        return taken
 
     def at(self, ns):
         """Yield u_n for each n drawn from the increasing ns, from the
         initial window.  After the first p < K single steps, the window
-        ends at a multiple of K at every block edge: the engine jumps K
-        steps at a time between wanted n, and a wanted n that is a multiple
-        of K is read straight after a jump.  Any other n ends its gap in
-        single steps.  The engine runs only as far as the last n drawn, so
-        a caller that stops drawing stops the stepping."""
+        ends at a multiple of K at every block edge: from there the engine
+        crosses the whole blocks before the next wanted n in one pass of
+        :meth:`_cross`, and a wanted n that is a multiple of K is read
+        straight after it.  Any other n ends its gap in single steps, and
+        so does a block with D = 0, whose steps raise its
+        :class:`CoefficientPole`.  The engine runs only as far as the last
+        n drawn, so a caller that stops drawing stops the stepping."""
         r, m, k = self.r, self.n0, self.block_size()
-        if k > 1:  # where the next block starts
+        if k > 1:  # where the next block starts, the first not drawn
             edge = m + (1 - m - r) % k
             blocks = self.blocks(k, edge)
         else:
@@ -857,11 +896,15 @@ class _Window:
             last = t
             while t >= m + r:  # u_t is past the window u_m..u_{m+r-1}
                 if m == edge:
-                    vals = next(blocks)
-                    edge += k
-                    if t >= edge and self.jump(vals):
-                        m = edge
-                        continue
+                    count = (t - m) // k
+                    if count:
+                        taken = self._cross(blocks, count)
+                        m = edge = m + taken * k
+                        if taken == count:
+                            continue
+                    else:
+                        next(blocks)
+                    edge += k  # the block at m is drawn: it holds t, or D = 0
                 stop = min(edge, t - r + 1)
                 for _ in self.steps(m, stop):
                     pass
@@ -876,11 +919,13 @@ def iter_values_at(rec: PRecurrence, ns, digits: int | None = None):
     Runs the fixed-point engine of :func:`iter_sequence`, whatever the
     data, and gives its values of the same type: numbers of the private
     mpmath context at :func:`numeric_digits` + 5 digits, which overflow
-    at no size.  It reaches each
-    wanted n in blocks of steps (:meth:`_Window.at`), and only as far as
-    the last n drawn: ``ns`` may be an endless ladder that the caller
-    stops.  A block with a coefficient pole is taken in single steps, so
-    :class:`CoefficientPole` names the n that :func:`iter_sequence` names.
+    at no size.  It crosses the whole blocks of
+    :meth:`_Window.block_size` steps between two wanted n in one pass
+    (:meth:`_Window.at`), builds one value per n drawn, and runs only as
+    far as the last n drawn: ``ns`` may be an endless ladder that the
+    caller stops.  A block with a coefficient pole is taken in single
+    steps, so :class:`CoefficientPole` names the n that
+    :func:`iter_sequence` names.
     """
     return _Window(rec, numeric_digits(digits)).at(ns)
 

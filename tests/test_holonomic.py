@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 from itertools import islice
@@ -606,6 +607,53 @@ def test_limit_single_steps_only_up_to_the_block_grid(argv, monkeypatch, capsys)
     # sample n_base 2^k
     r = 1 if argv[0] == "gamma" else 2
     assert calls == [(1, 17 - r)]
+
+
+@pytest.mark.parametrize("z", ["3", "2.5+1i"])
+def test_limit_builds_one_value_per_sample(z, monkeypatch, capsys):
+    from agflab.cli import main
+
+    built = []
+    init = _Window.__init__
+
+    def spy(self, rec, digits):
+        init(self, rec, digits)
+        out = self.out
+
+        def counted(*raw):
+            built.append(raw)
+            return out(*raw)
+        self.out = counted
+
+    monkeypatch.setattr(_Window, "__init__", spy)
+    assert main(["limit", "e", z, "--format", "json"]) == 0
+    samples = json.loads(capsys.readouterr().out)["n"]
+    # the single steps to the first block edge build none
+    assert len(built) == len(samples)
+
+
+@pytest.mark.parametrize("rec", [
+    gamma_recurrence(Fraction(25, 2)),
+    gamma_recurrence(complex(2.5, 1.25)),
+    mirror_e(3),
+    mirror_pi(0.75),
+    mirror_e(complex(2.5, 1.25)),
+    mirror_pi(complex(0.25, -1.5)),
+    with_z(USER, 0.75),
+    with_z(USER, complex(0.75, 0.5)),
+], ids=["gamma", "gamma-complex", "e-int", "pi-float", "e-complex", "pi-complex",
+        "user-real", "user-complex"])
+def test_on_grid_values_do_not_depend_on_the_draws(rec):
+    # a read at every block edge crosses one block at a time, a far read
+    # all of them in one pass: the same arithmetic, the same mpmath value
+    win = _Window(rec, 30)
+    k, n0 = win.block_size(), rec.initial_index
+    first = n0 + (1 - n0 - win.r) % k + win.r - 1  # where the first block ends
+    dense = list(range(first, first + 120 * k + 1, k))
+    got = dict(zip(dense, iter_values_at(rec, dense)))
+    assert type(got[dense[-1]]).__name__ in ("mpf", "mpc")
+    for ns in ([dense[-1]], dense[7::29], [dense[1], dense[-1]]):
+        assert list(iter_values_at(rec, ns)) == [got[n] for n in ns], ns
 
 
 def test_values_at_pole_inside_a_block():
