@@ -34,8 +34,6 @@ from .complexfn import (
     PoleError,
     PrecisionConfig,
     _is_real,
-    _lgamma_lanczos,
-    _log_gamma,
     _nearest_int,
     _to_ctx,
     extended,
@@ -194,16 +192,11 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
         raise PoleError(f"f pole at z={n}")
     ctx = cfg.ctx
     # a real z divides in real arithmetic: the same terms as in complex
-    real = _is_real(z)
-    if cfg.is_extended:
-        total, e = ctx.mpc(0), ctx.e
-        z2 = (ctx.convert(z) if real else _to_ctx(z, ctx)) + 2
-    else:  # Python floats and complexes, with none of fp's per-call dispatch
-        total, e = 0j, math.e
-        z2 = (float(z) if real else complex(z)) + 2
+    z2 = (ctx.convert(z) if _is_real(z) else _to_ctx(z, ctx)) + 2
+    total = ctx.mpc(0)
     for k, term in _reciprocal_factorials(ctx):
         total += term / (z2 + k)
-    return total / e
+    return total / ctx.e
 
 
 @cache
@@ -223,13 +216,10 @@ def _reciprocal_factorials(ctx) -> tuple:
 
 def f_eval_gamma_route(z, cfg: PrecisionConfig = DOUBLE):
     """f(z) = e^(-1 - i pi z) gamma(z+2, -1), on the principal branch."""
-    if cfg.is_extended:
-        ctx = cfg.ctx
-        zz, exp, pi = _to_ctx(z, ctx), ctx.exp, ctx.pi
-    else:  # Python complexes, with none of fp's per-call dispatch
-        zz, exp, pi = complex(z) + 0, cmath.exp, math.pi
+    ctx = cfg.ctx
+    zz = _to_ctx(z, ctx)
     inc = lower_incomplete_gamma(zz + 2, -1.0, cfg)
-    return exp(-1 - 1j * pi * zz) * inc
+    return ctx.exp(-1 - 1j * ctx.pi * zz) * inc
 
 
 def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
@@ -240,7 +230,7 @@ def f_eval_confluent_route(z, cfg: PrecisionConfig = DOUBLE):
     """
     if _nearest_int(z) == -1:
         raise PoleError("confluent representation of f degenerates at z=-1")
-    zz = _to_ctx(z, cfg.ctx) if cfg.is_extended else complex(z) + 0
+    zz = _to_ctx(z, cfg.ctx)
     return hyp1f1(2, zz + 2, -1, cfg) / (zz + 1)
 
 
@@ -263,7 +253,7 @@ def gamma_ratio_A(z, cfg: PrecisionConfig = DOUBLE):
         raise PoleError(f"A(z) {'indeterminate' if den_pole else 'pole'} at z={z}")
     if den_pole:
         return ctx.mpc(0)
-    return ctx.exp(_log_gamma(zz / 2 + 1, cfg) - _log_gamma((zz + 1) / 2, cfg))
+    return ctx.exp(ctx.loggamma(zz / 2 + 1) - ctx.loggamma((zz + 1) / 2))
 
 
 class DomainError(ArithmeticError):
@@ -330,10 +320,7 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     if r > G_RADIUS:
         raise DomainError(f"g is evaluated only for |z| <= {G_RADIUS:g}; "
                           f"|z| = {repr(r).removesuffix('.0')}")
-    if cfg.is_extended:
-        ctx = cfg.ctx
-        zz, lgamma, exp, sqrt2 = _to_ctx(z, ctx), ctx.loggamma, ctx.exp, ctx.sqrt(2)
-    elif r >= _G_SERIES_RADIUS and zc.real >= -abs(zc.imag):
+    if not cfg.is_extended and r >= _G_SERIES_RADIUS and zc.real >= -abs(zc.imag):
         t = 2 / zc
         c_poly, e_poly = _G_SERIES_HORNER
         c = e = 0j
@@ -343,11 +330,11 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
             e = e * t + k
         g = e / (cmath.sqrt(zc) * c)
         return g.real if zc.imag == 0 else g
-    else:  # Python complexes, with none of fp's per-call dispatch
-        zz, lgamma, exp, sqrt2 = zc + 0, _lgamma_lanczos, cmath.exp, math.sqrt(2)
+    ctx = cfg.ctx
+    zz, lgamma, exp = _to_ctx(z, ctx), ctx.loggamma, ctx.exp
     mid = lgamma((zz + 1) / 2)
     a_prev = 0 if n == 0 else exp(mid - lgamma(zz / 2))
-    g = sqrt2 * (exp(lgamma(zz / 2 + 1) - mid) - a_prev)
+    g = ctx.sqrt(2) * (exp(lgamma(zz / 2 + 1) - mid) - a_prev)
     return g.real if zz.imag == 0 else g
 
 
@@ -407,7 +394,6 @@ def residual_table(spec: AGFSpec, h, points, pole_distance) -> list[tuple]:
         scale = max(map(abs, terms))
         rows.append((z, hs[0], residual, abs(residual) / scale if scale > 0 else 0.0))
     return rows
-
 
 
 def residual_grid(spec: AGFSpec, h, points, pole_distance):

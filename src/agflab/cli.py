@@ -214,7 +214,7 @@ def _suite_duality(seed: int) -> Iterator[dict]:
     for world in dual:
         worst = 0.0
         rows = []
-        for form, residual, scale in world.duality_residuals(15, extended(40)):
+        for form, residual, scale in world.duality_residuals(15):
             dev = residual / scale
             worst = max(worst, dev)
             rows.append({**form.to_record(), "scaled_residual": dev})
@@ -347,8 +347,7 @@ def cmd_verify(args) -> int:
 def _table_duality(world: str, m_max: int) -> tuple[list[str], list[list]]:
     records = [{**form.to_record(), "form_value": f"{form.value():.17g}",
                 "residual": f"{residual:.3e}"}
-               for form, residual, _ in worlds.world(world).duality_residuals(
-                   m_max, extended(40))]
+               for form, residual, _ in worlds.world(world).duality_residuals(m_max)]
     return list(records[0]), [list(r.values()) for r in records]
 
 

@@ -1,16 +1,15 @@
 """Principal-branch complex special functions at configurable precision.
 
-Every formula is written once against the mpmath context of its
-:class:`PrecisionConfig`: ``mpmath.fp`` (Python floats and complexes) in
-double precision, a private :class:`MPContext` in the extended mode
-(more than ``MAX_DOUBLE_DIGITS`` = 15 significant digits).  log-Gamma is
-the one exception: double precision keeps a fixed Lanczos approximation
-with reflection for Re z < 1/2, which is faster than ``fp.loggamma``; the
-extended mode uses the context's ``loggamma``.  Gamma is exp(log-Gamma).
-The confluent hypergeometric 1F1 is the context's ``hyp1f1``, and the
-lower incomplete gamma is written through it; in double precision that
-formula binds ``cmath.exp``, ``math.log`` and ``math.pi``, and Python
-numbers go to ``fp.hyp1f1`` as they are, not through ``fp.convert``.
+Every formula is written once against the context of its
+:class:`PrecisionConfig`, ``cfg.ctx``: a private :class:`MPContext` in the
+extended mode (more than ``MAX_DOUBLE_DIGITS`` = 15 significant digits),
+and in double precision Python's own floats and complexes, under the
+names the formulas read from an mpmath context: ``exp`` is ``cmath.exp``,
+``log`` and ``sqrt`` are ``math``'s, ``loggamma`` is a fixed Lanczos
+approximation with reflection for Re z < 1/2, and ``convert`` and
+``hyp1f1`` are ``mpmath.fp``'s.  It is not ``fp`` itself, because fp
+dispatches on the argument's type at every call.  Gamma is
+exp(log-Gamma); the lower incomplete gamma is written through 1F1.
 
 Poles are reported as typed :class:`PoleError`, never as infinities, so
 grid drivers can skip them deterministically.  All functions are pure;
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -61,25 +61,21 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision of one computation."""
+    """Working precision of one computation.  ``ctx``, set once here and
+    not a field, is the context the formulas run in: the double context,
+    or above 15 digits a private mpmath context with 10 guard digits."""
 
     working_digits: int = 15
 
     def __post_init__(self):
         if self.working_digits < 1:
             raise ValueError("working_digits must be positive")
+        object.__setattr__(self, "ctx", _mp_context(self.working_digits + 10)
+                           if self.is_extended else _DOUBLE_CONTEXT)
 
     @property
     def is_extended(self) -> bool:
         return self.working_digits > MAX_DOUBLE_DIGITS
-
-    @property
-    def ctx(self):
-        """The mpmath context the formulas run in: ``fp`` in double
-        precision, else a private context with 10 guard digits."""
-        if self.is_extended:
-            return _mp_context(self.working_digits + 10)
-        return fp
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +86,6 @@ def _mp_context(dps: int) -> MPContext:
     ctx = MPContext()
     ctx.dps = dps
     return ctx
-
-
-DOUBLE = PrecisionConfig()
 
 
 def extended(digits: int) -> PrecisionConfig:
@@ -160,7 +153,7 @@ def _check_pole(z, where: str):
 
 
 # ---------------------------------------------------------------------------
-# log-Gamma: Lanczos in double precision
+# the double context, and its log-Gamma: Lanczos
 
 _LANCZOS_G = 7.0
 _LANCZOS_C0 = 0.99999999999980993
@@ -197,8 +190,23 @@ def _log_sin_pi(z: complex) -> complex:
     return -1j * math.pi * z + cmath.log(0.5j * (1 - cmath.exp(2j * math.pi * z)))
 
 
+class _DoubleContext:
+    """The names the formulas read from an mpmath context, bound to Python's
+    primitives: ``exp`` takes a complex, ``log`` and ``sqrt`` a positive real."""
+
+    mpc, mpf, convert = complex, float, fp.convert
+    e, pi, eps = math.e, math.pi, fp.eps
+    exp, log, sqrt = cmath.exp, math.log, math.sqrt
+    loggamma = staticmethod(_lgamma_lanczos)
+    hyp1f1 = fp.hyp1f1
+
+
+_DOUBLE_CONTEXT = _DoubleContext()
+DOUBLE = PrecisionConfig()
+
+
 # ---------------------------------------------------------------------------
-# public Gamma interface: Lanczos in double precision, mpmath beyond it
+# public Gamma interface
 
 def log_gamma(z, cfg: PrecisionConfig = DOUBLE):
     """A log of Gamma with exp(log_gamma(z)) == gamma(z) to tolerance.
@@ -207,12 +215,7 @@ def log_gamma(z, cfg: PrecisionConfig = DOUBLE):
     part may differ from the continuous branch by multiples of 2*pi.
     """
     _check_pole(z, "gamma pole at z")
-    return _log_gamma(_to_ctx(z, cfg.ctx), cfg)
-
-
-def _log_gamma(w, cfg: PrecisionConfig):
-    """log_gamma of w, already a number of ``cfg.ctx`` and no pole."""
-    return cfg.ctx.loggamma(w) if cfg.is_extended else _lgamma_lanczos(w)
+    return cfg.ctx.loggamma(_to_ctx(z, cfg.ctx))
 
 
 def gamma(z, cfg: PrecisionConfig = DOUBLE):
@@ -227,14 +230,13 @@ def hyp1f1(a, b, x, cfg: PrecisionConfig = DOUBLE):
     """Confluent hypergeometric 1F1(a; b; x), mpmath's in the precision's
     context; b must avoid the nonpositive integers."""
     _check_pole(b, "hyp1f1 pole at b")
-    ctx = cfg.ctx
     args = (a, b, x)
-    # in double, Python numbers go to fp as they are: fp.convert takes a
-    # complex only after a caught TypeError (1.5 us)
+    # in double, three Python numbers go to fp.hyp1f1 as they are:
+    # fp.convert takes a complex only after a caught TypeError (1.5 us)
     if cfg.is_extended or not _PYTHON_NUMBERS.issuperset(map(type, args)):
-        args = map(ctx.convert, args)
+        args = map(cfg.ctx.convert, args)
     try:
-        return ctx.hyp1f1(*args)
+        return cfg.ctx.hyp1f1(*args)
     except NoConvergence as exc:
         raise ConvergenceError(f"1F1({a}; {b}; {x}) did not converge") from exc
 
@@ -247,13 +249,10 @@ def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
     """
     _check_pole(a, "lower incomplete gamma pole at a")
     ctx = cfg.ctx
-    if cfg.is_extended:
-        aa, exp, log, pi = _to_ctx(a, ctx), ctx.exp, ctx.log, ctx.pi
-    else:  # Python complexes, with none of fp's per-call dispatch
-        aa, exp, log, pi = complex(a) + 0, cmath.exp, math.log, math.pi
+    aa = _to_ctx(a, ctx)
     if x == 0:
         return ctx.mpc(0)
-    xa = exp(aa * (log(abs(x)) + (pi * 1j if x < 0 else 0)))
+    xa = ctx.exp(aa * (ctx.log(abs(x)) + (ctx.pi * 1j if x < 0 else 0)))
     return xa / aa * hyp1f1(aa, aa + 1, -x, cfg)
 
 
@@ -261,25 +260,25 @@ def lower_incomplete_gamma(a, x: float, cfg: PrecisionConfig = DOUBLE):
 
 def format_cnum(z, cfg: PrecisionConfig = DOUBLE) -> str:
     """Render a complex value as 're+imi' / 're-imi' at working precision;
-    an mpmath value is rounded once, not first to the nearest double."""
+    an mpmath value is rounded once, not first to the nearest double, so
+    it keeps its digits outside the normal double range too."""
     d = cfg.working_digits
-    if _is_mp(z):
+
+    def part(x) -> str:
+        if not _is_mp(x):
+            return f"{x:.{d}g}"
         if cfg.is_extended:
-            re, im = z.real, z.imag
-            re_s = z.context.nstr(re, d)
-            if im == 0:
-                return re_s
-            return f"{re_s}{'+' if im >= 0 else '-'}{z.context.nstr(abs(im), d)}i"
-        z = complex(_round_digits(z.real, d), _round_digits(z.imag, d))
-    zc = complex(z)
-    if zc.imag == 0.0:
-        return f"{zc.real:.{d}g}"
-    return f"{zc.real:.{d}g}{'+' if zc.imag >= 0 else '-'}{abs(zc.imag):.{d}g}i"
+            return x.context.nstr(x, d)
+        # d <= 15 digits, rounded once, printed through their double where
+        # that is a normal one (it prints as them), else from the Decimal
+        q = _mp_fraction(x)
+        r = Context(prec=d).divide(Decimal(q.numerator), Decimal(q.denominator))
+        if r == 0 or sys.float_info.min <= abs(r) <= sys.float_info.max:
+            return f"{float(r):.{d}g}"
+        return f"{r.normalize():.{d}g}"
 
-
-def _round_digits(x, d: int) -> float:
-    """x (real, mpmath) rounded to d <= 15 significant digits, as the
-    double that ``.{d}g`` prints as those digits."""
-    q = _mp_fraction(x)
-    return float(Context(prec=d).divide(Decimal(q.numerator),
-                                        Decimal(q.denominator)))
+    if not _is_mp(z):
+        z = complex(z)
+    if z.imag == 0:
+        return part(z.real)
+    return f"{part(z.real)}{'+' if z.imag >= 0 else '-'}{part(abs(z.imag))}i"

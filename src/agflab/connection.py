@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .complexfn import DOUBLE, PrecisionConfig, _nearest_int, log_gamma
+from .complexfn import _nearest_int, log_gamma
 from .holonomic import PRecurrence, iter_values_at, numeric_digits
 
 __all__ = [
@@ -77,8 +77,7 @@ G_SHELL = AsymptoticShell(rho_intercept=0.5)        # Lambda = sqrt(n)
 GAMMA_SHELL = AsymptoticShell(rho_slope=-1, rho_intercept=1.0)  # Lambda = n^(1-z)
 
 
-def shell_log_eval(shell: AsymptoticShell, n: int, z=None,
-                   cfg: PrecisionConfig = DOUBLE):
+def shell_log_eval(shell: AsymptoticShell, n: int, z=None):
     """log Lambda(n, z), accumulated in log space to dodge overflow."""
     if n < 1:
         raise ValueError("shell evaluation needs n >= 1")
@@ -93,7 +92,7 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None,
             + complex(fac.beta)
         if fac.alpha != 0 and z is None:
             raise ValueError("shell Gamma factor depends on z but no z was given")
-        out += fac.multiplicity * log_gamma(arg, cfg)
+        out += fac.multiplicity * log_gamma(arg)
     return out
 
 
@@ -173,16 +172,21 @@ def estimate_connection_constant(
     the tableau removes only when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
-    exp(log Lambda) in that number's own context, so neither overflows.
-    The error estimate is the last diagonal increment of the final window
-    (heuristic, not a rigorous bound), plus, where the ladder ends before
-    a window settles, the change of the value from the previous window,
-    floored at the rounding of the window: eps * (1 + |log Lambda(n)|) *
-    |sample| per sample, carried through the tableau with the rounding of
-    its own steps (:func:`_richardson`).  Raises NonConvergence at a
-    sample that is not finite, when the increments of any window grow for
-    three consecutive levels while still above 1e-13 of the value, and
-    when the error estimate is above 1e-2 of the value, settled or not.
+    exp(log Lambda) in that number's own context, so neither overflows,
+    and scales it there by 2^-k, k the binary magnitude of the first
+    within +-1000, so that 2^-k is a double: the tableau runs in these
+    units, exactly, and far from the ends of the double range, and its
+    results are scaled back at the end.  The error estimate is the last
+    diagonal increment of the final window (heuristic, not a rigorous
+    bound), plus, where the ladder ends before a window settles, the
+    change of the value from the previous window, floored at the rounding
+    of the window: eps * (1 + |log Lambda(n)|) * |sample| per sample,
+    carried through the tableau with the rounding of its own steps
+    (:func:`_richardson`).  Raises NonConvergence at a sample that is not
+    finite, at a value outside the normal double range, when the
+    increments of any window grow for three consecutive levels while
+    still above 1e-13 of the value, and when the error estimate is above
+    1e-2 of the value, settled or not.
     """
     start = time.perf_counter()
     if depth < 1:
@@ -202,10 +206,14 @@ def estimate_connection_constant(
     digits = numeric_digits(digits)
     size = depth + 1
     samples, rounding, values = [], [], []  # values: each window's diag[-1]
+    unit = None  # 2^-k
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
     for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
         log_lam = shell_log_eval(shell, n, z)
-        sample = complex(u / u.context.exp(log_lam))
+        ratio = u / u.context.exp(log_lam)
+        if unit is None:
+            unit = 2.0 ** -max(-1000, min(1000, u.context.mag(ratio) if ratio else 0))
+        sample = complex(ratio * unit)
         if not cmath.isfinite(sample):
             raise NonConvergence(f"sample u_n / Lambda(n) not finite at n={n}")
         samples.append(sample)
@@ -216,7 +224,7 @@ def estimate_connection_constant(
         values.append(diag[-1])
         deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
         scale = max(abs(diag[-1]), 1e-300)
-        _check_not_diverging(deltas, 1e-13 * scale)
+        _check_not_diverging(deltas, 1e-13 * scale, unit)
         settled = deltas[-1] <= rounding_error
         if settled:
             break
@@ -226,28 +234,33 @@ def estimate_connection_constant(
         # least what its last sample moved it
         error = max(error, abs(values[-1] - values[-2]))
     error = max(error, rounding_error)
+    # back from the tableau's units, where the value may leave the range
+    scale, error, rounding_error, *deltas = (
+        x / unit for x in (abs(diag[-1]), error, rounding_error, *deltas))
+    if not (sys.float_info.min <= scale and max(scale, *deltas) < math.inf):
+        raise NonConvergence(
+            f"estimate outside the normal double range (value {scale:.3g})")
     if error > 0.01 * scale:
         why = ("value below its rounding floor" if settled
                else "extrapolation diagonal far from settled")
         raise NonConvergence(f"{why} (error {error:.3g} vs value {scale:.3g})")
     return ConnectionEstimate(
-        value=diag[-1], error_estimate=error,
+        value=complex(diag[-1].real / unit, diag[-1].imag / unit), error_estimate=error,
         engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)
 
 
-def _check_not_diverging(deltas, floor):
+def _check_not_diverging(deltas, floor, unit):
     """Raise NonConvergence where the increments grow for three
-    consecutive levels while above ``floor``."""
+    consecutive levels while above ``floor``; it gives them over ``unit``."""
     growing = 0
     for i in range(1, len(deltas)):
         if deltas[i] > deltas[i - 1] and deltas[i] > floor:
             growing += 1
             if growing >= 3:
-                raise NonConvergence(
-                    f"extrapolation diagonal diverging (deltas {deltas})"
-                )
+                raise NonConvergence("extrapolation diagonal diverging "
+                                     f"(deltas {[d / unit for d in deltas]})")
         else:
             growing = 0
 

@@ -20,6 +20,8 @@ from .connection import F_SHELL, G_SHELL, GAMMA_SHELL, AsymptoticShell
 
 __all__ = ["World", "functions", "table", "world"]
 
+DUALITY_CFG = complexfn.extended(40)  # the precision of every duality residual
+
 
 @dataclasses.dataclass(frozen=True)
 class World:
@@ -42,13 +44,12 @@ class World:
     constant: str | None
     forms: Callable | None
 
-    def duality_residuals(self, m_max: int, cfg: complexfn.PrecisionConfig
-                          ) -> list[tuple]:
+    def duality_residuals(self, m_max: int) -> list[tuple]:
         """(form, |(-1)^m h(m)/h(0) - (x - c y)|, x + c y) for m = 0..m_max,
-        h the evaluator, the last two as floats."""
-        ctx = cfg.ctx
+        h the evaluator at ``DUALITY_CFG``, the last two as floats."""
+        ctx = DUALITY_CFG.ctx
         h, const = self.evaluator, getattr(ctx, self.constant)
-        hs = [h(m, cfg) for m in range(m_max + 1)]
+        hs = [h(m, DUALITY_CFG) for m in range(m_max + 1)]
         rows = []
         for m, (form, hm) in enumerate(zip(self.forms(m_max), hs)):
             _, x, y = dataclasses.astuple(form)

@@ -36,6 +36,7 @@ from agflab.agf import (
 from agflab.complexfn import (
     DOUBLE,
     PoleError,
+    _lgamma_lanczos,
     extended,
     gamma,
     hyp1f1,
@@ -77,34 +78,97 @@ def test_f_confluent_route_degenerates_at_minus_one():
         f_eval_confluent_route(-1)
 
 
-def _fp(z):
-    return fp.mpc(z if type(z) is complex else fp.convert(z)) + 0
+class _Formulas:
+    """The library's formulas written again over ``ctx``, each argument of
+    1F1 through ``ctx.convert``: mpmath.fp with the Lanczos log-Gamma is
+    double precision, an MPContext at the working digits plus 10 the
+    extended mode.  Poles are the caller's to avoid."""
+
+    def __init__(self, ctx, loggamma):
+        self.ctx, self.loggamma = ctx, loggamma
+
+    def to(self, z):
+        return self.ctx.mpc(z if type(z) is complex else self.ctx.convert(z)) + 0
+
+    def hyp1f1(self, a, b, x):
+        return self.ctx.hyp1f1(*map(self.ctx.convert, (a, b, x)))
+
+    def lower_incomplete_gamma(self, a, x):
+        ctx, aa = self.ctx, self.to(a)
+        if x == 0:
+            return ctx.mpc(0)
+        xa = ctx.exp(aa * (ctx.log(abs(x)) + (ctx.pi * 1j if x < 0 else 0)))
+        return xa / aa * self.hyp1f1(aa, aa + 1, -x)
+
+    def f_eval_gamma_route(self, z):
+        ctx, zz = self.ctx, self.to(z)
+        return ctx.exp(-1 - 1j * ctx.pi * zz) * self.lower_incomplete_gamma(zz + 2, -1.0)
+
+    def f_eval_confluent_route(self, z):
+        zz = self.to(z)
+        return self.hyp1f1(2, zz + 2, -1) / (zz + 1)
+
+    def f_eval(self, z):
+        ctx = self.ctx
+        real = not isinstance(z, complex) and not hasattr(z, "_mpc_")
+        z2 = (ctx.convert(z) if real else self.to(z)) + 2
+        total, term, k = ctx.mpc(0), ctx.mpf(1), 0
+        while term >= ctx.eps / 1000:
+            total += term / (z2 + k)
+            k += 1
+            term /= k
+        return total / ctx.e
+
+    def log_gamma(self, z):
+        return self.loggamma(self.to(z))
+
+    def gamma(self, z):
+        return self.ctx.exp(self.log_gamma(z))
+
+    def gamma_ratio_A(self, z):
+        zz = self.to(z)
+        return self.ctx.exp(self.loggamma(zz / 2 + 1) - self.loggamma((zz + 1) / 2))
+
+    def g_eval(self, z):  # the three-log-Gamma route
+        ctx, lg, zz = self.ctx, self.loggamma, self.to(z)
+        mid = lg((zz + 1) / 2)
+        a_prev = 0 if zz == 0 else ctx.exp(mid - lg(zz / 2))
+        g = ctx.sqrt(2) * (ctx.exp(lg(zz / 2 + 1) - mid) - a_prev)
+        return g.real if zz.imag == 0 else g
 
 
-def _fp_hyp1f1(a, b, x):
-    return fp.hyp1f1(*map(fp.convert, (a, b, x)))
+_ROUTES = {f.__name__: f for f in (
+    f_eval, f_eval_gamma_route, f_eval_confluent_route, g_eval, log_gamma, gamma,
+    gamma_ratio_A)}
 
 
-def _fp_lower_incomplete_gamma(a, x):
-    aa = _fp(a)
-    if x == 0:
-        return fp.mpc(0)
-    xa = fp.exp(aa * (fp.log(abs(x)) + (fp.pi * 1j if x < 0 else 0)))
-    return xa / aa * _fp_hyp1f1(aa, aa + 1, -x)
-
-
-def _fp_gamma_route(z):
-    zz = _fp(z)
-    return fp.exp(-1 - 1j * fp.pi * zz) * _fp_lower_incomplete_gamma(zz + 2, -1.0)
-
-
-def _fp_confluent_route(z):
-    zz = _fp(z)
-    return _fp_hyp1f1(2, zz + 2, -1) / (zz + 1)
+def _check_formulas(cfg, formulas, points, bits, mp):
+    """Every public formula at ``points``, 1F1 and the lower incomplete
+    gamma also at further arguments, some of them numbers of the mpmath
+    context ``mp``; equal in ``bits`` to ``formulas``."""
+    series = not cfg.is_extended  # g's double-only large-|z| series
+    for z in points:
+        zc = complex(z)
+        for name, route in _ROUTES.items():
+            if name == "g_eval" and series and abs(zc) >= 20 and zc.real >= -abs(zc.imag):
+                continue
+            try:
+                got = route(z, cfg)
+            except PoleError:  # Gamma's at 0
+                assert name in ("log_gamma", "gamma") and zc == 0
+                continue
+            assert bits(got) == bits(getattr(formulas, name)(z)), (name, z)
+        a = z + 2
+        for x in (-1.0, 0.5, 2, 0, Fraction(-1, 3), mp.mpf(-0.75)):
+            assert bits(lower_incomplete_gamma(a, x, cfg)) == bits(
+                formulas.lower_incomplete_gamma(a, x)), (z, x)
+        for args in ((2, a, -1), (a, a + 1, 1.0), (Fraction(1, 3), a, Fraction(-1, 2)),
+                     (mp.mpf(1.5), a, mp.mpf(-1)), (a, Fraction(5, 2), 0.25)):
+            assert bits(hyp1f1(*args, cfg)) == bits(formulas.hyp1f1(*args)), args
 
 
 def test_double_routes_are_their_mpmath_fp_formulas():
-    # the formulas in mpmath.fp, each argument through fp.convert, are the
+    # the formulas in mpmath.fp, with the Lanczos log-Gamma, are the
     # oracle; == on the bits of both parts, the sign of a zero among them
     def bits(v):
         return type(v), v.real.hex(), v.imag.hex()
@@ -114,17 +178,8 @@ def test_double_routes_are_their_mpmath_fp_formulas():
     points = [complex(rng.uniform(-1.5, 12), rng.uniform(-80, 80)) for _ in range(60)]
     points += [complex(rng.uniform(-1.9, 9), 0.0) for _ in range(10)]
     points += [complex(1.5, -0.0), 2.25, 0.5, 3, Fraction(7, 3), ctx.mpf(0.3),
-               ctx.mpc(1.25, -0.0)]
-    for z in points:
-        assert bits(f_eval_gamma_route(z)) == bits(_fp_gamma_route(z)), z
-        assert bits(f_eval_confluent_route(z)) == bits(_fp_confluent_route(z)), z
-        a = z + 2
-        for x in (-1.0, 0.5, 2, 0, Fraction(-1, 3), ctx.mpf(-0.75)):
-            assert bits(lower_incomplete_gamma(a, x)) == bits(
-                _fp_lower_incomplete_gamma(a, x)), (z, x)
-        for args in ((2, a, -1), (a, a + 1, 1.0), (Fraction(1, 3), a, Fraction(-1, 2)),
-                     (ctx.mpf(1.5), a, ctx.mpf(-1)), (a, Fraction(5, 2), 0.25)):
-            assert bits(hyp1f1(*args)) == bits(_fp_hyp1f1(*args)), args
+               ctx.mpc(1.25, -0.0), 0, complex(-7.5, 3), -14.25]
+    _check_formulas(DOUBLE, _Formulas(fp, _lgamma_lanczos), points, bits, ctx)
     for route in (f_eval_gamma_route, f_eval_confluent_route):  # -0.0 reads as +0.0
         for x in (0.5, 2.25, -1.5):
             assert bits(route(complex(x, -0.0))) == bits(route(x)), (route, x)
@@ -134,6 +189,25 @@ def test_double_routes_are_their_mpmath_fp_formulas():
         for route in (f_eval_gamma_route, f_eval_confluent_route):
             with pytest.raises(PoleError):
                 route(z)
+
+
+@pytest.mark.parametrize("digits", [20, 30, 60])
+def test_extended_routes_are_their_mpmath_formulas(digits):
+    # the same formulas over a separate MPContext at digits + 10; == on
+    # both parts, compared as mpmath's (sign, mantissa, exponent, bits)
+    def bits(v):
+        return v.real._mpf_, v.imag._mpf_
+
+    oracle = MPContext()
+    oracle.dps = digits + 10
+    other = MPContext()  # arguments from a context of another precision
+    other.dps = digits + 25
+    rng = random.Random(digits)
+    points = [complex(rng.uniform(-1.5, 12), rng.uniform(-30, 30)) for _ in range(8)]
+    points += [2.25, 3, -0.5, complex(-7.5, 3), 0, Fraction(7, 3),
+               other.mpf(1) / 3, other.mpc(2, -1) / 7, complex(25, 0), complex(30, 40)]
+    _check_formulas(extended(digits), _Formulas(oracle, oracle.loggamma), points,
+                    bits, other)
 
 
 def test_g_anchor_values():

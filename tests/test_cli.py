@@ -414,6 +414,19 @@ def test_no_unused_import_in_the_library():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def test_only_complexfn_chooses_the_arithmetic_of_a_precision():
+    # the formulas run over cfg.ctx, which PrecisionConfig resolves; the
+    # others read is_extended for what a context does not hold: how an
+    # mpmath value prints, 1F1's argument conversion, g's double-only
+    # series and the engine seq steps in
+    allowed = {"PrecisionConfig", "format_cnum", "hyp1f1", "g_eval", "cmd_seq"}
+    readers = {getattr(node, "name", node.lineno)
+               for tree in _layers().values() for node in tree.body
+               if any(isinstance(n, ast.Attribute) and n.attr == "is_extended"
+                      for n in ast.walk(node))}
+    assert readers <= allowed
+
+
 def test_seq_gamma_rows_are_the_exact_sequence(capsys):
     code, out, _ = run_cli(capsys, ["seq", "gamma", "1/3", "5"])
     want = list(iter_sequence(gamma_recurrence(Fraction(1, 3)), n_max=5))
@@ -488,6 +501,64 @@ def test_limit_prints_a_value_within_its_error_or_refuses(capsys, argv, code, er
     want = ctx.gamma(ctx.mpc(-17.5, 0.2))
     assert value.imag != 0
     assert abs(value.real - want.real) <= error and abs(value.imag - want.imag) <= error
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("z", ["170.9", "171", "171.5", "172", "-170.5", "-175.5",
+                               "-177.5", "-180.5"])
+def test_limit_gamma_at_the_ends_of_the_double_range(capsys, z):
+    # Gamma(z) runs from 1.2e309 at 172 down to -1.2e-330 at -180.5: a
+    # finite value whose ± covers its error against 40-digit mpmath, or
+    # exit 1; in JSON, never NaN or Infinity
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    q = Fraction(z)
+    want = ctx.gamma(ctx.mpf(q.numerator) / q.denominator)
+    code, out, err = run_cli(capsys, ["limit", "gamma", z])
+    json_code, json_out, _ = run_cli(capsys, ["limit", "gamma", z, "--format", "json"])
+    assert json_code == code
+    if code:
+        assert (code, out, json_out) == (1, "", "") and err.startswith(
+            "non-convergence: "), err
+        return
+    text, _, error = out.rstrip("\n").partition(" ± ")
+    value, error = parse_scalar(text), float(error)
+    assert math.isfinite(error)
+    assert abs(ctx.mpf(value.numerator) / value.denominator - want) <= error
+    record = json.loads(json_out, parse_constant=_reject_constant)
+    assert record["value"] == text
+
+
+def test_seq_rows_past_the_double_range_keep_15_digits(tmp_path, capsys):
+    # at Z = 0.5i, (1+z)(2+z)...(n+z) passes 1.8e308 at n = 171; 1/n!
+    # falls below the normal doubles at n = 171 and below 5e-324 at 178.
+    # Each row is its 40-digit value to 15 significant digits
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    z = ctx.mpc(0, 0.5)
+    cases = {"coeff1: 1\ncoeff0: -(n+1+z)\n": lambda n: ctx.rf(1 + z, n),
+             "coeff1: n+1\ncoeff0: -1\n": lambda n: 1 / ctx.factorial(n)}
+    digits = r"[\d.]+(?:e[+-]\d+)?"
+    for i, (text, exact) in enumerate(cases.items()):
+        path = tmp_path / f"rec{i}.txt"
+        path.write_text(text + "init: n0=0; 1\n")
+        code, out, _ = run_cli(capsys, ["seq", str(path), "0.5i", "200"])
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert code == 0 and len(rows) == 201
+        for n, value in rows:
+            want = ctx.mpc(exact(int(n)))
+            m = re.fullmatch(f"(-?{digits})(?:([+-]{digits})i)?", value)
+            got = ctx.mpc(ctx.mpf(m[1]), ctx.mpf(m[2] or 0))
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert abs(g - w) <= 5e-15 * abs(w), (text, n, value)
+
 
 def test_seq_from_file(tmp_path, capsys):
     path = tmp_path / "rec.txt"
