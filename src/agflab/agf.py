@@ -42,7 +42,7 @@ from .complexfn import (
     lower_incomplete_gamma,
 )
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
-from .holonomic import _check_coeffs, _horner_z, _number, _parse_coeff_text, _quotient
+from .holonomic import _check_coeffs, _number, _parse_coeff_text
 
 __all__ = [
     "AGFSpec",
@@ -87,9 +87,8 @@ class AGFSpec:
     coeffs: tuple
     anchors: tuple
     name: str = ""
-    _rows: tuple = field(init=False, repr=False, compare=False)  # (num, den) in z
-    # the rows for a complex z: (num, den) from the top coefficient down,
-    # as complexes, with den () where it is 1
+    # each coefficient as complex (num, den) rows from the top coefficient
+    # down, with den () where it is 1
     _complex_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,31 +98,29 @@ class AGFSpec:
                 raise ValueError("AFE coefficients must not involve n")
         if len(self.anchors) != self.order:
             raise ValueError("need exactly `order` anchor pairs")
-        rows = tuple((c.num.coeffs[0], c.den.coeffs[0]) for c in self.coeffs)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_complex_rows", tuple(
-            (tuple(map(complex, reversed(num))),
-             () if den == [1] else tuple(map(complex, reversed(den))))
-            for num, den in rows))
 
-    def coeff_at(self, k: int, z):
-        """coeffs[k] at z, by the steps of ``coeffs[k].eval(0, z)``.  A
-        complex z runs them on the complex row: Horner from the top
-        coefficient, so a constant row is that constant, and no division
-        where the denominator is 1."""
-        if type(z) is complex:
-            num, den = self._complex_rows[k]
-            n = num[0]
-            for c in num[1:]:
-                n = n * z + c
-            if not den:
-                return n
-            d = den[0]
-            for c in den[1:]:
-                d = d * z + c
-            return n / d
-        num, den = self._rows[k]
-        return _quotient(_horner_z(num, z), _horner_z(den, z), 0, z)
+        def row(poly):
+            return tuple(map(complex, reversed(poly.coeffs[0])))
+
+        object.__setattr__(self, "_complex_rows", tuple(
+            (row(c.num), () if c.den.coeffs[0] == [1] else row(c.den))
+            for c in self.coeffs))
+
+    def coeff_at(self, k: int, z) -> complex:
+        """coeffs[k] at a complex z (the grid points of the residual
+        table): Horner from the top coefficient of its complex rows, so a
+        constant row is that constant, and no division where the
+        denominator is 1; ZeroDivisionError at a root of the denominator."""
+        num, den = self._complex_rows[k]
+        n = num[0]
+        for c in num[1:]:
+            n = n * z + c
+        if not den:
+            return n
+        d = den[0]
+        for c in den[1:]:
+            d = d * z + c
+        return n / d
 
 
 # Each spec is built once (about 50 us) and shared; nothing changes a spec.
@@ -306,8 +303,10 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     series (see ``_G_SERIES_C``), good to about 1e-15 relative.  Elsewhere,
     and at every point in extended precision, three log-Gammas:
     log Gamma((z+1)/2) is shared, A(z)'s denominator and A(z-1)'s
-    numerator.  Holomorphic at z = 0 because A(-1) = 0 by the
-    reciprocal-gamma convention.  Real on the real axis: there the
+    numerator.  Within 1e-12 of z = 0, A(z-1) is z/(2 A(z)), by
+    A(z) A(z-1) = z/2: it is 0 at z = 0, where A(-1) = 0 by the
+    reciprocal-gamma convention, and keeps its digits beside it, where
+    the log-Gammas would cancel.  Real on the real axis: there the
     imaginary part the log-gamma route leaves (a rounded multiple of pi
     where a Gamma argument is negative) is dropped.  Raises
     :class:`DomainError` past |z| = :data:`G_RADIUS`, at every precision.
@@ -333,8 +332,9 @@ def g_eval(z, cfg: PrecisionConfig = DOUBLE):
     ctx = cfg.ctx
     zz, lgamma, exp = _to_ctx(z, ctx), ctx.loggamma, ctx.exp
     mid = lgamma((zz + 1) / 2)
-    a_prev = 0 if n == 0 else exp(mid - lgamma(zz / 2))
-    g = ctx.sqrt(2) * (exp(lgamma(zz / 2 + 1) - mid) - a_prev)
+    a = exp(lgamma(zz / 2 + 1) - mid)
+    a_prev = zz / (2 * a) if n == 0 else exp(mid - lgamma(zz / 2))
+    g = ctx.sqrt(2) * (a - a_prev)
     return g.real if zz.imag == 0 else g
 
 
@@ -430,25 +430,21 @@ def classify_regularity(spec: AGFSpec) -> RegularityClass:
     return RegularityClass.REGULAR
 
 
-def growth_probe(h, re_anchor: float, im_values, kind=None) -> list[dict]:
+def growth_probe(h, re_anchor: float, im_values, kind: str) -> list[dict]:
     """Sample |h| along a vertical line and normalize per expected decay.
 
-    kind 'f' reports |h(z)(z+2) - 1| (should decay like 1/|z|);
-    kind 'g' reports |h(z) sqrt(z)| (should stay bounded); anything else
-    reports the raw magnitude.
+    kind 'f' reports |h(z)(z+2) - 1| (should decay like 1/|z|), kind 'g'
+    reports |h(z) sqrt(z)| (should stay bounded); any other kind raises
+    ValueError.
     """
+    if kind not in ("f", "g"):
+        raise ValueError(f"growth_probe kind must be 'f' or 'g', not {kind!r}")
     rows = []
     for im in im_values:
         z = complex(re_anchor, im)
         val = h(z)
-        mag = abs(val)
-        if kind == "f":
-            normalized = abs(val * (z + 2) - 1)
-        elif kind == "g":
-            normalized = abs(val * cmath.sqrt(z))
-        else:
-            normalized = mag
-        rows.append({"im": im, "magnitude": mag, "normalized": normalized})
+        normalized = abs(val * (z + 2) - 1) if kind == "f" else abs(val * cmath.sqrt(z))
+        rows.append({"im": im, "magnitude": abs(val), "normalized": normalized})
     return rows
 
 

@@ -14,7 +14,7 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -276,7 +276,8 @@ class SlopeKind(Enum):
 @dataclass(frozen=True)
 class SlopeRatioResult:
     """Whether Gamma(alpha(z+1)+beta)/Gamma(alpha z+beta) is rational and,
-    if so, its form: a product/quotient of linear factors (s*z + c)."""
+    if so, its form: a product/quotient of linear factors (s*z + c), the
+    slope s the int alpha."""
 
     kind: SlopeKind
     numer_factors: tuple = ()
@@ -312,9 +313,9 @@ def slope_ratio(alpha, beta) -> SlopeRatioResult:
     k = int(alpha)
     if k > 0:
         return SlopeRatioResult(SlopeKind.RATIONAL, numer_factors=tuple(
-            (alpha, beta + j) for j in range(k)))
+            (k, beta + j) for j in range(k)))
     return SlopeRatioResult(SlopeKind.RATIONAL, denom_factors=tuple(
-        (alpha, beta + k + j) for j in range(-k)))
+        (k, beta + k + j) for j in range(-k)))
 
 
 def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
@@ -325,16 +326,10 @@ def slope_ratio_numeric_check(result: SlopeRatioResult, alpha, beta,
         raise ValueError("numeric check needs a rational slope result")
     a = complex(Fraction(alpha))
     b = complex(beta)
-
-    def as_complex(factors):  # a Fraction s times a complex z converts s each time
-        return tuple((complex(s), complex(c)) for s, c in factors)
-
-    form = replace(result, numer_factors=as_complex(result.numer_factors),
-                   denom_factors=as_complex(result.denom_factors))
     worst = 0.0
     for z in samples:
         zz = complex(z)
         ratio = cmath.exp(log_gamma(a * (zz + 1) + b) - log_gamma(a * zz + b))
-        sym = complex(form.eval(zz))
+        sym = complex(result.eval(zz))
         worst = max(worst, abs(ratio - sym) / abs(ratio))
     return worst

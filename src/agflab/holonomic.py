@@ -217,14 +217,6 @@ def _horner_z(row, z):
     return acc
 
 
-def _quotient(num, den, n, z):
-    """num/den, the value of a RationalFn at (n, z): a Fraction when both
-    are exact, ZeroDivisionError where den vanishes."""
-    if den == 0:
-        raise ZeroDivisionError(f"denominator vanished at (n={n}, z={z})")
-    return Fraction(num) / den if _is_exact(num) and _is_exact(den) else num / den
-
-
 class RationalFn:
     """Quotient of two Poly2, the coefficient field for recurrences."""
 
@@ -270,8 +262,12 @@ class RationalFn:
         return RationalFn(self.num * other.den, self.den * other.num)
 
     def eval(self, n, z):
-        """The value at (n, z); a Fraction when n and z are exact."""
-        return _quotient(self.num.eval(n, z), self.den.eval(n, z), n, z)
+        """The value at (n, z); a Fraction when n and z are exact,
+        ZeroDivisionError where the denominator vanishes."""
+        num, den = self.num.eval(n, z), self.den.eval(n, z)
+        if den == 0:
+            raise ZeroDivisionError(f"denominator vanished at (n={n}, z={z})")
+        return Fraction(num) / den if _is_exact(num) and _is_exact(den) else num / den
 
     def __repr__(self):
         if self.den == Poly2.const(1):

@@ -274,6 +274,19 @@ def test_cli_import_loads_no_third_party_package_but_mpmath():
         "agflab", "mpmath", "gmpy2"}, out
 
 
+def test_package_import_loads_no_layer_and_binds_only_the_version():
+    # the API lives in the layers: the package root is no second list of it
+    src = str(Path(agflab.__file__).resolve().parents[1])
+    code = ("import json, sys, agflab; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('agflab.')), "
+            "sorted(n for n in vars(agflab) if not n.startswith('__')), "
+            "'__all__' in vars(agflab), agflab.__version__]))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [[], [], False, "0.1.0"]
+
+
 @pytest.mark.parametrize("name", ["agflab", *(f"agflab.{layer}" for layer in (
     "agf", "certify", "complexfn", "connection", "exact", "holonomic", "worlds"))])
 def test_every_exported_name_exists(name):
