@@ -26,15 +26,7 @@ from operator import add, itemgetter, mul
 from mpmath import fp
 
 from .agf import g_eval
-from .holonomic import (
-    PRecurrence,
-    _differences,
-    _exact_data,
-    _exact_series,
-    _horner,
-    _integer_form,
-    _stepping,
-)
+from .holonomic import PRecurrence, _differences, _horner, _stepping, exact_series
 
 __all__ = [
     "OdeCheckResult",
@@ -59,11 +51,11 @@ class OdeCheckResult:
     first_failure: int | None
 
 
-def _recurrence_ode(rec: PRecurrence, form) -> tuple[list[list[int]], list[Fraction]]:
+def _recurrence_ode(rec: PRecurrence) -> tuple[list[list[int]], list[Fraction]]:
     """(ops, rhs): the ODE sum_j ops[j](x) D^j U = rhs(x) of the series
     U(x) = sum_n u_n x^n of ``rec`` at its rational ``param`` z, each
     polynomial as its coefficients from x^0 (gfun's rectodiffeq), from
-    ``form``, the return value of :func:`holonomic._integer_form`.
+    the cleared equation :attr:`holonomic.PRecurrence.cleared`.
 
     Multiplying sum_k c_k(n) u_{n+k} = 0, the cleared integer equation,
     by x^(n+r) and summing over n gives L = sum_k x^(r-k) c_k(theta - k)
@@ -75,7 +67,7 @@ def _recurrence_ode(rec: PRecurrence, form) -> tuple[list[list[int]], list[Fract
     leave rhs = sum_{n=n0-r}^{n0-1} x^(n+r) sum_k c_k(n) u_{n+k}, with
     u_n = 0 outside the initial window.
     """
-    polys, _, _, init = form
+    polys, _, _, init = rec.cleared
     r, n0 = rec.order, rec.initial_index
     degree = max(map(len, polys)) - 1
     ops = [[0] * (r + j + 1) for j in range(degree + 1)]
@@ -91,15 +83,13 @@ def _recurrence_ode(rec: PRecurrence, form) -> tuple[list[list[int]], list[Fract
     return ops, rhs
 
 
-def ode_series_check_recurrence(rec: PRecurrence, order: int,
-                                series: tuple[list[int], int] | None = None
-                                ) -> OdeCheckResult:
+def ode_series_check_recurrence(rec: PRecurrence, order: int) -> OdeCheckResult:
     """Verify the ODE L U = P of :func:`_recurrence_ode` coefficient by
     coefficient through x^order: every coefficient of L U - P must be 0.
 
     U is the pair (nums, den) of :func:`holonomic.exact_series`, built
-    from the same cleared form as the ODE, unless an explicit pair is
-    supplied (the seam used by mutation tests).  The coefficient of x^N
+    from the same cleared equation as the ODE; z and the initial values
+    must be rational (ValueError otherwise).  The coefficient of x^N
     in ops[j](x) D^j U is sum_i ops[j][i] (m+1)...(m+j) u_{m+j} with
     m = N - i, so the residual is summed in ints on the numerators, one
     pass per shift s = j - i: W_s(N) u_{N+s}, with the small-integer
@@ -109,13 +99,10 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int,
     shift s > 0 stops at x^(len(nums) - 1 - s), where the numerators end.
     P times den is subtracted last.
     """
-    if not _exact_data(rec):
-        raise ValueError("the ODE certificate needs rational z and initial values")
-    form = _integer_form(rec)
-    ops, rhs = _recurrence_ode(rec, form)
+    ops, rhs = _recurrence_ode(rec)
     if order < max(10, len(ops) - 1):
         raise ValueError("order must be at least 10 and the order of the ODE")
-    nums, den = series if series is not None else _exact_series(rec, form, order)
+    nums, den = exact_series(rec, order)
     shifts = {}  # s -> [(j, ops[j][j - s])]
     for j, op in enumerate(ops):
         for i, c in enumerate(op):

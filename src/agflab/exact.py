@@ -6,7 +6,8 @@ derangement numbers, and rational forms p_m - pi*q_m built from double
 factorials.  Everything in this module is exact big-integer or
 big-rational arithmetic (``fractions.Fraction`` is the rational scalar);
 the duality forms are computed redundantly, by recurrence and by closed
-formula, and cross-checked at construction.
+formula, and cross-checked at construction.  Their values x - c y, which
+cancel in doubles, are computed by :meth:`worlds.World.duality_residuals`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class LinearFormE:
     a: int
     b: int
 
-    def value(self) -> float:
-        return self.a - math.e * self.b
-
     def to_record(self) -> dict:
         return {"m": self.m, "a": self.a, "b": self.b}
 
@@ -52,9 +50,6 @@ class LinearFormPi:
     m: int
     p: Fraction
     q: Fraction
-
-    def value(self) -> float:
-        return self.p - math.pi * self.q
 
     def to_record(self) -> dict:
         return {

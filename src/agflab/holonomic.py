@@ -4,7 +4,8 @@ A :class:`PRecurrence` stores an order-r linear recurrence
 sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
 functions in the index n and the parameter z, and the z it steps at,
 its ``param``.  :func:`_integer_form` substitutes that z exactly and
-clears the denominators once; every engine steps that integer equation.
+clears the denominators, once per recurrence (:attr:`PRecurrence.cleared`);
+every engine steps that integer equation.
 There are two ways in: :func:`iter_sequence` yields every u_n up to
 n_max, exactly (big rationals) where z and the initial values are
 rational and no digits are asked for, and :func:`iter_values_at` yields
@@ -27,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, islice, repeat
 from operator import mul
 
@@ -177,7 +178,7 @@ class Poly2:
             if self.degree_z() > 0:
                 raise ValueError("recurrence depends on z but no value was given")
             return [row[0] for row in self.coeffs]
-        return [_horner_z(row, z) for row in self.coeffs]
+        return [_horner(row, z) * z**0 for row in self.coeffs]
 
     def eval(self, n, z):
         return _horner(self.collapse_z(z), n)
@@ -207,14 +208,6 @@ class Poly2:
             return "0"
         return "".join(t if k == 0 or t.startswith("-") else f"+{t}"
                        for k, t in enumerate(terms))
-
-
-def _horner_z(row, z):
-    """sum_j row[j] z^j by Horner's rule, in the scalar type of z."""
-    acc = row[-1] * (z**0)
-    for c in row[-2::-1]:
-        acc = acc * z + c
-    return acc
 
 
 class RationalFn:
@@ -297,6 +290,14 @@ class PRecurrence:
         _check_coeffs(self.order, self.coeffs)
         if len(self.initial_values) != self.order:
             raise ValueError("initial_values length must equal the order")
+
+    @cached_property
+    def cleared(self):
+        """The cleared integer equation at ``param``: the return value of
+        :func:`_integer_form`, built on first use and kept in the instance
+        ``__dict__``.  Every engine and the ODE certificate read it, and
+        none changes it."""
+        return _integer_form(self)
 
 
 def _check_coeffs(order: int, coeffs: tuple):
@@ -413,7 +414,7 @@ def _exact(rec, n_max):
     """Fraction stepping: u_{n+r} = -sum_k c_k(n) u_{n+k} / c_r(n) over
     the integer coefficients c_k of the cleared equation."""
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = _integer_form(rec)
+    polys, _, pole, init = rec.cleared
     window = [a for a, _ in init]
     yield from enumerate(window, n0)
     for n, vals in zip(range(n0 + r, n_max + 1), _values_from(polys, n0)):
@@ -428,30 +429,25 @@ def _exact(rec, n_max):
 
 def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
     """u_0..u_{n_max} at z = ``rec.param`` exactly, as integer numerators
-    over one denominator.
+    over one denominator: the series the ODE certificate
+    (:func:`certify.ode_series_check_recurrence`) checks.
 
     Terms below the initial index are 0.  z and the initial values must
     be rational.  The iteration is fraction-free and steps over its final
     denominator: the lcm of the initial denominators times |c_r(n)| for
-    every step n, c_r the leading coefficient of the cleared equation of
-    :func:`_integer_form`.  Each step solves that equation for the newest
-    numerator by one exact integer division by c_r(n), with no gcd and
-    no rescaling.  Raises :class:`CoefficientPole` at the same n as
+    every step n, c_r the leading coefficient of the cleared equation
+    :attr:`PRecurrence.cleared`.  Each step solves that equation for the
+    newest numerator by one exact integer division by c_r(n), with no gcd
+    and no rescaling.  Raises :class:`CoefficientPole` at the same n as
     :func:`iter_sequence`, before any step.  The denominator is positive
     but not reduced.
     """
     if not _exact_data(rec):
         raise ValueError("exact_series needs rational z and initial values")
-    return _exact_series(rec, _integer_form(rec), n_max)
-
-
-def _exact_series(rec: PRecurrence, form, n_max: int) -> tuple[list[int], int]:
-    """:func:`exact_series` from the cleared ``form`` of ``rec``, the
-    return value of :func:`_integer_form` at rational data."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = form
+    polys, _, pole, init = rec.cleared
     rows = list(islice(_values_from(polys, n0), max(0, n_max - r + 1 - n0)))
     for n, vals in enumerate(rows, n0):
         if not vals[r]:
@@ -538,13 +534,8 @@ def _differences(values) -> list:
 def _power_differences(deg: int) -> tuple:
     """Row i, for i = 0..deg: the i-th forward differences at t = 0 of t^l
     for l = i..deg, the part of the row that is not 0 (l < i gives 0)."""
-    table = [[1] + [0] * deg]
-    for i in range(1, deg + 1):
-        row, prev = [0], table[-1]
-        for l in range(1, deg + 1):
-            row.append(i * (row[-1] + prev[l - 1]))
-        table.append(row)
-    return tuple(tuple(row[i:]) for i, row in enumerate(table))
+    columns = [_differences([t**l for t in range(deg + 1)]) for l in range(deg + 1)]
+    return tuple(tuple(col[i] for col in columns[i:]) for i in range(deg + 1))
 
 
 def _stepping(columns):
@@ -643,7 +634,7 @@ class _Window:
 
     def __init__(self, rec, digits):
         self.r, self.n0 = rec.order, rec.initial_index
-        re_polys, im_polys, self.pole, init = _integer_form(rec)
+        re_polys, im_polys, self.pole, init = rec.cleared
         self.real = not any(map(any, im_polys)) and not any(b for _, b in init)
         self.polys = re_polys if self.real else re_polys + im_polys
         self.degree = max((i for p in self.polys for i, c in enumerate(p) if c),

@@ -12,6 +12,7 @@ tracer's wrapper).  Nothing outside this module branches on a world name.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .connection import F_SHELL, G_SHELL, GAMMA_SHELL, AsymptoticShell
 
 __all__ = ["World", "functions", "table", "world"]
 
-DUALITY_CFG = complexfn.extended(40)  # the precision of every duality residual
+DUALITY_CFG = complexfn.extended(40)  # the precision of h in every duality residual
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,17 +46,21 @@ class World:
     forms: Callable | None
 
     def duality_residuals(self, m_max: int) -> list[tuple]:
-        """(form, |(-1)^m h(m)/h(0) - (x - c y)|, x + c y) for m = 0..m_max,
-        h the evaluator at ``DUALITY_CFG``, the last two as floats."""
-        ctx = DUALITY_CFG.ctx
+        """(form, K_m, |(-1)^m h(m)/h(0) - K_m| / |K_m|) for m = 0..m_max,
+        the last two as floats, h the evaluator at ``DUALITY_CFG``.  K_m =
+        x - c y, where x and c y cancel in all but a few digits, is computed
+        here only, in a private context 50 digits wider than the largest x."""
+        forms = self.forms(m_max)
+        top = int(max(dataclasses.astuple(form)[1] for form in forms))
+        ctx = complexfn._mp_context(50 + math.ceil(top.bit_length() * math.log10(2)))
         h, const = self.evaluator, getattr(ctx, self.constant)
         hs = [h(m, DUALITY_CFG) for m in range(m_max + 1)]
         rows = []
-        for m, (form, hm) in enumerate(zip(self.forms(m_max), hs)):
+        for m, (form, hm) in enumerate(zip(forms, hs)):
             _, x, y = dataclasses.astuple(form)
-            lhs = (-1) ** m * hm / hs[0]
-            residual = abs(lhs - (ctx.convert(x) - const * ctx.convert(y)))
-            rows.append((form, float(residual), float(x) + float(const) * float(y)))
+            value = ctx.convert(x) - const * ctx.convert(y)
+            lhs = ctx.convert((-1) ** m * hm / hs[0])
+            rows.append((form, float(value), float(abs(lhs - value) / abs(value))))
         return rows
 
 

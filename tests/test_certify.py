@@ -22,6 +22,7 @@ from agflab.holonomic import (
     PRecurrence,
     exact_series,
     gamma_recurrence,
+    iter_sequence,
     mirror_e,
     mirror_pi,
     parse_precurrence,
@@ -165,10 +166,6 @@ def ode_gamma(z):
     return [[z - 1, -1], [0, 1, -1]], [0, 1]
 
 
-def derived_ode(rec):
-    return _recurrence_ode(rec, holonomic._integer_form(rec))
-
-
 def ratio(derived, written):
     """The c with derived = c * written, polynomial by polynomial (lists
     from x^0), or None if there is none."""
@@ -188,7 +185,7 @@ HALVES = [Fraction(2 * m + 1, 2) for m in range(9)]
     *((gamma_recurrence, z, ode_gamma) for z in HALVES),
 ])
 def test_derived_ode_is_the_hand_written_one(build, param, written):
-    ops, rhs = derived_ode(build(param))
+    ops, rhs = _recurrence_ode(build(param))
     hand_ops, hand_rhs = written(param)
     assert ratio([*ops, rhs], [*hand_ops, hand_rhs]) is not None
 
@@ -223,7 +220,7 @@ init: n0=1; 0.5, 1
 
 def test_user_recurrence_certified_through_order_200():
     rec = dataclasses.replace(parse_precurrence(USER_TEXT), param=Fraction(1, 3))
-    ops, _ = derived_ode(rec)
+    ops, _ = _recurrence_ode(rec)
     assert len(ops) == 4
     res = ode_series_check_recurrence(rec, 200)
     assert res.passed and res.first_failure is None
@@ -249,23 +246,28 @@ def corrupted(rec, order: int, i: int, delta=1) -> tuple[list[int], int]:
     return nums, den * delta.denominator
 
 
-def test_ode_certificate_mutation_detected():
-    res = ode_series_check_recurrence(mirror_e(1), 10,
-                                      series=corrupted(mirror_e(1), 10, 5))
+def check_series(monkeypatch, rec, order: int, series: tuple[list[int], int]):
+    """The ODE certificate of rec, run on the pair ``series`` in place of
+    its exact series."""
+    monkeypatch.setattr(certify, "exact_series", lambda *_: series)
+    return ode_series_check_recurrence(rec, order)
+
+
+def test_ode_certificate_mutation_detected(monkeypatch):
+    res = check_series(monkeypatch, mirror_e(1), 10, corrupted(mirror_e(1), 10, 5))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 7
 
 
-def test_ode_certificate_mutation_detected_pi():
-    res = ode_series_check_recurrence(mirror_pi(0), 10,
-                                      series=corrupted(mirror_pi(0), 10, 4))
+def test_ode_certificate_mutation_detected_pi(monkeypatch):
+    res = check_series(monkeypatch, mirror_pi(0), 10, corrupted(mirror_pi(0), 10, 4))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 6
 
 
-def test_ode_certificate_mutation_detected_gamma():
+def test_ode_certificate_mutation_detected_gamma(monkeypatch):
     rec = gamma_recurrence(Fraction(1, 2))
-    res = ode_series_check_recurrence(rec, 10, series=corrupted(rec, 10, 6))
+    res = check_series(monkeypatch, rec, 10, corrupted(rec, 10, 6))
     assert not res.passed
     assert res.first_failure is not None and res.first_failure <= 8
 
@@ -274,14 +276,12 @@ def test_ode_certificate_mutation_detected_gamma():
     mirror_e(0), mirror_e(2), mirror_e(5), mirror_pi(0), mirror_pi(3),
     gamma_recurrence(Fraction(1, 2)), gamma_recurrence(Fraction(7, 3)),
 ], ids=["e-0", "e-2", "e-5", "pi-0", "pi-3", "gamma-1/2", "gamma-7/3"])
-def test_every_single_coefficient_corruption_fails_nearby(rec):
+def test_every_single_coefficient_corruption_fails_nearby(rec, monkeypatch):
     order = 40
-    assert ode_series_check_recurrence(
-        rec, order, series=exact_series(rec, order)).passed
+    assert check_series(monkeypatch, rec, order, exact_series(rec, order)).passed
     delta = Fraction(1, 10**30)  # far below double precision
     for i in range(order + 1):
-        res = ode_series_check_recurrence(rec, order,
-                                          series=corrupted(rec, order, i, delta))
+        res = check_series(monkeypatch, rec, order, corrupted(rec, order, i, delta))
         assert not res.passed and i <= res.first_failure <= i + 2, i
 
 
@@ -289,7 +289,7 @@ def test_every_single_coefficient_corruption_fails_nearby(rec):
     mirror_e(3), mirror_pi(3), gamma_recurrence(Fraction(1, 2)),
 ], ids=["e", "pi", "gamma"])
 def test_every_single_operator_corruption_fails(rec, monkeypatch):
-    ops, rhs = derived_ode(rec)
+    ops, rhs = _recurrence_ode(rec)
     assert ode_series_check_recurrence(rec, 40).passed
     polys = [*ops, rhs]
     for j, poly in enumerate(polys):
@@ -326,7 +326,7 @@ def test_operator_corruption_fails_where_the_fraction_residual_does(rec, monkeyp
     # near x^order, some past what the certificate reads
     order = 40
     coeffs = series_of(rec, order)
-    ops, rhs = derived_ode(rec)
+    ops, rhs = _recurrence_ode(rec)
     polys = [*ops, rhs]
     for j, poly in enumerate(polys):
         for i in [*range(len(poly)), *range(order - 2, order + 2)]:
@@ -347,7 +347,7 @@ def test_operator_corruption_fails_where_the_fraction_residual_does(rec, monkeyp
     (gamma_recurrence, Fraction(7, 3), ode_gamma),
 ], ids=["e-0", "e-2", "e-5", "pi-0", "pi-3", "gamma-1/2", "gamma-7/3"])
 def test_first_failure_matches_a_fraction_residual_of_the_written_ode(
-        build, param, written):
+        build, param, written, monkeypatch):
     # the written ODEs differ from the derived ones by a scalar factor,
     # so their residuals vanish at the same coefficients
     rec, order = build(param), 40
@@ -356,7 +356,7 @@ def test_first_failure_matches_a_fraction_residual_of_the_written_ode(
     for i in range(order + 1):
         nums, den = corrupted(rec, order, i, Fraction(1, 10**30))
         want = first_nonzero_residual(ops, rhs, [Fraction(c, den) for c in nums])
-        res = ode_series_check_recurrence(rec, order, series=(nums, den))
+        res = check_series(monkeypatch, rec, order, (nums, den))
         assert want is not None and res.first_failure == want, i
 
 
@@ -367,13 +367,33 @@ def test_one_integer_form_per_certificate(monkeypatch):
         calls.append(rec)
         return integer_form(rec)
 
-    monkeypatch.setattr(certify, "_integer_form", counted)
     monkeypatch.setattr(holonomic, "_integer_form", counted)
     recs = [mirror_e(3), mirror_pi(0), gamma_recurrence(Fraction(1, 2)),
             dataclasses.replace(parse_precurrence(USER_TEXT), param=Fraction(1, 3))]
     for rec in recs:
         assert ode_series_check_recurrence(rec, 40).passed
     assert calls == recs
+
+
+def test_one_integer_form_per_recurrence(monkeypatch):
+    # both engines, the exact series and the certificate read the one
+    # cleared equation of a recurrence; a replaced one clears its own
+    calls = []
+
+    def counted(rec, integer_form=holonomic._integer_form):
+        calls.append(rec)
+        return integer_form(rec)
+
+    monkeypatch.setattr(holonomic, "_integer_form", counted)
+    rec = mirror_e(3)
+    list(iter_sequence(rec, 40))
+    list(iter_sequence(rec, 40, digits=30))
+    exact_series(rec, 40)
+    assert ode_series_check_recurrence(rec, 40).passed
+    assert calls == [rec]
+    other = dataclasses.replace(rec, param=Fraction(7, 2))
+    assert ode_series_check_recurrence(other, 40).passed
+    assert calls == [rec, other]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import agflab
 from agflab import agf, cli
@@ -359,7 +360,6 @@ KEPT = {
     "gamma_ratio_A": "the bit-exact reference of g's two-ratio form in the tests",
     "parse_agf_spec": "reads the AFE text format that AFE guessing will emit",
     "format_agf_spec": "writes the AFE text format, the inverse of parse_agf_spec",
-    "exact_series": "the public entry to the exact-series engine certify calls",
     "GammaFactor": "a shell's Gamma factors, which derived shells will fill",
 }
 
@@ -398,7 +398,7 @@ def test_no_public_function_only_the_tests_call():
     layers = _layers()
     uses = {name: _uses(tree) for name, tree in layers.items()}
     accepted = _uses(ast.parse(ACCEPTANCE.read_text()))
-    public, uncalled = set(), []
+    public, uncalled, stale = set(), [], []
     for name, tree in layers.items():
         elsewhere = accepted.union(*(u for n, u in uses.items() if n != name))
         exported = _exported(tree)
@@ -406,10 +406,13 @@ def test_no_public_function_only_the_tests_call():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name in exported):
                 public.add(node.name)
-                if (node.name not in elsewhere | _uses(tree, skip=node)
-                        and node.name not in KEPT):
+                called = node.name in elsewhere | _uses(tree, skip=node)
+                if called and node.name in KEPT:
+                    stale.append(f"{name}:{node.name}")
+                elif not called and node.name not in KEPT:
                     uncalled.append(f"{name}:{node.name}")
     assert uncalled == []
+    assert stale == []
     assert set(KEPT) <= public
 
 
@@ -881,13 +884,47 @@ def test_table_duality_e_roundtrip(tmp_path, capsys):
     # re-read and re-validate: the exact forms regenerate identically
     from agflab.exact import duality_form_e
 
+    ctx = MPContext()
+    ctx.dps = 60
     for r in rows:
         form = duality_form_e(int(r["m"]))
         assert int(r["a"]) == form.a and int(r["b"]) == form.b
-        regenerated = form.a - math.e * form.b
-        assert abs(float(r["form_value"]) - regenerated) < 1e-12 * max(
-            1.0, abs(regenerated)
-        )
+        regenerated = form.a - ctx.e * form.b
+        assert abs(float(r["form_value"]) - regenerated) <= 1e-15 * abs(regenerated)
+
+
+@pytest.mark.parametrize("world, x, y", [("e", "a", "b"), ("pi", "p", "q")])
+def test_table_duality_values_past_the_double_range(capsys, world, x, y):
+    # x and c y agree in all but their last few digits: (m+1)! has 375
+    # digits at m = 200, and a float of it overflows from m = 170
+    code, out, _ = run_cli(
+        capsys, ["table", f"duality-{world}", "--m-max", "200", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["m"] for r in rows] == list(range(201))
+    for r in rows:
+        xv, yv = Fraction(r[x]), Fraction(r[y])
+        ctx = MPContext()
+        ctx.dps = 60 + len(str(int(xv)))
+        exact = (ctx.mpf(xv.numerator) / xv.denominator
+                 - getattr(ctx, world) * ctx.mpf(yv.numerator) / yv.denominator)
+        assert abs(float(r["form_value"]) - exact) <= 1e-15 * abs(exact), r["m"]
+
+
+def test_verify_duality_sees_f_off_by_a_millionth(capsys, monkeypatch):
+    # the residuals are relative to the form's value, about 0.18 at m = 12
+    real = agf.f_eval
+
+    def off_at_12(z, cfg=DOUBLE):
+        value = real(z, cfg)
+        return value * (1 + 1e-6) if z == 12 else value
+
+    monkeypatch.setattr(agf, "f_eval", off_at_12)
+    code, out, err = run_cli(capsys, ["verify", "duality"])
+    assert code == 1
+    failed = [c["check"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == ["duality_e"]
+    assert "duality_e" in err
 
 
 def test_verify_duality_writes_pi_forms_like_the_table(capsys):
@@ -1055,15 +1092,13 @@ def test_verify_ode_names_the_first_nonzero_residual(capsys, monkeypatch):
     import agflab.certify as certify
     from agflab.holonomic import exact_series
 
-    check = certify.ode_series_check_recurrence
-
     def corrupted_at_e_m3(rec, order):
         nums, den = exact_series(rec, order)
         if repr(rec.coeffs) == repr(mirror_e().coeffs) and rec.param == 3:
             nums[5] += den
-        return check(rec, order, series=(nums, den))
+        return nums, den
 
-    monkeypatch.setattr(certify, "ode_series_check_recurrence", corrupted_at_e_m3)
+    monkeypatch.setattr(certify, "exact_series", corrupted_at_e_m3)
     code, out, _ = run_cli(capsys, ["verify", "ode"])
     assert code == 1
     checks = {c["check"]: c for c in json.loads(out)["checks"]}

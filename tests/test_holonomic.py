@@ -6,6 +6,7 @@ from itertools import islice
 from operator import mul
 
 import pytest
+from mpmath import mpf
 
 from agflab.holonomic import (
     CoefficientPole,
@@ -22,7 +23,13 @@ from agflab.holonomic import (
     numeric_digits,
     parse_precurrence,
 )
-from agflab.holonomic import _fixed_point, _Window, _integer_form, _values_from
+from agflab.holonomic import (
+    _fixed_point,
+    _integer_form,
+    _power_differences,
+    _values_from,
+    _Window,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -72,6 +79,14 @@ def test_poly2_complex_eval():
     n, z = Poly2.var("n"), Poly2.var("z")
     p = n + z
     assert p.eval(2, complex(0, 1)) == complex(2, 1)
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 3), complex(0.5, 1), mpf("0.25")], ids=repr)
+def test_collapse_z_of_constant_rows_keeps_the_type_of_z(z):
+    p = Poly2([[Fraction(3, 2)], [-2]])  # 3/2 - 2n: no row depends on z
+    out = p.collapse_z(z)
+    assert out == [Fraction(3, 2), -2]
+    assert [type(c) for c in out] == [type(z), type(z)]
 
 
 def test_rationalfn_arithmetic():
@@ -695,6 +710,19 @@ def test_integer_form_is_the_least_integer_multiple():
     assert _integer_form(rec)[:2] == ([[-4], [2, 2]], [[0], [0, 0]])
     with pytest.raises(ValueError, match="depends on z"):
         _integer_form(parse_precurrence("coeff1: n+z\ncoeff0: -1\ninit: n0=0; 1"))
+
+
+def test_power_differences_are_scaled_stirling_numbers():
+    # row i holds the i-th differences at 0 of t^l, i! S(l, i) for l >= i,
+    # S the Stirling numbers of the second kind by their own recurrence
+    top = 12
+    S = [[1] + [0] * top]
+    for l in range(1, top + 1):
+        S.append([0] + [k * S[l - 1][k] + S[l - 1][k - 1] for k in range(1, top + 1)])
+    for d in range(top + 1):
+        assert _power_differences(d) == tuple(
+            tuple(math.factorial(i) * S[l][i] for l in range(i, d + 1))
+            for i in range(d + 1)), d
 
 
 def test_fixed_point_pole_at_the_same_n():
