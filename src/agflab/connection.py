@@ -99,9 +99,9 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None):
 # The last sample of the ladder, unless n_base * 2^depth lies past it.
 REACH = 2**16
 # The largest n_base * 2^depth, the n of the first full tableau.  The
-# work grows with n: on a 2-core Xeon, limit pi 1/3 --n-base 16 takes 1.0 s
-# at 2^22 (--depth 18) and 4.0 s at 2^24 (--depth 20); --depth 40
-# (32 * 2^40) would take months.
+# work grows with n: on a 2-core Xeon, limit pi 1/3 --n-base 16 takes 0.7 s
+# at 2^22 (--depth 18) and 2.8 s at 2^24 (--depth 20), best of 3 in
+# process; --depth 40 (32 * 2^40) would take months.
 MAX_REACH = 2**24
 # The defaults of the tableau depth and the first sample.
 DEPTH = 6

@@ -621,7 +621,11 @@ class _Window:
     s_n = (u_n, ..., u_{n+r-1}).  :meth:`steps` takes it one step at a time,
     :meth:`_cross` blocks of K steps at once: D s_{m+K} = B s_m with
     B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
-    per value of the block instead of one per step.
+    per value of the block instead of one per step.  :meth:`_cross` is the
+    one dispatch point on (r, real): order 2 crosses blocks in the
+    written-out :meth:`_cross_real2` and :meth:`_cross_complex2`, order 1
+    and order 3 and above in :meth:`_cross_generic`, with the same
+    arithmetic either way.
 
     Complex data stays on Gaussian pairs rather than one real system of
     2r parts with lead |c_r|^2.  A prototype of that system printed the
@@ -805,7 +809,76 @@ class _Window:
         numerators are widened first, so that it has as many as after a
         single step; where it passes hi, the quotients are narrowed.
         Either shift aims 32 bits above lo, clear of the next block's
-        drift."""
+        drift.
+
+        The one dispatch point, on (r, real): order 2, where both mirrors
+        lie, takes :meth:`_cross_real2` or :meth:`_cross_complex2`, every
+        other order :meth:`_cross_generic`; all three give the same
+        mantissas and e."""
+        if self.r == 2:
+            kernel = self._cross_real2 if self.real else self._cross_complex2
+            return kernel(blocks, count)
+        return self._cross_generic(blocks, count)
+
+    def _cross_real2(self, blocks, count) -> int:
+        """:meth:`_cross` for real data of order 2, the window in locals."""
+        lo, hi, e = self.lo, self.hi, self.e
+        (u, v), = self.parts
+        taken = 0
+        for a, b, c, d, div in islice(blocks, count):
+            if not div:
+                break
+            u, v = a * u + b * v, c * u + d * v
+            n = v.bit_length()
+            short = lo + div.bit_length() - n
+            if n and short > 0:
+                short += 32
+                u, v, e = u << short, v << short, e - short
+            u, v = u // div, v // div
+            n = v.bit_length()
+            if n > hi:
+                s = n - lo - 32
+                u, v, e = u >> s, v >> s, e + s
+            taken += 1
+        self.parts, self.e = [[u, v]], e
+        return taken
+
+    def _cross_complex2(self, blocks, count) -> int:
+        """:meth:`_cross` for complex data of order 2, the window in locals:
+        each block is B's real rows, D's real part c, B's imaginary rows
+        and D's imaginary part d."""
+        lo, hi, e = self.lo, self.hi, self.e
+        (x0, x1), (y0, y1) = self.parts
+        taken = 0
+        for a, b, p, q, c, ai, bi, pi, qi, d in islice(blocks, count):
+            div = c * c + d * d
+            if not div:
+                break
+            # (sr + i si)(c - i d) / |D|^2, row by row
+            sr = a * x0 + b * x1 - (ai * y0 + bi * y1)
+            si = a * y0 + b * y1 + (ai * x0 + bi * x1)
+            tr = p * x0 + q * x1 - (pi * y0 + qi * y1)
+            ti = p * y0 + q * y1 + (pi * x0 + qi * x1)
+            x0, y0 = sr * c + si * d, si * c - sr * d
+            x1, y1 = tr * c + ti * d, ti * c - tr * d
+            n = max(x1.bit_length(), y1.bit_length())
+            short = lo + div.bit_length() - n
+            if n and short > 0:
+                short += 32
+                x0, x1, y0, y1 = x0 << short, x1 << short, y0 << short, y1 << short
+                e -= short
+            x0, x1, y0, y1 = x0 // div, x1 // div, y0 // div, y1 // div
+            n = max(x1.bit_length(), y1.bit_length())
+            if n > hi:
+                s = n - lo - 32
+                x0, x1, y0, y1 = x0 >> s, x1 >> s, y0 >> s, y1 >> s
+                e += s
+            taken += 1
+        self.parts, self.e = [[x0, x1], [y0, y1]], e
+        return taken
+
+    def _cross_generic(self, blocks, count) -> int:
+        """:meth:`_cross` for any order, the window in lists."""
         r, lo, hi, e = self.r, self.lo, self.hi, self.e
         rows = range(0, r * r, r)
         taken = 0

@@ -671,6 +671,80 @@ def test_on_grid_values_do_not_depend_on_the_draws(rec):
         assert list(iter_values_at(rec, ns)) == [got[n] for n in ns], ns
 
 
+def window_at_first_edge(rec):
+    """A 30-digit window stepped from n0 to the first block edge, with K and
+    that edge."""
+    win = _Window(rec, 30)
+    k, n0 = win.block_size(), rec.initial_index
+    edge = n0 + (1 - n0 - win.r) % k
+    for _ in win.steps(n0, edge):
+        pass
+    return win, k, edge
+
+
+@pytest.mark.parametrize("rec", [
+    mirror_e(3),
+    mirror_pi(0.75),
+    mirror_e(complex(2.5, 1.25)),
+    mirror_pi(complex(0.25, -1.5)),
+    mirror_e(-40),  # D = 0 on the second block, over n = 40
+], ids=["e-int", "pi-float", "e-complex", "pi-complex", "zero-D"])
+@pytest.mark.parametrize("case", ["as-is", "widen", "narrow", "cut"])
+def test_order_two_kernels_equal_the_generic_loop(rec, case):
+    win, k, edge = window_at_first_edge(rec)
+    assert win.r == 2
+    drawn = list(islice(win.blocks(k, edge), 200))
+    if case == "widen":  # the newest quotient falls short of lo bits
+        win.parts = [[w >> (win.lo - 8) for w in p] for p in win.parts]
+    elif case == "narrow":  # and passes hi
+        win.parts = [[w << 200 for w in p] for p in win.parts]
+    elif case == "cut":  # D = 0 on block 5, real or complex
+        h = win.r**2
+        drawn[5] = tuple(0 if i % (h + 1) == h else v for i, v in enumerate(drawn[5]))
+    e0 = win.e
+    got = []
+    for cross in (_Window._cross, _Window._cross_generic):
+        w = _Window(rec, 30)
+        w.parts, w.e = [list(p) for p in win.parts], e0
+        taken = cross(w, iter(drawn), len(drawn))
+        got.append((w.parts, w.e, taken))
+    assert got[0] == got[1]
+    parts, e, taken = got[0]
+    if rec.param == -40:
+        assert taken == 1
+    elif case == "cut":
+        assert taken == 5
+    else:
+        assert taken == len(drawn)
+    if case == "widen":
+        assert e < e0 - 32
+    elif case == "narrow":
+        assert e > e0 + 100
+
+
+@pytest.mark.parametrize("argv, generic", [
+    (["e", "3"], False),
+    (["pi", "7/3"], False),
+    (["e", "2.5+1i"], False),
+    (["pi", "0.25-1.5i"], False),
+    (["gamma", "7/3"], True),  # order 1 takes the generic loop
+])
+def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, capsys):
+    from agflab.cli import main
+
+    calls = []
+    cross = _Window._cross_generic
+
+    def spy(self, blocks, count):
+        calls.append(count)
+        return cross(self, blocks, count)
+
+    monkeypatch.setattr(_Window, "_cross_generic", spy)
+    assert main(["limit", *argv]) == 0
+    capsys.readouterr()
+    assert bool(calls) == generic
+
+
 def test_values_at_pole_inside_a_block():
     # n = 5000 lies inside the block that starts at 4991
     for z in (-5000.0, complex(-5000, 0.0)):
