@@ -172,11 +172,14 @@ def estimate_connection_constant(
     the tableau removes only when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
-    exp(log Lambda) in that number's own context, so neither overflows,
-    and scales it there by 2^-k, k the binary magnitude of the first
-    within +-1000, so that 2^-k is a double: the tableau runs in these
-    units, exactly, and far from the ends of the double range, and its
-    results are scaled back at the end.  The error estimate is the last
+    exp(log Lambda) in that number's own context, so neither overflows;
+    where log Lambda is real, as on every shell but Gamma's at complex z,
+    by a real exp, so that a real quotient rounds once, not through a
+    complex exp and a complex division.  It scales the quotient there by
+    2^-k, k the binary magnitude of the first within +-1000, so that
+    2^-k is a double: the tableau runs in these units, exactly, and far
+    from the ends of the double range, and its results are scaled back
+    at the end.  The error estimate is the last
     diagonal increment of the final window (heuristic, not a rigorous
     bound), plus, where the ladder ends before a window settles, the
     change of the value from the previous window, floored at the rounding
@@ -210,7 +213,7 @@ def estimate_connection_constant(
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
     for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
         log_lam = shell_log_eval(shell, n, z)
-        ratio = u / u.context.exp(log_lam)
+        ratio = u / u.context.exp(log_lam if log_lam.imag else log_lam.real)
         if unit is None:
             unit = 2.0 ** -max(-1000, min(1000, u.context.mag(ratio) if ratio else 0))
         sample = complex(ratio * unit)

@@ -311,13 +311,21 @@ def _check_coeffs(order: int, coeffs: tuple):
         raise ValueError("first and last coefficients must not vanish identically")
 
 
+# The z-free rows of the built-in recurrences, built once: every call of
+# mirror_e, mirror_pi and gamma_recurrence shares them, and each recurrence
+# clears its own equation at its z (PRecurrence.cleared).
+_N_PLUS_Z = Poly2.var("n") + Poly2.var("z")
+_E_ROWS = tuple(map(RationalFn, (Poly2.const(-1), -_N_PLUS_Z, _N_PLUS_Z)))
+_PI_ROWS = tuple(map(RationalFn, (-_N_PLUS_Z, Poly2.const(-1), _N_PLUS_Z)))
+_GAMMA_ROWS = (RationalFn(-(Poly2.var("n") + Poly2.const(1))), RationalFn(_N_PLUS_Z))
+
+
 def mirror_e(mz=None) -> PRecurrence:
     """u_{n+2} = u_{n+1} + u_n/(n+z), u_1 = 0, u_2 = 1 (e-world mirror).
 
     In cleared form: (n+z) u_{n+2} - (n+z) u_{n+1} - u_n = 0.
     """
-    n_plus_z = Poly2.var("n") + Poly2.var("z")
-    return _mirror((Poly2.const(-1), -n_plus_z, n_plus_z), mz)
+    return _mirror(_E_ROWS, mz)
 
 
 def mirror_pi(mz=None) -> PRecurrence:
@@ -325,16 +333,14 @@ def mirror_pi(mz=None) -> PRecurrence:
 
     In cleared form: (n+z) v_{n+2} - v_{n+1} - (n+z) v_n = 0.
     """
-    n_plus_z = Poly2.var("n") + Poly2.var("z")
-    return _mirror((-n_plus_z, Poly2.const(-1), n_plus_z), mz)
+    return _mirror(_PI_ROWS, mz)
 
 
 def _mirror(coeffs: tuple, mz) -> PRecurrence:
-    """The order-2 recurrence with these polynomial coefficients, from
-    u_1 = 0 and u_2 = 1, that both mirrors share."""
-    return PRecurrence(order=2, coeffs=tuple(map(RationalFn, coeffs)),
-                       initial_index=1, initial_values=(Fraction(0), Fraction(1)),
-                       param=mz)
+    """The order-2 recurrence with these coefficients, from u_1 = 0 and
+    u_2 = 1, that both mirrors share."""
+    return PRecurrence(order=2, coeffs=coeffs, initial_index=1,
+                       initial_values=(Fraction(0), Fraction(1)), param=mz)
 
 
 def gamma_recurrence(z) -> PRecurrence:
@@ -349,17 +355,8 @@ def gamma_recurrence(z) -> PRecurrence:
     if z == 0:
         raise ValueError("z=0 is a pole of the normalization 1/z")
     w1 = Fraction(1, 1) / z if _is_exact(z) else 1.0 / complex(z)
-    n_ = Poly2.var("n")
-    return PRecurrence(
-        order=1,
-        coeffs=(
-            RationalFn(-(n_ + Poly2.const(1))),
-            RationalFn(n_ + Poly2.var("z")),
-        ),
-        initial_index=1,
-        initial_values=(w1,),
-        param=z,
-    )
+    return PRecurrence(order=1, coeffs=_GAMMA_ROWS, initial_index=1,
+                       initial_values=(w1,), param=z)
 
 
 def _horner(coeff_list, n):
@@ -622,10 +619,11 @@ class _Window:
     :meth:`_cross` blocks of K steps at once: D s_{m+K} = B s_m with
     B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
     per value of the block instead of one per step.  :meth:`_cross` is the
-    one dispatch point on (r, real): order 2 crosses blocks in the
-    written-out :meth:`_cross_real2` and :meth:`_cross_complex2`, order 1
-    and order 3 and above in :meth:`_cross_generic`, with the same
-    arithmetic either way.
+    one dispatch point on (r, real): orders 1 and 2, where every built-in
+    world lies, cross blocks in the written-out :meth:`_cross_real1`,
+    :meth:`_cross_complex1`, :meth:`_cross_real2` and
+    :meth:`_cross_complex2`, order 3 and above in :meth:`_cross_generic`,
+    with the same arithmetic either way.
 
     Complex data stays on Gaussian pairs rather than one real system of
     2r parts with lead |c_r|^2.  A prototype of that system printed the
@@ -811,14 +809,68 @@ class _Window:
         Either shift aims 32 bits above lo, clear of the next block's
         drift.
 
-        The one dispatch point, on (r, real): order 2, where both mirrors
-        lie, takes :meth:`_cross_real2` or :meth:`_cross_complex2`, every
-        other order :meth:`_cross_generic`; all three give the same
+        The one dispatch point, on (r, real): order 1, Gamma's, takes
+        :meth:`_cross_real1` or :meth:`_cross_complex1`, order 2, where
+        both mirrors lie, :meth:`_cross_real2` or :meth:`_cross_complex2`,
+        order 3 and above :meth:`_cross_generic`; all give the same
         mantissas and e."""
-        if self.r == 2:
+        if self.r == 1:
+            kernel = self._cross_real1 if self.real else self._cross_complex1
+        elif self.r == 2:
             kernel = self._cross_real2 if self.real else self._cross_complex2
-            return kernel(blocks, count)
-        return self._cross_generic(blocks, count)
+        else:
+            kernel = self._cross_generic
+        return kernel(blocks, count)
+
+    def _cross_real1(self, blocks, count) -> int:
+        """:meth:`_cross` for real data of order 1, the window in a local."""
+        lo, hi, e = self.lo, self.hi, self.e
+        (u,), = self.parts
+        taken = 0
+        for a, div in islice(blocks, count):
+            if not div:
+                break
+            u = a * u
+            n = u.bit_length()
+            short = lo + div.bit_length() - n
+            if n and short > 0:
+                short += 32
+                u, e = u << short, e - short
+            u //= div
+            n = u.bit_length()
+            if n > hi:
+                s = n - lo - 32
+                u, e = u >> s, e + s
+            taken += 1
+        self.parts, self.e = [[u]], e
+        return taken
+
+    def _cross_complex1(self, blocks, count) -> int:
+        """:meth:`_cross` for complex data of order 1, the window in locals:
+        each block is B's real part a, D's real part c, B's imaginary part
+        b and D's imaginary part d."""
+        lo, hi, e = self.lo, self.hi, self.e
+        (x,), (y,) = self.parts
+        taken = 0
+        for a, c, b, d in islice(blocks, count):
+            div = c * c + d * d
+            if not div:
+                break
+            sr, si = a * x - b * y, a * y + b * x
+            x, y = sr * c + si * d, si * c - sr * d  # (sr + i si)(c - i d)
+            n = max(x.bit_length(), y.bit_length())
+            short = lo + div.bit_length() - n
+            if n and short > 0:
+                short += 32
+                x, y, e = x << short, y << short, e - short
+            x, y = x // div, y // div
+            n = max(x.bit_length(), y.bit_length())
+            if n > hi:
+                s = n - lo - 32
+                x, y, e = x >> s, y >> s, e + s
+            taken += 1
+        self.parts, self.e = [[x], [y]], e
+        return taken
 
     def _cross_real2(self, blocks, count) -> int:
         """:meth:`_cross` for real data of order 2, the window in locals."""

@@ -64,17 +64,21 @@ class World:
         return rows
 
 
+# the parameters at which each world's ODE is certified: m = 0..8 for the
+# mirrors, z = m + 1/2 for Gamma
+_MS = tuple(range(9))
+_GAMMA_ODE_VALUES = tuple(Fraction(2 * m + 1, 2) for m in _MS)
+
+
 def table() -> dict[str, World]:
     """The worlds by name, built from what their modules hold now."""
-    ms = tuple(range(9))
     return {w.name: w for w in (
         World("e", holonomic.mirror_e, F_SHELL, agf.f_eval, agf.f_spec(),
-              agf.f_pole_distance, "m", ms, "e", exact.duality_forms_e),
+              agf.f_pole_distance, "m", _MS, "e", exact.duality_forms_e),
         World("pi", holonomic.mirror_pi, G_SHELL, agf.g_eval, agf.g_spec(),
-              agf.g_pole_distance, "m", ms, "pi", exact.duality_forms_pi),
+              agf.g_pole_distance, "m", _MS, "pi", exact.duality_forms_pi),
         World("gamma", holonomic.gamma_recurrence, GAMMA_SHELL, complexfn.gamma,
-              None, None, "z", tuple(Fraction(2 * m + 1, 2) for m in ms),
-              None, None))}
+              None, None, "z", _GAMMA_ODE_VALUES, None, None))}
 
 
 def world(name: str) -> World:

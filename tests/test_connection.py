@@ -249,6 +249,44 @@ def test_samples_divide_by_the_shell_in_log_space(rec, shell):
     assert abs(est.value - 1) <= est.error_estimate < 1e-10
 
 
+@pytest.mark.parametrize("make, shell", [
+    (mirror_e, F_SHELL), (mirror_pi, G_SHELL), (gamma_recurrence, GAMMA_SHELL)],
+    ids=["e", "pi", "gamma"])
+def test_real_samples_equal_the_complex_division(make, shell, monkeypatch):
+    # a real log Lambda divides by a real exp: one rounding at the engine's
+    # precision, not a complex exp and division, and the same double samples
+    import agflab.connection as connection
+
+    values, windows = [], []
+    engine, richardson = connection.iter_values_at, connection._richardson
+
+    def spy_values(rec, ns, digits=None):
+        for v in engine(rec, ns, digits):
+            values.append(v)
+            yield v
+
+    def spy_richardson(samples, errors):
+        windows.append(list(samples))
+        return richardson(samples, errors)
+
+    monkeypatch.setattr(connection, "iter_values_at", spy_values)
+    monkeypatch.setattr(connection, "_richardson", spy_richardson)
+    rng = random.Random(30)
+    for z in [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(3)] + [
+            rng.uniform(0.1, 9) for _ in range(3)]:
+        values.clear()
+        windows.clear()
+        est = estimate_connection_constant(make(z), shell)
+        samples = windows[0] + [w[-1] for w in windows[1:]]
+        unit, want = None, []
+        for n, u in zip(est.n, values):
+            ratio = u / u.context.exp(complex(shell_log_eval(shell, n, z)))
+            if unit is None:
+                unit = 2.0 ** -max(-1000, min(1000, u.context.mag(ratio)))
+            want.append(complex(ratio * unit))
+        assert samples == want, z
+
+
 def limit_oracle(ctx, name, z):
     """The world's function at z, in the 40-digit context ctx."""
     z = ctx.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else ctx.mpc(z)

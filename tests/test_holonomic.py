@@ -130,6 +130,17 @@ def test_mirror_pi_first_values():
     assert got == expect
 
 
+def test_built_in_rows_are_built_once():
+    n, z, one = Poly2.var("n"), Poly2.var("z"), Poly2.const(1)
+    for make, rows in ((mirror_e, (-one, -(n + z), n + z)),
+                       (mirror_pi, (-(n + z), -one, n + z)),
+                       (gamma_recurrence, (-(n + one), n + z))):
+        a, b = make(1), make(2)
+        assert a.coeffs is b.coeffs
+        assert [(c.num, c.den) for c in a.coeffs] == [(p, one) for p in rows]
+        assert a.cleared[0] != b.cleared[0]  # each clears its equation at its z
+
+
 def test_mirror_single_steps():
     assert dict(iter_sequence(mirror_e(1), n_max=3))[3] == 1  # u_3 = u_2 + u_1/2
     assert dict(iter_sequence(mirror_pi(2), n_max=3))[3] == Fraction(1, 3)
@@ -688,11 +699,21 @@ def window_at_first_edge(rec):
     mirror_e(complex(2.5, 1.25)),
     mirror_pi(complex(0.25, -1.5)),
     mirror_e(-40),  # D = 0 on the second block, over n = 40
-], ids=["e-int", "pi-float", "e-complex", "pi-complex", "zero-D"])
+    gamma_recurrence(Fraction(7, 3)),
+    gamma_recurrence(0.3),
+    gamma_recurrence(complex(2.5, 1)),
+    gamma_recurrence(complex(0.1, -7)),
+    gamma_recurrence(-40),  # n + z = 0 on the second block, at n = 40
+    # u_n = (z)_n / n!: a complex B, where Gamma's is real
+    with_z(parse_precurrence("coeff1: n+1\ncoeff0: -(n+z)\ninit: n0=1; 1"), 0.5 + 2j),
+], ids=["e-int", "pi-float", "e-complex", "pi-complex", "zero-D",
+        "gamma-rational", "gamma-float", "gamma-complex", "gamma-complex-2",
+        "gamma-zero-D", "rising-complex"])
 @pytest.mark.parametrize("case", ["as-is", "widen", "narrow", "cut"])
 def test_order_two_kernels_equal_the_generic_loop(rec, case):
+    # the written-out kernels of orders 1 and 2 against the generic loop
     win, k, edge = window_at_first_edge(rec)
-    assert win.r == 2
+    assert win.r in (1, 2)
     drawn = list(islice(win.blocks(k, edge), 200))
     if case == "widen":  # the newest quotient falls short of lo bits
         win.parts = [[w >> (win.lo - 8) for w in p] for p in win.parts]
@@ -722,16 +743,9 @@ def test_order_two_kernels_equal_the_generic_loop(rec, case):
         assert e > e0 + 100
 
 
-@pytest.mark.parametrize("argv, generic", [
-    (["e", "3"], False),
-    (["pi", "7/3"], False),
-    (["e", "2.5+1i"], False),
-    (["pi", "0.25-1.5i"], False),
-    (["gamma", "7/3"], True),  # order 1 takes the generic loop
-])
-def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, capsys):
-    from agflab.cli import main
-
+def generic_calls(monkeypatch) -> list:
+    """The counts of blocks that each later :meth:`_Window._cross_generic`
+    call is asked to cross."""
     calls = []
     cross = _Window._cross_generic
 
@@ -740,9 +754,34 @@ def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, caps
         return cross(self, blocks, count)
 
     monkeypatch.setattr(_Window, "_cross_generic", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv, generic", [
+    (["e", "3"], False),
+    (["pi", "7/3"], False),
+    (["e", "2.5+1i"], False),
+    (["pi", "0.25-1.5i"], False),
+    (["gamma", "7/3"], False),
+    (["gamma", "2.5+1i"], False),
+])
+def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, capsys):
+    from agflab.cli import main
+
+    calls = generic_calls(monkeypatch)
     assert main(["limit", *argv]) == 0
     capsys.readouterr()
     assert bool(calls) == generic
+
+
+@pytest.mark.parametrize("z", [Fraction(7, 3), complex(0.75, 0.5)], ids=str)
+def test_order_three_crosses_in_the_generic_loop(z, monkeypatch):
+    # no built-in world has order 3: the generic loop keeps a caller
+    rec = with_z(parse_precurrence("coeff3: n+z\ncoeff2: -(n+z)\ncoeff1: -1\n"
+                                   "coeff0: -1\ninit: n0=1; 0, 1, 1"), z)
+    calls = generic_calls(monkeypatch)
+    assert_values_at_match_single_steps(rec, 30, 2**12)
+    assert calls
 
 
 def test_values_at_pole_inside_a_block():

@@ -34,6 +34,8 @@ def test_table_holds_the_connection_shells():
     # the benchmark's tracer tells the worlds apart by these very objects
     assert worlds.world("e").shell is F_SHELL
     assert worlds.world("pi").shell is G_SHELL
+    # and builds no data per call: every limit op reads the table
+    assert worlds.world("gamma").ode_values is worlds.world("gamma").ode_values
 
 
 def test_unknown_world_is_a_value_error():
