@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from mpmath import fp
 
 from .agf import g_eval
-from .holonomic import PRecurrence, _differences, _horner, _stepping, exact_series
+from .holonomic import PRecurrence, _accumulated, _differences, _horner, exact_series
 
 __all__ = [
     "OdeCheckResult",
@@ -95,9 +95,10 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int) -> OdeCheckResult:
     pass per shift s = j - i: W_s(N) u_{N+s}, with the small-integer
     weight W_s(N) = sum_j ops[j][j-s] (N-i+1)...(N-i+j).  On
     N >= max(0, -s) that weight is one polynomial in N, since each product
-    vanishes where N < i, and it is stepped by its forward differences.  A
-    shift s > 0 stops at x^(len(nums) - 1 - s), where the numerators end.
-    P times den is subtracted last.
+    vanishes where N < i, and it is stepped by its forward differences in
+    one chain of :func:`holonomic._accumulated`.  A shift s > 0 stops at
+    x^(len(nums) - 1 - s), where the numerators end.  P times den is
+    subtracted last.
     """
     ops, rhs = _recurrence_ode(rec)
     if order < max(10, len(ops) - 1):
@@ -114,12 +115,11 @@ def ode_series_check_recurrence(rec: PRecurrence, order: int) -> OdeCheckResult:
         if lo > hi:
             continue
         deg = max(j for j, _ in terms)
-        weights = _stepping([_differences(
+        weights = _accumulated(_differences(
             [sum(c * math.perm(n + s, j) for j, c in terms)
-             for n in range(lo, lo + deg + 1)])])
+             for n in range(lo, lo + deg + 1)]))
         residual[lo: hi + 1] = map(add, residual[lo: hi + 1],
-                                   map(mul, map(itemgetter(0), weights),
-                                       nums[lo + s: hi + s + 1]))
+                                   map(mul, weights, nums[lo + s: hi + s + 1]))
     for n, p in enumerate(rhs[: order + 1]):
         residual[n] -= p * den
     bad = next((n for n, c in enumerate(residual) if c), None)

@@ -437,7 +437,9 @@ def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
     newest numerator by one exact integer division by c_r(n), with no gcd
     and no rescaling.  Raises :class:`CoefficientPole` at the same n as
     :func:`iter_sequence`, before any step.  The denominator is positive
-    but not reduced.
+    but not reduced.  Orders 1 and 2 step in the written-out
+    :func:`_series1` and :func:`_series2`, order 3 and above in
+    :func:`_series_generic`, with the same integers either way.
     """
     if not _exact_data(rec):
         raise ValueError("exact_series needs rational z and initial values")
@@ -454,9 +456,37 @@ def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
     nums = [0] * n0 + [a.numerator * (den // a.denominator) for a, _ in init]
     # over a den that holds every c_r(n), -sum_k c_k(n) u_{n+k} is c_r(n)
     # times an integer: the floor division is exact
+    if r == 1:
+        _series1(rows, nums)
+    elif r == 2:
+        _series2(rows, nums)
+    else:
+        _series_generic(rows, nums, n0, r)
+    return nums[: n_max + 1], den
+
+
+def _series_generic(rows, nums, n0, r):
+    """The steps of :func:`exact_series` for any order: append u_{n+r} to
+    ``nums``, which ends at u_{n+r-1}, for each row of c_k(n) from n0."""
     for n, vals in enumerate(rows, n0):
         nums.append(-sum(map(mul, vals, nums[n: n + r])) // vals[r])
-    return nums[: n_max + 1], den
+
+
+def _series1(rows, nums):
+    """:func:`_series_generic` at order 1, the newest term in a local."""
+    u, append = nums[-1], nums.append
+    for a, d in rows:
+        u = -(a * u) // d
+        append(u)
+
+
+def _series2(rows, nums):
+    """:func:`_series_generic` at order 2, the window in locals."""
+    u, v = nums[-2:]
+    append = nums.append
+    for a, b, d in rows:
+        u, v = v, -(a * u + b * v) // d
+        append(v)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +565,19 @@ def _power_differences(deg: int) -> tuple:
     return tuple(tuple(col[i] for col in columns[i:]) for i in range(deg + 1))
 
 
+def _accumulated(diffs):
+    """v(0), v(1), ... for the polynomial v given by its forward
+    differences at 0: one chain of itertools.accumulate per difference."""
+    column = repeat(diffs[-1])
+    for d in reversed(diffs[:-1]):
+        column = accumulate(column, initial=d)
+    return column
+
+
 def _stepping(columns):
     """Tuples (v(j) for v in columns) for j = 0, 1, ...: each polynomial v,
-    given by its forward differences at 0, advanced by them, summed by
-    itertools.accumulate."""
-    out = []
-    for diffs in columns:
-        column = repeat(diffs[-1])
-        for d in reversed(diffs[:-1]):
-            column = accumulate(column, initial=d)
-        out.append(column)
-    return zip(*out)
+    given by its forward differences at 0, as :func:`_accumulated`."""
+    return zip(*map(_accumulated, columns))
 
 
 def _values_from(polys: list, n0: int):
@@ -618,12 +650,14 @@ class _Window:
     s_n = (u_n, ..., u_{n+r-1}).  :meth:`steps` takes it one step at a time,
     :meth:`_cross` blocks of K steps at once: D s_{m+K} = B s_m with
     B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
-    per value of the block instead of one per step.  :meth:`_cross` is the
-    one dispatch point on (r, real): orders 1 and 2, where every built-in
-    world lies, cross blocks in the written-out :meth:`_cross_real1`,
-    :meth:`_cross_complex1`, :meth:`_cross_real2` and
-    :meth:`_cross_complex2`, order 3 and above in :meth:`_cross_generic`,
-    with the same arithmetic either way.
+    per value of the block instead of one per step.  Two loops dispatch on
+    (r, real), with the same arithmetic either way: :meth:`_block`, which
+    sets the blocks up, and :meth:`_cross`, which crosses them.  Orders 1
+    and 2, where every built-in world lies, take written-out kernels that
+    keep the columns or the window in locals (:func:`_block_real1` ...
+    :func:`_block_complex2`, :meth:`_cross_real1` ...
+    :meth:`_cross_complex2`), order 3 and above :meth:`_block_generic`
+    and :meth:`_cross_generic`.
 
     Complex data stays on Gaussian pairs rather than one real system of
     2r parts with lead |c_r|^2.  A prototype of that system printed the
@@ -734,8 +768,9 @@ class _Window:
         of the k steps at t = 2^S gives each entry's value there, and its
         balanced base-2^S digits are the coefficients.  2^(S-1) is above
         the same run at t = 1 on absolute coefficients, which bounds every
-        one of them.  :func:`_stepping` advances the entries by their
-        forward differences, which follow from the coefficients."""
+        one of them; that bound run is real, also for complex data.  Both
+        runs are :meth:`_block`'s.  :func:`_stepping` advances the entries
+        by their forward differences, which follow from the coefficients."""
         r, deg = self.r, k * self.degree
         # The coefficients in t of c(start + i + k t) sum in absolute value
         # to at most |c|(|start| + i + k), |c| with the absolute values
@@ -752,8 +787,8 @@ class _Window:
         half, mask = 1 << (s - 1), (1 << s) - 1
         # The differences of t^l stay rather than _differences over Horner
         # values of the coefficients: that gave the same entries and
-        # output, but block set-up took 0.35 ms against 0.30 on `limit e 3`
-        # and 0.62 against 0.50 on `limit e 2.5+1i` (best of 7, 2-vCPU VM)
+        # output, but block set-up took 0.33 ms against 0.23 on `limit e 3`
+        # and 0.51 against 0.36 on `limit e 2.5+1i` (best of 300, 2-vCPU VM)
         table = _power_differences(deg)
         columns = []
         for v in self._block(self.polys, start + (k << s), k, self.real):
@@ -771,7 +806,18 @@ class _Window:
     def _block(self, polys, m, k, real):
         """B and D for the k steps from m of the equation with the
         coefficient polynomials ``polys`` (real, or real then imaginary
-        parts), flat as in :meth:`blocks`."""
+        parts), flat as in :meth:`blocks`: the one dispatch point of the
+        set-up on (r, real), to the kernels that the class names."""
+        rows = islice(_values_from(polys, m), k)
+        if self.r == 1:
+            return _block_real1(rows) if real else _block_complex1(rows)
+        if self.r == 2:
+            return _block_real2(rows) if real else _block_complex2(rows)
+        return self._block_generic(rows, real)
+
+    def _block_generic(self, rows, real):
+        """:meth:`_block` for any order, from the rows of coefficient
+        values, the columns of B in lists."""
         r = self.r
         # column j of B is the window from the j-th unit vector after k
         # steps without their divisions by c_r, whose product is D: ints
@@ -779,7 +825,7 @@ class _Window:
         one, zero = (1, 0) if real else ((1, 0), (0, 0))
         cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
         D = one
-        for vals in islice(_values_from(polys, m), k):
+        for vals in rows:
             if real:
                 cr = vals[r]
                 cols = [[cr * x for x in w[1:]] + [-sum(map(mul, vals, w))]
@@ -1022,6 +1068,51 @@ class _Window:
                     pass
                 m = stop
             yield self.read(t - m)
+
+
+def _block_real1(rows):
+    """:meth:`_Window._block_generic` for real data of order 1: B and D."""
+    b = d = 1
+    for c0, c1 in rows:
+        b, d = -c0 * b, c1 * d
+    return [b, d]
+
+
+def _block_complex1(rows):
+    """:meth:`_Window._block_generic` for complex data of order 1: B = x + iy
+    and D = c + id, from the rows (re c_0, re c_1, im c_0, im c_1)."""
+    x, y, c, d = 1, 0, 1, 0
+    for a0, a1, b0, b1 in rows:
+        x, y = b0 * y - a0 * x, -(a0 * y + b0 * x)
+        c, d = a1 * c - b1 * d, a1 * d + b1 * c
+    return [x, c, y, d]
+
+
+def _block_real2(rows):
+    """:meth:`_Window._block_generic` for real data of order 2: the columns
+    (p0, p1) and (q0, q1) of B, and D."""
+    p0, p1, q0, q1, d = 1, 0, 0, 1, 1
+    for a, b, c in rows:
+        p0, p1 = c * p1, -(a * p0 + b * p1)
+        q0, q1 = c * q1, -(a * q0 + b * q1)
+        d *= c
+    return [p0, q0, p1, q1, d]
+
+
+def _block_complex2(rows):
+    """:meth:`_Window._block_generic` for complex data of order 2: the
+    columns (x0 + i y0, x1 + i y1) and (s0 + i t0, s1 + i t1) of B, and
+    D = c + id, from the rows (re c_0..c_2, im c_0..c_2)."""
+    x0, y0, x1, y1, s0, t0, s1, t1, c, d = 1, 0, 0, 0, 0, 0, 1, 0, 1, 0
+    for a0, a1, a2, b0, b1, b2 in rows:
+        x0, y0, x1, y1 = (a2 * x1 - b2 * y1, a2 * y1 + b2 * x1,
+                          b0 * y0 - a0 * x0 + b1 * y1 - a1 * x1,
+                          -(a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1))
+        s0, t0, s1, t1 = (a2 * s1 - b2 * t1, a2 * t1 + b2 * s1,
+                          b0 * t0 - a0 * s0 + b1 * t1 - a1 * s1,
+                          -(a0 * t0 + b0 * s0 + a1 * t1 + b1 * s1))
+        c, d = a2 * c - b2 * d, a2 * d + b2 * c
+    return [x0, s0, x1, s1, c, y0, t0, y1, t1, d]
 
 
 def iter_values_at(rec: PRecurrence, ns, digits: int | None = None):

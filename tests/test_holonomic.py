@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from mpmath import mpf
 
+from agflab import holonomic
 from agflab.holonomic import (
     CoefficientPole,
     PRecurrence,
@@ -743,17 +744,19 @@ def test_order_two_kernels_equal_the_generic_loop(rec, case):
         assert e > e0 + 100
 
 
+GENERIC_LOOPS = [(_Window, "_cross_generic"), (_Window, "_block_generic"),
+                 (holonomic, "_series_generic")]
+
+
 def generic_calls(monkeypatch) -> list:
-    """The counts of blocks that each later :meth:`_Window._cross_generic`
-    call is asked to cross."""
+    """The names of the generic loops of GENERIC_LOOPS, one per later call."""
     calls = []
-    cross = _Window._cross_generic
+    for owner, name in GENERIC_LOOPS:
+        def spy(*args, loop=getattr(owner, name), name=name):
+            calls.append(name)
+            return loop(*args)
 
-    def spy(self, blocks, count):
-        calls.append(count)
-        return cross(self, blocks, count)
-
-    monkeypatch.setattr(_Window, "_cross_generic", spy)
+        monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -764,8 +767,12 @@ def generic_calls(monkeypatch) -> list:
     (["pi", "0.25-1.5i"], False),
     (["gamma", "7/3"], False),
     (["gamma", "2.5+1i"], False),
+    (["pi", "3"], False),
+    (["e", "7/4"], False),
 ])
 def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, capsys):
+    # the seven op classes of the limit benchmark, and complex pi: neither
+    # the block set-up nor the crossing takes a generic loop
     from agflab.cli import main
 
     calls = generic_calls(monkeypatch)
@@ -774,14 +781,119 @@ def test_limit_crosses_order_two_in_its_kernels(argv, generic, monkeypatch, caps
     assert bool(calls) == generic
 
 
+def test_verify_ode_steps_in_the_series_kernels(monkeypatch, capsys):
+    from agflab.cli import main
+
+    calls = generic_calls(monkeypatch)
+    assert main(["verify", "ode"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+ORDER_THREE = parse_precurrence("coeff3: n+z\ncoeff2: -(n+z)\ncoeff1: -1\n"
+                                "coeff0: -1\ninit: n0=1; 0, 1, 1")
+
+
 @pytest.mark.parametrize("z", [Fraction(7, 3), complex(0.75, 0.5)], ids=str)
 def test_order_three_crosses_in_the_generic_loop(z, monkeypatch):
-    # no built-in world has order 3: the generic loop keeps a caller
-    rec = with_z(parse_precurrence("coeff3: n+z\ncoeff2: -(n+z)\ncoeff1: -1\n"
-                                   "coeff0: -1\ninit: n0=1; 0, 1, 1"), z)
+    # no built-in world has order 3: the generic loops keep a caller
+    rec = with_z(ORDER_THREE, z)
     calls = generic_calls(monkeypatch)
     assert_values_at_match_single_steps(rec, 30, 2**12)
-    assert calls
+    assert set(calls) == {"_cross_generic", "_block_generic"}
+
+
+@pytest.mark.parametrize("rec", [
+    mirror_e(3),
+    mirror_pi(Fraction(7, 3)),
+    mirror_e(complex(2.5, 1.25)),
+    mirror_pi(complex(0.25, -1.5)),
+    gamma_recurrence(Fraction(7, 3)),
+    gamma_recurrence(complex(2.5, 1)),
+    gamma_recurrence(complex(0.1, -7)),
+], ids=["e-int", "pi-rational", "e-complex", "pi-complex", "gamma-rational",
+        "gamma-complex", "gamma-complex-2"])
+@pytest.mark.parametrize("k", [1, 5, None], ids=["k1", "k5", "K"])
+def test_block_kernels_equal_the_generic_loop(rec, k, monkeypatch):
+    # the written-out set-up of orders 1 and 2 against the generic loop, on
+    # both runs of blocks(), the bound run real even for complex data
+    win, big_k, edge = window_at_first_edge(rec)
+    k = k or big_k
+    runs = []
+    block = _Window._block
+    monkeypatch.setattr(_Window, "_block",
+                        lambda self, *args: runs.append(args) or block(self, *args))
+    next(win.blocks(k, edge))
+    monkeypatch.undo()
+    (bound, _, _, real_bound), (polys, m, _, real) = runs
+    assert (real_bound, real) == (True, win.real)
+    s = ((m - edge) // k).bit_length() - 1
+    assert m == edge + (k << s) and s > 4  # the Kronecker run
+    runs += [(bound, edge, k, True), (polys, edge, k, real), (polys, 1, k, real)]
+    for polys, m, k, real in runs:
+        want = win._block_generic(islice(_values_from(polys, m), k), real)
+        assert win._block(polys, m, k, real) == want, (m, k, real)
+
+
+def generic_series(rec, n_max, monkeypatch):
+    """exact_series(rec, n_max) with every order in the generic loop, or the
+    CoefficientPole it raises, as (n, message)."""
+    with monkeypatch.context() as patch:
+        for r in (1, 2):
+            patch.setattr(holonomic, f"_series{r}",
+                          lambda rows, nums, r=r: holonomic._series_generic(
+                              rows, nums, len(nums) - r, r))
+        return series_or_pole(rec, n_max)
+
+
+def series_or_pole(rec, n_max):
+    try:
+        return exact_series(rec, n_max)
+    except CoefficientPole as pole:
+        return pole.n, str(pole)
+
+
+def _ode_recurrences():
+    from agflab.worlds import table
+
+    return [pytest.param(w.recurrence(v), None, id=f"ode-{w.name}-{v}")
+            for w in table().values() for v in w.ode_values]
+
+
+@pytest.mark.parametrize("rec, pole", [
+    *_ode_recurrences(),
+    pytest.param(with_z(parse_precurrence(
+        "coeff1: 2*n+3\ncoeff0: -(n+z)/(n+2)\ninit: n0=0; 5/7"), Fraction(3, 4)),
+        None, id="order-1"),
+    pytest.param(with_z(parse_precurrence(
+        "coeff2: 3*n+z\ncoeff1: -2/3\ncoeff0: (n-z)/5\ninit: n0=2; 1/3, -2/9"),
+        Fraction(-5, 7)), None, id="order-2"),
+    pytest.param(with_z(USER, Fraction(1, 3)), None, id="order-2-degree-3"),
+    pytest.param(mirror_e(-5), 5, id="e-pole"),
+    pytest.param(gamma_recurrence(-4), 4, id="gamma-pole"),
+    pytest.param(parse_precurrence("coeff1: n-3\ncoeff0: -1\ninit: n0=1; 1/2"), 3,
+                 id="order-1-pole"),
+])
+def test_exact_series_kernels_equal_the_generic_loop(rec, pole, monkeypatch):
+    for n_max in [*range(13), 200]:
+        with monkeypatch.context() as patch:
+            calls = generic_calls(patch)
+            got = series_or_pole(rec, n_max)
+            assert calls == []
+        assert got == generic_series(rec, n_max, monkeypatch), n_max
+    if pole is not None:  # at n_max = 200
+        assert got == (pole, f"coefficient pole at n={pole} (leading coefficient)")
+    else:
+        assert len(got[0]) == 201 and got[1] > 1
+
+
+def test_order_three_steps_the_series_in_the_generic_loop(monkeypatch):
+    rec = with_z(ORDER_THREE, Fraction(7, 3))
+    calls = generic_calls(monkeypatch)
+    nums, den = exact_series(rec, 40)
+    assert calls == ["_series_generic"]
+    want = dict(iter_sequence(rec, 40))
+    assert [Fraction(c, den) for c in nums] == [want.get(n, 0) for n in range(41)]
 
 
 def test_values_at_pole_inside_a_block():
