@@ -381,10 +381,11 @@ def iter_sequence(rec: PRecurrence, n_max: int = 100, digits: int | None = None)
       the private mpmath context at d + 5 digits.
 
     Fixed point substitutes z exactly (a float or complex z is a dyadic
-    rational) and iterates on Python ints: mantissas of
+    rational) and iterates on Python ints: mantissas of about
     ``ceil(d * log2(10)) + 64`` bits, Gaussian-integer pairs for complex
-    data, under one block exponent.  No engine reads or changes mpmath's
-    global state, so a live generator holds none.
+    data, under one block exponent, a step at a time as blocks of one step
+    (:class:`_Window`).  No engine reads or changes mpmath's global state,
+    so a live generator holds none.
     """
     if n_max < rec.initial_index + rec.order:
         raise ValueError("n_max must cover at least the initial window")
@@ -497,11 +498,6 @@ def _mantissa(c: Fraction, e: int) -> int:
     if e < 0:
         return (c.numerator << -e) // c.denominator
     return c.numerator // (c.denominator << e)
-
-
-def _shift(m: int, s: int) -> int:
-    """floor(m / 2^s), for s of either sign."""
-    return m >> s if s >= 0 else m << -s
 
 
 def _exact_parts(v) -> tuple:
@@ -629,35 +625,50 @@ def _integer_form(rec: PRecurrence):
 
 
 def _fixed_point(rec, n_max, digits):
-    """Every (n, u_n) to n_max, by single steps of a :class:`_Window`."""
+    """Every (n, u_n) to n_max: a :class:`_Window` crosses the blocks of
+    one step of :meth:`_Window.blocks` one at a time, and each value is
+    its newest entry."""
     win = _Window(rec, digits)
-    for i in range(win.r):
-        yield win.n0 + i, win.read(i)
-    out = win.out
-    for n, raw in win.steps(win.n0, n_max - win.r + 1):
-        yield n, out(*raw)
+    r, n0 = win.r, win.n0
+    for i in range(r):
+        yield n0 + i, win.read(i)
+    cross, read, blocks = win._cross, win.read, win.blocks(1, n0)
+    for n in range(n0 + r, n_max + 1):
+        if not cross(blocks, 1):
+            raise win.pole(n - r)
+        yield n, read(r - 1)
 
 
 class _Window:
     """u_m, ..., u_{m+r-1} in fixed point: integer mantissas times 2^e, in
     ``parts``, one list for real data and a real and an imaginary one for
-    complex data.  ``out`` builds a value from mantissas and e, a number
-    of the private mpmath context at ``digits + 5`` digits; only
-    :meth:`read` and :func:`_fixed_point` call it.
+    complex data.  ``out(parts, i, e)`` builds the value of entry i, a
+    number of the private mpmath context at ``digits + 5`` digits; only
+    :meth:`read` calls it.
 
     The cleared equation sum_k c_k(n) u_{n+k} = 0 of :func:`_integer_form`
     is, in companion form, c_r(n) s_{n+1} = A(n) s_n for the window
-    s_n = (u_n, ..., u_{n+r-1}).  :meth:`steps` takes it one step at a time,
-    :meth:`_cross` blocks of K steps at once: D s_{m+K} = B s_m with
-    B = A(m+K-1)...A(m) and D = c_r(m)...c_r(m+K-1), one floor division
-    per value of the block instead of one per step.  Two loops dispatch on
-    (r, real), with the same arithmetic either way: :meth:`_block`, which
-    sets the blocks up, and :meth:`_cross`, which crosses them.  Orders 1
-    and 2, where every built-in world lies, take written-out kernels that
-    keep the columns or the window in locals (:func:`_block_real1` ...
-    :func:`_block_complex2`, :meth:`_cross_real1` ...
-    :meth:`_cross_complex2`), order 3 and above :meth:`_block_generic`
-    and :meth:`_cross_generic`.
+    s_n = (u_n, ..., u_{n+r-1}).  The window moves only in blocks of k
+    steps, D s_{m+k} = B s_m with B = A(m+k-1)...A(m) and
+    D = c_r(m)...c_r(m+k-1), one floor division per value of the block
+    instead of one per step; a single step is the block of k = 1.
+
+    ``_cross(blocks, count)`` advances the window by up to ``count`` blocks
+    drawn from ``blocks`` (tuples laid out as in :meth:`blocks`) in one
+    pass, and returns how many it took: a block with D = 0 ends the pass,
+    drawn but not taken.  Where the newest quotient would keep fewer than
+    lo bits, the numerators are widened first; where it passes hi, the
+    quotients are narrowed.  Either shift aims 32 bits above lo, clear of
+    the next block's drift.  That is the one renormalisation rule.
+
+    Both :meth:`_block`, which sets blocks up, and ``_cross`` take one of
+    the kernels chosen on (r, real), with the same arithmetic either way.
+    Orders 1 and 2, where every built-in world lies, take written-out
+    kernels that keep the columns or the window in locals
+    (:func:`_block_real1` ... :func:`_block_complex2`,
+    :meth:`_cross_real1` ... :meth:`_cross_complex2`), order 3 and above
+    :meth:`_block_generic` and :meth:`_cross_generic`.  ``__init__``
+    binds the crossing kernel once.
 
     Complex data stays on Gaussian pairs rather than one real system of
     2r parts with lead |c_r|^2.  A prototype of that system printed the
@@ -675,7 +686,10 @@ class _Window:
         self.polys = re_polys if self.real else re_polys + im_polys
         self.degree = max((i for p in self.polys for i, c in enumerate(p) if c),
                           default=0)
-        # The newest mantissa is kept in [2^prec, 2^(prec+64)), renormalised
+        kernels = {(1, True): self._cross_real1, (1, False): self._cross_complex1,
+                   (2, True): self._cross_real2, (2, False): self._cross_complex2}
+        self._cross = kernels.get((self.r, self.real), self._cross_generic)
+        # The newest mantissa is kept in about [2^lo, 2^hi), renormalised
         # in either direction when it leaves: Gamma-shell values shrink.
         prec = math.ceil(digits * math.log2(10)) + 64
         self.lo, self.hi = prec + 1, prec + 64  # bit lengths
@@ -685,13 +699,14 @@ class _Window:
                       for i in range(1 if self.real else 2)]
         ctx = _mp_context(digits + 5)
         if self.real:
-            self.out = lambda m, e: ctx.mpf((m, e))
+            self.out = lambda parts, i, e: ctx.mpf((parts[0][i], e))
             return
         # a part more than ``digits`` digits below the other is the residue
         # of the floor divisions, not a value: it reads as 0
         bits = math.ceil(digits * math.log2(10))
 
-        def out(x, y, e):
+        def out(parts, i, e):
+            x, y = parts[0][i], parts[1][i]
             if x.bit_length() + bits < y.bit_length():
                 x = 0
             elif y.bit_length() + bits < x.bit_length():
@@ -701,59 +716,13 @@ class _Window:
 
     def read(self, i):
         """u_{m+i}."""
-        return self.out(*(p[i] for p in self.parts), self.e)
-
-    def steps(self, m, stop):
-        """Step the window from m to stop one n at a time, yielding each new
-        n with the raw arguments of ``out`` for u_n: (mantissa, e), or
-        (real mantissa, imaginary mantissa, e) for complex data."""
-        r, lo, hi, pole, e = self.r, self.lo, self.hi, self.pole, self.e
-        indices = range(m + r, stop + r)
-        if self.real:
-            (window,) = self.parts
-            for n, vals in zip(indices, _values_from(self.polys, m)):
-                lead = vals[r]
-                if not lead:
-                    raise pole(n - r)
-                u = -sum(map(mul, vals, window)) // lead
-                b = u.bit_length()
-                if b and not lo <= b <= hi:
-                    s = b - lo if b > hi else b - hi
-                    window[:] = [_shift(w, s) for w in window]
-                    u, e = _shift(u, s), e + s
-                    self.e = e
-                window.append(u)
-                del window[0]
-                yield n, (u, e)
-            return
-        xs, ys = self.parts
-        for n, vals in zip(indices, _values_from(self.polys, m)):
-            re, im = vals[:r + 1], vals[r + 1:]
-            c, d = re[r], im[r]
-            norm = c * c + d * d
-            if not norm:
-                raise pole(n - r)
-            sr = sum(map(mul, re, xs)) - sum(map(mul, im, ys))
-            si = sum(map(mul, re, ys)) + sum(map(mul, im, xs))
-            # u = -(sr + i si) / (c + i d) = -(sr + i si)(c - i d) / norm
-            x = -(sr * c + si * d) // norm
-            y = (sr * d - si * c) // norm
-            b = max(x.bit_length(), y.bit_length())
-            if b and not lo <= b <= hi:
-                s = b - lo if b > hi else b - hi
-                xs[:], ys[:] = [_shift(w, s) for w in xs], [_shift(w, s) for w in ys]
-                x, y, e = _shift(x, s), _shift(y, s), e + s
-                self.e = e
-            xs.append(x)
-            ys.append(y)
-            del xs[0], ys[0]
-            yield n, (x, y, e)
+        return self.out(self.parts, i, self.e)
 
     def block_size(self) -> int:
         """K, the steps of one block: 16, or fewer where the degree d
         of the cleared coefficients in n would take the entries of B, of
-        degree K d, past 32; 1 (no blocks) from d = 5 on, where blocks of
-        fewer than 8 steps cost more than they save."""
+        degree K d, past 32; 1 from d = 5 on, where blocks of 2 to 7 steps
+        cost more than they save."""
         k = min(16, 32 // max(self.degree, 1))
         return k if k >= 8 else 1
 
@@ -844,32 +813,8 @@ class _Window:
         flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
         return flat if real else [x for x, _ in flat] + [y for _, y in flat]
 
-    def _cross(self, blocks, count) -> int:
-        """Advance the window by up to ``count`` blocks drawn from
-        ``blocks`` (see :meth:`blocks`) in one pass, and return how many it
-        took.  A block with D = 0 ends the pass: it is drawn but not taken.
-
-        Where the newest quotient would keep fewer than lo bits, the
-        numerators are widened first, so that it has as many as after a
-        single step; where it passes hi, the quotients are narrowed.
-        Either shift aims 32 bits above lo, clear of the next block's
-        drift.
-
-        The one dispatch point, on (r, real): order 1, Gamma's, takes
-        :meth:`_cross_real1` or :meth:`_cross_complex1`, order 2, where
-        both mirrors lie, :meth:`_cross_real2` or :meth:`_cross_complex2`,
-        order 3 and above :meth:`_cross_generic`; all give the same
-        mantissas and e."""
-        if self.r == 1:
-            kernel = self._cross_real1 if self.real else self._cross_complex1
-        elif self.r == 2:
-            kernel = self._cross_real2 if self.real else self._cross_complex2
-        else:
-            kernel = self._cross_generic
-        return kernel(blocks, count)
-
     def _cross_real1(self, blocks, count) -> int:
-        """:meth:`_cross` for real data of order 1, the window in a local."""
+        """``_cross`` for real data of order 1, the window in a local."""
         lo, hi, e = self.lo, self.hi, self.e
         (u,), = self.parts
         taken = 0
@@ -892,7 +837,7 @@ class _Window:
         return taken
 
     def _cross_complex1(self, blocks, count) -> int:
-        """:meth:`_cross` for complex data of order 1, the window in locals:
+        """``_cross`` for complex data of order 1, the window in locals:
         each block is B's real part a, D's real part c, B's imaginary part
         b and D's imaginary part d."""
         lo, hi, e = self.lo, self.hi, self.e
@@ -919,7 +864,7 @@ class _Window:
         return taken
 
     def _cross_real2(self, blocks, count) -> int:
-        """:meth:`_cross` for real data of order 2, the window in locals."""
+        """``_cross`` for real data of order 2, the window in locals."""
         lo, hi, e = self.lo, self.hi, self.e
         (u, v), = self.parts
         taken = 0
@@ -942,7 +887,7 @@ class _Window:
         return taken
 
     def _cross_complex2(self, blocks, count) -> int:
-        """:meth:`_cross` for complex data of order 2, the window in locals:
+        """``_cross`` for complex data of order 2, the window in locals:
         each block is B's real rows, D's real part c, B's imaginary rows
         and D's imaginary part d."""
         lo, hi, e = self.lo, self.hi, self.e
@@ -976,7 +921,7 @@ class _Window:
         return taken
 
     def _cross_generic(self, blocks, count) -> int:
-        """:meth:`_cross` for any order, the window in lists."""
+        """``_cross`` for any order, the window in lists."""
         r, lo, hi, e = self.r, self.lo, self.hi, self.e
         rows = range(0, r * r, r)
         taken = 0
@@ -1033,20 +978,20 @@ class _Window:
 
     def at(self, ns):
         """Yield u_n for each n drawn from the increasing ns, from the
-        initial window.  After the first p < K single steps, the window
-        ends at a multiple of K at every block edge: from there the engine
-        crosses the whole blocks before the next wanted n in one pass of
-        :meth:`_cross`, and a wanted n that is a multiple of K is read
-        straight after it.  Any other n ends its gap in single steps, and
-        so does a block with D = 0, whose steps raise its
-        :class:`CoefficientPole`.  The engine runs only as far as the last
-        n drawn, so a caller that stops drawing stops the stepping."""
+        initial window.  The first p < K steps cross as one block of p
+        steps (:meth:`_partial`), after which the window ends at a
+        multiple of K at every block edge: from there the engine crosses
+        the whole blocks before the next wanted n in one pass of
+        ``_cross``, and a wanted n that is a multiple of K is read straight
+        after it.  Any other n ends its gap with one block of fewer than K
+        steps, and the next gap starts with the rest of that block.  At
+        K = 1 every gap is whole blocks.  A block with D = 0 raises the
+        :class:`CoefficientPole` of its first pole row (:meth:`_pole`).
+        The engine runs only as far as the last n drawn, so a caller that
+        stops drawing stops the stepping."""
         r, m, k = self.r, self.n0, self.block_size()
-        if k > 1:  # where the next block starts, the first not drawn
-            edge = m + (1 - m - r) % k
-            blocks = self.blocks(k, edge)
-        else:
-            edge = math.inf
+        edge = m + (1 - m - r) % k  # where the next block starts, the first not drawn
+        blocks = self.blocks(k, edge)
         last = m - 1
         for t in ns:
             if t <= last:
@@ -1054,20 +999,32 @@ class _Window:
             last = t
             while t >= m + r:  # u_t is past the window u_m..u_{m+r-1}
                 if m == edge:
-                    count = (t - m) // k
+                    count = (t - r + 1 - m) // k  # the blocks that end by t
                     if count:
                         taken = self._cross(blocks, count)
                         m = edge = m + taken * k
-                        if taken == count:
-                            continue
-                    else:
-                        next(blocks)
-                    edge += k  # the block at m is drawn: it holds t, or D = 0
+                        if taken < count:
+                            raise self._pole(m)
+                        continue
+                    next(blocks)  # the block at m holds t
+                    edge += k
                 stop = min(edge, t - r + 1)
-                for _ in self.steps(m, stop):
-                    pass
+                self._partial(m, stop - m)
                 m = stop
             yield self.read(t - m)
+
+    def _partial(self, m, j):
+        """Cross the j < K steps from m as one block that :meth:`_block`
+        builds."""
+        if not self._cross(iter([self._block(self.polys, m, j, self.real)]), 1):
+            raise self._pole(m)
+
+    def _pole(self, m):
+        """The :class:`CoefficientPole` of the first row from m whose
+        leading coefficient is 0."""
+        r = self.r
+        rows = enumerate(_values_from(self.polys, m), m)
+        return self.pole(next(n for n, vals in rows if not (vals[r] or vals[-1])))
 
 
 def _block_real1(rows):
@@ -1126,8 +1083,8 @@ def iter_values_at(rec: PRecurrence, ns, digits: int | None = None):
     :meth:`_Window.block_size` steps between two wanted n in one pass
     (:meth:`_Window.at`), builds one value per n drawn, and runs only as
     far as the last n drawn: ``ns`` may be an endless ladder that the
-    caller stops.  A block with a coefficient pole is taken in single
-    steps, so :class:`CoefficientPole` names the n that
+    caller stops.  A block with a coefficient pole raises the
+    :class:`CoefficientPole` of its first pole row, the n that
     :func:`iter_sequence` names.
     """
     return _Window(rec, numeric_digits(digits)).at(ns)

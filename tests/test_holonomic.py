@@ -502,23 +502,119 @@ def doubles(values) -> list:
     return [complex(v) for v in values]
 
 
-def assert_values_at_match_single_steps(rec, digits, n_max):
-    """The block path against the single steps of the same 30-digit
-    engine: rounded to doubles exactly, and at ``digits`` within the 1e-28
-    of the fixed-point tests."""
-    want = dict(_fixed_point(rec, n_max, 30))
-    want_mp = dict(iter_sequence(rec, n_max, digits)) if digits else {}
-    for base in (1024, 100):  # 100 is no multiple of the block size
+def exact_parts(v) -> tuple:
+    """(Re v, Im v) as Fractions, with no rounding: a Fraction as it is, a
+    float or complex part as the dyadic rational it holds."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v), Fraction(0)
+    return Fraction(complex(v).real), Fraction(complex(v).imag)
+
+
+def gaussian_iteration(rec: PRecurrence, n_max: int) -> dict:
+    """u_n for n <= n_max as (x, y, D), u_n = (x + iy)/D, at a z and
+    initial values with rational (say dyadic) real and imaginary parts.
+    Each coefficient's numerator and denominator are substituted at z once,
+    in Gaussian Fractions, and scaled to Gaussian-integer polynomials in n;
+    the steps run on Gaussian integers over one common denominator, which
+    every step multiplies by the scale of its equation.  It shares no code
+    with either engine."""
+    zr, zi = exact_parts(rec.param)
+
+    def in_n(poly):  # Gaussian-int coefficients of n^0, n^1, ..., and their scale
+        rows = []
+        for row in poly.coeffs:
+            re = im = Fraction(0)
+            pr, pi = Fraction(1), Fraction(0)  # z^j
+            for c in row:
+                re, im = re + c * pr, im + c * pi
+                pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+            rows.append((re, im))
+        scale = math.lcm(*(c.denominator for pair in rows for c in pair))
+        return [(int(a * scale), int(b * scale)) for a, b in rows], scale
+
+    def at(poly, n):
+        a = b = 0
+        for c, d in reversed(poly):
+            a, b = a * n + c, b * n + d
+        return a, b
+
+    coeffs = [(in_n(cf.num), in_n(cf.den)) for cf in rec.coeffs]
+    parts = [exact_parts(v) for v in rec.initial_values]
+    den = math.lcm(*(c.denominator for pair in parts for c in pair))
+    window = [(int(a * den), int(b * den)) for a, b in parts]
+    r, n0 = rec.order, rec.initial_index
+    out = {n0 + i: (*w, den) for i, w in enumerate(window)}
+    for n in range(n0, n_max - r + 1):
+        fractions = []  # each coefficient as (p + iq) / s
+        for (num, ln), (dn, ld) in coeffs:
+            (a, b), (c, d) = at(num, n), at(dn, n)
+            fractions.append(((a * c + b * d) * ld, (b * c - a * d) * ld,
+                              (c * c + d * d) * ln))
+        scale = math.prod(s for _, _, s in fractions)
+        C = [(p * (scale // s), q * (scale // s)) for p, q, s in fractions]
+        sx = sum(a * x - b * y for (a, b), (x, y) in zip(C, window))
+        sy = sum(a * y + b * x for (a, b), (x, y) in zip(C, window))
+        cr, ci = C[r]
+        norm = cr * cr + ci * ci
+        assert norm, n
+        # u_{n+r} = -(sx + i sy)(cr - i ci) / (norm den)
+        window = [(x * norm, y * norm) for x, y in window[1:]]
+        window.append((-(sx * cr + sy * ci), sx * ci - sy * cr))
+        den *= norm
+        out[n + r] = (*window[-1], den)
+    return out
+
+
+def test_gaussian_iteration_matches_the_exact_engine():
+    for rec in (with_z(USER, Fraction(3, 4)), gamma_recurrence(Fraction(-5, 2))):
+        want = dict(iter_sequence(rec, 200))
+        got = {n: Fraction(x, d) for n, (x, y, d) in gaussian_iteration(rec, 200).items()
+               if not y}
+        assert got == want
+
+
+def exact_reference(rec: PRecurrence, n_max: int) -> dict:
+    """u_n for n <= n_max to 240 bits, from exact values: those of the
+    exact engine (:func:`exact_series`, numerators over one denominator)
+    where z and the initial values are real (a float is a dyadic
+    rational), else those of :func:`gaussian_iteration`."""
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.prec = 240
+
+    def near(x, d):  # x/d to 240 bits, without handing mpmath the big ints
+        s = 240 - x.bit_length() + d.bit_length()
+        return ctx.mpf(((x << s) // d if s >= 0 else x // (d << -s), -s))
+
+    values = [exact_parts(v) for v in (rec.param or 0, *rec.initial_values)]
+    if not any(im for _, im in values):
+        z, *init = (re for re, _ in values)
+        real = dataclasses.replace(rec, param=None if rec.param is None else z,
+                                   initial_values=tuple(init))
+        nums, den = exact_series(real, n_max)
+        return {n: near(x, den) for n, x in enumerate(nums) if n >= rec.initial_index}
+    return {n: ctx.mpc(near(x, d), near(y, d))
+            for n, (x, y, d) in gaussian_iteration(rec, n_max).items()}
+
+
+def assert_values_at_match_exact(rec, digits=None, n_max=2048):
+    """Both ways into the fixed-point engine against exact values, within
+    the 1e-28 of the fixed-point tests: every u_n of iter_sequence at 30
+    digits, and iter_values_at on ladders from 1024 and from 100 (no
+    multiple of the block size)."""
+    want = exact_reference(rec, n_max)
+    for n, v in iter_sequence(rec, n_max, 30):
+        assert abs(v - want[n]) <= 1e-28 * abs(want[n]), n
+    for base in (1024, 100):
         ns = [base * 2**k for k in range(6) if base * 2**k <= n_max]
-        assert doubles(iter_values_at(rec, ns)) == doubles(want[n] for n in ns), base
-        if digits:
-            for n, v in zip(ns, iter_values_at(rec, ns, digits)):
-                assert abs(v - want_mp[n]) <= 1e-28 * abs(want_mp[n]), (base, n)
+        for n, v in zip(ns, iter_values_at(rec, ns, digits), strict=True):
+            assert abs(v - want[n]) <= 1e-28 * abs(want[n]), (base, n)
 
 
 @pytest.mark.parametrize("rec, digits", FIXED_POINT_CASES, ids=FIXED_POINT_IDS)
 def test_values_at_equals_iter_numeric(rec, digits):
-    assert_values_at_match_single_steps(rec, digits, 2**14)
+    assert_values_at_match_exact(rec, digits)
 
 
 @pytest.mark.parametrize("rec", [
@@ -528,8 +624,8 @@ def test_values_at_equals_iter_numeric(rec, digits):
     with_z(USER, complex(0.75, 0.5)),
 ], ids=["doubling", "shrinking", "e-complex", "user-complex"])
 def test_values_at_block_cases(rec):
-    # the doubling values pass the double range at n = 1024 (inf both ways)
-    assert_values_at_match_single_steps(rec, None, 2**14)
+    # the doubling values pass the double range at n = 1024
+    assert_values_at_match_exact(rec)
 
 
 def test_values_at_block_size_follows_the_degree():
@@ -613,27 +709,45 @@ def test_blocks_equal_the_step_by_step_products(rec, degree, zero_ds):
         assert sum(not any(b[h::h + 1]) for b in want) == zero_ds
 
 
+def partial_calls(monkeypatch) -> list:
+    """(m, j) for each later block of j < K steps that a window crosses."""
+    calls = []
+    partial = _Window._partial
+
+    def spy(self, m, j):
+        calls.append((m, j))
+        return partial(self, m, j)
+
+    monkeypatch.setattr(_Window, "_partial", spy)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ["e", "3"], ["pi", "4"], ["gamma", "7/3"], ["e", "2.5+1i"],
 ])
 def test_limit_single_steps_only_up_to_the_block_grid(argv, monkeypatch, capsys):
     from agflab.cli import main
 
-    calls = []
-    steps = _Window.steps
-
-    def spy(self, m, stop):
-        calls.append((m, stop))
-        return steps(self, m, stop)
-
-    monkeypatch.setattr(_Window, "steps", spy)
+    calls = partial_calls(monkeypatch)
     assert main(["limit", *argv]) == 0
     capsys.readouterr()
     # from n0 = 1, the window u_m..u_{m+r-1} ends at a multiple of K = 16
     # from m = 15 (order 2) or m = 16 (order 1) on, and so does every
-    # sample n_base 2^k
+    # sample n_base 2^k: one block of p = 14 or 15 steps, then whole blocks
     r = 1 if argv[0] == "gamma" else 2
-    assert calls == [(1, 17 - r)]
+    assert calls == [(1, 16 - r)]
+
+
+def test_limit_ends_off_grid_gaps_in_partial_blocks(monkeypatch, capsys):
+    from agflab.cli import main
+
+    calls = partial_calls(monkeypatch)
+    assert main(["limit", "e", "3", "--n-base", "100", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"][:4] == [100, 200, 400, 800]
+    # u_100 needs the window from m = 99: 4 steps of the block from 95, whose
+    # other 12 start the next gap; the same at 200, and 400 = 25 * 16 and
+    # 800 are read at block edges
+    assert calls == [(1, 14), (95, 4), (99, 12), (191, 8), (199, 8)]
 
 
 @pytest.mark.parametrize("z", ["3", "2.5+1i"])
@@ -655,7 +769,7 @@ def test_limit_builds_one_value_per_sample(z, monkeypatch, capsys):
     monkeypatch.setattr(_Window, "__init__", spy)
     assert main(["limit", "e", z, "--format", "json"]) == 0
     samples = json.loads(capsys.readouterr().out)["n"]
-    # the single steps to the first block edge build none
+    # the partial block to the first block edge builds none
     assert len(built) == len(samples)
 
 
@@ -684,13 +798,12 @@ def test_on_grid_values_do_not_depend_on_the_draws(rec):
 
 
 def window_at_first_edge(rec):
-    """A 30-digit window stepped from n0 to the first block edge, with K and
+    """A 30-digit window moved from n0 to the first block edge, with K and
     that edge."""
     win = _Window(rec, 30)
     k, n0 = win.block_size(), rec.initial_index
     edge = n0 + (1 - n0 - win.r) % k
-    for _ in win.steps(n0, edge):
-        pass
+    win._partial(n0, edge - n0)
     return win, k, edge
 
 
@@ -725,10 +838,10 @@ def test_order_two_kernels_equal_the_generic_loop(rec, case):
         drawn[5] = tuple(0 if i % (h + 1) == h else v for i, v in enumerate(drawn[5]))
     e0 = win.e
     got = []
-    for cross in (_Window._cross, _Window._cross_generic):
+    for kernel in ("_cross", "_cross_generic"):
         w = _Window(rec, 30)
         w.parts, w.e = [list(p) for p in win.parts], e0
-        taken = cross(w, iter(drawn), len(drawn))
+        taken = getattr(w, kernel)(iter(drawn), len(drawn))
         got.append((w.parts, w.e, taken))
     assert got[0] == got[1]
     parts, e, taken = got[0]
@@ -799,8 +912,29 @@ def test_order_three_crosses_in_the_generic_loop(z, monkeypatch):
     # no built-in world has order 3: the generic loops keep a caller
     rec = with_z(ORDER_THREE, z)
     calls = generic_calls(monkeypatch)
-    assert_values_at_match_single_steps(rec, 30, 2**12)
-    assert set(calls) == {"_cross_generic", "_block_generic"}
+    assert_values_at_match_exact(rec, 30)  # its real reference steps exact_series
+    assert {"_cross_generic", "_block_generic"} <= set(calls)
+
+
+DEGREE_FIVE = parse_precurrence("coeff2: (n+z)^5\ncoeff1: -(n+z)^5\ncoeff0: -1\n"
+                                "init: n0=1; 0, 1")
+
+
+def test_degree_five_crosses_blocks_of_one_step(monkeypatch):
+    rec = with_z(DEGREE_FIVE, Fraction(7, 3))
+    assert _Window(rec, 30).block_size() == 1
+    calls = partial_calls(monkeypatch)
+    assert_values_at_match_exact(rec)
+    assert calls == []  # every gap is whole blocks of one step
+    pole = with_z(DEGREE_FIVE, -40)  # (n + z)^5 = 0 at n = 40
+    with pytest.raises(CoefficientPole) as want:
+        list(iter_sequence(pole, 100))
+    assert want.value.n == 40
+    for engine in (lambda: list(iter_values_at(pole, [16, 64])),
+                   lambda: list(iter_sequence(pole, 100, 30))):
+        with pytest.raises(CoefficientPole) as got:
+            engine()
+        assert (got.value.n, str(got.value)) == (want.value.n, str(want.value))
 
 
 @pytest.mark.parametrize("rec", [
