@@ -464,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("world", choices=choices["worlds"])
     p.add_argument("z", help=z_help)
     p.add_argument("--depth", type=int, default=DEPTH,
-                   help="tableau depth: each estimate extrapolates the last "
-                   f"depth+1 samples; n-base*2^depth is at most {MAX_REACH}")
+                   help="tableau depth: each estimate extrapolates at most "
+                   "the last depth+1 samples (from the third sample on); "
+                   f"n-base*2^depth is at most {MAX_REACH}")
     p.add_argument("--n-base", type=int, default=N_BASE,
                    dest="n_base", help="first sample; samples double from it "
                    "(odd rounds up to even) until the tableau's last increment "

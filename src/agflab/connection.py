@@ -17,9 +17,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import pairwise
 
 from .complexfn import _nearest_int, log_gamma
-from .holonomic import PRecurrence, iter_values_at, numeric_digits
+from .holonomic import PRecurrence, _horner, iter_values_at, numeric_digits
 
 __all__ = [
     "AsymptoticShell",
@@ -98,10 +99,11 @@ def shell_log_eval(shell: AsymptoticShell, n: int, z=None):
 
 # The last sample of the ladder, unless n_base * 2^depth lies past it.
 REACH = 2**16
-# The largest n_base * 2^depth, the n of the first full tableau.  The
-# work grows with n: on a 2-core Xeon, limit pi 1/3 --n-base 16 takes 0.7 s
-# at 2^22 (--depth 18) and 2.8 s at 2^24 (--depth 20), best of 3 in
-# process; --depth 40 (32 * 2^40) would take months.
+# The largest n_base * 2^depth, the n of the first full tableau (of
+# depth + 1 samples).  The work grows with n: on a 2-core Xeon, limit pi
+# 1/3 --n-base 16 takes 0.7 s at 2^22 (--depth 18) and 2.8 s at 2^24
+# (--depth 20), best of 3 in process; --depth 40 (32 * 2^40) would take
+# months.
 MAX_REACH = 2**24
 # The defaults of the tableau depth and the first sample.
 DEPTH = 6
@@ -114,8 +116,9 @@ class ConnectionEstimate:
     """The extrapolated constant and how it was reached: the engine that
     accumulated u_n (the fixed-point one) at ``digits``, every sampled
     ``n``, the increments |diag[i+1] - diag[i]| of the tableau diagonal
-    over the final window, the rounding floor of the error estimate, and
-    the seconds it all took."""
+    over the final window (fewer than depth where it settled before
+    depth + 1 samples), the rounding floor of the error estimate, and the
+    seconds it all took."""
 
     value: complex
     error_estimate: float
@@ -127,22 +130,21 @@ class ConnectionEstimate:
     timing_s: float
 
 
-def _richardson(samples, errors):
-    """Diagonal of the Richardson tableau for an expansion in 1/n, with
-    samples at doubling n, and a running bound on the rounding of its last
-    entry: the samples' ``errors`` carried through with the absolute
-    weights of each level, plus eps |entry| for every entry the tableau
-    computes in double precision."""
-    row, err = list(samples), list(errors)
-    diag = [row[0]]
-    for j in range(1, len(row)):
+def _richardson(column, errors, sample, rounding, size):
+    """The last entry of each level of the Richardson tableau over the last
+    ``size`` samples, for an expansion in 1/n with samples at doubling n,
+    once ``sample`` joins them, from the previous sample's ``column``.
+    Entry j extrapolates the last j + 1 samples, whatever sample the
+    window starts at, so each new sample adds one entry per level.
+    ``errors`` bound the rounding of each entry: the samples' ``rounding``
+    carried through with the absolute weights of each level, plus
+    eps |entry| for every entry the tableau computes in double precision."""
+    new, err = [sample], [rounding]
+    for j in range(1, min(len(column) + 1, size)):
         factor = 2**j
-        row = [(factor * row[i + 1] - row[i]) / (factor - 1)
-               for i in range(len(row) - 1)]
-        err = [(factor * err[i + 1] + err[i]) / (factor - 1) + EPS * abs(row[i])
-               for i in range(len(row))]
-        diag.append(row[-1])
-    return diag, err[-1]
+        new.append((factor * new[j - 1] - column[j - 1]) / (factor - 1))
+        err.append((factor * err[j - 1] + errors[j - 1]) / (factor - 1) + EPS * abs(new[j]))
+    return new, err
 
 
 def estimate_connection_constant(
@@ -161,15 +163,25 @@ def estimate_connection_constant(
     z is a ValueError, and so is a ``rec.param`` that is not a finite
     double.  Samples the ratio at n = n_base * 2^k, k = 0, 1, ..., which
     one :func:`iter_values_at` run reaches in blocks of steps at
-    ``digits`` (this many above 15, else 30: :func:`numeric_digits`), and
-    reruns the tableau over the last depth + 1 samples at each new one.
-    The ladder stops at the first window whose last diagonal increment
-    is at or below its rounding floor, and never goes past max(REACH,
-    n_base * 2^depth).  depth >= 1, n_base >= 16 and n_base * 2^depth
-    <= MAX_REACH, or ValueError before any step.  An odd n_base is
-    rounded up to even: a (-1)^n companion solution such as mirror_pi's
-    (-1)^n n^(-1/2) adds (-1)^n/n to the ratio, a plain 1/n term that
-    the tableau removes only when every sample is even.
+    ``digits`` (this many above 15, else 30: :func:`numeric_digits`).
+    Each sample adds one entry per level to the Richardson tableau over
+    the last min(depth + 1, samples so far) samples (:func:`_richardson`),
+    whose window is tested from the third sample on.  The ladder stops at
+    the first window whose last diagonal increment is at or below its
+    rounding floor, and never goes past max(REACH, n_base * 2^depth).
+    A window of fewer than depth + 1 samples settles only where its newest
+    sample lies within a factor 2 of its estimate: at |z| >> n the samples
+    are about |z|/n times the value, while their floor still falls.  So
+    mirror_e, whose exact solution n + z leaves u_n/n = C (1 + z/n) plus a
+    factorially small solution, settles at the third sample; depth <= 2
+    tests full windows only.  depth >= 1, n_base >= 16 and n_base *
+    2^depth <= MAX_REACH, or ValueError before any step; a step n at or
+    past the initial index whose leading coefficient vanishes raises its
+    CoefficientPole before any step too, wherever the ladder would end
+    (:func:`_raise_first_pole`).  An odd n_base is rounded up to even: a
+    (-1)^n companion solution such as mirror_pi's (-1)^n n^(-1/2) adds
+    (-1)^n/n to the ratio, a plain 1/n term that the tableau removes only
+    when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
     exp(log Lambda) in that number's own context, so neither overflows;
@@ -179,15 +191,15 @@ def estimate_connection_constant(
     2^-k, k the binary magnitude of the first within +-1000, so that
     2^-k is a double: the tableau runs in these units, exactly, and far
     from the ends of the double range, and its results are scaled back
-    at the end.  The error estimate is the last
-    diagonal increment of the final window (heuristic, not a rigorous
-    bound), plus, where the ladder ends before a window settles, the
-    change of the value from the previous window, floored at the rounding
-    of the window: eps * (1 + |log Lambda(n)|) * |sample| per sample,
+    at the end.  The error estimate is the last diagonal increment of the
+    final window (heuristic, not a rigorous bound), plus, where the ladder
+    ends before a window settles, the change of the value from the
+    previous full window, floored at the rounding of the window:
+    eps * (1 + |log Lambda(n)|) * |sample| per sample,
     carried through the tableau with the rounding of its own steps
     (:func:`_richardson`).  Raises NonConvergence at a sample that is not
     finite, at a value outside the normal double range, when the
-    increments of any window grow for three consecutive levels while
+    increments of any full window grow for three consecutive levels while
     still above 1e-13 of the value, and when the error estimate is above
     1e-2 of the value, settled or not.
     """
@@ -203,12 +215,14 @@ def estimate_connection_constant(
     z = rec.param
     if z is not None:
         _nearest_int(z)  # ValueError where z is not a finite double
+    _raise_first_pole(rec)
     n_base += n_base % 2
     reach = max(REACH, n_base * 2**depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
     digits = numeric_digits(digits)
     size = depth + 1
-    samples, rounding, values = [], [], []  # values: each window's diag[-1]
+    samples, column, errors = [], [], []
+    values = []  # each full window's estimate
     unit = None  # 2^-k
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
     for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
@@ -220,15 +234,23 @@ def estimate_connection_constant(
         if not cmath.isfinite(sample):
             raise NonConvergence(f"sample u_n / Lambda(n) not finite at n={n}")
         samples.append(sample)
-        rounding.append(EPS * (1 + abs(log_lam)) * abs(sample))
-        if len(samples) < size:
+        column, errors = _richardson(
+            column, errors, sample, EPS * (1 + abs(log_lam)) * abs(sample), size)
+        if len(samples) < min(size, 3):
             continue
-        diag, rounding_error = _richardson(samples[-size:], rounding[-size:])
-        values.append(diag[-1])
+        # the diagonal from the tableau's corner, the window's first sample
+        diag = [samples[-len(column)], *column[1:]]
+        rounding_error = errors[-1]
         deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
-        scale = max(abs(diag[-1]), 1e-300)
-        _check_not_diverging(deltas, 1e-13 * scale, unit)
         settled = deltas[-1] <= rounding_error
+        if len(samples) >= size:
+            values.append(diag[-1])
+            scale = max(abs(diag[-1]), 1e-300)
+            _check_not_diverging(deltas, 1e-13 * scale, unit)
+        else:
+            # a short window settles only near its value: at |z| >> n the
+            # samples are about |z|/n times it, and their floor still falls
+            settled = settled and abs(diag[-1]) <= 2 * abs(sample) <= 4 * abs(diag[-1])
         if settled:
             break
     error = deltas[-1]
@@ -252,6 +274,68 @@ def estimate_connection_constant(
         engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)
+
+
+def _raise_first_pole(rec):
+    """Raise the CoefficientPole of the first step n >= the initial index
+    whose leading coefficient vanishes, wherever the ladder would end:
+    the first integer zero of one part of the cleared coefficient, the
+    real one unless it is 0 for every n, where the other part vanishes
+    too."""
+    re_polys, im_polys, pole, _ = rec.cleared
+    part, other = re_polys[rec.order], im_polys[rec.order]
+    if not any(part):
+        part, other = other, part
+    n = rec.initial_index
+    while (n := _first_zero(part, n)) is not None:
+        if _horner(other, n) == 0:
+            raise pole(n)
+        n += 1
+
+
+def _first_zero(p, lo):
+    """The least integer n >= lo where the integer polynomial p
+    (coefficients lowest first) vanishes, else None.  Exact for any
+    degree: p is monotone over the integers between the cuts of
+    :func:`_runs`, and every root lies below the Cauchy bound."""
+    p = p[:max((i + 1 for i, c in enumerate(p) if c), default=0)]
+    if len(p) <= 1:
+        return None if p else lo
+    bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
+    if lo > bound:
+        return None
+    cuts = _runs(p, lo, max(bound, lo + 1))
+    for a, b in pairwise(cuts):
+        n = _crossing(p, a, b)
+        if _horner(p, n) == 0:
+            return n
+    return None
+
+
+def _runs(p, lo, hi):
+    """Increasing integers from lo to hi, p monotone over the integers
+    between each two: where the difference p(n+1) - p(n) changes sign."""
+    if len(p) <= 2:
+        return [lo, hi]
+    shifted = [sum(p[j] * math.comb(j, i) for j in range(i, len(p)))
+               for i in range(len(p))]  # p(n + 1)
+    q = [a - b for a, b in zip(shifted[:-1], p)]
+    cuts = _runs(q, lo, hi)
+    return sorted({*cuts, *(_crossing(q, a, b) for a, b in pairwise(cuts))})
+
+
+def _crossing(p, a, b):
+    """The least n in [a, b] from which p, monotone over the integers of
+    [a, b], is at or past 0 in its direction there, else b: by bisection."""
+    up = _horner(p, b) >= _horner(p, a)
+    while a < b:
+        mid = (a + b) // 2
+        v = _horner(p, mid)
+        if (v >= 0 if up else v <= 0):
+            b = mid
+        else:
+            a = mid + 1
+    return a
 
 
 def _check_not_diverging(deltas, floor, unit):

@@ -519,6 +519,56 @@ def test_limit_prints_a_value_within_its_error_or_refuses(capsys, argv, code, er
     assert abs(value.real - want.real) <= error and abs(value.imag - want.imag) <= error
 
 
+@pytest.mark.parametrize("world", ["e", "pi", "gamma"])
+@pytest.mark.parametrize("z", [-314, -2500, -5000])
+def test_limit_at_a_pole_past_the_ladder_exits_1_before_any_step(
+        capsys, monkeypatch, world, z):
+    # the e ladder settles at n = 128, long before its leading coefficient
+    # n + z vanishes at n = -z; limit e -40, gamma -40 and e -5000.5 are
+    # in the golden file
+    import agflab.connection as connection
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(connection, "iter_values_at", no_step)
+    assert run_cli(capsys, ["limit", world, str(z)]) == (
+        1, "", f"coefficient pole: coefficient pole at n={-z} (leading coefficient)\n")
+
+
+# argv: (exit code, stdout, stderr), as full windows alone gave them
+_FULL_WINDOW_BYTES = {
+    # at |z| >> n the samples are about |z|/n times the value: a short
+    # window there settles only once its newest sample is near its estimate
+    "e 1e6": (0, "9.99997000010121e-07 ± 1.33e-17\n", ""),
+    "e -5000.5": (0, "-0.000200100058038629 ± 1.08e-17\n", ""),
+    "e 1e20": (1, "", "non-convergence: value below its rounding floor "
+               "(error 1.33e-17 vs value 2.97e-19)\n"),
+    # only a full window can diverge
+    "gamma 16.8+54.01i": (1, "", "non-convergence: extrapolation diagonal diverging "
+                          "(deltas [36.76951563655548, 2.1036849989648546e-08, "
+                          "5.0466550473309755e-08, 2.2577482898234837e-07, "
+                          "2.9505863221781606e-06, 6.170702576008147e-05])\n"),
+    "gamma 6.598+33.67i": (1, "", "non-convergence: extrapolation diagonal diverging "
+                           "(deltas [2.1346557156485787e-08, 8.749044832586306e-15, "
+                           "4.936385939205934e-15, 5.481214823179537e-15, "
+                           "1.356987110128417e-14, 3.508078006822487e-14])\n"),
+    "gamma 19.87-90.02i": (1, "", "non-convergence: extrapolation diagonal diverging "
+                           "(deltas [1.7361030174378875, 3.818084009391505e-21, "
+                           "3.6171463907923714e-19, 1.2426529560953543e-15, "
+                           "9.351976080476821e-11, 2.8220005922327946e-06])\n"),
+    "gamma 38.72-121.2i": (1, "", "non-convergence: extrapolation diagonal diverging "
+                           "(deltas [1.7071727461301736e+24, 192.75415926642273, "
+                           "464453.777986209, 42578173257.862, 5678567855377688.0, "
+                           "2.780677284556463e+18])\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_FULL_WINDOW_BYTES))
+def test_limit_keeps_the_bytes_of_full_windows(capsys, argv):
+    assert run_cli(capsys, ["limit", *argv.split()]) == _FULL_WINDOW_BYTES[argv]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -739,8 +789,9 @@ def test_limit_json_says_what_ran(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["engine"] == "fixed" and rep["digits"] == 30
-    assert rep["n"] == [32 * 2**k for k in range(7)]
-    assert len(rep["increments"]) == 6
+    # the e world settles at its third sample, in a window of 3 samples
+    assert rep["n"] == [32, 64, 128]
+    assert len(rep["increments"]) == 2
     assert rep["error_estimate"] == max(rep["increments"][-1], rep["rounding_floor"])
     assert rep["timing_s"] > 0
     _, text, _ = run_cli(capsys, ["limit", "e", "0"])
@@ -748,7 +799,17 @@ def test_limit_json_says_what_ran(capsys):
     _, out, _ = run_cli(capsys, ["limit", "e", "0", "--format", "json",
                                  "--digits", "40", "--n-base", "64", "--depth", "3"])
     rep = json.loads(out)
-    assert (rep["digits"], rep["n"]) == (40, [64, 128, 256, 512])
+    assert (rep["digits"], rep["n"]) == (40, [64, 128, 256])
+    # the pi world settles only in a full window of depth + 1 samples
+    _, out, _ = run_cli(capsys, ["limit", "pi", "1/3", "--format", "json"])
+    rep = json.loads(out)
+    assert rep["n"] == [32 * 2**k for k in range(7)]
+    assert len(rep["increments"]) == 6
+    _, out, _ = run_cli(capsys, ["limit", "pi", "1/3", "--format", "json",
+                                 "--digits", "40", "--n-base", "64", "--depth", "3"])
+    rep = json.loads(out)
+    assert (rep["digits"], rep["n"][:4], len(rep["increments"])) == (
+        40, [64, 128, 256, 512], 3)
 
 
 def test_limit_gamma(capsys):

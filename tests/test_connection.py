@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from agflab import connection
 from agflab.connection import (
     F_SHELL,
     G_SHELL,
@@ -24,9 +25,12 @@ from agflab.holonomic import (
     PRecurrence,
     Poly2,
     RationalFn,
+    _horner,
     gamma_recurrence,
+    iter_sequence,
     mirror_e,
     mirror_pi,
+    parse_precurrence,
 )
 
 
@@ -127,7 +131,8 @@ def test_odd_n_base_is_sampled_at_even_n_and_stays_honest(n_base):
     want = ctx.sqrt(2) * (ratio_a(z) - ratio_a(z - 1))
     est = estimate_connection_constant(
         mirror_pi(Fraction(1, 3)), G_SHELL, n_base=n_base)
-    assert est.n == tuple((n_base + 1) * 2**k for k in range(7))
+    # a prefix: the window may settle before it holds depth + 1 samples
+    assert est.n == tuple((n_base + 1) * 2**k for k in range(len(est.n)))
     assert abs(ctx.mpc(est.value) - want) <= est.error_estimate
 
 
@@ -255,9 +260,7 @@ def test_samples_divide_by_the_shell_in_log_space(rec, shell):
 def test_real_samples_equal_the_complex_division(make, shell, monkeypatch):
     # a real log Lambda divides by a real exp: one rounding at the engine's
     # precision, not a complex exp and division, and the same double samples
-    import agflab.connection as connection
-
-    values, windows = [], []
+    values, samples = [], []
     engine, richardson = connection.iter_values_at, connection._richardson
 
     def spy_values(rec, ns, digits=None):
@@ -265,9 +268,9 @@ def test_real_samples_equal_the_complex_division(make, shell, monkeypatch):
             values.append(v)
             yield v
 
-    def spy_richardson(samples, errors):
-        windows.append(list(samples))
-        return richardson(samples, errors)
+    def spy_richardson(column, errors, sample, rounding, size):
+        samples.append(sample)
+        return richardson(column, errors, sample, rounding, size)
 
     monkeypatch.setattr(connection, "iter_values_at", spy_values)
     monkeypatch.setattr(connection, "_richardson", spy_richardson)
@@ -275,9 +278,8 @@ def test_real_samples_equal_the_complex_division(make, shell, monkeypatch):
     for z in [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(3)] + [
             rng.uniform(0.1, 9) for _ in range(3)]:
         values.clear()
-        windows.clear()
+        samples.clear()
         est = estimate_connection_constant(make(z), shell)
-        samples = windows[0] + [w[-1] for w in windows[1:]]
         unit, want = None, []
         for n, u in zip(est.n, values):
             ratio = u / u.context.exp(complex(shell_log_eval(shell, n, z)))
@@ -285,6 +287,34 @@ def test_real_samples_equal_the_complex_division(make, shell, monkeypatch):
                 unit = 2.0 ** -max(-1000, min(1000, u.context.mag(ratio)))
             want.append(complex(ratio * unit))
         assert samples == want, z
+
+
+def full_tableau(samples, errors):
+    """The Richardson tableau over every sample, level by level: its
+    diagonal from the corner samples[0], and the rounding bound of its
+    last entry."""
+    row, err = list(samples), list(errors)
+    diag = [row[0]]
+    for j in range(1, len(row)):
+        factor = 2**j
+        row = [(factor * row[i + 1] - row[i]) / (factor - 1) for i in range(len(row) - 1)]
+        err = [(factor * err[i + 1] + err[i]) / (factor - 1) + 2.0**-52 * abs(row[i])
+               for i in range(len(row))]
+        diag.append(row[-1])
+    return diag, err[-1]
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 7])
+def test_tableau_grown_a_sample_at_a_time_equals_the_full_one(size):
+    rng = random.Random(size)
+    samples = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12)]
+    rounding = [rng.uniform(0, 1e-15) for _ in samples]
+    column, errors = [], []
+    for k, sample in enumerate(samples, 1):
+        column, errors = connection._richardson(column, errors, sample, rounding[k - 1], size)
+        window = slice(max(0, k - size), k)
+        diag, err = full_tableau(samples[window], rounding[window])
+        assert ([samples[window][0], *column[1:]], errors[-1]) == (diag, err)
 
 
 def limit_oracle(ctx, name, z):
@@ -360,6 +390,97 @@ def test_error_estimate_is_honest_past_the_sweep_radius():
             actual = abs(ctx.mpc(est.value) - limit_oracle(ctx, name, z))
             assert actual <= est.error_estimate, (name, z)
         assert returned >= 5, name
+
+
+def test_e_world_settles_at_the_third_sample():
+    # mirror_e has the exact solution n + z, so u_n/n is C (1 + z/n) plus a
+    # factorially small solution: the window of n = 32, 64, 128 settles
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    rng = random.Random(33)
+    zs = [Fraction(rng.randint(0, 10)) for _ in range(4)]
+    zs += [Fraction(rng.randint(-40, 40), rng.randint(2, 4)) for _ in range(4)]
+    zs += [complex(rng.uniform(-7, 7), rng.uniform(-7, 7)) for _ in range(4)]
+    for z in zs:
+        est = estimate_connection_constant(mirror_e(z), F_SHELL)
+        assert est.n == (32, 64, 128) and len(est.increments) == 2, z
+        assert abs(ctx.mpc(est.value) - limit_oracle(ctx, "e", z)) <= est.error_estimate, z
+
+
+def test_estimates_settled_in_short_windows_are_honest():
+    # seeded log-uniform z, real and complex, |z| <= 30: every estimate
+    # whose window settled before it held depth + 1 samples covers its
+    # true error (every e estimate and 5 of 16 Gamma ones)
+    from mpmath.ctx_mp import MPContext
+
+    from agflab import worlds
+
+    ctx = MPContext()
+    ctx.dps = 40
+    rng = random.Random(3033)
+    short = dict.fromkeys(("e", "pi", "gamma"), 0)
+    for name in short:
+        world = worlds.world(name)
+        for _ in range(16):
+            r = math.exp(rng.uniform(math.log(0.5), math.log(30)))
+            z = Fraction(round(4 * r), 4) if rng.random() < 0.5 else cmath.rect(
+                r, rng.uniform(-math.pi / 2, math.pi / 2))
+            try:
+                est = estimate_connection_constant(world.recurrence(z), world.shell)
+            except NonConvergence:
+                continue
+            if len(est.n) < 7:
+                short[name] += 1
+                actual = abs(ctx.mpc(est.value) - limit_oracle(ctx, name, z))
+                assert actual <= est.error_estimate, (name, z)
+    assert short["e"] == 16 and short["gamma"] > 0, short
+
+
+def test_a_pole_is_raised_before_any_step(monkeypatch):
+    # the leading coefficient (n+z)(n+z+7) vanishes first at n = 93 for
+    # z = -100, and the denominator n - 60 at n = 60: the exact engine's
+    # pole, raised wherever the ladder would end
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    text = "coeff2: (n+z)*(n+z+7)\ncoeff1: -1\ncoeff0: {}\ninit: n0=1; 0, 1\n"
+    for coeff0, z, n in (("-1", -100, 93), ("-1/(n-60)", Fraction(1, 2), 60)):
+        rec = dataclasses.replace(parse_precurrence(text.format(coeff0)), param=z)
+        with pytest.raises(CoefficientPole) as exact:
+            list(iter_sequence(rec, 200))
+        monkeypatch.setattr(connection, "iter_values_at", no_step)
+        with pytest.raises(CoefficientPole) as early:
+            estimate_connection_constant(rec, AsymptoticShell())
+        monkeypatch.undo()
+        assert early.value.n == exact.value.n == n
+        assert str(early.value) == str(exact.value)
+
+
+@pytest.mark.parametrize("k", [40, 314, 5000])
+def test_a_complex_z_is_never_a_pole(k):
+    from agflab import worlds
+
+    for world in worlds.table().values():
+        connection._raise_first_pole(world.recurrence(complex(-k, 2.0**-40)))
+
+
+def test_first_zero_is_the_least_integer_root_at_any_degree():
+    rng = random.Random(8)
+    for _ in range(400):
+        p = [rng.choice((-3, -1, 1, 2))]
+        for _ in range(rng.randint(0, 5)):  # times an integer, rational or no root
+            factor = rng.choice(([rng.randint(-60, 60), 1], [rng.randint(-9, 9), 3],
+                                 [rng.randint(1, 40), 0, 1], [-rng.randint(1, 3000), 0, 1]))
+            p = [sum(p[i] * factor[j - i] for i in range(len(p)) if 0 <= j - i < len(factor))
+                 for j in range(len(p) + len(factor) - 1)]
+        lo = rng.randint(-70, 70)
+        want = next((n for n in range(lo, 100) if _horner(p, n) == 0), None)
+        assert connection._first_zero(p, lo) == want, (p, lo)
+    assert connection._first_zero([0, 0], 5) == 5
+    assert connection._first_zero([7], 5) is None
+    assert connection._first_zero([-10**20, 1], 1) == 10**20
 
 
 def test_extrapolation_config_validation():

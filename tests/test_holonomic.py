@@ -742,11 +742,11 @@ def test_limit_ends_off_grid_gaps_in_partial_blocks(monkeypatch, capsys):
     from agflab.cli import main
 
     calls = partial_calls(monkeypatch)
-    assert main(["limit", "e", "3", "--n-base", "100", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["n"][:4] == [100, 200, 400, 800]
+    assert main(["limit", "pi", "3", "--n-base", "100", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"][:5] == [100, 200, 400, 800, 1600]
     # u_100 needs the window from m = 99: 4 steps of the block from 95, whose
-    # other 12 start the next gap; the same at 200, and 400 = 25 * 16 and
-    # 800 are read at block edges
+    # other 12 start the next gap; the same at 200, and 400 = 25 * 16, 800
+    # and 1600 are read at block edges
     assert calls == [(1, 14), (95, 4), (99, 12), (191, 8), (199, 8)]
 
 
