@@ -17,10 +17,9 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import pairwise
 
 from .complexfn import _nearest_int, log_gamma
-from .holonomic import PRecurrence, _horner, iter_values_at, numeric_digits
+from .holonomic import PRecurrence, _raise_pole_by, iter_values_at, numeric_digits
 
 __all__ = [
     "AsymptoticShell",
@@ -175,13 +174,12 @@ def estimate_connection_constant(
     mirror_e, whose exact solution n + z leaves u_n/n = C (1 + z/n) plus a
     factorially small solution, settles at the third sample; depth <= 2
     tests full windows only.  depth >= 1, n_base >= 16 and n_base *
-    2^depth <= MAX_REACH, or ValueError before any step; a step n at or
-    past the initial index whose leading coefficient vanishes raises its
-    CoefficientPole before any step too, wherever the ladder would end
-    (:func:`_raise_first_pole`).  An odd n_base is rounded up to even: a
-    (-1)^n companion solution such as mirror_pi's (-1)^n n^(-1/2) adds
-    (-1)^n/n to the ratio, a plain 1/n term that the tableau removes only
-    when every sample is even.
+    2^depth <= MAX_REACH, or ValueError before any step; a recurrence
+    with a first pole (:attr:`PRecurrence.first_pole`) raises its
+    CoefficientPole before any step too, wherever the ladder would end.
+    An odd n_base is rounded up to even: a (-1)^n companion solution such
+    as mirror_pi's (-1)^n n^(-1/2) adds (-1)^n/n to the ratio, a plain
+    1/n term that the tableau removes only when every sample is even.
 
     Each sample divides the engine's value, an mpmath number, by
     exp(log Lambda) in that number's own context, so neither overflows;
@@ -215,7 +213,7 @@ def estimate_connection_constant(
     z = rec.param
     if z is not None:
         _nearest_int(z)  # ValueError where z is not a finite double
-    _raise_first_pole(rec)
+    _raise_pole_by(rec, math.inf)
     n_base += n_base % 2
     reach = max(REACH, n_base * 2**depth)
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
@@ -274,68 +272,6 @@ def estimate_connection_constant(
         engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)
-
-
-def _raise_first_pole(rec):
-    """Raise the CoefficientPole of the first step n >= the initial index
-    whose leading coefficient vanishes, wherever the ladder would end:
-    the first integer zero of one part of the cleared coefficient, the
-    real one unless it is 0 for every n, where the other part vanishes
-    too."""
-    re_polys, im_polys, pole, _ = rec.cleared
-    part, other = re_polys[rec.order], im_polys[rec.order]
-    if not any(part):
-        part, other = other, part
-    n = rec.initial_index
-    while (n := _first_zero(part, n)) is not None:
-        if _horner(other, n) == 0:
-            raise pole(n)
-        n += 1
-
-
-def _first_zero(p, lo):
-    """The least integer n >= lo where the integer polynomial p
-    (coefficients lowest first) vanishes, else None.  Exact for any
-    degree: p is monotone over the integers between the cuts of
-    :func:`_runs`, and every root lies below the Cauchy bound."""
-    p = p[:max((i + 1 for i, c in enumerate(p) if c), default=0)]
-    if len(p) <= 1:
-        return None if p else lo
-    bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
-    if lo > bound:
-        return None
-    cuts = _runs(p, lo, max(bound, lo + 1))
-    for a, b in pairwise(cuts):
-        n = _crossing(p, a, b)
-        if _horner(p, n) == 0:
-            return n
-    return None
-
-
-def _runs(p, lo, hi):
-    """Increasing integers from lo to hi, p monotone over the integers
-    between each two: where the difference p(n+1) - p(n) changes sign."""
-    if len(p) <= 2:
-        return [lo, hi]
-    shifted = [sum(p[j] * math.comb(j, i) for j in range(i, len(p)))
-               for i in range(len(p))]  # p(n + 1)
-    q = [a - b for a, b in zip(shifted[:-1], p)]
-    cuts = _runs(q, lo, hi)
-    return sorted({*cuts, *(_crossing(q, a, b) for a, b in pairwise(cuts))})
-
-
-def _crossing(p, a, b):
-    """The least n in [a, b] from which p, monotone over the integers of
-    [a, b], is at or past 0 in its direction there, else b: by bisection."""
-    up = _horner(p, b) >= _horner(p, a)
-    while a < b:
-        mid = (a + b) // 2
-        v = _horner(p, mid)
-        if (v >= 0 if up else v <= 0):
-            b = mid
-        else:
-            a = mid + 1
-    return a
 
 
 def _check_not_diverging(deltas, floor, unit):

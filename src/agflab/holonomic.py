@@ -5,7 +5,8 @@ sum_k C_k(n, z) u_{n+k} = 0 whose coefficients are exact rational
 functions in the index n and the parameter z, and the z it steps at,
 its ``param``.  :func:`_integer_form` substitutes that z exactly and
 clears the denominators, once per recurrence (:attr:`PRecurrence.cleared`);
-every engine steps that integer equation.
+every engine steps that integer equation, and stops short of its first
+pole, also found once (:attr:`PRecurrence.first_pole`).
 There are two ways in: :func:`iter_sequence` yields every u_n up to
 n_max, exactly (big rationals) where z and the initial values are
 rational and no digits are asked for, and :func:`iter_values_at` yields
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, pairwise, repeat
 from operator import mul
 
 from .complexfn import MAX_DOUBLE_DIGITS, _is_mp, _mp_context, _mp_fraction
@@ -299,6 +300,25 @@ class PRecurrence:
         none changes it."""
         return _integer_form(self)
 
+    @cached_property
+    def first_pole(self):
+        """The least step n >= ``initial_index`` where the leading
+        coefficient of :attr:`cleared` vanishes, both its parts, else
+        None: the first integer zero of one part, the real one unless it
+        is 0 for every n, where the other part vanishes too.  Every engine
+        stops before it and then raises its CoefficientPole
+        (:func:`_raise_pole_by`)."""
+        re_polys, im_polys, _, _ = self.cleared
+        part, other = re_polys[self.order], im_polys[self.order]
+        if not any(part):
+            part, other = other, part
+        n = self.initial_index
+        while (n := _first_zero(part, n)) is not None:
+            if _horner(other, n) == 0:
+                return n
+            n += 1
+        return None
+
 
 def _check_coeffs(order: int, coeffs: tuple):
     """Shape of an order-r equation, shared with the AFEs of :mod:`agf`:
@@ -366,6 +386,59 @@ def _horner(coeff_list, n):
     return acc
 
 
+def _first_zero(p, lo):
+    """The least integer n >= lo where the integer polynomial p
+    (coefficients lowest first) vanishes, else None.  Exact for any
+    degree: p is monotone over the integers between the cuts of
+    :func:`_runs`, and every root lies below the Cauchy bound."""
+    p = p[:max((i + 1 for i, c in enumerate(p) if c), default=0)]
+    if len(p) <= 1:
+        return None if p else lo
+    bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
+    if lo > bound:
+        return None
+    cuts = _runs(p, lo, max(bound, lo + 1))
+    for a, b in pairwise(cuts):
+        n = _crossing(p, a, b)
+        if _horner(p, n) == 0:
+            return n
+    return None
+
+
+def _runs(p, lo, hi):
+    """Increasing integers from lo to hi, p monotone over the integers
+    between each two: where the difference p(n+1) - p(n) changes sign."""
+    if len(p) <= 2:
+        return [lo, hi]
+    shifted = [sum(p[j] * math.comb(j, i) for j in range(i, len(p)))
+               for i in range(len(p))]  # p(n + 1)
+    q = [a - b for a, b in zip(shifted[:-1], p)]
+    cuts = _runs(q, lo, hi)
+    return sorted({*cuts, *(_crossing(q, a, b) for a, b in pairwise(cuts))})
+
+
+def _crossing(p, a, b):
+    """The least n in [a, b] from which p, monotone over the integers of
+    [a, b], is at or past 0 in its direction there, else b: by bisection."""
+    up = _horner(p, b) >= _horner(p, a)
+    while a < b:
+        mid = (a + b) // 2
+        v = _horner(p, mid)
+        if (v >= 0 if up else v <= 0):
+            b = mid
+        else:
+            a = mid + 1
+    return a
+
+
+def _raise_pole_by(rec, last):
+    """Raise the CoefficientPole of ``rec.first_pole`` where it is a step
+    at or before ``last``."""
+    n = rec.first_pole
+    if n is not None and n <= last:
+        raise rec.cleared[2](n)
+
+
 def iter_sequence(rec: PRecurrence, n_max: int = 100, digits: int | None = None):
     """Yield (n, u_n) from the initial index up to n_max by forward
     iteration at z = ``rec.param``.
@@ -386,13 +459,22 @@ def iter_sequence(rec: PRecurrence, n_max: int = 100, digits: int | None = None)
     data, under one block exponent, a step at a time as blocks of one step
     (:class:`_Window`).  No engine reads or changes mpmath's global state,
     so a live generator holds none.
+
+    Either engine steps only up to the step before
+    :attr:`PRecurrence.first_pole` and yields those values; where that
+    pole lies at or before the last step, n_max - r, its CoefficientPole
+    is raised then.
     """
-    if n_max < rec.initial_index + rec.order:
+    r = rec.order
+    if n_max < rec.initial_index + r:
         raise ValueError("n_max must cover at least the initial window")
+    pole = rec.first_pole
+    reach = n_max if pole is None else min(n_max, pole + r - 1)
     if digits is None and _exact_data(rec):
-        yield from _exact(rec, n_max)
+        yield from _exact(rec, reach)
     else:
-        yield from _fixed_point(rec, n_max, numeric_digits(digits))
+        yield from _fixed_point(rec, reach, numeric_digits(digits))
+    _raise_pole_by(rec, n_max - r)
 
 
 def numeric_digits(digits: int | None) -> int:
@@ -410,16 +492,14 @@ def _exact_data(rec) -> bool:
 
 def _exact(rec, n_max):
     """Fraction stepping: u_{n+r} = -sum_k c_k(n) u_{n+k} / c_r(n) over
-    the integer coefficients c_k of the cleared equation."""
+    the integer coefficients c_k of the cleared equation, to an n_max
+    whose steps hold no pole (:func:`iter_sequence`)."""
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = rec.cleared
+    polys, _, _, init = rec.cleared
     window = [a for a, _ in init]
     yield from enumerate(window, n0)
     for n, vals in zip(range(n0 + r, n_max + 1), _values_from(polys, n0)):
-        lead = vals[r]
-        if not lead:
-            raise pole(n - r)
-        u = -sum(map(mul, vals, window)) / lead
+        u = -sum(map(mul, vals, window)) / vals[r]
         window.append(u)
         del window[0]
         yield n, u
@@ -436,22 +516,21 @@ def exact_series(rec: PRecurrence, n_max: int) -> tuple[list[int], int]:
     every step n, c_r the leading coefficient of the cleared equation
     :attr:`PRecurrence.cleared`.  Each step solves that equation for the
     newest numerator by one exact integer division by c_r(n), with no gcd
-    and no rescaling.  Raises :class:`CoefficientPole` at the same n as
-    :func:`iter_sequence`, before any step.  The denominator is positive
-    but not reduced.  Orders 1 and 2 step in the written-out
-    :func:`_series1` and :func:`_series2`, order 3 and above in
-    :func:`_series_generic`, with the same integers either way.
+    and no rescaling.  Where :attr:`PRecurrence.first_pole` lies at or
+    before the last step, n_max - r, its :class:`CoefficientPole`, the one
+    :func:`iter_sequence` raises, is raised before any step.  The
+    denominator is positive but not reduced.  Orders 1 and 2 step in the
+    written-out :func:`_series1` and :func:`_series2`, order 3 and above
+    in :func:`_series_generic`, with the same integers either way.
     """
     if not _exact_data(rec):
         raise ValueError("exact_series needs rational z and initial values")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     r, n0 = rec.order, rec.initial_index
-    polys, _, pole, init = rec.cleared
+    _raise_pole_by(rec, n_max - r)
+    polys, _, _, init = rec.cleared
     rows = list(islice(_values_from(polys, n0), max(0, n_max - r + 1 - n0)))
-    for n, vals in enumerate(rows, n0):
-        if not vals[r]:
-            raise pole(n)
     den = math.lcm(*(a.denominator for a, _ in init))
     den *= abs(math.prod(vals[r] for vals in rows))
     nums = [0] * n0 + [a.numerator * (den // a.denominator) for a, _ in init]
@@ -625,17 +704,17 @@ def _integer_form(rec: PRecurrence):
 
 
 def _fixed_point(rec, n_max, digits):
-    """Every (n, u_n) to n_max: a :class:`_Window` crosses the blocks of
-    one step of :meth:`_Window.blocks` one at a time, and each value is
-    its newest entry."""
+    """Every (n, u_n) to an n_max whose steps hold no pole
+    (:func:`iter_sequence`): a :class:`_Window` crosses the blocks of one
+    step of :meth:`_Window.blocks` one at a time, and each value is its
+    newest entry."""
     win = _Window(rec, digits)
     r, n0 = win.r, win.n0
     for i in range(r):
         yield n0 + i, win.read(i)
     cross, read, blocks = win._cross, win.read, win.blocks(1, n0)
     for n in range(n0 + r, n_max + 1):
-        if not cross(blocks, 1):
-            raise win.pole(n - r)
+        cross(blocks, 1)
         yield n, read(r - 1)
 
 
@@ -653,13 +732,14 @@ class _Window:
     D = c_r(m)...c_r(m+k-1), one floor division per value of the block
     instead of one per step; a single step is the block of k = 1.
 
-    ``_cross(blocks, count)`` advances the window by up to ``count`` blocks
+    ``_cross(blocks, count)`` advances the window by ``count`` blocks
     drawn from ``blocks`` (tuples laid out as in :meth:`blocks`) in one
-    pass, and returns how many it took: a block with D = 0 ends the pass,
-    drawn but not taken.  Where the newest quotient would keep fewer than
-    lo bits, the numerators are widened first; where it passes hi, the
-    quotients are narrowed.  Either shift aims 32 bits above lo, clear of
-    the next block's drift.  That is the one renormalisation rule.
+    pass.  None of them holds a pole, so no D is 0: every caller stops
+    before :attr:`PRecurrence.first_pole`.  Where the newest quotient
+    would keep fewer than lo bits, the numerators are widened first;
+    where it passes hi, the quotients are narrowed.  Either shift aims 32
+    bits above lo, clear of the next block's drift.  That is the one
+    renormalisation rule.
 
     Both :meth:`_block`, which sets blocks up, and ``_cross`` take one of
     the kernels chosen on (r, real), with the same arithmetic either way.
@@ -680,8 +760,8 @@ class _Window:
     """
 
     def __init__(self, rec, digits):
-        self.r, self.n0 = rec.order, rec.initial_index
-        re_polys, im_polys, self.pole, init = rec.cleared
+        self.rec, self.r, self.n0 = rec, rec.order, rec.initial_index
+        re_polys, im_polys, _, init = rec.cleared
         self.real = not any(map(any, im_polys)) and not any(b for _, b in init)
         self.polys = re_polys if self.real else re_polys + im_polys
         self.degree = max((i for p in self.polys for i, c in enumerate(p) if c),
@@ -813,14 +893,11 @@ class _Window:
         flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
         return flat if real else [x for x, _ in flat] + [y for _, y in flat]
 
-    def _cross_real1(self, blocks, count) -> int:
+    def _cross_real1(self, blocks, count):
         """``_cross`` for real data of order 1, the window in a local."""
         lo, hi, e = self.lo, self.hi, self.e
         (u,), = self.parts
-        taken = 0
         for a, div in islice(blocks, count):
-            if not div:
-                break
             u = a * u
             n = u.bit_length()
             short = lo + div.bit_length() - n
@@ -832,21 +909,16 @@ class _Window:
             if n > hi:
                 s = n - lo - 32
                 u, e = u >> s, e + s
-            taken += 1
         self.parts, self.e = [[u]], e
-        return taken
 
-    def _cross_complex1(self, blocks, count) -> int:
+    def _cross_complex1(self, blocks, count):
         """``_cross`` for complex data of order 1, the window in locals:
         each block is B's real part a, D's real part c, B's imaginary part
         b and D's imaginary part d."""
         lo, hi, e = self.lo, self.hi, self.e
         (x,), (y,) = self.parts
-        taken = 0
         for a, c, b, d in islice(blocks, count):
             div = c * c + d * d
-            if not div:
-                break
             sr, si = a * x - b * y, a * y + b * x
             x, y = sr * c + si * d, si * c - sr * d  # (sr + i si)(c - i d)
             n = max(x.bit_length(), y.bit_length())
@@ -859,18 +931,13 @@ class _Window:
             if n > hi:
                 s = n - lo - 32
                 x, y, e = x >> s, y >> s, e + s
-            taken += 1
         self.parts, self.e = [[x], [y]], e
-        return taken
 
-    def _cross_real2(self, blocks, count) -> int:
+    def _cross_real2(self, blocks, count):
         """``_cross`` for real data of order 2, the window in locals."""
         lo, hi, e = self.lo, self.hi, self.e
         (u, v), = self.parts
-        taken = 0
         for a, b, c, d, div in islice(blocks, count):
-            if not div:
-                break
             u, v = a * u + b * v, c * u + d * v
             n = v.bit_length()
             short = lo + div.bit_length() - n
@@ -882,21 +949,16 @@ class _Window:
             if n > hi:
                 s = n - lo - 32
                 u, v, e = u >> s, v >> s, e + s
-            taken += 1
         self.parts, self.e = [[u, v]], e
-        return taken
 
-    def _cross_complex2(self, blocks, count) -> int:
+    def _cross_complex2(self, blocks, count):
         """``_cross`` for complex data of order 2, the window in locals:
         each block is B's real rows, D's real part c, B's imaginary rows
         and D's imaginary part d."""
         lo, hi, e = self.lo, self.hi, self.e
         (x0, x1), (y0, y1) = self.parts
-        taken = 0
         for a, b, p, q, c, ai, bi, pi, qi, d in islice(blocks, count):
             div = c * c + d * d
-            if not div:
-                break
             # (sr + i si)(c - i d) / |D|^2, row by row
             sr = a * x0 + b * x1 - (ai * y0 + bi * y1)
             si = a * y0 + b * y1 + (ai * x0 + bi * x1)
@@ -916,21 +978,16 @@ class _Window:
                 s = n - lo - 32
                 x0, x1, y0, y1 = x0 >> s, x1 >> s, y0 >> s, y1 >> s
                 e += s
-            taken += 1
         self.parts, self.e = [[x0, x1], [y0, y1]], e
-        return taken
 
-    def _cross_generic(self, blocks, count) -> int:
+    def _cross_generic(self, blocks, count):
         """``_cross`` for any order, the window in lists."""
         r, lo, hi, e = self.r, self.lo, self.hi, self.e
         rows = range(0, r * r, r)
-        taken = 0
         if self.real:
             (window,) = self.parts
             for vals in islice(blocks, count):
                 div = vals[-1]
-                if not div:
-                    break
                 window = [sum(map(mul, vals[i:i + r], window)) for i in rows]
                 b = window[-1].bit_length()
                 short = lo + div.bit_length() - b
@@ -943,16 +1000,13 @@ class _Window:
                     s = b - lo - 32
                     window = [w >> s for w in window]
                     e += s
-                taken += 1
             self.parts, self.e = [window], e
-            return taken
+            return
         h = r * r + 1
         xs, ys = self.parts
         for vals in islice(blocks, count):
             c, d = vals[h - 1], vals[-1]
             div = c * c + d * d
-            if not div:
-                break
             px, py = [], []
             for i in rows:
                 re, im = vals[i:i + r], vals[h + i:h + i + r]
@@ -972,9 +1026,7 @@ class _Window:
                 s = b - lo - 32
                 xs, ys = [w >> s for w in xs], [w >> s for w in ys]
                 e += s
-            taken += 1
         self.parts, self.e = [xs, ys], e
-        return taken
 
     def at(self, ns):
         """Yield u_n for each n drawn from the increasing ns, from the
@@ -985,10 +1037,11 @@ class _Window:
         ``_cross``, and a wanted n that is a multiple of K is read straight
         after it.  Any other n ends its gap with one block of fewer than K
         steps, and the next gap starts with the rest of that block.  At
-        K = 1 every gap is whole blocks.  A block with D = 0 raises the
-        :class:`CoefficientPole` of its first pole row (:meth:`_pole`).
-        The engine runs only as far as the last n drawn, so a caller that
-        stops drawing stops the stepping."""
+        K = 1 every gap is whole blocks.  A drawn n whose last step, n - r,
+        is at or past :attr:`PRecurrence.first_pole` raises that pole's
+        :class:`CoefficientPole` before anything is crossed.  The engine
+        runs only as far as the last n drawn, so a caller that stops
+        drawing stops the stepping."""
         r, m, k = self.r, self.n0, self.block_size()
         edge = m + (1 - m - r) % k  # where the next block starts, the first not drawn
         blocks = self.blocks(k, edge)
@@ -997,14 +1050,13 @@ class _Window:
             if t <= last:
                 raise ValueError("indices must increase from the initial index")
             last = t
+            _raise_pole_by(self.rec, t - r)
             while t >= m + r:  # u_t is past the window u_m..u_{m+r-1}
                 if m == edge:
                     count = (t - r + 1 - m) // k  # the blocks that end by t
                     if count:
-                        taken = self._cross(blocks, count)
-                        m = edge = m + taken * k
-                        if taken < count:
-                            raise self._pole(m)
+                        self._cross(blocks, count)
+                        m = edge = m + count * k
                         continue
                     next(blocks)  # the block at m holds t
                     edge += k
@@ -1014,17 +1066,9 @@ class _Window:
             yield self.read(t - m)
 
     def _partial(self, m, j):
-        """Cross the j < K steps from m as one block that :meth:`_block`
-        builds."""
-        if not self._cross(iter([self._block(self.polys, m, j, self.real)]), 1):
-            raise self._pole(m)
-
-    def _pole(self, m):
-        """The :class:`CoefficientPole` of the first row from m whose
-        leading coefficient is 0."""
-        r = self.r
-        rows = enumerate(_values_from(self.polys, m), m)
-        return self.pole(next(n for n, vals in rows if not (vals[r] or vals[-1])))
+        """Cross the j < K steps from m, none of them a pole, as one block
+        that :meth:`_block` builds."""
+        self._cross(iter([self._block(self.polys, m, j, self.real)]), 1)
 
 
 def _block_real1(rows):
@@ -1083,9 +1127,10 @@ def iter_values_at(rec: PRecurrence, ns, digits: int | None = None):
     :meth:`_Window.block_size` steps between two wanted n in one pass
     (:meth:`_Window.at`), builds one value per n drawn, and runs only as
     far as the last n drawn: ``ns`` may be an endless ladder that the
-    caller stops.  A block with a coefficient pole raises the
-    :class:`CoefficientPole` of its first pole row, the n that
-    :func:`iter_sequence` names.
+    caller stops.  It steps only up to :attr:`PRecurrence.first_pole`: a
+    drawn n whose last step n - r lies at or past it raises its
+    :class:`CoefficientPole`, the one :func:`iter_sequence` raises, after
+    the values of the n drawn before.
     """
     return _Window(rec, numeric_digits(digits)).at(ns)
 

@@ -25,6 +25,7 @@ from agflab.holonomic import (
     PRecurrence,
     Poly2,
     RationalFn,
+    _first_zero,
     _horner,
     gamma_recurrence,
     iter_sequence,
@@ -463,7 +464,7 @@ def test_a_complex_z_is_never_a_pole(k):
     from agflab import worlds
 
     for world in worlds.table().values():
-        connection._raise_first_pole(world.recurrence(complex(-k, 2.0**-40)))
+        assert world.recurrence(complex(-k, 2.0**-40)).first_pole is None
 
 
 def test_first_zero_is_the_least_integer_root_at_any_degree():
@@ -477,10 +478,10 @@ def test_first_zero_is_the_least_integer_root_at_any_degree():
                  for j in range(len(p) + len(factor) - 1)]
         lo = rng.randint(-70, 70)
         want = next((n for n in range(lo, 100) if _horner(p, n) == 0), None)
-        assert connection._first_zero(p, lo) == want, (p, lo)
-    assert connection._first_zero([0, 0], 5) == 5
-    assert connection._first_zero([7], 5) is None
-    assert connection._first_zero([-10**20, 1], 1) == 10**20
+        assert _first_zero(p, lo) == want, (p, lo)
+    assert _first_zero([0, 0], 5) == 5
+    assert _first_zero([7], 5) is None
+    assert _first_zero([-10**20, 1], 1) == 10**20
 
 
 def test_extrapolation_config_validation():

@@ -40,6 +40,11 @@ ARGVS = [
     "limit e -40", "limit gamma -40", "limit e -5000.5", "limit pi -40 --n-base 100",
     "seq e -40 100 --digits 30", "seq gamma -40 60", "seq pi -40.0 60",
     "seq e -40+0i 60", "limit e 0 --depth 40", "seq e abc 10", "agf f 1+nani",
+    # each side of the first pole n = -z: the last n_max that prints, the
+    # first that raises, and a pole past the last rung of the ladder
+    "seq e -5 6", "seq gamma -4 4", "seq pi -3 4", "seq e -5 7",
+    "seq e -5 7 --digits 30", "seq gamma -4 5 --digits 30", "seq pi -3 5",
+    "limit e -100000",
     # exact and numeric seq, real and complex Z
     "seq e 3 30", "seq pi 7/3 30", "seq gamma 7/3 30 --format csv",
     "seq e 3 60 --digits 30", "seq pi 7/3 60 --digits 50",

@@ -812,45 +812,39 @@ def window_at_first_edge(rec):
     mirror_pi(0.75),
     mirror_e(complex(2.5, 1.25)),
     mirror_pi(complex(0.25, -1.5)),
-    mirror_e(-40),  # D = 0 on the second block, over n = 40
+    mirror_e(-40),  # a pole at n = 40, in the second block: one block drawn
     gamma_recurrence(Fraction(7, 3)),
     gamma_recurrence(0.3),
     gamma_recurrence(complex(2.5, 1)),
     gamma_recurrence(complex(0.1, -7)),
-    gamma_recurrence(-40),  # n + z = 0 on the second block, at n = 40
+    gamma_recurrence(-40),  # n + z = 0 at n = 40, in the second block
     # u_n = (z)_n / n!: a complex B, where Gamma's is real
     with_z(parse_precurrence("coeff1: n+1\ncoeff0: -(n+z)\ninit: n0=1; 1"), 0.5 + 2j),
 ], ids=["e-int", "pi-float", "e-complex", "pi-complex", "zero-D",
         "gamma-rational", "gamma-float", "gamma-complex", "gamma-complex-2",
         "gamma-zero-D", "rising-complex"])
-@pytest.mark.parametrize("case", ["as-is", "widen", "narrow", "cut"])
+@pytest.mark.parametrize("case", ["as-is", "widen", "narrow"])
 def test_order_two_kernels_equal_the_generic_loop(rec, case):
-    # the written-out kernels of orders 1 and 2 against the generic loop
+    # the written-out kernels of orders 1 and 2 against the generic loop,
+    # on up to 200 blocks, those that end before the first pole
     win, k, edge = window_at_first_edge(rec)
     assert win.r in (1, 2)
-    drawn = list(islice(win.blocks(k, edge), 200))
+    pole = rec.first_pole
+    drawn = list(islice(win.blocks(k, edge), 200 if pole is None else (pole - edge) // k))
+    assert drawn
     if case == "widen":  # the newest quotient falls short of lo bits
         win.parts = [[w >> (win.lo - 8) for w in p] for p in win.parts]
     elif case == "narrow":  # and passes hi
         win.parts = [[w << 200 for w in p] for p in win.parts]
-    elif case == "cut":  # D = 0 on block 5, real or complex
-        h = win.r**2
-        drawn[5] = tuple(0 if i % (h + 1) == h else v for i, v in enumerate(drawn[5]))
     e0 = win.e
     got = []
     for kernel in ("_cross", "_cross_generic"):
         w = _Window(rec, 30)
         w.parts, w.e = [list(p) for p in win.parts], e0
-        taken = getattr(w, kernel)(iter(drawn), len(drawn))
-        got.append((w.parts, w.e, taken))
+        getattr(w, kernel)(iter(drawn), len(drawn))
+        got.append((w.parts, w.e))
     assert got[0] == got[1]
-    parts, e, taken = got[0]
-    if rec.param == -40:
-        assert taken == 1
-    elif case == "cut":
-        assert taken == 5
-    else:
-        assert taken == len(drawn)
+    e = got[0][1]
     if case == "widen":
         assert e < e0 - 32
     elif case == "narrow":
@@ -1226,3 +1220,76 @@ def test_exact_engines_match_naive_iteration(rec):
     nums, den = exact_series(rec, n_max)
     assert [Fraction(c, den) for c in nums] == [want.get(n, 0)
                                                 for n in range(n_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the one pole rule: first_pole, and every engine stops short of it
+
+@pytest.mark.parametrize("rec, want", [
+    (mirror_e(-5), 5),
+    (mirror_pi(-3), 3),
+    (gamma_recurrence(-4), 4),
+    (parse_precurrence(POLE_TEXT), 3),
+    # n^2 - z^2 = 0 at n = 37, past the first block of 16 steps
+    (with_z(parse_precurrence("coeff1: n^2-z^2\ncoeff0: 1\ninit: n0=1; 1"), 37), 37),
+    (parse_precurrence("coeff1: 2\ncoeff0: -n\ninit: n0=0; 1"), None),  # z-free
+    (mirror_e(complex(-5, 2**-40)), None),
+], ids=["e-pole", "pi-pole", "gamma-pole", "denominator-pole", "degree-2",
+        "z-free", "e-complex"])
+def test_first_pole_is_the_first_pole_of_naive_iteration(rec, want):
+    try:
+        naive_iteration(rec, 120)
+        naive = None
+    except CoefficientPole as pole:
+        naive = pole.n
+    assert rec.first_pole == naive == want
+
+
+@pytest.mark.parametrize("rec", [
+    mirror_e(-40.0),
+    mirror_pi(complex(-40, 0)),
+    gamma_recurrence(-40),
+    with_z(DEGREE_FIVE, -40),
+], ids=["e-float", "pi-complex", "gamma-int", "degree-five"])
+def test_fixed_point_yields_every_value_before_the_pole(rec):
+    # the pole is at step n = 40: u_n for n < 40 + r takes only the steps
+    # before it, and both ways into the engine yield each of those values
+    # and then raise
+    r, n0 = rec.order, rec.initial_index
+    assert rec.first_pole == 40
+    want = exact_reference(rec, 40 + r - 1)
+    got = {}
+    with pytest.raises(CoefficientPole) as info:
+        for n, v in iter_sequence(rec, 100, 30):
+            got[n] = v
+    assert info.value.n == 40 and list(got) == list(want)
+    drawn = []
+    with pytest.raises(CoefficientPole) as info:
+        for v in iter_values_at(rec, range(n0, 101)):
+            drawn.append(v)
+    assert info.value.n == 40 and len(drawn) == len(want)
+    # within 1e-28 of the largest value: e's u_40 at z = -40 is about 1e-45,
+    # and cancels from values near 1
+    tol = 1e-28 * max(map(abs, want.values()))
+    for v, (n, x) in zip(drawn, want.items()):
+        assert abs(v - x) <= tol and abs(got[n] - x) <= tol, n
+
+
+@pytest.mark.parametrize("rec", [mirror_e(-40), mirror_pi(-40), gamma_recurrence(-40),
+                                 mirror_e(-40.0), mirror_pi(complex(-40, 0))],
+                         ids=["e", "pi", "gamma", "e-float", "pi-complex"])
+def test_no_entry_point_raises_for_a_pole_past_its_reach(rec):
+    # u_n for n = 40 + r - 1 takes the steps up to 39, before the pole at
+    # 40: an n_max or a last n drawn there raises nothing, one more raises
+    r, n0 = rec.order, rec.initial_index
+    last = 40 + r - 1
+    runs = [lambda n: list(iter_sequence(rec, n, 30)),
+            lambda n: list(iter_values_at(rec, [16, n])),
+            lambda n: list(islice(iter_values_at(rec, range(n0, 200)), n - n0 + 1))]
+    if holonomic._exact_data(rec):
+        runs += [lambda n: list(iter_sequence(rec, n)), lambda n: exact_series(rec, n)]
+    for run in runs:
+        run(last)
+        with pytest.raises(CoefficientPole) as info:
+            run(last + 1)
+        assert info.value.n == 40
