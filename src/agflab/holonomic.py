@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import accumulate, islice, pairwise, repeat
 from operator import mul
 
@@ -463,7 +463,9 @@ def iter_sequence(rec: PRecurrence, n_max: int = 100, digits: int | None = None)
     Either engine steps only up to the step before
     :attr:`PRecurrence.first_pole` and yields those values; where that
     pole lies at or before the last step, n_max - r, its CoefficientPole
-    is raised then.
+    is raised then.  ``digits`` sets a working precision, not a promise:
+    a step that cancels loses digits (``seq e -40 41 --digits 30`` prints
+    u_40 right to about 14 of its 30 digits).
     """
     r = rec.order
     if n_max < rec.initial_index + r:
@@ -632,14 +634,6 @@ def _differences(values) -> list:
     return diffs
 
 
-@cache
-def _power_differences(deg: int) -> tuple:
-    """Row i, for i = 0..deg: the i-th forward differences at t = 0 of t^l
-    for l = i..deg, the part of the row that is not 0 (l < i gives 0)."""
-    columns = [_differences([t**l for t in range(deg + 1)]) for l in range(deg + 1)]
-    return tuple(tuple(col[i] for col in columns[i:]) for i in range(deg + 1))
-
-
 def _accumulated(diffs):
     """v(0), v(1), ... for the polynomial v given by its forward
     differences at 0: one chain of itertools.accumulate per difference."""
@@ -649,16 +643,15 @@ def _accumulated(diffs):
     return column
 
 
-def _stepping(columns):
-    """Tuples (v(j) for v in columns) for j = 0, 1, ...: each polynomial v,
-    given by its forward differences at 0, as :func:`_accumulated`."""
-    return zip(*map(_accumulated, columns))
+def _pack(values, w) -> int:
+    """sum_j values[j] 2^(w j): the values in w-bit slots, the first lowest."""
+    return sum(v << w * j for j, v in enumerate(values))
 
 
 def _values_from(polys: list, n0: int):
     """Tuples (p(n) for p in polys) for n = n0, n0 + 1, ..."""
-    return _stepping(_differences([_horner(p, n0 + i) for i in range(len(p))])
-                     for p in polys)
+    return zip(*(_accumulated(_differences([_horner(p, n0 + i) for i in range(len(p))]))
+                 for p in polys))
 
 
 def _integer_form(rec: PRecurrence):
@@ -706,16 +699,16 @@ def _integer_form(rec: PRecurrence):
 def _fixed_point(rec, n_max, digits):
     """Every (n, u_n) to an n_max whose steps hold no pole
     (:func:`iter_sequence`): a :class:`_Window` crosses the blocks of one
-    step of :meth:`_Window.blocks` one at a time, and each value is its
-    newest entry."""
+    step of :meth:`_Window.blocks`, in slots that hold them all, one at a
+    time, and each value is its newest entry."""
     win = _Window(rec, digits)
-    r, n0 = win.r, win.n0
+    r, n0, cross, out = win.r, win.n0, win._cross, win.out
     for i in range(r):
-        yield n0 + i, win.read(i)
-    cross, read, blocks = win._cross, win.read, win.blocks(1, n0)
+        yield n0 + i, out(win.parts, i, win.e)
+    blocks, w = win.blocks(1, n0)(0, n_max - r - n0)
     for n in range(n0 + r, n_max + 1):
-        cross(blocks, 1)
-        yield n, read(r - 1)
+        cross(blocks, 1, w)
+        yield n, out(win.parts, r - 1, win.e)
 
 
 class _Window:
@@ -732,9 +725,10 @@ class _Window:
     D = c_r(m)...c_r(m+k-1), one floor division per value of the block
     instead of one per step; a single step is the block of k = 1.
 
-    ``_cross(blocks, count)`` advances the window by ``count`` blocks
-    drawn from ``blocks`` (tuples laid out as in :meth:`blocks`) in one
-    pass.  None of them holds a pole, so no D is 0: every caller stops
+    ``_cross(blocks, count, w)`` advances the window by ``count`` blocks
+    drawn from ``blocks`` in one pass, each one integer with its entries
+    in w-bit slots (:meth:`blocks`), which the kernels read inline.
+    None of them holds a pole, so no D is 0: every caller stops
     before :attr:`PRecurrence.first_pole`.  Where the newest quotient
     would keep fewer than lo bits, the numerators are widened first;
     where it passes hi, the quotients are narrowed.  Either shift aims 32
@@ -807,19 +801,24 @@ class _Window:
         return k if k >= 8 else 1
 
     def blocks(self, k, start):
-        """The entries of B and D (see the class) for the blocks at m =
-        start, start + k, start + 2k, ...: a tuple per block, B row by row
-        and then D, real parts and, for complex data, imaginary parts after
-        them.
+        """The blocks (see the class) at m = start, start + k, ...: a
+        function ``stream(t, reach)`` giving an iterator of the blocks from
+        the t-th on and their slot width W, which holds the blocks up to the
+        reach-th.  A block is one integer p: its entries, B row by row, D,
+        real parts and, for complex data, imaginary parts after them, each
+        plus 2^(W-1) in a W-bit slot, from the lowest up; entry j is
+        (p >> jW & (2^W - 1)) - 2^(W-1).
 
-        They are integer polynomials of degree k * degree in the block
-        offset t, m = start + k t, read by Kronecker substitution: one run
-        of the k steps at t = 2^S gives each entry's value there, and its
-        balanced base-2^S digits are the coefficients.  2^(S-1) is above
+        The entries are integer polynomials of degree k * degree in the
+        block offset t, m = start + k t, read by Kronecker substitution: one
+        run of the k steps at t = 2^S gives each entry's value there, and
+        its balanced base-2^S digits are the coefficients.  2^(S-1) is above
         the same run at t = 1 on absolute coefficients, which bounds every
         one of them; that bound run is real, also for complex data.  Both
-        runs are :meth:`_block`'s.  :func:`_stepping` advances the entries
-        by their forward differences, which follow from the coefficients."""
+        runs are :meth:`_block`'s.  W is one bit above the largest entry's
+        absolute coefficients summed at t = reach.  Packing is linear:
+        :func:`_accumulated` steps all the entries at once, from the forward
+        differences at t of the packed coefficients."""
         r, deg = self.r, k * self.degree
         # The coefficients in t of c(start + i + k t) sum in absolute value
         # to at most |c|(|start| + i + k), |c| with the absolute values
@@ -834,12 +833,7 @@ class _Window:
         top = max(self._block(bound, abs(start) + k, k, True))
         s = top.bit_length() + 1
         half, mask = 1 << (s - 1), (1 << s) - 1
-        # The differences of t^l stay rather than _differences over Horner
-        # values of the coefficients: that gave the same entries and
-        # output, but block set-up took 0.33 ms against 0.23 on `limit e 3`
-        # and 0.51 against 0.36 on `limit e 2.5+1i` (best of 300, 2-vCPU VM)
-        table = _power_differences(deg)
-        columns = []
+        entries = []
         for v in self._block(self.polys, start + (k << s), k, self.real):
             coeffs = []
             for _ in range(deg + 1):
@@ -848,9 +842,19 @@ class _Window:
                 v = (v - c) >> s
             if v:
                 raise ArithmeticError("a block entry past its coefficient bound")
-            columns.append([sum(map(mul, coeffs[i:], row))
-                            for i, row in enumerate(table)])
-        yield from _stepping(columns)
+            entries.append(coeffs)
+
+        def stream(t, reach):
+            w = max(_horner(list(map(abs, c)), reach) for c in entries).bit_length() + 1
+            a = [_pack(c, w) for c in zip(*entries)]  # the coefficients of t^l
+            for i, x in enumerate(range(t, t + deg)):  # Newton form at t, t + 1, ...
+                for l in range(deg - 1, i - 1, -1):
+                    a[l] += x * a[l + 1]
+            a[0] += _pack([1 << w - 1] * len(entries), w)
+            # the forward differences at t: Newton coefficient i times i!
+            factorials = accumulate(range(1, deg + 1), mul, initial=1)
+            return _accumulated(list(map(mul, a, factorials))), w
+        return stream
 
     def _block(self, polys, m, k, real):
         """B and D for the k steps from m of the equation with the
@@ -893,11 +897,13 @@ class _Window:
         flat = [w[i] for i in range(r) for w in cols] + [D]  # B row by row, D
         return flat if real else [x for x, _ in flat] + [y for _, y in flat]
 
-    def _cross_real1(self, blocks, count):
+    def _cross_real1(self, blocks, count, w):
         """``_cross`` for real data of order 1, the window in a local."""
         lo, hi, e = self.lo, self.hi, self.e
         (u,), = self.parts
-        for a, div in islice(blocks, count):
+        mask, half = (1 << w) - 1, 1 << w - 1
+        for p in islice(blocks, count):
+            a, div = (p & mask) - half, (p >> w) - half
             u = a * u
             n = u.bit_length()
             short = lo + div.bit_length() - n
@@ -911,13 +917,16 @@ class _Window:
                 u, e = u >> s, e + s
         self.parts, self.e = [[u]], e
 
-    def _cross_complex1(self, blocks, count):
+    def _cross_complex1(self, blocks, count, w):
         """``_cross`` for complex data of order 1, the window in locals:
-        each block is B's real part a, D's real part c, B's imaginary part
-        b and D's imaginary part d."""
+        each block holds B's real part a, D's real part c, B's imaginary
+        part b and D's imaginary part d, in that order."""
         lo, hi, e = self.lo, self.hi, self.e
         (x,), (y,) = self.parts
-        for a, c, b, d in islice(blocks, count):
+        mask, half, w2 = (1 << w) - 1, 1 << w - 1, 2 * w
+        for p in islice(blocks, count):
+            a, c = (p & mask) - half, (p >> w & mask) - half
+            b, d = (p >> w2 & mask) - half, (p >> w2 + w) - half
             div = c * c + d * d
             sr, si = a * x - b * y, a * y + b * x
             x, y = sr * c + si * d, si * c - sr * d  # (sr + i si)(c - i d)
@@ -933,11 +942,15 @@ class _Window:
                 x, y, e = x >> s, y >> s, e + s
         self.parts, self.e = [[x], [y]], e
 
-    def _cross_real2(self, blocks, count):
+    def _cross_real2(self, blocks, count, w):
         """``_cross`` for real data of order 2, the window in locals."""
         lo, hi, e = self.lo, self.hi, self.e
         (u, v), = self.parts
-        for a, b, c, d, div in islice(blocks, count):
+        mask, half, w2, w3 = (1 << w) - 1, 1 << w - 1, 2 * w, 3 * w
+        for p in islice(blocks, count):
+            a, b = (p & mask) - half, (p >> w & mask) - half
+            c, d = (p >> w2 & mask) - half, (p >> w3 & mask) - half
+            div = (p >> w3 + w) - half
             u, v = a * u + b * v, c * u + d * v
             n = v.bit_length()
             short = lo + div.bit_length() - n
@@ -951,13 +964,20 @@ class _Window:
                 u, v, e = u >> s, v >> s, e + s
         self.parts, self.e = [[u, v]], e
 
-    def _cross_complex2(self, blocks, count):
+    def _cross_complex2(self, blocks, count, w):
         """``_cross`` for complex data of order 2, the window in locals:
-        each block is B's real rows, D's real part c, B's imaginary rows
-        and D's imaginary part d."""
+        each block holds B's real rows, D's real part c, B's imaginary rows
+        and D's imaginary part d, in that order."""
         lo, hi, e = self.lo, self.hi, self.e
         (x0, x1), (y0, y1) = self.parts
-        for a, b, p, q, c, ai, bi, pi, qi, d in islice(blocks, count):
+        mask, half = (1 << w) - 1, 1 << w - 1
+        w2, w3, w4, w5, w6, w7, w8, w9 = range(2 * w, 10 * w, w)
+        for z in islice(blocks, count):
+            a, b = (z & mask) - half, (z >> w & mask) - half
+            p, q = (z >> w2 & mask) - half, (z >> w3 & mask) - half
+            c, ai = (z >> w4 & mask) - half, (z >> w5 & mask) - half
+            bi, pi = (z >> w6 & mask) - half, (z >> w7 & mask) - half
+            qi, d = (z >> w8 & mask) - half, (z >> w9) - half
             div = c * c + d * d
             # (sr + i si)(c - i d) / |D|^2, row by row
             sr = a * x0 + b * x1 - (ai * y0 + bi * y1)
@@ -980,13 +1000,16 @@ class _Window:
                 e += s
         self.parts, self.e = [[x0, x1], [y0, y1]], e
 
-    def _cross_generic(self, blocks, count):
-        """``_cross`` for any order, the window in lists."""
+    def _cross_generic(self, blocks, count, w):
+        """``_cross`` for any order, the window and each block in lists."""
         r, lo, hi, e = self.r, self.lo, self.hi, self.e
         rows = range(0, r * r, r)
+        mask, half = (1 << w) - 1, 1 << w - 1
+        slots = range(0, (r * r + 1) * (1 if self.real else 2) * w, w)
+        blocks = ([(p >> s & mask) - half for s in slots] for p in islice(blocks, count))
         if self.real:
             (window,) = self.parts
-            for vals in islice(blocks, count):
+            for vals in blocks:
                 div = vals[-1]
                 window = [sum(map(mul, vals[i:i + r], window)) for i in rows]
                 b = window[-1].bit_length()
@@ -1004,7 +1027,7 @@ class _Window:
             return
         h = r * r + 1
         xs, ys = self.parts
-        for vals in islice(blocks, count):
+        for vals in blocks:
             c, d = vals[h - 1], vals[-1]
             div = c * c + d * d
             px, py = [], []
@@ -1041,10 +1064,12 @@ class _Window:
         is at or past :attr:`PRecurrence.first_pole` raises that pole's
         :class:`CoefficientPole` before anything is crossed.  The engine
         runs only as far as the last n drawn, so a caller that stops
-        drawing stops the stepping."""
+        drawing stops the stepping.  The slots hold the farthest block
+        crossed so far, and the first 2^14 steps, where most ``limit``
+        ladders end; a crossing past them repacks once (25 blocks' cost)."""
         r, m, k = self.r, self.n0, self.block_size()
         edge = m + (1 - m - r) % k  # where the next block starts, the first not drawn
-        blocks = self.blocks(k, edge)
+        first, stream, blocks, reach = edge, self.blocks(k, edge), iter(()), -1
         last = m - 1
         for t in ns:
             if t <= last:
@@ -1055,10 +1080,13 @@ class _Window:
                 if m == edge:
                     count = (t - r + 1 - m) // k  # the blocks that end by t
                     if count:
-                        self._cross(blocks, count)
+                        if (i := (m - first) // k) + count > reach + 1:  # block i at m
+                            reach = max(i + count, 2**14 // k) - 1
+                            blocks, w = stream(i, reach)
+                        self._cross(blocks, count, w)
                         m = edge = m + count * k
                         continue
-                    next(blocks)  # the block at m holds t
+                    next(blocks, None)  # the block at m holds t
                     edge += k
                 stop = min(edge, t - r + 1)
                 self._partial(m, stop - m)
@@ -1067,8 +1095,10 @@ class _Window:
 
     def _partial(self, m, j):
         """Cross the j < K steps from m, none of them a pole, as one block
-        that :meth:`_block` builds."""
-        self._cross(iter([self._block(self.polys, m, j, self.real)]), 1)
+        that :meth:`_block` builds, packed in slots that just hold it."""
+        block = self._block(self.polys, m, j, self.real)
+        w = max(map(abs, block)).bit_length() + 1
+        self._cross(iter([_pack([v + (1 << w - 1) for v in block], w)]), 1, w)
 
 
 def _block_real1(rows):

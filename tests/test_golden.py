@@ -36,6 +36,11 @@ ARGVS = [
     "limit e 3 --n-base 50 --depth 3", "limit pi 0.25-1.5i", "limit gamma 0.1-7i",
     "limit e 2.2+1.5i", "limit pi 0.3", "limit gamma 12.5", "limit e 10 --format json",
     "limit pi 3 --digits 30", "limit gamma 1/3 --n-base 100 --digits 40",
+    # ladders past n = 2^16; gamma 0.1-7i has the widest block entries
+    "limit pi 500 --n-base 65536 --depth 4 --format json",
+    "limit gamma 60 --n-base 16384 --format json",
+    "limit e 2.5+1.25i --n-base 65536 --depth 3 --format json",
+    "limit gamma 0.1-7i --n-base 32768 --depth 4 --format json",
     # poles and refusals
     "limit e -40", "limit gamma -40", "limit e -5000.5", "limit pi -40 --n-base 100",
     "seq e -40 100 --digits 30", "seq gamma -40 60", "seq pi -40.0 60",

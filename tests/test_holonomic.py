@@ -9,6 +9,7 @@ import pytest
 from mpmath import mpf
 
 from agflab import holonomic
+from agflab.connection import MAX_REACH
 from agflab.holonomic import (
     CoefficientPole,
     PRecurrence,
@@ -27,7 +28,6 @@ from agflab.holonomic import (
 from agflab.holonomic import (
     _fixed_point,
     _integer_form,
-    _power_differences,
     _values_from,
     _Window,
 )
@@ -628,6 +628,27 @@ def test_values_at_block_cases(rec):
     assert_values_at_match_exact(rec)
 
 
+@pytest.mark.parametrize("z", [Fraction(7, 3), complex(2.5, 1)], ids=str)
+def test_values_at_far_out_match_the_gamma_ratio(z):
+    # w_n = w_1 z n! Gamma(z) / Gamma(n + z) from 40-digit mpmath, which is
+    # n! Gamma(z) / Gamma(n + z) at z = 7/3; at complex z, w_1 = 1/z is a
+    # double, 6e-17 off.  The second n lies past the slots of the first, so
+    # its gap is repacked.
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 40
+    rec = gamma_recurrence(z)
+    zz = ctx.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else ctx.mpc(z)
+    (w1,) = rec.initial_values
+    w1 = ctx.mpf(w1.numerator) / w1.denominator if isinstance(w1, Fraction) else ctx.mpc(w1)
+    ns = [2**20 + 3, 2**22]
+    for n, v in zip(ns, iter_values_at(rec, ns), strict=True):
+        log_ratio = ctx.loggamma(n + 1) + ctx.loggamma(zz) - ctx.loggamma(n + zz)
+        want = w1 * zz * ctx.exp(log_ratio)
+        assert abs(ctx.mpc(v.real, v.imag) - want) <= 1e-25 * abs(want), n
+
+
 def test_values_at_block_size_follows_the_degree():
     assert _Window(mirror_e(3), 30).block_size() == 16
     user = _Window(with_z(USER, 0.75), 30)
@@ -656,7 +677,8 @@ def test_values_at_inside_the_initial_window():
 
 def reference_block(win, m, k):
     """B and D of the block of k steps from m, by the k products of the
-    companion matrices, each step in turn: the tuple of _Window.blocks."""
+    companion matrices, each step in turn: the entries of a block of
+    _Window.blocks, as a tuple (unpacked)."""
     r = win.r
     one, zero = (1, 0) if win.real else ((1, 0), (0, 0))
     cols = [[one if i == j else zero for i in range(r)] for j in range(r)]
@@ -681,6 +703,18 @@ def reference_block(win, m, k):
     return tuple(flat if win.real else [x for x, _ in flat] + [y for _, y in flat])
 
 
+def unpacked(win, blocks, w, count) -> list:
+    """The first count blocks of ``blocks``, in w-bit slots, as tuples of
+    their entries: B row by row and D, real parts, then imaginary parts."""
+    h = (win.r**2 + 1) * (1 if win.real else 2)
+    mask, half = (1 << w) - 1, 1 << w - 1
+    out = []
+    for p in islice(blocks, count):
+        assert 0 <= p < 1 << h * w  # h slots, each holding its entry plus half
+        out.append(tuple((p >> j * w & mask) - half for j in range(h)))
+    return out
+
+
 @pytest.mark.parametrize("rec, degree, zero_ds", [
     (parse_precurrence("coeff2: 1\ncoeff1: -1\ncoeff0: -1\ninit: n0=0; 0, 1"), 0, 0),
     (mirror_e(3), 1, 0),
@@ -702,11 +736,17 @@ def test_blocks_equal_the_step_by_step_products(rec, degree, zero_ds):
     assert win.degree == degree and k > 1
     count = k * degree + 4  # past the values the entries are read from
     n0 = rec.initial_index
-    for start in (n0, n0 + (1 - n0 - win.r) % k):  # the first and the aligned grid
-        want = [reference_block(win, m, k) for m in range(start, start + count * k, k)]
-        assert list(islice(win.blocks(k, start), count)) == want, start
-        h = win.r**2  # D, or its real and imaginary parts, at h and 2h + 1
-        assert sum(not any(b[h::h + 1]) for b in want) == zero_ds
+    # the first block, the aligned grid, and a few blocks short of MAX_REACH
+    for start in (n0, n0 + (1 - n0 - win.r) % k, MAX_REACH - 3 * k + 1):
+        stream = win.blocks(k, start)
+        want = [reference_block(win, m, k) for m in range(start, start + 2 * count * k, k)]
+        # slots that just hold the last block drawn, from the first block
+        # and repacked from later ones, as a crossing past them does
+        for t in (0, 1, count):
+            assert unpacked(win, *stream(t, t + count - 1), count) == want[t:t + count]
+        if start == n0:
+            h = win.r**2  # D, or its real and imaginary parts, at h and 2h + 1
+            assert sum(not any(b[h::h + 1]) for b in want[:count]) == zero_ds
 
 
 def partial_calls(monkeypatch) -> list:
@@ -830,7 +870,9 @@ def test_order_two_kernels_equal_the_generic_loop(rec, case):
     win, k, edge = window_at_first_edge(rec)
     assert win.r in (1, 2)
     pole = rec.first_pole
-    drawn = list(islice(win.blocks(k, edge), 200 if pole is None else (pole - edge) // k))
+    count = 200 if pole is None else (pole - edge) // k
+    blocks, width = win.blocks(k, edge)(0, count - 1)
+    drawn = list(islice(blocks, count))
     assert drawn
     if case == "widen":  # the newest quotient falls short of lo bits
         win.parts = [[w >> (win.lo - 8) for w in p] for p in win.parts]
@@ -841,7 +883,7 @@ def test_order_two_kernels_equal_the_generic_loop(rec, case):
     for kernel in ("_cross", "_cross_generic"):
         w = _Window(rec, 30)
         w.parts, w.e = [list(p) for p in win.parts], e0
-        getattr(w, kernel)(iter(drawn), len(drawn))
+        getattr(w, kernel)(iter(drawn), len(drawn), width)
         got.append((w.parts, w.e))
     assert got[0] == got[1]
     e = got[0][1]
@@ -951,7 +993,7 @@ def test_block_kernels_equal_the_generic_loop(rec, k, monkeypatch):
     block = _Window._block
     monkeypatch.setattr(_Window, "_block",
                         lambda self, *args: runs.append(args) or block(self, *args))
-    next(win.blocks(k, edge))
+    win.blocks(k, edge)
     monkeypatch.undo()
     (bound, _, _, real_bound), (polys, m, _, real) = runs
     assert (real_bound, real) == (True, win.real)
@@ -1063,19 +1105,6 @@ def test_integer_form_is_the_least_integer_multiple():
     assert _integer_form(rec)[:2] == ([[-4], [2, 2]], [[0], [0, 0]])
     with pytest.raises(ValueError, match="depends on z"):
         _integer_form(parse_precurrence("coeff1: n+z\ncoeff0: -1\ninit: n0=0; 1"))
-
-
-def test_power_differences_are_scaled_stirling_numbers():
-    # row i holds the i-th differences at 0 of t^l, i! S(l, i) for l >= i,
-    # S the Stirling numbers of the second kind by their own recurrence
-    top = 12
-    S = [[1] + [0] * top]
-    for l in range(1, top + 1):
-        S.append([0] + [k * S[l - 1][k] + S[l - 1][k - 1] for k in range(1, top + 1)])
-    for d in range(top + 1):
-        assert _power_differences(d) == tuple(
-            tuple(math.factorial(i) * S[l][i] for l in range(i, d + 1))
-            for i in range(d + 1)), d
 
 
 def test_fixed_point_pole_at_the_same_n():
