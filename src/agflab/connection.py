@@ -104,8 +104,21 @@ REACH = 2**16
 # (--depth 20), best of 3 in process; --depth 40 (32 * 2^40) would take
 # months.
 MAX_REACH = 2**24
-# The defaults of the tableau depth and the first sample.
-DEPTH = 6
+# The default tableau depth.  A window settles as soon as its last
+# increment meets its rounding floor, often before it holds depth + 1
+# samples, so a deeper window costs no steps: it only lets the last
+# window remove more powers of 1/n, and pi's ladders end a rung sooner
+# (limit pi 10 ends at n = 8192 at depth 7, at 16384 at depth 6).  On the
+# doubling ladder the sum of the tableau's absolute weights, its rounding
+# amplification, stays near 8 at any depth: 7.3 at 4, 8.0 at 6, 8.1 at 7
+# and 8.2 at 8.  In process on a 2-core Xeon, the first 600 ops of the
+# benchmark's limit stream (seed 7) took 0.909, 0.830, 0.816 and 0.819
+# ms per op at depths 6, 7, 8 and 9 (the sum of each op's best of 5);
+# depths 8 and 9 fail the 1e-13 relative bound of the honesty sweep over
+# the worlds (1.31e-13 at Gamma 63/4 and 1.04e-13 at Gamma 17, against
+# 6.53e-14 at depth 7), so 7 is the deepest default that keeps it.
+DEPTH = 7
+# The default first sample.
 N_BASE = 32
 EPS = sys.float_info.epsilon
 
@@ -115,9 +128,9 @@ class ConnectionEstimate:
     """The extrapolated constant and how it was reached: the engine that
     accumulated u_n (the fixed-point one) at ``digits``, every sampled
     ``n``, the increments |diag[i+1] - diag[i]| of the tableau diagonal
-    over the final window (fewer than depth where it settled before
-    depth + 1 samples), the rounding floor of the error estimate, and the
-    seconds it all took."""
+    over the final window, from its newest sample diag[0] (fewer than
+    depth where it settled before depth + 1 samples), the rounding floor
+    of the error estimate, and the seconds it all took."""
 
     value: complex
     error_estimate: float
@@ -219,11 +232,11 @@ def estimate_connection_constant(
     ladder = [n_base << k for k in range((reach // n_base).bit_length())]
     digits = numeric_digits(digits)
     size = depth + 1
-    samples, column, errors = [], [], []
+    column, errors = [], []
     values = []  # each full window's estimate
     unit = None  # 2^-k
     # numeric accumulation always: exact iteration to n ~ 10^5 is hopeless
-    for n, u in zip(ladder, iter_values_at(rec, ladder, digits)):
+    for count, (n, u) in enumerate(zip(ladder, iter_values_at(rec, ladder, digits)), 1):
         log_lam = shell_log_eval(shell, n, z)
         ratio = u / u.context.exp(log_lam if log_lam.imag else log_lam.real)
         if unit is None:
@@ -231,17 +244,16 @@ def estimate_connection_constant(
         sample = complex(ratio * unit)
         if not cmath.isfinite(sample):
             raise NonConvergence(f"sample u_n / Lambda(n) not finite at n={n}")
-        samples.append(sample)
         column, errors = _richardson(
             column, errors, sample, EPS * (1 + abs(log_lam)) * abs(sample), size)
-        if len(samples) < min(size, 3):
+        if count < min(size, 3):
             continue
-        # the diagonal from the tableau's corner, the window's first sample
-        diag = [samples[-len(column)], *column[1:]]
+        # the diagonal runs from the newest sample: the window's last row
+        diag = column
         rounding_error = errors[-1]
         deltas = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
         settled = deltas[-1] <= rounding_error
-        if len(samples) >= size:
+        if count >= size:
             values.append(diag[-1])
             scale = max(abs(diag[-1]), 1e-300)
             _check_not_diverging(deltas, 1e-13 * scale, unit)
@@ -269,7 +281,7 @@ def estimate_connection_constant(
         raise NonConvergence(f"{why} (error {error:.3g} vs value {scale:.3g})")
     return ConnectionEstimate(
         value=complex(diag[-1].real / unit, diag[-1].imag / unit), error_estimate=error,
-        engine="fixed", digits=digits, n=tuple(ladder[:len(samples)]),
+        engine="fixed", digits=digits, n=tuple(ladder[:count]),
         increments=tuple(deltas), rounding_floor=rounding_error,
         timing_s=time.perf_counter() - start)
 

@@ -540,27 +540,28 @@ def test_limit_at_a_pole_past_the_ladder_exits_1_before_any_step(
 _FULL_WINDOW_BYTES = {
     # at |z| >> n the samples are about |z|/n times the value: a short
     # window there settles only once its newest sample is near its estimate
-    "e 1e6": (0, "9.99997000010121e-07 ± 1.33e-17\n", ""),
+    "e 1e6": (0, "9.99997000010802e-07 ± 7.41e-18\n", ""),
     "e -5000.5": (0, "-0.000200100058038629 ± 1.08e-17\n", ""),
     "e 1e20": (1, "", "non-convergence: value below its rounding floor "
-               "(error 1.33e-17 vs value 2.97e-19)\n"),
+               "(error 7.39e-18 vs value 7.51e-19)\n"),
+    # settles in a window of 8 samples, where one of 7 diverges (--depth 6)
+    "gamma 6.598+33.67i": (0, "5.06340964670302e-14-2.65493021771452e-14i ± 8.02e-24\n",
+                           ""),
     # only a full window can diverge
     "gamma 16.8+54.01i": (1, "", "non-convergence: extrapolation diagonal diverging "
-                          "(deltas [36.76951563655548, 2.1036849989648546e-08, "
-                          "5.0466550473309755e-08, 2.2577482898234837e-07, "
-                          "2.9505863221781606e-06, 6.170702576008147e-05])\n"),
-    "gamma 6.598+33.67i": (1, "", "non-convergence: extrapolation diagonal diverging "
-                           "(deltas [2.1346557156485787e-08, 8.749044832586306e-15, "
-                           "4.936385939205934e-15, 5.481214823179537e-15, "
-                           "1.356987110128417e-14, 3.508078006822487e-14])\n"),
+                          "(deltas [4.966016370282409e-09, 2.5241038498769432e-09, "
+                          "2.0513618161076637e-09, 3.257274460229302e-09, "
+                          "8.96136975948965e-09, 4.9142220081446666e-08, "
+                          "5.010798840056198e-07])\n"),
     "gamma 19.87-90.02i": (1, "", "non-convergence: extrapolation diagonal diverging "
-                           "(deltas [1.7361030174378875, 3.818084009391505e-21, "
-                           "3.6171463907923714e-19, 1.2426529560953543e-15, "
-                           "9.351976080476821e-11, 2.8220005922327946e-06])\n"),
+                           "(deltas [3.48655468201012e-23, 8.474291805534576e-23, "
+                           "5.541387822035088e-22, 2.4266201570438156e-20, "
+                           "4.009779203654731e-17, 1.4844243553806204e-12, "
+                           "2.2220186348573043e-08])\n"),
     "gamma 38.72-121.2i": (1, "", "non-convergence: extrapolation diagonal diverging "
-                           "(deltas [1.7071727461301736e+24, 192.75415926642273, "
-                           "464453.777986209, 42578173257.862, 5678567855377688.0, "
-                           "2.780677284556463e+18])\n"),
+                           "(deltas [0.09179243680722447, 0.7389072023885185, "
+                           "27.468860369176742, 30971.006245168017, 1373496795.6328683, "
+                           "90135637569363.8, 2.194042336843087e+16])\n"),
 }
 
 

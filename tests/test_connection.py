@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -408,6 +409,31 @@ def test_e_world_settles_at_the_third_sample():
         est = estimate_connection_constant(mirror_e(z), F_SHELL)
         assert est.n == (32, 64, 128) and len(est.increments) == 2, z
         assert abs(ctx.mpc(est.value) - limit_oracle(ctx, "e", z)) <= est.error_estimate, z
+
+
+def test_diagonal_increments_run_from_the_newest_sample():
+    # u_n = c + 1/n: T_1 = 2 u_128 - u_64 is c exactly, so the first
+    # increment is |T_1 - u_128| = 1/128, not |T_1 - u_32| = 1/32
+    est = estimate_connection_constant(known_limit_recurrence(0.73125), AsymptoticShell())
+    assert est.n == (32, 64, 128)
+    assert est.increments[0] == 1 / est.n[-1]
+
+
+@pytest.mark.parametrize("z, last", [(6, 4096), (7, 4096), (10, 8192)])
+def test_pi_ladders_end_in_a_window_of_eight_samples(capsys, z, last):
+    # a window of 8 samples settles a rung before one of 7 would (8192,
+    # 8192 and 16384 at --depth 6), and its estimate covers its error
+    from mpmath.ctx_mp import MPContext
+
+    from agflab.cli import main
+
+    ctx = MPContext()
+    ctx.dps = 40
+    assert main(["limit", "pi", str(z), "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["n"][-1] == last
+    actual = abs(ctx.mpf(record["value"]) - limit_oracle(ctx, "pi", Fraction(z)))
+    assert actual <= record["error_estimate"]
 
 
 def test_estimates_settled_in_short_windows_are_honest():

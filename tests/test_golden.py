@@ -100,6 +100,15 @@ def test_golden_file_holds_every_argv():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    old = _records() if GOLDEN.exists() else {}
     records = [run(argv.split()) for argv in ARGVS]
+    changed = [r for r in records if old.get(" ".join(r["argv"])) != r]
+    for new in changed:  # what an intended output change moved
+        argv = " ".join(new["argv"])
+        print(f"changed: {argv}")
+        for key in ("stdout", "stderr", "exit"):
+            was = old.get(argv, {}).get(key)
+            if was != new[key]:
+                print(f"  {key} was {was!r}\n  {key} now {new[key]!r}")
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} records to {GOLDEN}")
+    print(f"wrote {len(records)} records to {GOLDEN}, {len(changed)} changed")
