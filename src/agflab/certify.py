@@ -13,7 +13,7 @@ no floating tolerance.  The singular-coefficient integrals behind the
 connection constants (I_m, J_m, L_m) are evaluated in double precision
 by mpmath's tanh-sinh quadrature, with an error estimate floored at
 (64 + m) eps |value|, and chained through their recurrences as floating
-cross-checks.
+cross-checks.  Every check here and in the CLI reports a :func:`check_record`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .holonomic import PRecurrence, _accumulated, _differences, _horner, exact_s
 __all__ = [
     "OdeCheckResult",
     "QuadratureResult",
+    "check_record",
     "identity_chain_e",
     "identity_chain_pi",
     "ode_series_check_recurrence",
@@ -38,6 +39,25 @@ __all__ = [
     "quad_J",
     "quad_L",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the record of a check
+
+def check_record(check: str, max_deviation: float, params: dict,
+                 details: list | None = None, *, tolerance: float | None = None,
+                 passed: bool | None = None) -> dict:
+    """The record ``{check, params, pass, max_deviation, details}`` of one
+    check.  Given a ``tolerance``, the check passes iff ``max_deviation``
+    is at most it, and the tolerance is reported as the last key of
+    ``params``; a rule that is not one bound (an exact identity, a
+    compound growth rule) passes ``passed`` instead."""
+    if (tolerance is None) == (passed is None):
+        raise TypeError("check_record takes one of tolerance and passed")
+    if tolerance is not None:
+        params, passed = {**params, "tolerance": tolerance}, max_deviation <= tolerance
+    return {"check": check, "params": params, "pass": bool(passed),
+            "max_deviation": max_deviation, "details": details or []}
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +219,8 @@ def quad_L(m: int) -> QuadratureResult:
 # identity chains
 
 def identity_chain_e(m_max: int) -> dict:
-    """Quadrature cross-checks: J_m = I_{m+1}, J_{m+1} = e - (m+2) J_m,
-    and the step identity f(m+2) = (m+2)[f(m) - f(m+1)] with f = J/e."""
+    """Quadrature cross-checks, one :func:`check_record`: J_m = I_{m+1},
+    J_{m+1} = e - (m+2) J_m, and f(m+2) = (m+2)[f(m) - f(m+1)], f = J/e."""
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     I = [quad_I(m).value for m in range(m_max + 2)]
@@ -222,18 +242,13 @@ def identity_chain_e(m_max: int) -> dict:
             {"m": m, "J": J[m], "J_vs_I": dev_ji, "J_rec": dev_jrec,
              "f_discrete": dev_f}
         )
-    return {
-        "check": "identity_chain_e",
-        "params": {"m_max": m_max, "tolerance": _CHAIN_TOL},
-        "pass": worst <= _CHAIN_TOL,
-        "max_deviation": worst,
-        "details": details,
-    }
+    return check_record("identity_chain_e", worst, {"m_max": m_max}, details,
+                        tolerance=_CHAIN_TOL)
 
 
 def identity_chain_pi(m_max: int) -> dict:
-    """Quadrature cross-checks: L_{m+2} = L_m - L_{m+1}/(m+1) and
-    g(m) = sqrt(2/pi) L_m against the Gamma-ratio evaluation."""
+    """Quadrature cross-checks, one :func:`check_record`: L_{m+2} = L_m -
+    L_{m+1}/(m+1) and g(m) = sqrt(2/pi) L_m against the Gamma-ratio one."""
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     L = [quad_L(m).value for m in range(m_max + 1)]
@@ -247,10 +262,5 @@ def identity_chain_pi(m_max: int) -> dict:
         dev_g = abs(g_quad - g_eval(m).real)
         worst = max(worst, dev_rec, dev_g)
         details.append({"m": m, "L": L[m], "L_rec": dev_rec, "g_match": dev_g})
-    return {
-        "check": "identity_chain_pi",
-        "params": {"m_max": m_max, "tolerance": _CHAIN_TOL},
-        "pass": worst <= _CHAIN_TOL,
-        "max_deviation": worst,
-        "details": details,
-    }
+    return check_record("identity_chain_pi", worst, {"m_max": m_max}, details,
+                        tolerance=_CHAIN_TOL)

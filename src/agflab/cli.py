@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from . import agf as agf_mod
 from . import certify, worlds
+from .certify import check_record
 from .complexfn import (
     DOUBLE,
     MAX_DOUBLE_DIGITS,
@@ -169,17 +170,6 @@ def cmd_agf(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _check(check: str, passed: bool, max_dev: float, params: dict,
-           details: list | None = None) -> dict:
-    return {
-        "check": check,
-        "params": params,
-        "pass": bool(passed),
-        "max_deviation": max_dev,
-        "details": details or [],
-    }
-
-
 def _suite_afe(seed: int) -> Iterator[dict]:
     pts = agf_mod.grid_points(*DEFAULT_GRID)
     functions = worlds.functions()
@@ -187,8 +177,8 @@ def _suite_afe(seed: int) -> Iterator[dict]:
     for name, w in functions.items():
         worst, tables[name] = agf_mod.residual_grid(w.spec, w.evaluator, pts,
                                                     w.pole_distance)
-        yield _check(f"afe_residual_grid_{name}", worst <= 1e-10, worst,
-                     {"grid": DEFAULT_GRID, "tolerance": 1e-10})
+        yield check_record(f"afe_residual_grid_{name}", worst,
+                           {"grid": DEFAULT_GRID}, tolerance=1e-10)
 
     # f at each point is read from its residual table, not evaluated again
     worst_route = 0.0
@@ -199,38 +189,37 @@ def _suite_afe(seed: int) -> Iterator[dict]:
         c = agf_mod.f_eval_confluent_route(z)
         scale = max(abs(a), 1e-30)
         worst_route = max(worst_route, abs(a - b) / scale, abs(a - c) / scale)
-    yield _check("f_three_route_agreement", worst_route <= 1e-11,
-                 worst_route, {"tolerance": 1e-11})
+    yield check_record("f_three_route_agreement", worst_route, {}, tolerance=1e-11)
 
     anchors = [(f"{name}({point:g})", w.evaluator(point), want)
                for name, w in functions.items() for point, want in w.spec.anchors]
     worst_anchor = max(abs(got - want) for _, got, want in anchors)
-    yield _check("explicit_anchors", worst_anchor <= 1e-12, worst_anchor,
-                 {"tolerance": 1e-12}, [name for name, _, _ in anchors])
+    yield check_record("explicit_anchors", worst_anchor, {},
+                       [name for name, _, _ in anchors], tolerance=1e-12)
 
 
 def _suite_duality(seed: int) -> Iterator[dict]:
     dual = [w for w in worlds.table().values() if w.forms]
     for world in dual:
-        worst = 0.0
-        rows = []
-        for form, _, residual in world.duality_residuals(15):
-            worst = max(worst, residual)
-            rows.append({**form.to_record(), "scaled_residual": residual})
-        yield _check(f"duality_{world.name}", worst <= 1e-9, worst,
-                     {"m_max": 15, "tolerance": 1e-9}, rows)
+        worst, rows = 0.0, []
+        try:  # a form mismatch fails this world's check, and the next one too
+            for form, _, residual in world.duality_residuals(15):
+                worst = max(worst, residual)
+                rows.append({**form.to_record(), "scaled_residual": residual})
+        except ConsistencyError as exc:
+            worst, rows = 1.0, [str(exc)]
+        yield check_record(f"duality_{world.name}", worst, {"m_max": 15}, rows,
+                           tolerance=1e-9)
 
     # closed forms equal recurrences exactly (construction cross-checks)
-    ok = True
     detail = []
     try:
         for world in dual:
             world.forms(100)
     except ConsistencyError as exc:
-        ok = False
         detail = [str(exc)]
-    yield _check("duality_closed_forms_exact", ok, 0.0 if ok else 1.0,
-                 {"m_max": 100}, detail)
+    yield check_record("duality_closed_forms_exact", 1.0 if detail else 0.0,
+                       {"m_max": 100}, detail, passed=not detail)
 
 
 def _suite_ode(seed: int) -> Iterator[dict]:
@@ -238,16 +227,12 @@ def _suite_ode(seed: int) -> Iterator[dict]:
     for values in zip(*(w.ode_values for w in table)):  # the i-th of each world
         for w, v in zip(table, values):
             res = certify.ode_series_check_recurrence(w.recurrence(v), 200)
-            yield _ode_check(f"ode_{w.name}_{w.ode_param}{v}", res,
-                             {w.ode_param: v, "order": 200})
-
-
-def _ode_check(name: str, res, params: dict) -> dict:
-    """The record of one ODE certificate; a failure names the first
-    nonzero residual coefficient."""
-    details = None if res.passed else [
-        f"first nonzero residual coefficient at x^{res.first_failure}"]
-    return _check(name, res.passed, 0.0 if res.passed else 1.0, params, details)
+            details = None if res.passed else [
+                f"first nonzero residual coefficient at x^{res.first_failure}"]
+            yield check_record(f"ode_{w.name}_{w.ode_param}{v}",
+                               0.0 if res.passed else 1.0,
+                               {w.ode_param: v, "order": 200}, details,
+                               passed=res.passed)
 
 
 def _suite_slope(seed: int) -> Iterator[dict]:
@@ -268,15 +253,15 @@ def _suite_slope(seed: int) -> Iterator[dict]:
             worst = max(worst, dev)
             grid.append({"alpha": alpha, "beta": str(beta), "rational": ok,
                          "deviation": dev})
-    yield _check("slope_integer_rational", worst <= 1e-9, worst,
-                 {"alphas": "[-4..-1, 1..4]", "tolerance": 1e-9}, grid)
+    yield check_record("slope_integer_rational", worst,
+                       {"alphas": "[-4..-1, 1..4]"}, grid, tolerance=1e-9)
     nonint = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
               Fraction(5, 3)]
     all_nonrational = all(
         slope_ratio(a, 0.3).kind is SlopeKind.NON_RATIONAL for a in nonint
     )
-    yield _check("slope_non_integer_rejected", all_nonrational, 0.0,
-                 {"alphas": [str(a) for a in nonint]})
+    yield check_record("slope_non_integer_rejected", 0.0,
+                       {"alphas": [str(a) for a in nonint]}, passed=all_nonrational)
 
 
 def _suite_growth(seed: int) -> Iterator[dict]:
@@ -284,15 +269,16 @@ def _suite_growth(seed: int) -> Iterator[dict]:
     rows = agf_mod.growth_probe(agf_mod.f_eval, 1.0, ims, kind="f")
     normalized = [r["normalized"] for r in rows]
     decreasing = all(b < a for a, b in zip(normalized, normalized[1:]))
-    yield _check("growth_f_decay", decreasing and normalized[-1] < 0.05,
-                 normalized[-1], {"im": ims, "final_bound": 0.05},
-                 [f"{v:.5f}" for v in normalized])
+    yield check_record("growth_f_decay", normalized[-1],
+                       {"im": ims, "final_bound": 0.05},
+                       [f"{v:.5f}" for v in normalized],
+                       passed=decreasing and normalized[-1] < 0.05)
     rows = agf_mod.growth_probe(agf_mod.g_eval, 1.0, ims, kind="g")
     normalized = [r["normalized"] for r in rows]
     variation = abs(normalized[-1] - normalized[-2]) / normalized[-2]
-    yield _check("growth_g_bounded", variation < 0.25, variation,
-                 {"im": ims, "variation_bound": 0.25},
-                 [f"{v:.5f}" for v in normalized])
+    yield check_record("growth_g_bounded", variation,
+                       {"im": ims, "variation_bound": 0.25},
+                       [f"{v:.5f}" for v in normalized], passed=variation < 0.25)
 
 
 SUITES = {
@@ -497,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = ((RecurrenceParseError, "parse error", 2),
            (CoefficientPole, "coefficient pole", 1), (PoleError, "pole error", 1),
            (agf_mod.DomainError, "domain error", 1),
-           (NonConvergence, "non-convergence", 1), ((ValueError, OSError), "error", 2))
+           (NonConvergence, "non-convergence", 1),
+           (ConsistencyError, "consistency error", 1), ((ValueError, OSError), "error", 2))
 
 
 _parser = functools.cache(build_parser)  # built once (1.5 ms); parse_args keeps no state
@@ -507,7 +494,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, ConsistencyError) as exc:
         label, code = next(((label, code) for kinds, label, code in _ERRORS
                             if isinstance(exc, kinds)),
                            (f"arithmetic error: {type(exc).__name__}", 1))

@@ -10,6 +10,7 @@ from agflab import certify, holonomic
 from agflab.agf import f_eval, g_eval
 from agflab.certify import (
     _recurrence_ode,
+    check_record,
     identity_chain_e,
     identity_chain_pi,
     ode_series_check_recurrence,
@@ -481,6 +482,16 @@ def test_identity_chain_pi():
     rep = identity_chain_pi(12)
     assert rep["pass"]
     assert rep["max_deviation"] < 1e-9
+
+
+def test_check_record_takes_one_rule():
+    rec = check_record("c", 2e-9, {"m_max": 3}, tolerance=1e-9)
+    assert rec == {"check": "c", "params": {"m_max": 3, "tolerance": 1e-9},
+                   "pass": False, "max_deviation": 2e-9, "details": []}
+    assert check_record("c", 1.0, {}, ["why"], passed=True)["pass"] is True
+    for rule in ({}, {"tolerance": 1e-9, "passed": True}):
+        with pytest.raises(TypeError):
+            check_record("c", 0.0, {}, **rule)
 
 
 def test_f_times_e_matches_quadrature_J():

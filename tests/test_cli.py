@@ -19,7 +19,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import agflab
-from agflab import agf, cli
+from agflab import agf, certify, cli
 from agflab.agf import (
     f_eval,
     f_pole_distance,
@@ -906,6 +906,49 @@ def test_verify_duality_reports_a_consistency_error(capsys, monkeypatch):
     assert code == 1 and "duality_closed_forms_exact" in err
     assert [c["check"] for c in failed] == ["duality_closed_forms_exact"]
     assert "mismatch at m=50" in failed[0]["details"][0]
+
+
+def _pq_closed_off_at_3(monkeypatch):
+    import agflab.exact as exact
+
+    real = exact._pq_closed
+    monkeypatch.setattr(exact, "_pq_closed", lambda m: (
+        (real(m)[0] + 1, real(m)[1]) if m == 3 else real(m)))
+
+
+def test_verify_duality_fails_a_mismatch_inside_the_residual_check(capsys,
+                                                                     monkeypatch):
+    # m = 3 is inside duality_residuals(15): the pi world's residual check
+    # fails with the mismatch as its detail, and the suite goes on
+    _pq_closed_off_at_3(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "duality"])
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and err == "first failing check: duality_pi\n"
+    assert {name: c["pass"] for name, c in checks.items()} == {
+        "duality_e": True, "duality_pi": False, "duality_closed_forms_exact": False}
+    for name in ("duality_pi", "duality_closed_forms_exact"):
+        assert "pi-world duality form mismatch at m=3:" in checks[name]["details"][0]
+
+
+def test_table_duality_exits_1_on_a_form_mismatch(capsys, monkeypatch):
+    _pq_closed_off_at_3(monkeypatch)
+    code, out, err = run_cli(capsys, ["table", "duality-pi", "--m-max", "5"])
+    assert (code, out) == (1, "")
+    assert err.startswith("consistency error: pi-world duality form mismatch at m=3:")
+    assert err.count("\n") == 1
+
+
+def test_a_tolerance_check_reports_the_bound_it_tests(capsys):
+    # every record with a tolerance names it last in its params and passes
+    # iff its worst deviation is at most it
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "json"])
+    records = [*json.loads(out)["checks"], certify.identity_chain_e(12),
+               certify.identity_chain_pi(12)]
+    bounded = [r for r in records if "tolerance" in r["params"]]
+    assert code == 0 and len(bounded) == 9
+    for r in bounded:
+        assert list(r["params"])[-1] == "tolerance", r["check"]
+        assert r["pass"] is (r["max_deviation"] <= r["params"]["tolerance"])
 
 
 def test_verify_afe_checks_the_anchors_of_f_spec(capsys, monkeypatch):
