@@ -40,6 +40,7 @@ from .complexfn import (
     format_cnum,
     hyp1f1,
     lower_incomplete_gamma,
+    shared_log_gammas,
 )
 from .holonomic import Poly2, RationalFn, RecurrenceParseError
 from .holonomic import _check_coeffs, _number, _parse_coeff_text
@@ -190,10 +191,7 @@ def f_eval(z, cfg: PrecisionConfig = DOUBLE):
     ctx = cfg.ctx
     # a real z divides in real arithmetic: the same terms as in complex
     z2 = (ctx.convert(z) if _is_real(z) else _to_ctx(z, ctx)) + 2
-    total = ctx.mpc(0)
-    for k, term in _reciprocal_factorials(ctx):
-        total += term / (z2 + k)
-    return total / ctx.e
+    return ctx.reciprocal_sum(z2, _reciprocal_factorials(ctx)) / ctx.e
 
 
 @cache
@@ -373,26 +371,27 @@ def residual_table(spec: AGFSpec, h, points, pole_distance) -> list[tuple]:
     """
     values = {}  # h at each argument reached so far, None next to a pole
     rows = []
-    for z in points:
-        hs = []
-        for k in range(spec.order + 1):
-            w = z + k
-            if w not in values:
-                try:
-                    values[w] = None if pole_distance(w) < 1e-3 else h(w)
-                except PoleError:
-                    values[w] = None
-            v = values[w]
-            if v is None:
-                break
-            hs.append(v)
-        if len(hs) <= spec.order:
-            rows.append((z, hs[0] if hs else None, None, None))
-            continue
-        terms = [spec.coeff_at(k, z) * v for k, v in enumerate(hs)]
-        residual = sum(terms)
-        scale = max(map(abs, terms))
-        rows.append((z, hs[0], residual, abs(residual) / scale if scale > 0 else 0.0))
+    with shared_log_gammas():  # g's log-Gammas recur along the shifts
+        for z in points:
+            hs = []
+            for k in range(spec.order + 1):
+                w = z + k
+                if w not in values:
+                    try:
+                        values[w] = None if pole_distance(w) < 1e-3 else h(w)
+                    except PoleError:
+                        values[w] = None
+                v = values[w]
+                if v is None:
+                    break
+                hs.append(v)
+            if len(hs) <= spec.order:
+                rows.append((z, hs[0] if hs else None, None, None))
+                continue
+            terms = [spec.coeff_at(k, z) * v for k, v in enumerate(hs)]
+            residual = sum(terms)
+            scale = max(map(abs, terms))
+            rows.append((z, hs[0], residual, abs(residual) / scale if scale > 0 else 0.0))
     return rows
 
 

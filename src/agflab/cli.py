@@ -21,10 +21,8 @@ JSON.  All randomized checks take --seed and default to a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import random
@@ -100,17 +98,23 @@ def _emit(text: str, out_path: str | None):
 
 
 def _emit_rows(args, head: dict, header: list[str], rows: list[list]):
-    """rows under header as CSV, or with ``--format json`` as one record
-    per row after the fields of ``head``."""
-    if args.format == "json":
-        payload = {**head, "rows": [dict(zip(header, row)) for row in rows]}
-        _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    """rows under header as CSV, whose fields (numbers, 'pole', 'p/q',
+    'a+bi') need no quoting, or with ``--format json`` as one record per
+    row after the fields of ``head``.  Python's cap on int-to-str (3.11+)
+    is lifted meanwhile: duality-e's (m+1)! passes it at m = 1558."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            payload = {**head, "rows": [dict(zip(header, row)) for row in rows]}
+            text = json.dumps(payload, indent=2, default=str) + "\n"
+        else:
+            text = "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ approximation with reflection for Re z < 1/2, and ``convert`` and
 ``hyp1f1`` are ``mpmath.fp``'s.  It is not ``fp`` itself, because fp
 dispatches on the argument's type at every call.  Gamma is
 exp(log-Gamma); the lower incomplete gamma is written through 1F1.
+Both add ``reciprocal_sum``, f's series, which the extended one sums on
+mpmath's raw tuples at a real argument.  :func:`shared_log_gammas` lets a
+residual pass compute each double log-Gamma once, and keep none after it.
 
 Poles are reported as typed :class:`PoleError`, never as infinities, so
 grid drivers can skip them deterministically.  All functions are pure;
@@ -22,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -30,7 +34,7 @@ from functools import lru_cache
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _mpc, _mpf
-from mpmath.libmp import NoConvergence, to_rational
+from mpmath.libmp import NoConvergence, from_int, fzero, mpf_add, mpf_div, to_rational
 
 __all__ = [
     "ConvergenceError",
@@ -44,6 +48,7 @@ __all__ = [
     "hyp1f1",
     "log_gamma",
     "lower_incomplete_gamma",
+    "shared_log_gammas",
 ]
 
 # The most significant digits double precision carries; a precision
@@ -78,12 +83,26 @@ class PrecisionConfig:
         return self.working_digits > MAX_DOUBLE_DIGITS
 
 
+class _Context(MPContext):
+    def reciprocal_sum(self, x, terms):
+        """The double context's; at a real x on the raw tuples, with the
+        mpf_add and mpf_div of the mpf operators, and so their roundings."""
+        if type(x) is not self.mpf:
+            return _DoubleContext.reciprocal_sum(self, x, terms)
+        prec, rnd = self._prec_rounding
+        x, total = x._mpf_, fzero
+        for k, c in terms:
+            d = mpf_add(x, from_int(k), prec, rnd)
+            total = mpf_add(total, mpf_div(c._mpf_, d, prec, rnd), prec, rnd)
+        return self.make_mpc((total, fzero))
+
+
 @lru_cache(maxsize=None)
 def _mp_context(dps: int) -> MPContext:
     """The private mpmath context at ``dps`` digits, one per digit count
     (building one costs about a millisecond).  Shared: never change its
     precision."""
-    ctx = MPContext()
+    ctx = _Context()
     ctx.dps = dps
     return ctx
 
@@ -200,9 +219,35 @@ class _DoubleContext:
     loggamma = staticmethod(_lgamma_lanczos)
     hyp1f1 = fp.hyp1f1
 
+    def reciprocal_sum(ctx, x, terms):
+        """sum c / (x + k) over the pairs (k, c) of terms, a complex of ctx."""
+        total = ctx.mpc(0)
+        for k, c in terms:
+            total += c / (x + k)
+        return total
+
 
 _DOUBLE_CONTEXT = _DoubleContext()
 DOUBLE = PrecisionConfig()
+
+
+@contextmanager
+def shared_log_gammas():
+    """Within the block the double loggamma computes each argument once;
+    the memo ends with the block.  Blocks do not nest."""
+    ctx, memo = _DOUBLE_CONTEXT, {}
+
+    def loggamma(z: complex) -> complex:
+        key = z if z.real and z.imag else repr(z)  # -0.0 == 0.0, as keys too
+        if key not in memo:
+            memo[key] = _lgamma_lanczos(z)
+        return memo[key]
+
+    ctx.loggamma = loggamma
+    try:
+        yield
+    finally:
+        del ctx.loggamma
 
 
 # ---------------------------------------------------------------------------

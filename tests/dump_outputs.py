@@ -5,8 +5,8 @@ one JSON file, so that two checkouts can be compared byte for byte.
 
 Runs from this checkout's ``src``, in process, through the ``run`` of
 ``test_golden.py`` (every ``timing_s`` written as 0): the argvs of
-``test_golden.ARGVS``, then the first N ops of each stream
-``perfbench/workloads.ops(w, 1)``.  Each record holds its argv, stdout,
+``test_golden.ARGVS`` and of ``test_cli.CSV_ARGVS``, then the first N ops
+of each stream ``perfbench/workloads.ops(w, 1)``.  Each record holds its argv, stdout,
 stderr and exit code, or the exception that escaped ``cli.main``; a
 stdout longer than ``LONG`` characters (an exact ``seq`` row set
 reaches megabytes) is kept as its SHA-256 and length.
@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+from test_cli import CSV_ARGVS  # noqa: E402
 from test_golden import ARGVS, run  # noqa: E402
 from workloads import WORKLOADS, ops  # noqa: E402
 
@@ -51,7 +52,8 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=100,
                         help="ops taken from each workload stream (default 100)")
     args = parser.parse_args(argv)
-    dump = {"golden": [record(a.split()) for a in ARGVS]}
+    dump = {"golden": [record(a.split()) for a in ARGVS],
+            "csv": [record(a.split()) for a in CSV_ARGVS]}
     for workload in WORKLOADS:
         dump[workload] = [record(op) for op in
                           itertools.islice(ops(workload, 1), args.ops)]

@@ -7,7 +7,7 @@ import pytest
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
 
-from agflab import worlds
+from agflab import complexfn, worlds
 from agflab.agf import (
     _G_SERIES_C,
     _G_SERIES_E,
@@ -623,6 +623,26 @@ def test_residual_table_punctures_each_argument_once():
     assert len(evaluated) == len(set(evaluated))
     assert set(evaluated) == {w for w in seen if f_pole_distance(w) >= 1e-3}
     assert near not in evaluated and -2 not in evaluated
+
+
+def test_residual_table_shares_g_log_gammas_within_its_pass(monkeypatch):
+    # a pass runs fewer Lanczos sums than g point by point, for the same
+    # values, and keeps none of them after it returns
+    calls = []
+    lanczos = complexfn._lgamma_lanczos
+    counted = lambda z: calls.append(z) or lanczos(z)  # noqa: E731
+    monkeypatch.setattr(complexfn, "_lgamma_lanczos", counted)
+    monkeypatch.setattr(complexfn._DoubleContext, "loggamma", staticmethod(counted))
+    pts = grid_points(-1.5, 6, -3, 3, 0.25)
+    rows = residual_table(g_spec(), g_eval, pts, g_pole_distance)
+    assert "loggamma" not in vars(DOUBLE.ctx)
+    shared, calls[:] = len(calls), []
+    for z, value, *_ in rows:
+        assert value is None or g_eval(z) == value
+    calls[:] = []
+    for w in {z + k for z in pts for k in range(3) if g_pole_distance(z + k) >= 1e-3}:
+        g_eval(w)
+    assert 0 < shared < 0.6 * len(calls)
 
 
 def test_coeff_at_is_the_coefficients_value():

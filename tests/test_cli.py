@@ -1,8 +1,10 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import agflab
-from agflab import agf, certify, cli
+from agflab import agf, certify, cli, complexfn
 from agflab.agf import (
     f_eval,
     f_pole_distance,
@@ -709,20 +711,29 @@ def test_agf_values(capsys):
     assert abs(float(out.strip()) - (math.pi - 2) / math.sqrt(2 * math.pi)) < 1e-12
 
 
+def _int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Python's cap on int-to-str conversion (3.11+) lifted for the block."""
+    limit = _int_str_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_seq_exact_rows_longer_than_int_str_limit(capsys):
     code, out, _ = run_cli(capsys, ["seq", "e", "1", "2000"])
     assert code == 0
     n, value = out.rstrip("\n").rsplit("\n", 1)[-1].split("\t")
-    # the expected text comes from str(), with Python's cap on int-to-str
-    # conversion (3.11+) lifted for the duration
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _no_int_str_limit():  # the expected text comes from str()
         want = str(list(iter_sequence(mirror_e(1), n_max=2000))[-1][1])
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
     assert len(want) > 4300
     assert (n, value) == ("2000", want)
 
@@ -1068,6 +1079,81 @@ def test_table_duality_pi_exact_columns(tmp_path, capsys):
         num, den = r["q"].split("/")
         assert Fraction(int(num), int(den)) == form.q
         assert float(r["residual"]) < 1e-9
+
+
+# Every caller of cli._emit_rows in CSV: the three table kinds, and seq's
+# exact, numeric, complex and past-4300-digit rows.  tests/dump_outputs.py
+# dumps them too.
+CSV_ARGVS = [
+    "table duality-e --m-max 40",
+    "table duality-pi --m-max 40",
+    "table agf-grid --grid=-1.5,2.5,-2,2,0.25",
+    "seq gamma 1/3 30 --format csv",
+    "seq e 1/2 30 --digits 30 --format csv",
+    "seq gamma 7/3 30 --digits 15 --format csv",
+    "seq pi 1+i 30 --format csv",
+    "seq e 0.7+0.2i 30 --digits 20 --format csv",
+    "seq e 1 2000 --format csv",
+]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGVS)
+def test_csv_is_what_the_csv_module_writes(capsys, monkeypatch, argv):
+    # the writer joins the fields as they are: none may need quoting
+    emitted = []
+    emit_rows = cli._emit_rows
+
+    def spy(args, head, header, rows):
+        emitted.append([header, *rows])
+        return emit_rows(args, head, header, rows)
+
+    monkeypatch.setattr(cli, "_emit_rows", spy)
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "") and len(emitted) == 1
+    (table,) = emitted
+    assert not [f for row in table for f in map(str, row) if set(f) & set(',"\r\n')]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(table)
+    assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_duality_e_rows_past_the_int_str_limit(capsys, fmt):
+    # (m+1)! passes 4300 digits at m = 1558; the cap is lifted only while
+    # the rows are formatted
+    limit = _int_str_limit()
+    code, out, err = run_cli(
+        capsys, ["table", "duality-e", "--m-max", "1560", "--format", fmt])
+    assert (code, err) == (0, "") and _int_str_limit() == limit
+    with _no_int_str_limit():
+        if fmt == "json":
+            last = json.loads(out)["rows"][-1]
+            m, a, b = last["m"], last["a"], last["b"]
+        else:
+            m, a, b = map(int, out.rstrip("\r\n").rsplit("\r\n", 1)[-1].split(",")[:3])
+        assert m == 1560 and len(str(a)) > 4300
+    d_prev, d = 1, 0  # D_0, D_1; D_n = (n - 1)(D_(n-1) + D_(n-2))
+    for n in range(2, m + 2):
+        d_prev, d = d, (n - 1) * (d + d_prev)
+    assert (a, b) == (math.factorial(m + 1), d)
+
+
+def test_no_log_gamma_outlives_a_command(capsys, monkeypatch):
+    # the memo of shared_log_gammas lives for one residual pass: two equal
+    # commands run the same Lanczos sums, and none stays behind
+    calls = []
+    lanczos = complexfn._lgamma_lanczos
+    counted = lambda z: calls.append(z) or lanczos(z)  # noqa: E731
+    monkeypatch.setattr(complexfn, "_lgamma_lanczos", counted)
+    monkeypatch.setattr(complexfn._DoubleContext, "loggamma", staticmethod(counted))
+    counts = []
+    for argv in (["verify", "all"], ["verify", "all"],
+                 ["table", "agf-grid", "--grid=-1.5,2.5,-2,2,0.25"]):
+        calls[:] = []
+        assert run_cli(capsys, argv)[0] == 0
+        assert "loggamma" not in vars(DOUBLE.ctx)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0 and counts[2] > 0
 
 
 def test_table_agf_grid_pole_cells(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+import struct
 
 import mpmath as mp
 import pytest
 from mpmath.ctx_mp import MPContext
 
+from agflab import complexfn
 from agflab.complexfn import (
     DOUBLE,
     ConvergenceError,
@@ -17,6 +19,7 @@ from agflab.complexfn import (
     hyp1f1,
     log_gamma,
     lower_incomplete_gamma,
+    shared_log_gammas,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -254,3 +257,84 @@ def test_format_cnum_value_of_another_context():
     assert format_cnum(other.mpf(1) / 3, cfg) == "0." + "3" * 30
     third = other.mpc(1, -2) / 3
     assert format_cnum(third, cfg) == "0." + "3" * 30 + "-0." + "6" * 29 + "7i"
+
+
+def _bits(z) -> bytes:
+    """z's two doubles as bytes: equal iff equal bit for bit, signed zeros too."""
+    return struct.pack("dd", z.real, z.imag)
+
+
+def _log_gamma_arguments(seed: int, count: int) -> list[complex]:
+    """Seeded double arguments away from the poles: the reflection region
+    Re < 1/2 among them, and real ones with either zero as imaginary part."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        x = rng.choice([rng.uniform(-30, 0.5), rng.uniform(0.5, 60),
+                        rng.randrange(-40, 40) / 4])
+        y = rng.choice([0.0, -0.0, rng.uniform(-80, 80)])
+        if y or x > 0 or x != round(x):
+            points.append(complex(x, y))
+    return points
+
+
+def test_shared_log_gammas_returns_the_lanczos_sum_bit_for_bit():
+    points = _log_gamma_arguments(3, 400)
+    assert any(z.real < 0.5 for z in points)
+    assert {math.copysign(1.0, z.imag) for z in points if z.imag == 0} == {1.0, -1.0}
+    want = [_bits(complexfn._lgamma_lanczos(z)) for z in points]
+    with shared_log_gammas():
+        for _ in range(2):  # computed, then found in the memo
+            assert [_bits(DOUBLE.ctx.loggamma(z)) for z in points] == want
+    assert DOUBLE.ctx.loggamma is complexfn._lgamma_lanczos
+
+
+def test_shared_log_gammas_keeps_signed_zeros_apart(monkeypatch):
+    # +0.0 == -0.0, as dict keys too; a sum that tells them apart must get
+    # its own value at each
+    def signs(z):
+        return complex(math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+    monkeypatch.setattr(complexfn, "_lgamma_lanczos", signs)
+    points = [complex(x, y) for x in (2.5, 0.0, -0.0) for y in (0.0, -0.0, 1.5)]
+    with shared_log_gammas():
+        for _ in range(2):
+            assert [DOUBLE.ctx.loggamma(z) for z in points] == list(map(signs, points))
+
+
+def test_shared_log_gammas_keeps_nothing_after_its_block(monkeypatch):
+    with pytest.raises(KeyError):
+        with shared_log_gammas():
+            shared = DOUBLE.ctx.loggamma
+            raise KeyError
+    assert "loggamma" not in vars(DOUBLE.ctx)
+    assert DOUBLE.ctx.loggamma is complexfn._lgamma_lanczos
+    calls = []
+    lanczos = complexfn._lgamma_lanczos
+    monkeypatch.setattr(complexfn, "_lgamma_lanczos",
+                        lambda z: calls.append(z) or lanczos(z))
+    for _ in range(2):  # each block starts from an empty memo
+        with shared_log_gammas():
+            assert DOUBLE.ctx.loggamma is not shared
+            log_gamma(2.5 + 1j), log_gamma(2.5 + 1j)
+    assert calls == [2.5 + 1j] * 2
+
+
+@pytest.mark.parametrize("digits", [16, 30, 40, 60])
+def test_reciprocal_sum_at_a_real_point_is_the_mpc_loop(digits):
+    # the raw-tuple sum rounds as the mpf and mpc operators do
+    from agflab.agf import _reciprocal_factorials
+
+    ctx = extended(digits).ctx
+    rng = random.Random(digits)
+    points = [*range(41), *(k / 2 for k in range(-41, 82, 2)),
+              *(rng.uniform(-1e3, 1e3) for _ in range(60)),
+              *(-rng.randrange(3, 1000) - rng.random() for _ in range(20))]
+    terms = _reciprocal_factorials(ctx)
+    for z in points:
+        x = ctx.convert(z) + 2
+        want = ctx.mpc(0)
+        for k, c in terms:
+            want += c / (x + k)
+        got = ctx.reciprocal_sum(x, terms)
+        assert type(got) is type(want) and got._mpc_ == want._mpc_, z
